@@ -32,6 +32,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bench.host import host_record
 from repro.bench.report import format_table, percent
 from repro.models import build_model, mixtral_8x7b_sim, nano_moe, tiny_mistral
 from repro.routing import SyntheticRouter, UNIFORM_REGIME, WIKITEXT_REGIME
@@ -254,6 +255,7 @@ def main(argv=None) -> int:
           and all(r["ids_identical"] and r["records_flowing"]
                   for r in results))
     payload = {
+        "host": host_record(),
         "cells": results,
         "headline": {
             "cell": list(LIVE_HEADLINE_CELL),

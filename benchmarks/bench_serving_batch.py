@@ -39,6 +39,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bench.host import host_record
 from repro.bench.report import format_table
 from repro.models import build_model, tiny_mistral
 from repro.serving import (ContinuousBatchingEngine, LiveDecodeEngine,
@@ -435,8 +436,9 @@ def main(argv=None) -> int:
           and headline["single_request_identical"]
           and headline["per_request_identical"]
           and tracing_ok(tracing))
-    payload = {"headline": headline, "tracing": tracing,
-               "slots_sweep": slots_sweep, "rate_sweep": rate_sweep}
+    payload = {"host": host_record(), "headline": headline,
+               "tracing": tracing, "slots_sweep": slots_sweep,
+               "rate_sweep": rate_sweep}
     if args.output is not None:
         args.output.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.output}")

@@ -5,6 +5,7 @@ from .experiments import (ComparisonExperiment, HeatmapExperiment,
                           run_heatmap_experiment, run_locality_experiment)
 from .export import report_to_markdown, write_markdown
 from .harness import PAPER_CELLS, EvaluationReport, run_full_evaluation
+from .host import host_record
 from .report import format_table, heatmap, histogram, percent, series_panel, sparkline
 from .workloads import (MODELS, REGIMES, PaperWorkload, paper_workload,
                         tiny_finetune_workload)
@@ -16,6 +17,7 @@ __all__ = [
     "run_heatmap_experiment", "LocalityExperiment", "ComparisonExperiment",
     "HeatmapExperiment",
     "run_full_evaluation", "EvaluationReport", "PAPER_CELLS",
+    "host_record",
     "report_to_markdown", "write_markdown",
     "format_table", "heatmap", "histogram", "sparkline", "series_panel",
     "percent",

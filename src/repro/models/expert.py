@@ -43,8 +43,11 @@ class ExpertFFN(Module):
         # LoRA injection swaps the projections for LoRALinear modules (and
         # future variants may add biases); the fused kernel reads the plain
         # weight matrices directly, so it only applies to the stock layout.
-        return all(type(proj) is Linear and proj.bias is None
-                   for proj in (self.w_gate, self.w_up, self.w_down))
+        # Spelled out: the inference path asks every block on every step.
+        gate, up, down = self.w_gate, self.w_up, self.w_down
+        return (type(gate) is Linear and type(up) is Linear
+                and type(down) is Linear and gate.bias is None
+                and up.bias is None and down.bias is None)
 
     def forward_fused(self, x: Tensor) -> Tensor:
         """Apply the expert through the single-node SwiGLU kernel.

@@ -123,3 +123,20 @@ class TopKGate(Module):
 
         return GateOutput(probs=probs, expert_indices=indices,
                           combine_weights=combine, aux_loss=aux)
+
+    def route(self, tokens: np.ndarray):
+        """Route plain-array ``tokens`` of shape ``(num_tokens, hidden_size)``.
+
+        Inference-only: :meth:`forward`'s arithmetic (router GEMM, stable
+        softmax, :func:`top_k`, normalized weights) without ``Tensor``
+        wrappers and without the aux loss.  Returns ``(probs, indices,
+        selected, combine)``: the softmax matrix, the selected expert ids,
+        their raw scores and their normalized combine weights.
+        """
+        probs = self.router.infer(tokens)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        selected, indices = top_k(probs, self.top_k, axis=-1)
+        combine = selected / selected.sum(axis=-1, keepdims=True)
+        return probs, indices, selected, combine

@@ -20,6 +20,11 @@ Two dispatch implementations are provided:
     The original per-(slot, expert) loop, kept selectable for A/B testing;
     the equivalence tests pin the two paths to each other.
 
+Under ``no_grad`` the fused dispatch runs on plain arrays
+(:func:`array_dispatch`): route → permute → expert GEMM → unpermute, the
+same stages and arithmetic for a one-token decode step as for a long
+prefill, with no autograd graph.
+
 Every forward pass can emit a :class:`BlockRoutingRecord`, the raw material
 for locality profiling and for the communication simulation.
 """
@@ -32,7 +37,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..nn.functional import index_select, swiglu_infer, top_k
-from ..nn.layers import Linear, Module
+from ..nn.layers import Module
 from ..nn.tensor import Tensor, is_grad_enabled
 from .expert import ExpertFFN
 from .gating import GateOutput, TopKGate
@@ -174,6 +179,41 @@ def fused_dispatch(experts: List[ExpertFFN], tokens: Tensor,
                              order, inv_order, top_k, num_tokens)
 
 
+def array_dispatch(experts: List[ExpertFFN], tokens: np.ndarray,
+                   indices: np.ndarray, combine: np.ndarray) -> np.ndarray:
+    """:func:`fused_dispatch` on plain arrays, for inference.
+
+    ``tokens`` is ``(num_tokens, hidden)``; ``indices`` and ``combine`` are
+    the gate's ``(num_tokens, top_k)`` expert ids and normalized weights.
+    The stages of a grouped-GEMM MoE kernel, for any token count:
+    *permute* the flattened assignments into expert order (one stable
+    sort), run each expert once on its contiguous segment through
+    :func:`swiglu_infer`, then *unpermute* the weighted rows back to
+    token-major order and fold the ``top_k`` contributions of each token.
+    Every expert reads the stock bias-free ``Linear`` weights.  The sort,
+    the segment shapes and the fold are :func:`fused_dispatch`'s, so the
+    output matches it bit for bit.
+    """
+    num_tokens, top_k = indices.shape
+    flat = indices.reshape(-1)
+    order = flat.argsort(kind="stable")
+    ends = np.bincount(flat, minlength=len(experts)).cumsum()
+    permuted = tokens[order // top_k]
+    segments = []
+    start = 0
+    for expert, end in zip(experts, ends):
+        if end > start:
+            segments.append(swiglu_infer(
+                permuted[start:end], expert.w_gate.weight.data,
+                expert.w_up.weight.data, expert.w_down.weight.data))
+        start = end
+    out = segments[0] if len(segments) == 1 else np.concatenate(segments)
+    out *= combine.reshape(-1)[order][:, None]
+    unpermuted = np.empty_like(out)
+    unpermuted[order] = out
+    return unpermuted.reshape(num_tokens, top_k, -1).sum(axis=1)
+
+
 class MoEBlock(Module):
     """Sparsely activated FFN layer with ``num_experts`` experts.
 
@@ -223,12 +263,28 @@ class MoEBlock(Module):
             probs=gate_out.probs.data.copy() if self.record_probs else None,
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply the block to ``(batch, seq, hidden)`` input."""
+    def forward(self, x):
+        """Apply the block to ``(batch, seq, hidden)`` input.
+
+        With gradients enabled this is the Tensor gate plus the selected
+        dispatch.  Under ``no_grad`` the fused dispatch runs on plain
+        arrays (:meth:`_forward_array`) unless the block needs the graph
+        path: ``dispatch="reference"``, an attached executor that can run
+        this layer, LoRA-injected experts, or a gate with an aux loss.
+        ``x`` may then be a plain array (``forward_slots`` passes one) and
+        the output has the input's type.
+        """
+        array_in = isinstance(x, np.ndarray)
+        if not is_grad_enabled() and self._array_ready():
+            out = self._forward_array(x if array_in else x.data)
+            return out if array_in else Tensor(out)
+        if array_in:
+            return self._forward_graph(Tensor(x)).data
+        return self._forward_graph(x)
+
+    def _forward_graph(self, x: Tensor) -> Tensor:
+        """The Tensor gate and dispatch (the only path under gradients)."""
         batch, seq, hidden = x.shape
-        if (seq == 1 and self.dispatch == "fused" and not is_grad_enabled()
-                and self._decode_fusable()):
-            return self._forward_decode(x)
         tokens = x.reshape(batch * seq, hidden)
         gate_out: GateOutput = self.gate(tokens)
         self.last_aux_loss = gate_out.aux_loss
@@ -239,61 +295,32 @@ class MoEBlock(Module):
         output = self._dispatch_combine(tokens, gate_out)
         return output.reshape(batch, seq, hidden)
 
-    def _decode_fusable(self) -> bool:
-        # The raw decode path reads weight matrices directly, so the gate
-        # router and every expert must carry the stock bias-free Linear
-        # layout (LoRA injection and future variants fall back to the
-        # generic dispatch, which handles any module).
-        if not (type(self.gate.router) is Linear
-                and self.gate.router.bias is None):
+    def _array_ready(self) -> bool:
+        """Whether :meth:`_forward_array` can stand in for the graph path."""
+        executor = self.executor
+        if executor is not None and executor.can_run(self.layer_index):
             return False
-        return all(e._fusable() for e in self.experts)
+        return (self.dispatch == "fused" and self.gate.aux_loss_weight <= 0
+                and all(e._fusable() for e in self.experts))
 
-    def _forward_decode(self, x: Tensor) -> Tensor:
-        """Single-token fast path of the fused dispatch (``seq_len == 1``).
+    def _forward_array(self, x: np.ndarray) -> np.ndarray:
+        """The inference-only block on plain arrays, for any token count.
 
-        One decode step routes ``batch`` tokens, each to ``top_k`` experts —
-        far too few rows for the sort → segment machinery to pay off.  The
-        gate runs as a raw ``(batch, 1, experts)`` top-k (matmul + stable
-        softmax + :func:`repro.nn.functional.top_k`) and the combine
-        accumulates the ≤ ``batch * top_k`` expert applications slot by
-        slot, in the exact slot order the fused combine sums, so outputs
-        track the batched path bit for bit up to GEMM-shape rounding.
-        Inference-only (gated on gradients being disabled); routing records
-        keep flowing so decode streams still feed locality profiling.
+        Routes with :meth:`TopKGate.route` and dispatches with
+        :func:`array_dispatch`; routing records keep flowing, so decode
+        streams still feed locality profiling.
         """
-        batch, _, hidden = x.shape
-        tokens = x.data.reshape(batch, hidden)
-        logits = tokens @ self.gate.router.weight.data.T
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        np.exp(shifted, out=shifted)
-        probs = shifted / shifted.sum(axis=-1, keepdims=True)
-        selected, indices = top_k(probs, self.top_k, axis=-1)
-        combine = selected / selected.sum(axis=1, keepdims=True)
-
+        batch, seq, hidden = x.shape
+        tokens = x.reshape(batch * seq, hidden)
+        probs, indices, selected, combine = self.gate.route(tokens)
         self.last_aux_loss = None
         if self.record_routing:
             self.last_record = BlockRoutingRecord(
-                layer=self.layer_index,
-                expert_indices=indices.copy(),
-                selected_scores=selected.copy(),
-                probs=probs.copy() if self.record_probs else None,
-            )
-
-        out = np.zeros_like(tokens)
-        for slot in range(self.top_k):
-            slot_experts = indices[:, slot]
-            for expert_id in np.unique(slot_experts):
-                expert = self.experts[int(expert_id)]
-                weights = (expert.w_gate.weight.data, expert.w_up.weight.data,
-                           expert.w_down.weight.data)
-                if batch == 1:
-                    out += combine[0, slot] * swiglu_infer(tokens, *weights)
-                else:
-                    rows = np.nonzero(slot_experts == expert_id)[0]
-                    out[rows] += combine[rows, slot][:, None] * \
-                        swiglu_infer(tokens[rows], *weights)
-        return Tensor(out.reshape(batch, 1, hidden))
+                layer=self.layer_index, expert_indices=indices,
+                selected_scores=selected,
+                probs=probs if self.record_probs else None)
+        out = array_dispatch(self.experts, tokens, indices, combine)
+        return out.reshape(batch, seq, hidden)
 
     def _dispatch_combine(self, tokens: Tensor, gate_out: GateOutput) -> Tensor:
         """Send tokens through their selected experts and combine the results."""

@@ -43,29 +43,16 @@ class TransformerBlock(Module):
         x = x + self.moe(self.ffn_norm(x))
         return x
 
-    def forward_incremental(self, x: Tensor, cache: KVCache) -> Tensor:
-        """Process only the new positions in ``x``, attending via ``cache``.
-
-        The MoE FFN is position-local, so only attention needs the cache;
-        a single-token step automatically takes the fused dispatch's
-        ``seq_len == 1`` fast path inside :class:`MoEBlock`.
-        """
-        x = x + self.attn.forward_incremental(self.attn_norm(x), cache)
-        x = x + self.moe(self.ffn_norm(x))
-        return x
-
-    def forward_slots(self, x: Tensor, cache: KVCache,
-                      slots: np.ndarray) -> Tensor:
-        """Per-slot variant of :meth:`forward_incremental`.
+    def forward_slots(self, x: np.ndarray, cache: KVCache,
+                      slots: np.ndarray) -> np.ndarray:
+        """:meth:`forward` for new positions of KV-cache rows, on arrays.
 
         ``x`` row ``i`` continues the sequence in cache slot ``slots[i]``
-        at that slot's own cursor (ragged attention); the position-local
-        MoE FFN is shared with the uniform path, so a batched decode step
-        still takes the ``seq_len == 1`` fused fast path.
+        at that slot's own cursor (ragged attention); the MoE FFN is
+        position-local, so it needs no cache.  Inference-only.
         """
-        x = x + self.attn.forward_slots(self.attn_norm(x), cache, slots)
-        x = x + self.moe(self.ffn_norm(x))
-        return x
+        x = x + self.attn.forward_slots(self.attn_norm.infer(x), cache, slots)
+        return x + self.moe(self.ffn_norm.infer(x))
 
 
 class MoETransformer(Module):
@@ -112,7 +99,7 @@ class MoETransformer(Module):
 
         ``max_len`` bounds the total sequence (prompt + generation) the
         caches can hold; it defaults to, and may not exceed, the model's
-        ``max_seq_len``.  Pass the caches to :meth:`forward_incremental`.
+        ``max_seq_len``.  Pass the caches to :meth:`forward_slots`.
         """
         config = self.config
         if max_len is None:
@@ -126,54 +113,33 @@ class MoETransformer(Module):
 
     def forward_incremental(self, token_ids: np.ndarray,
                             caches: List[KVCache]) -> Tensor:
-        """Next-token logits for only the *new* ``token_ids``.
+        """Next-token logits for the new ``token_ids`` of every cache row.
 
-        ``token_ids`` is ``(batch, seq)`` holding positions
-        ``[cache.position, cache.position + seq)`` — the whole prompt on
-        the prefill pass, one token per decode step.  ``caches`` comes from
-        :meth:`new_kv_caches` and is advanced in place.  Inference-only
-        (requires gradients disabled); with a full-sequence prefill the
-        logits match :meth:`forward` bit for bit, and per-step logits
-        agree to ~1e-12 in float64.
+        :meth:`forward_slots` over rows ``0 .. len(token_ids) - 1``: the
+        whole prompt on the prefill pass, one token per decode step, each
+        row at its own cursor.
         """
-        if is_grad_enabled():
-            raise RuntimeError("forward_incremental is inference-only; "
-                               "wrap the decode loop in no_grad()")
-        token_ids = np.asarray(token_ids)
-        if token_ids.ndim != 2:
-            raise ValueError(f"expected (batch, seq) token ids, got "
-                             f"{token_ids.shape}")
-        if len(caches) != len(self.blocks):
-            raise ValueError(f"expected {len(self.blocks)} KV caches, "
-                             f"got {len(caches)}")
-        position = caches[0].position
-        if any(c.position != position for c in caches):
-            raise ValueError("KV caches are out of sync (differing fill "
-                             "cursors); allocate a fresh set per sequence")
-        seq = token_ids.shape[1]
-        if position + seq > self.config.max_seq_len:
-            raise ValueError(f"position {position} + new tokens {seq} "
-                             f"exceeds max_seq_len {self.config.max_seq_len}")
-        x = self.token_embedding(token_ids) + \
-            self.position_embedding[position:position + seq]
-        for block, cache in zip(self.blocks, caches):
-            x = block.forward_incremental(x, cache)
-        return self.lm_head(self.final_norm(x))
+        return self.forward_slots(token_ids, caches,
+                                  np.arange(np.shape(token_ids)[0]))
 
     def forward_slots(self, token_ids: np.ndarray, caches: List[KVCache],
                       slots) -> Tensor:
         """Next-token logits for a subset of KV-cache slots (ragged decode).
 
         ``token_ids`` is ``(len(slots), seq)``: row ``i`` holds the next
-        ``seq`` tokens of the request occupying cache slot ``slots[i]``,
+        ``seq`` tokens of the sequence occupying cache slot ``slots[i]``,
         continuing at that slot's own fill cursor — one token per active
-        request on a continuous-batching decode step, a whole (equal-
-        length) prompt per row on a batched prefill of newly admitted
-        requests.  ``caches`` is the shared slot-pool set from
-        :meth:`new_kv_caches`; rows not listed in ``slots`` are untouched,
-        so waiting requests keep their state while others advance.
-        Inference-only.  With uniform cursors this computes bit for bit
-        what :meth:`forward_incremental` computes on the same rows.
+        request on a decode step, a whole (equal-length) prompt per row on
+        a batched prefill of newly admitted requests.  ``caches`` comes
+        from :meth:`new_kv_caches` and advances in place; rows not listed
+        in ``slots`` are untouched, so waiting requests keep their state
+        while others advance.  Slot ids must be distinct rows of the
+        caches.
+
+        Inference-only, and computed on plain arrays from the embedding
+        gather to the LM head (no autograd graph); the result is wrapped
+        in one :class:`Tensor`.  A prefill returns :meth:`forward`'s logits
+        bit for bit, and decode steps agree with it to ~1e-12 in float64.
         """
         if is_grad_enabled():
             raise RuntimeError("forward_slots is inference-only; "
@@ -185,17 +151,16 @@ class MoETransformer(Module):
         if len(caches) != len(self.blocks):
             raise ValueError(f"expected {len(self.blocks)} KV caches, "
                              f"got {len(caches)}")
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.ndim != 1 or slots.size != token_ids.shape[0]:
-            raise ValueError(f"slots must be 1-D with one entry per row, "
-                             f"got shape {slots.shape} for "
-                             f"{token_ids.shape[0]} rows")
-        positions = caches[0].positions[slots]
-        for index, cache in enumerate(caches[1:], start=1):
-            if not np.array_equal(cache.positions[slots], positions):
-                raise ValueError(f"KV caches are out of sync on the "
-                                 f"requested slots (layer {index} differs "
-                                 f"from layer 0)")
+        slots = caches[0].slot_ids(slots)
+        if slots.size != token_ids.shape[0]:
+            raise ValueError(f"slots must have one entry per row, got "
+                             f"{slots.size} for {token_ids.shape[0]} rows")
+        cursors = np.stack([cache.positions for cache in caches])[:, slots]
+        positions = cursors[0]
+        stale = np.flatnonzero((cursors != positions).any(axis=1))
+        if stale.size:
+            raise ValueError(f"KV caches are out of sync on the requested "
+                             f"slots (layer {stale[0]} differs from layer 0)")
         seq = token_ids.shape[1]
         if np.any(positions + seq > self.config.max_seq_len):
             worst = int(slots[int(np.argmax(positions))])
@@ -203,12 +168,11 @@ class MoETransformer(Module):
                              f"{int(positions.max())} + new tokens {seq} "
                              f"exceeds max_seq_len {self.config.max_seq_len}")
         # Per-row position embeddings: row i continues at positions[i].
-        pos_rows = self.position_embedding.data[
-            positions[:, None] + np.arange(seq)]
-        x = Tensor(self.token_embedding(token_ids).data + pos_rows)
+        x = self.token_embedding.infer(token_ids) + \
+            self.position_embedding.data[positions[:, None] + np.arange(seq)]
         for block, cache in zip(self.blocks, caches):
             x = block.forward_slots(x, cache, slots)
-        return self.lm_head(self.final_norm(x))
+        return Tensor(self.lm_head.infer(self.final_norm.infer(x)))
 
     def loss(self, token_ids: np.ndarray, targets: np.ndarray) -> Tensor:
         """Cross-entropy LM loss, plus any gate auxiliary losses."""

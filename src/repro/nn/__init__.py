@@ -5,8 +5,7 @@ namespace.  This replaces PyTorch for the reproduction (see DESIGN.md §1).
 """
 
 from . import functional
-from .attention import (KVCache, MultiHeadAttention, causal_mask,
-                        incremental_causal_mask)
+from .attention import KVCache, MultiHeadAttention, causal_mask
 from .layers import (Dropout, Embedding, LayerNorm, Linear, Module, Parameter,
                      RMSNorm, Sequential)
 from .optim import SGD, AdamW, GradClipper, Optimizer
@@ -27,7 +26,7 @@ __all__ = [
     "set_default_dtype", "get_default_dtype", "default_dtype",
     "Module", "Parameter", "Linear", "Embedding", "LayerNorm", "RMSNorm",
     "Dropout", "Sequential", "MultiHeadAttention", "causal_mask",
-    "KVCache", "incremental_causal_mask",
+    "KVCache",
     "Optimizer", "SGD", "AdamW", "GradClipper",
     "LRScheduler", "ConstantLR", "WarmupCosineLR", "StepDecayLR",
     "save_checkpoint", "load_checkpoint", "checkpoint_nbytes",

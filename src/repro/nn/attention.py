@@ -2,13 +2,12 @@
 
 This is the attention block of the backbone transformer.  Training and
 full-sequence inference go through :meth:`MultiHeadAttention.forward`;
-the serving path decodes incrementally through a :class:`KVCache` and
-:meth:`MultiHeadAttention.forward_incremental`, which projects only the
-*new* positions and attends against the cached key/value prefix — the
-O(T) half of the prefill/decode split (`docs/ARCHITECTURE.md` § Serving).
-Continuous batching decodes many requests of different lengths through
-one shared cache via per-slot cursors and
-:meth:`MultiHeadAttention.forward_slots` (ragged, length-aware masking).
+the serving path decodes through a :class:`KVCache` and
+:meth:`MultiHeadAttention.forward_slots`, which projects only the *new*
+positions of a subset of cache rows and attends each against its own
+cached prefix (ragged, length-aware masking) — the O(T) half of the
+prefill/decode split (`docs/ARCHITECTURE.md` § Serving).  Prefill and
+decode, of one request or of many at different depths, are the same call.
 """
 
 from __future__ import annotations
@@ -22,49 +21,30 @@ from .layers import Linear, Module
 from .tensor import Tensor, get_default_dtype, is_grad_enabled
 
 
-def causal_mask(seq_len: int) -> np.ndarray:
+def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
     """Return an additive causal mask of shape ``(seq_len, seq_len)``.
 
     Entries above the diagonal are ``-inf`` surrogates (-1e9) so softmax
-    assigns them ~zero weight.
+    assigns them ~zero weight.  Build it in the scores' dtype: a float64
+    mask would promote float32 scores, and every op after them, to float64.
     """
-    mask = np.triu(np.ones((seq_len, seq_len)), k=1) * -1e9
+    mask = np.triu(np.ones((seq_len, seq_len), dtype=dtype), k=1)
+    mask *= -1e9
     return mask
-
-
-def incremental_causal_mask(seq_len: int, total_len: int,
-                            offset: int) -> np.ndarray:
-    """Additive causal mask for a query block starting at ``offset``.
-
-    Shape ``(seq_len, total_len)``: query row ``i`` (absolute position
-    ``offset + i``) may attend key columns ``j <= offset + i``.  With
-    ``offset == 0`` and ``total_len == seq_len`` this is exactly
-    :func:`causal_mask`, so a prefill pass reproduces the full forward's
-    masking bit for bit.
-    """
-    cols = np.arange(total_len)
-    rows = offset + np.arange(seq_len)[:, None]
-    return np.where(cols > rows, -1e9, 0.0)
 
 
 class KVCache:
     """Preallocated key/value buffers for one attention layer.
 
     Holds ``(batch, max_len, num_heads, head_dim)`` buffers plus one fill
-    cursor *per batch row* (:attr:`positions`).  Two write paths cover the
-    two serving runtimes:
-
-    * **uniform** — :meth:`append` advances every row together and returns
-      views of the filled prefix; this is the single-sequence
-      prefill/decode split (``LiveDecodeEngine``), where all rows hold the
-      same number of positions.  :attr:`position` exposes the shared
-      cursor and raises if the rows have diverged.
-    * **per-slot** — :meth:`append_rows` writes a subset of rows at their
-      own cursors; this is the continuous-batching slot pool
-      (``ContinuousBatchingEngine``), where each row is an independent
-      request at its own sequence length.  :meth:`reset` accepts a slot
-      list so an evicted row can be handed to the next request without
-      touching the others.
+    cursor *per batch row* (:attr:`positions`).  Each row is an
+    independent sequence: :meth:`append_rows` writes a subset of rows at
+    their own cursors, and :meth:`reset` accepts a slot list so an evicted
+    row can be handed to the next request without touching the others.
+    Both engines write through this one path — the continuous-batching
+    slot pool (``ContinuousBatchingEngine``) and the single-batch
+    prefill/decode split (``LiveDecodeEngine``, which appends to every
+    row at once).
 
     No per-step reallocation, no concatenation.  One cache per transformer
     block; allocate the full set with
@@ -93,24 +73,30 @@ class KVCache:
         return self.keys.shape[1]
 
     @property
-    def position(self) -> int:
-        """The shared fill cursor (uniform path).
-
-        Raises ``ValueError`` when rows carry different cursors — callers
-        on the ragged path must read :attr:`positions` instead.
-        """
-        first = int(self._positions[0])
-        if np.any(self._positions != first):
-            raise ValueError("KV cache rows are ragged (per-slot cursors "
-                             "differ); read positions, not position")
-        return first
-
-    @property
     def positions(self) -> np.ndarray:
         """Per-row fill cursors, shape ``(batch,)`` (read-only view)."""
         view = self._positions.view()
         view.flags.writeable = False
         return view
+
+    def slot_ids(self, slots) -> np.ndarray:
+        """``slots`` as a checked int64 row-index array.
+
+        Raises ``ValueError`` unless the ids form a non-empty 1-D list of
+        distinct rows in ``[0, batch)``.  numpy would wrap a negative id
+        onto another row (slot ``-1`` of a 4-row cache is row 3), silently
+        writing one request's keys into another's.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.ndim != 1 or slots.size == 0:
+            raise ValueError(f"slots must be a non-empty 1-D index array, "
+                             f"got shape {slots.shape}")
+        if slots.min() < 0 or slots.max() >= self.batch:
+            raise ValueError(f"slot ids must lie in [0, {self.batch}), got "
+                             f"{slots.tolist()}")
+        if np.bincount(slots).max() > 1:
+            raise ValueError(f"slots must be distinct, got {slots.tolist()}")
+        return slots
 
     def reset(self, slots=None) -> None:
         """Rewind fill cursors (buffer contents are overwritten lazily).
@@ -122,53 +108,41 @@ class KVCache:
         if slots is None:
             self._positions[:] = 0
         else:
-            self._positions[np.asarray(slots, dtype=np.int64)] = 0
+            self._positions[self.slot_ids(slots)] = 0
 
-    def append(self, keys: np.ndarray, values: np.ndarray):
-        """Write new positions' keys/values; return the filled prefix views.
+    def gather(self, slots: np.ndarray, length: int):
+        """Keys and values of rows ``slots`` over positions ``[0, length)``.
 
-        ``keys``/``values`` are ``(batch, seq, num_heads, head_dim)``.
-        Returns ``(k, v)`` views of shape ``(batch, position, heads, hd)``
-        covering everything appended so far (cursor already advanced).
-        Uniform path: every row advances together.
+        ``slots`` is an index array checked by :meth:`slot_ids`.  Returns
+        two ``(len(slots), length, num_heads, head_dim)`` arrays: views of
+        the buffers when ``slots`` is an ascending run of rows (every row of
+        one batch, a full slot pool), gathered copies otherwise.
         """
-        expected = (self.batch, keys.shape[1]) + self.keys.shape[2:]
-        if keys.shape != expected or values.shape != expected:
-            raise ValueError(f"expected key/value shape {expected}, got "
-                             f"{keys.shape} / {values.shape}")
-        seq = keys.shape[1]
-        position = self.position
-        if position + seq > self.max_len:
-            raise ValueError(f"KV cache overflow: {position} + {seq} "
-                             f"exceeds max_len {self.max_len}")
-        self.keys[:, position:position + seq] = keys
-        self.values[:, position:position + seq] = values
-        self._positions[:] = position + seq
-        return (self.keys[:, :position + seq], self.values[:, :position + seq])
+        start = int(slots[0])
+        if (slots == np.arange(start, start + slots.size)).all():
+            rows = slice(start, start + slots.size)
+            return self.keys[rows, :length], self.values[rows, :length]
+        return self.keys[slots, :length], self.values[slots, :length]
 
     def append_rows(self, slots: np.ndarray, keys: np.ndarray,
                     values: np.ndarray) -> np.ndarray:
         """Write ``keys``/``values`` into ``slots`` at their own cursors.
 
-        ``slots`` is a 1-D array of distinct row indices; ``keys``/
-        ``values`` are ``(len(slots), seq, num_heads, head_dim)``.  Each
-        row's block lands at that row's cursor, and the cursors advance by
-        ``seq``.  Returns the cursors *before* the append (the absolute
-        offset of each row's new block) — the ragged attention path needs
-        them for its length-aware mask.
+        ``slots`` is a 1-D array of distinct row indices (see
+        :meth:`slot_ids`); ``keys``/``values`` are
+        ``(len(slots), seq, num_heads, head_dim)``.  Each row's block lands
+        at that row's cursor, and the cursors advance by ``seq``.  Returns
+        the cursors *before* the append (the absolute offset of each row's
+        new block) — the ragged attention path needs them for its
+        length-aware mask.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.ndim != 1 or slots.size == 0:
-            raise ValueError(f"slots must be a non-empty 1-D index array, "
-                             f"got shape {slots.shape}")
-        if np.unique(slots).size != slots.size:
-            raise ValueError("slots must be distinct")
+        slots = self.slot_ids(slots)
         expected = (slots.size, keys.shape[1]) + self.keys.shape[2:]
         if keys.shape != expected or values.shape != expected:
             raise ValueError(f"expected key/value shape {expected}, got "
                              f"{keys.shape} / {values.shape}")
         seq = keys.shape[1]
-        offsets = self._positions[slots].copy()
+        offsets = self._positions[slots]
         if np.any(offsets + seq > self.max_len):
             worst = int(slots[int(np.argmax(offsets))])
             raise ValueError(f"KV cache overflow on slot {worst}: "
@@ -224,72 +198,30 @@ class MultiHeadAttention(Module):
 
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
         if self.causal:
-            scores = scores + causal_mask(seq)
+            scores = scores + causal_mask(seq, scores.dtype)
         weights = softmax(scores, axis=-1)
         context = weights @ v  # (b, h, s, hd)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.o_proj(merged)
 
-    def forward_incremental(self, x: Tensor, cache: KVCache) -> Tensor:
-        """Attend the new positions in ``x`` against the cached prefix.
-
-        ``x`` is ``(batch, seq, dim)`` holding only positions
-        ``[cache.position, cache.position + seq)`` — the whole prompt for
-        the prefill pass, a single token per decode step.  Keys and values
-        of the new positions are appended to ``cache``; queries attend over
-        the full filled prefix.  Inference-only: the cache holds raw
-        arrays outside the autograd tape, so this path requires gradients
-        to be disabled (run under :class:`repro.nn.no_grad`).
-        """
-        if is_grad_enabled():
-            raise RuntimeError("forward_incremental is inference-only; "
-                               "wrap the decode loop in no_grad()")
-        batch, seq, _ = x.shape
-        heads, hd = self.num_heads, self.head_dim
-
-        q = self.q_proj(x).data.reshape(batch, seq, heads, hd)
-        k_new = self.k_proj(x).data.reshape(batch, seq, heads, hd)
-        v_new = self.v_proj(x).data.reshape(batch, seq, heads, hd)
-        offset = cache.position
-        k, v = cache.append(k_new, v_new)
-
-        # (b, h, seq, total) scores against every cached position.
-        scores = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)
-        scores *= 1.0 / np.sqrt(hd)
-        if self.causal and seq > 1:
-            # A single decode token sits after every cached key — no masking
-            # needed; a multi-token (prefill) block is masked within itself.
-            scores = scores + incremental_causal_mask(seq, cache.position,
-                                                      offset)
-        # Raw stable softmax, same formula as functional.softmax.
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-
-        context = scores @ v.transpose(0, 2, 1, 3)  # (b, h, seq, hd)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.o_proj(Tensor(merged))
-
-    def forward_slots(self, x: Tensor, cache: KVCache,
-                      slots: np.ndarray) -> Tensor:
+    def forward_slots(self, x: np.ndarray, cache: KVCache,
+                      slots: np.ndarray) -> np.ndarray:
         """Ragged attention for a subset of cache rows at per-slot cursors.
 
-        ``x`` is ``(len(slots), seq, dim)``: row ``i`` holds the next
-        ``seq`` positions of the request occupying cache slot
-        ``slots[i]``, starting at that slot's own cursor.  This is the
-        continuous-batching decode step (one token per active request,
-        cursors all different) and the batched prefill of a group of
-        newly admitted requests (cursors all zero).
+        ``x`` is a plain ``(len(slots), seq, dim)`` array: row ``i`` holds
+        the next ``seq`` positions of the sequence in cache slot
+        ``slots[i]``, starting at that slot's own cursor.  A batched
+        prefill of newly admitted requests (cursors all zero), a decode
+        step of many requests at different depths (one token each, cursors
+        all different) and a single-sequence decode are all this call.
 
         Keys are gathered up to the longest row and a length-aware causal
         mask hides both future positions and every column past a row's
         cursor, so a slot never attends the previous occupant's stale
         entries.  The mask's ``-1e9`` surrogate underflows ``exp`` to an
-        exact ``0.0``, and no masking is applied at all when every column
-        is valid — so with uniform cursors this computes bit for bit what
-        :meth:`forward_incremental` computes, the anchor for the
-        single-request equivalence gate in ``repro.serving.scheduler``.
-        Inference-only, like the rest of the cached path.
+        exact ``0.0``, and the op chain is :meth:`forward`'s, so a prefill
+        returns :meth:`forward`'s output bit for bit.  Inference-only:
+        returns a plain array and requires gradients disabled.
         """
         if is_grad_enabled():
             raise RuntimeError("forward_slots is inference-only; "
@@ -297,27 +229,25 @@ class MultiHeadAttention(Module):
         rows, seq, _ = x.shape
         heads, hd = self.num_heads, self.head_dim
 
-        q = self.q_proj(x).data.reshape(rows, seq, heads, hd)
-        k_new = self.k_proj(x).data.reshape(rows, seq, heads, hd)
-        v_new = self.v_proj(x).data.reshape(rows, seq, heads, hd)
+        q = self.q_proj.infer(x).reshape(rows, seq, heads, hd)
+        k_new = self.k_proj.infer(x).reshape(rows, seq, heads, hd)
+        v_new = self.v_proj.infer(x).reshape(rows, seq, heads, hd)
         offsets = cache.append_rows(slots, k_new, v_new)
 
         total = int(offsets.max()) + seq
-        k = cache.keys[slots, :total]      # (rows, total, heads, hd) gather
-        v = cache.values[slots, :total]
+        k, v = cache.gather(slots, total)   # (rows, total, heads, hd)
 
         scores = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)
-        scores *= 1.0 / np.sqrt(hd)
+        scores *= float(1.0 / np.sqrt(hd))
         # Row i's query at block index j sits at absolute position
         # offsets[i] + j; causal attention admits key columns <= that, and
         # a non-causal layer still must stop at the row's filled length.
         steps = (np.arange(seq) if self.causal
                  else np.full(seq, seq - 1, dtype=np.int64))
-        limit = offsets[:, None] + steps[None, :]          # (rows, seq)
-        invalid = np.arange(total)[None, None, :] > limit[:, :, None]
-        if invalid.any():
-            scores = scores + \
-                np.where(invalid, -1e9, 0.0)[:, None, :, :]
+        limit = offsets[:, None] + steps                    # (rows, seq)
+        if limit.min() < total - 1:
+            invalid = np.arange(total) > limit[:, :, None]
+            scores += (invalid * scores.dtype.type(-1e9))[:, None, :, :]
         # Raw stable softmax, same formula as functional.softmax.
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
@@ -325,4 +255,4 @@ class MultiHeadAttention(Module):
 
         context = scores @ v.transpose(0, 2, 1, 3)  # (rows, h, seq, hd)
         merged = context.transpose(0, 2, 1, 3).reshape(rows, seq, self.dim)
-        return self.o_proj(Tensor(merged))
+        return self.o_proj.infer(merged)

@@ -101,19 +101,27 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 def top_k(x: np.ndarray, k: int, axis: int = -1) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(values, indices)`` of the ``k`` largest entries along ``axis``.
 
-    Indices are ordered by descending value, matching ``torch.topk``.  This is
-    a non-differentiable helper used by the MoE gate's routing decision (the
-    gradient flows through the softmax weights, not through the argmax).
+    Indices are ordered by descending value, matching ``torch.topk``; exact
+    ties keep ascending index order (one stable sort), so a tied route is
+    deterministic.  This is a non-differentiable helper shared by the MoE
+    gate's training and inference paths (the gradient flows through the
+    softmax weights, not through the argmax).  The sort is over the whole
+    axis — the gate's axis is the expert count.
     """
     x = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if k <= 0 or k > x.shape[axis]:
-        raise ValueError(f"k={k} out of range for axis of size {x.shape[axis]}")
-    part = np.argpartition(-x, k - 1, axis=axis)
-    idx = np.take(part, np.arange(k), axis=axis)
-    vals = np.take_along_axis(x, idx, axis=axis)
-    order = np.argsort(-vals, axis=axis, kind="stable")
-    idx = np.take_along_axis(idx, order, axis=axis)
-    vals = np.take_along_axis(vals, order, axis=axis)
+    size = x.shape[axis]
+    if k <= 0 or k > size:
+        raise ValueError(f"k={k} out of range for axis of size {size}")
+    if axis not in (-1, x.ndim - 1):
+        vals, idx = top_k(np.moveaxis(x, axis, -1), k)
+        return np.moveaxis(vals, -1, axis), np.moveaxis(idx, -1, axis)
+    order = np.argsort(-x, axis=-1, kind="stable")
+    idx = np.ascontiguousarray(order[..., :k])
+    # A flat gather: take_along_axis costs several times more on the
+    # gate's small arrays.
+    rows = x.reshape(-1, size)
+    picked = idx.reshape(-1, k)
+    vals = rows[np.arange(rows.shape[0])[:, None], picked].reshape(idx.shape)
     return vals, idx
 
 
@@ -262,10 +270,11 @@ def swiglu_infer(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
 
     The same arithmetic as :func:`fused_swiglu`'s forward, in the same
     operation order, but on plain arrays: no autograd node, no ``Tensor``
-    wrappers.  This is the per-expert kernel of the single-token decode
-    fast path (``seq_len == 1`` MoE dispatch), where graph bookkeeping
-    would dominate the tiny GEMMs.  Weights use the ``Linear`` layout:
-    ``w_gate``/``w_up`` are ``(ffn, hidden)``, ``w_down`` is ``(hidden, ffn)``.
+    wrappers.  This is the per-expert kernel of the inference-only array
+    dispatch (:func:`repro.models.moe_block.array_dispatch`), where graph
+    bookkeeping would dominate the tiny GEMMs.  Weights use the ``Linear``
+    layout: ``w_gate``/``w_up`` are ``(ffn, hidden)``, ``w_down`` is
+    ``(hidden, ffn)``.
     """
     g = x @ w_gate.T
     u = x @ w_up.T

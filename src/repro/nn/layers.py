@@ -154,6 +154,15 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only forward on plain arrays (gradients disabled).
+
+        The default wraps :meth:`forward`.  Layers on the live serving
+        path override it with a Tensor-free kernel that does the same
+        arithmetic in the same order, so the two agree bit for bit.
+        """
+        return self.forward(Tensor(x)).data
+
 
 class Linear(Module):
     """Affine layer ``y = x W^T + b`` with Kaiming-uniform initialization."""
@@ -172,16 +181,18 @@ class Linear(Module):
         """Run the forward computation."""
         if not is_grad_enabled() and isinstance(x, Tensor):
             # Inference fast path: identical GEMM on the raw arrays, without
-            # allocating the transpose/matmul/add graph nodes.  This is the
-            # per-token hot loop of KV-cached decoding (4 projections per
-            # attention layer + gate + head, every generated token).
-            out_data = x.data @ self.weight.data.T
-            if self.bias is not None:
-                out_data += self.bias.data
-            return Tensor(out_data)
+            # allocating the transpose/matmul/add graph nodes.
+            return Tensor(self.infer(x.data))
         out = x @ self.weight.T
         if self.bias is not None:
             out = out + self.bias
+        return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``x W^T + b`` on plain arrays."""
+        out = x @ self.weight.data.T
+        if self.bias is not None:
+            out += self.bias.data
         return out
 
 
@@ -200,6 +211,10 @@ class Embedding(Module):
     def forward(self, indices) -> Tensor:
         """Run the forward computation."""
         return embedding_lookup(self.weight, indices)
+
+    def infer(self, indices) -> np.ndarray:
+        """The row gather on plain arrays."""
+        return self.weight.data[np.asarray(indices, dtype=np.int64)]
 
 
 class LayerNorm(Module):
@@ -234,6 +249,12 @@ class RMSNorm(Module):
         """Run the forward computation."""
         ms = (x * x).mean(axis=-1, keepdims=True)
         return x / (ms + self.eps).sqrt() * self.weight
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s op chain on plain arrays (``mean`` is a sum
+        times ``1/n``, as in :meth:`Tensor.mean`)."""
+        ms = (x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
+        return x / np.sqrt(ms + self.eps) * self.weight.data
 
 
 class Dropout(Module):

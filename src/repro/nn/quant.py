@@ -202,8 +202,8 @@ def quantize_expert_weights(model,
     This is the dequant-on-load serving path: the model afterwards computes
     with exactly the values an int8 checkpoint (or int8 shared-memory
     buffer) reconstructs, so decode outputs match an int8-format deployment
-    bit for bit while all fast paths (fused dispatch, single-token decode)
-    keep working.  Gate, attention and embedding weights are untouched.
+    bit for bit while every dispatch path (fused, inference array dispatch)
+    keeps working.  Gate, attention and embedding weights are untouched.
     Returns a :class:`QuantizationReport` with the byte savings and the
     observed worst-case reconstruction error.
     """

@@ -63,7 +63,10 @@ class BrokeredMoEBlock(Module):
         return self.block.experts
 
     def forward(self, x: Tensor) -> Tensor:
-        """Run the forward computation."""
+        """Run the forward computation (a plain array in, as from
+        ``forward_slots``, gives a plain array out)."""
+        if isinstance(x, np.ndarray):
+            return self.forward(Tensor(x)).data
         batch, seq, hidden = x.shape
         tokens = x.reshape(batch * seq, hidden)
         gate_out = self.block.gate(tokens)

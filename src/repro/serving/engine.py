@@ -212,7 +212,7 @@ class LiveEngineBase:
             self.prefetcher.bind(self)
         if weight_format == "int8":
             # Round-trip the expert weights through the int8 format so every
-            # in-process path (single-token fast path, prefill) computes with
+            # in-process path (array dispatch, Tensor dispatch) computes with
             # exactly the values an int8 deployment reconstructs — outputs
             # then match the executor's int8 shared-memory store bit for bit.
             self.quantization_report = quantize_expert_weights(model)
@@ -265,17 +265,17 @@ class LiveDecodeEngine(LiveEngineBase):
     **prefill**
         One batched pass over the whole prompt.  In ``mode="cached"`` (the
         default) it populates per-layer :class:`~repro.nn.attention.KVCache`
-        buffers through ``MoETransformer.forward_incremental``; the last
-        position's logits yield the first generated token.
+        buffers through ``MoETransformer.forward_incremental`` (the
+        continuous-batching engine's ``forward_slots`` path over every
+        row); the last position's logits yield the first generated token.
 
     **decode**
         One step per remaining token.  Cached mode feeds only the previous
-        token through the incremental path (single-token fused-dispatch
-        fast path, O(T) total); ``mode="reference"`` re-runs the full model
-        over the full sequence every step (the seed's O(T²) loop, kept
-        selectable for A/B equivalence runs — greedy ids are bit-identical
-        across modes).  Both modes write into one preallocated
-        ``(batch, prompt_len + num_tokens)`` ids buffer.
+        token through the same path (O(T) total); ``mode="reference"``
+        re-runs the full model over the full sequence every step (the
+        seed's O(T²) loop, kept selectable for A/B equivalence runs —
+        greedy ids are bit-identical across modes).  Both modes write into
+        one preallocated ``(batch, prompt_len + num_tokens)`` ids buffer.
 
     The hot loop runs with gradients disabled, full-probability record
     copies off, and the fused MoE dispatch (``dispatch="fused"``, the

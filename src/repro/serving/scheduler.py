@@ -219,9 +219,8 @@ class ContinuousBatchingEngine(LiveEngineBase):
 
     Greedy decoding throughout; a single request in an otherwise idle
     pool produces ids bit-identical to
-    ``LiveDecodeEngine.decode(mode="cached")`` — the uniform-cursor case
-    of ``forward_slots`` performs exactly ``forward_incremental``'s
-    arithmetic.
+    ``LiveDecodeEngine.decode(mode="cached")`` — both engines decode
+    through ``forward_slots``.
 
     Knobs shared with :class:`~repro.serving.engine.LiveDecodeEngine`
     through :class:`~repro.serving.engine.LiveEngineBase`: ``dispatch``

@@ -1,16 +1,19 @@
 """Incremental (KV-cached) transformer forward: equivalence and contracts.
 
-The serving tentpole: ``MoETransformer.forward_incremental`` must agree
-with the full ``forward`` — bit-identical on a full-sequence prefill, to
-~1e-12 in float64 when decoding token by token — and the single-token
-fused-dispatch fast path must agree with the batched fused dispatch.
+The serving path — ``MoETransformer.forward_slots`` and its all-rows form
+``forward_incremental`` — computes on plain arrays and must agree with the
+Tensor ``forward``: bit-identical on a prefill, to ~1e-12 in float64 when
+decoding token by token, with identical routing; and the array MoE
+dispatch must agree with the Tensor fused dispatch at every token count.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.models import MoEBlock, build_model
-from repro.nn import Tensor, no_grad
+from repro.models import MoEBlock, build_model, moe_block, nano_moe
+from repro.nn import Tensor, default_dtype, no_grad
 
 
 class TestForwardIncremental:
@@ -21,7 +24,8 @@ class TestForwardIncremental:
             caches = nano_model.new_kv_caches(2, max_len=10)
             inc = nano_model.forward_incremental(ids, caches).data
         np.testing.assert_array_equal(inc, full)
-        assert all(c.position == 10 for c in caches)
+        for cache in caches:
+            np.testing.assert_array_equal(cache.positions, [10, 10])
 
     def test_stepwise_logits_match_full_forward(self, nano_model):
         ids = np.random.default_rng(1).integers(0, 64, size=(1, 8))
@@ -68,11 +72,12 @@ class TestForwardIncremental:
         head_dim = config.hidden_size // config.num_heads
         for cache in caches:
             assert cache.keys.shape == (3, 17, config.num_heads, head_dim)
-            assert cache.position == 0
+            np.testing.assert_array_equal(cache.positions, [0, 0, 0])
 
 
 class TestSingleTokenDispatchFastPath:
-    """The ``seq_len == 1`` decode fast path of the fused MoE dispatch."""
+    """One-token steps through the array MoE dispatch (no special case:
+    the same route/permute/GEMM/unpermute as a prefill)."""
 
     def _block(self, seed=7, **kwargs):
         return MoEBlock(12, 24, 8, 2, rng=np.random.default_rng(seed),
@@ -85,28 +90,35 @@ class TestSingleTokenDispatchFastPath:
         with no_grad():
             fast = block(Tensor(x))
             fast_record = block.last_record
-        # With gradients enabled the same call takes the generic batched
-        # fused dispatch — the fast path is inference-only.
+        # With gradients enabled the same call takes the Tensor gate and
+        # fused dispatch — the array path is inference-only.
         out = block(Tensor(x))
-        np.testing.assert_allclose(fast.data, out.data, atol=1e-12)
+        np.testing.assert_array_equal(fast.data, out.data)
         np.testing.assert_array_equal(fast_record.expert_indices,
                                       block.last_record.expert_indices)
-        np.testing.assert_allclose(fast_record.selected_scores,
-                                   block.last_record.selected_scores,
-                                   atol=1e-15)
+        np.testing.assert_array_equal(fast_record.selected_scores,
+                                      block.last_record.selected_scores)
 
-    def test_fast_path_taken_only_when_eligible(self):
+    def test_fast_path_taken_only_when_eligible(self, monkeypatch):
         block = self._block()
+        calls = []
+        original = moe_block.array_dispatch
+        monkeypatch.setattr(moe_block, "array_dispatch",
+                            lambda *args: calls.append(1) or original(*args))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 1, 12)))
-        # Under gradients: generic path (aux loss machinery intact).
-        block(x)
-        generic_record = block.last_record
-        assert generic_record is not None
+        block(x)                       # gradients on: Tensor path
+        assert block.last_record is not None and not calls
         with no_grad():
             block.dispatch = "reference"
-            block(x)  # reference dispatch never takes the fast path
+            block(x)                   # reference dispatch: Tensor path
+            assert not calls
             block.dispatch = "fused"
-            block(x)
+            block.gate.aux_loss_weight = 0.1
+            block(x)                   # aux loss needs the Tensor gate
+            assert not calls and block.last_aux_loss is not None
+            block.gate.aux_loss_weight = 0.0
+            out = block(np.asarray(x.data))
+        assert len(calls) == 1 and isinstance(out, np.ndarray)
         assert block.last_record is not None
 
     def test_records_respect_flags(self):
@@ -129,28 +141,17 @@ class TestSingleTokenDispatchFastPath:
         with no_grad():
             before = block(x).data
         inject_lora(block, LoRAConfig(rank=2))
-        assert not block._decode_fusable()
+        assert not block._array_ready()
         with no_grad():
-            after = block(x).data  # generic dispatch handles LoRA modules
+            after = block(x).data  # Tensor dispatch handles LoRA modules
+            array_in = block(x.data)
         # Fresh LoRA B matrices are zero, so outputs are unchanged.
         np.testing.assert_allclose(after, before, atol=1e-12)
+        np.testing.assert_array_equal(array_in, after)
 
 
 class TestForwardSlots:
     """Model-level ragged decoding over a shared slot pool."""
-
-    def test_uniform_slots_match_forward_incremental_bitwise(self,
-                                                             nano_model):
-        ids = np.random.default_rng(5).integers(0, 64, size=(2, 7))
-        with no_grad():
-            caches = nano_model.new_kv_caches(2, max_len=16)
-            ref = nano_model.forward_incremental(ids, caches).data
-            pool = nano_model.new_kv_caches(4, max_len=16)
-            got = nano_model.forward_slots(ids, pool,
-                                           np.array([0, 2])).data
-        np.testing.assert_array_equal(got, ref)
-        for cache in pool:
-            np.testing.assert_array_equal(cache.positions, [7, 0, 7, 0])
 
     def test_ragged_decode_matches_independent_streams(self, nano_model):
         """Two requests at different depths advance together as they
@@ -191,6 +192,20 @@ class TestForwardSlots:
             with pytest.raises(ValueError):
                 nano_model.forward_slots(ids, pool, np.array([0]))
 
+    @pytest.mark.parametrize("slots", [[-1], [2], [-1, 1], [0, 0]])
+    def test_slot_ids_checked_before_any_write(self, nano_model, slots):
+        """Slot -1 of a 2-row pool would wrap onto row 1 (and ``[-1, 1]``
+        would pass a distinctness check, writing row 1 twice); the ids are
+        rejected before any layer writes."""
+        pool = nano_model.new_kv_caches(2, max_len=8)
+        ids = np.ones((len(slots), 2), dtype=np.int64)
+        with no_grad():
+            with pytest.raises(ValueError, match="slot"):
+                nano_model.forward_slots(ids, pool, np.array(slots))
+        for cache in pool:
+            np.testing.assert_array_equal(cache.positions, [0, 0])
+            assert not cache.keys.any()
+
 
 class TestIncrementalDeterminism:
     def test_two_cache_runs_identical(self, nano_config):
@@ -202,3 +217,111 @@ class TestIncrementalDeterminism:
                 caches = model.new_kv_caches(1, max_len=6)
                 outs.append(model.forward_incremental(ids, caches).data)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+# --------------------------------------------------------------------- #
+# property test: the array path against the Tensor forward oracle
+# --------------------------------------------------------------------- #
+VOCAB = nano_moe().vocab_size
+DECODE_ATOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def logged_model(dtype):
+    """A fresh nano model built in ``dtype``, and the list its MoE blocks
+    log every plain-array call to, as ``(block, input, output, record)``."""
+    with default_dtype(dtype):
+        model = build_model(nano_moe(seed=0))
+    calls = []
+    for block in model.blocks:
+        def logged(x, moe=block.moe, forward=block.moe.forward):
+            out = forward(x)
+            if isinstance(x, np.ndarray):
+                calls.append((moe, x.copy(), out.copy(), moe.last_record))
+            return out
+        block.moe.forward = logged
+    return model, calls
+
+
+@st.composite
+def slot_schedules(draw):
+    """A pool, one token sequence per slot, and an interleaving of prefill
+    groups (equal prompt lengths, any slot order) and ragged decode steps
+    (any subset of prefilled slots with tokens left, any order)."""
+    pool = draw(st.integers(1, 4))
+    prompt = draw(st.lists(st.integers(1, 6), min_size=pool, max_size=pool))
+    extra = draw(st.lists(st.integers(0, 4), min_size=pool, max_size=pool))
+    seqs = [draw(st.lists(st.integers(0, VOCAB - 1), min_size=p + d,
+                          max_size=p + d)) for p, d in zip(prompt, extra)]
+    cursor = [0] * pool
+    events = []
+    while True:
+        waiting = [s for s in range(pool) if cursor[s] == 0]
+        ready = [s for s in range(pool) if 0 < cursor[s] < len(seqs[s])]
+        actions = (["prefill"] if waiting else []) + \
+            (["decode"] if ready else [])
+        if not actions:
+            break
+        if draw(st.sampled_from(actions)) == "prefill":
+            length = draw(st.sampled_from(sorted({prompt[s]
+                                                  for s in waiting})))
+            group = [s for s in waiting if prompt[s] == length]
+        else:
+            group, length = ready, 1
+        chosen = draw(st.lists(st.sampled_from(group), min_size=1,
+                               unique=True))
+        events.append((chosen, length))
+        for s in chosen:
+            cursor[s] += length
+    return pool, seqs, events
+
+
+class TestArrayPathProperty:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    @settings(max_examples=30, deadline=None)
+    @given(schedule=slot_schedules())
+    def test_array_path_matches_tensor_oracle(self, dtype, schedule):
+        """A prefill group's logits and routing records equal the Tensor
+        forward's on the same prompts bit for bit; ragged decode logits
+        agree with the forward over each slot's whole sequence to
+        ``DECODE_ATOL``; and every array MoE call reproduces the Tensor
+        gate and fused dispatch on its own input bit for bit."""
+        pool, seqs, events = schedule
+        model, moe_calls = logged_model(dtype)
+        with default_dtype(dtype):
+            # gradients stay on for every oracle call: the Tensor graph path
+            full = [model.forward(np.array([seq])).data[0] for seq in seqs]
+            caches = model.new_kv_caches(pool, max_len=16)
+            cursor = np.zeros(pool, dtype=np.int64)
+            for slots, n in events:
+                ids = np.array([seqs[s][cursor[s]:cursor[s] + n]
+                                for s in slots])
+                moe_calls.clear()
+                with no_grad():
+                    logits = model.forward_slots(ids, caches,
+                                                 np.array(slots)).data
+                records = model.routing_records()
+                if cursor[slots[0]] == 0:                      # prefill
+                    np.testing.assert_array_equal(logits,
+                                                  model.forward(ids).data)
+                    for got, want in zip(records, model.routing_records()):
+                        np.testing.assert_array_equal(got.expert_indices,
+                                                      want.expert_indices)
+                        np.testing.assert_array_equal(got.selected_scores,
+                                                      want.selected_scores)
+                else:                                          # decode
+                    want = np.stack([full[s][cursor[s]] for s in slots])
+                    np.testing.assert_allclose(logits[:, 0], want, rtol=0,
+                                               atol=DECODE_ATOL[dtype])
+                cursor[slots] += n
+                for cache in caches:
+                    np.testing.assert_array_equal(cache.positions, cursor)
+                assert len(moe_calls) == len(model.blocks)
+                for moe, x, out, record in moe_calls:
+                    ref = moe(Tensor(x))
+                    np.testing.assert_array_equal(out, ref.data)
+                    for field in ("expert_indices", "selected_scores",
+                                  "probs"):
+                        np.testing.assert_array_equal(
+                            getattr(record, field),
+                            getattr(moe.last_record, field))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (KVCache, MultiHeadAttention, Tensor, causal_mask,
-                      incremental_causal_mask, no_grad)
+                      default_dtype, no_grad)
 
 
 class TestCausalMask:
@@ -13,6 +13,12 @@ class TestCausalMask:
         assert mask.shape == (4, 4)
         assert np.all(mask[np.tril_indices(4)] == 0)
         assert np.all(mask[np.triu_indices(4, k=1)] < -1e8)
+
+    def test_dtype_follows_request(self):
+        assert causal_mask(3).dtype == np.float64
+        mask = causal_mask(3, np.float32)
+        assert mask.dtype == np.float32
+        np.testing.assert_array_equal(mask, causal_mask(3))
 
 
 class TestMultiHeadAttention:
@@ -60,56 +66,49 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(a1(Tensor(x)).data, a2(Tensor(x)).data)
 
 
-class TestIncrementalCausalMask:
-    def test_offset_zero_matches_causal_mask(self):
-        np.testing.assert_array_equal(incremental_causal_mask(5, 5, 0),
-                                      causal_mask(5))
-
-    def test_offset_block_attends_prefix(self):
-        mask = incremental_causal_mask(2, 6, 4)
-        assert mask.shape == (2, 6)
-        # Row 0 = absolute position 4: sees columns 0..4, not 5.
-        assert np.all(mask[0, :5] == 0) and mask[0, 5] < -1e8
-        assert np.all(mask[1] == 0)
-
-
 class TestKVCache:
-    def test_append_advances_cursor_and_returns_views(self):
-        cache = KVCache(batch=2, max_len=8, num_heads=3, head_dim=4)
-        assert cache.position == 0
-        k, v = cache.append(np.ones((2, 5, 3, 4)), 2 * np.ones((2, 5, 3, 4)))
-        assert cache.position == 5
-        assert k.shape == v.shape == (2, 5, 3, 4)
-        k, v = cache.append(np.zeros((2, 1, 3, 4)), np.zeros((2, 1, 3, 4)))
-        assert cache.position == 6
-        assert k.shape == (2, 6, 3, 4)
-        np.testing.assert_array_equal(k[:, :5], 1.0)
-        np.testing.assert_array_equal(k[:, 5], 0.0)
-
     def test_overflow_rejected(self):
         cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=2)
-        cache.append(np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2, 2)))
+        cache.append_rows([0], np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2, 2)))
         with pytest.raises(ValueError):
-            cache.append(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2)))
+            cache.append_rows([0], np.zeros((1, 2, 2, 2)),
+                              np.zeros((1, 2, 2, 2)))
 
     def test_shape_mismatch_rejected(self):
         cache = KVCache(batch=2, max_len=4, num_heads=2, head_dim=2)
         with pytest.raises(ValueError):
-            cache.append(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)))
+            cache.append_rows([0, 1], np.zeros((1, 1, 2, 2)),
+                              np.zeros((1, 1, 2, 2)))
 
     def test_reset_rewinds(self):
         cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=2)
-        cache.append(np.zeros((1, 4, 2, 2)), np.zeros((1, 4, 2, 2)))
+        cache.append_rows([0], np.zeros((1, 4, 2, 2)), np.zeros((1, 4, 2, 2)))
         cache.reset()
-        assert cache.position == 0
-        cache.append(np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
-        assert cache.position == 2
+        np.testing.assert_array_equal(cache.positions, [0])
+        cache.append_rows([0], np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
+        np.testing.assert_array_equal(cache.positions, [2])
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             KVCache(batch=0, max_len=4, num_heads=2, head_dim=2)
         with pytest.raises(ValueError):
             KVCache(batch=1, max_len=0, num_heads=2, head_dim=2)
+
+    @pytest.mark.parametrize("slots", [[-1], [4], [-1, 3], [3, -1], [0, 9]])
+    def test_slot_ids_outside_batch_rejected(self, slots):
+        """numpy would wrap slot -1 onto row 3 of a 4-row cache, so
+        ``[-1, 3]`` would pass a distinctness check and write row 3 twice;
+        every entry point rejects the ids instead, touching nothing."""
+        cache = KVCache(batch=4, max_len=4, num_heads=2, head_dim=2)
+        cache.append_rows([3], np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
+        block = np.full((len(slots), 1, 2, 2), 7.0)
+        with pytest.raises(ValueError, match="slot ids"):
+            cache.append_rows(slots, block, block)
+        with pytest.raises(ValueError, match="slot ids"):
+            cache.reset(slots=slots)
+        np.testing.assert_array_equal(cache.positions, [0, 0, 0, 2])
+        np.testing.assert_array_equal(cache.keys[3, :2], 1.0)
+        assert not np.any(cache.keys == 7.0)
 
 
 class TestKVCachePerSlot:
@@ -125,14 +124,6 @@ class TestKVCachePerSlot:
         np.testing.assert_array_equal(cache.keys[2, 3:5], 2.0)
         np.testing.assert_array_equal(cache.keys[1], 0.0)
 
-    def test_ragged_position_property_raises(self):
-        cache = KVCache(batch=2, max_len=4, num_heads=2, head_dim=2)
-        cache.append_rows([0], np.zeros((1, 2, 2, 2)),
-                          np.zeros((1, 2, 2, 2)))
-        with pytest.raises(ValueError):
-            cache.position
-        np.testing.assert_array_equal(cache.positions, [2, 0])
-
     def test_positions_view_is_read_only(self):
         cache = KVCache(batch=2, max_len=4, num_heads=2, head_dim=2)
         with pytest.raises(ValueError):
@@ -140,7 +131,8 @@ class TestKVCachePerSlot:
 
     def test_reset_slots_rewinds_subset(self):
         cache = KVCache(batch=3, max_len=4, num_heads=2, head_dim=2)
-        cache.append(np.zeros((3, 3, 2, 2)), np.zeros((3, 3, 2, 2)))
+        cache.append_rows([0, 1, 2], np.zeros((3, 3, 2, 2)),
+                          np.zeros((3, 3, 2, 2)))
         cache.reset(slots=[1])
         np.testing.assert_array_equal(cache.positions, [3, 0, 3])
 
@@ -160,21 +152,10 @@ class TestKVCachePerSlot:
             cache.append_rows([1], np.zeros((1, 1, 2, 2)),
                               np.zeros((1, 1, 2, 2)))
 
-    def test_append_rows_uniform_matches_append(self):
-        """Per-slot writes with uniform cursors land where append lands."""
-        rng = np.random.default_rng(0)
-        keys = rng.normal(size=(2, 3, 2, 2))
-        values = rng.normal(size=(2, 3, 2, 2))
-        a = KVCache(batch=2, max_len=6, num_heads=2, head_dim=2)
-        b = KVCache(batch=2, max_len=6, num_heads=2, head_dim=2)
-        a.append(keys, values)
-        b.append_rows([0, 1], keys, values)
-        np.testing.assert_array_equal(a.keys, b.keys)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.positions, b.positions)
-
 
 class TestIncrementalAttention:
+    """KV-cached attention with one sequence per cache row."""
+
     def _attn(self, seed=7, causal=True):
         return MultiHeadAttention(8, 2, causal=causal,
                                   rng=np.random.default_rng(seed))
@@ -185,9 +166,9 @@ class TestIncrementalAttention:
         with no_grad():
             full = attn(Tensor(x)).data
             cache = KVCache(batch=2, max_len=6, num_heads=2, head_dim=4)
-            inc = attn.forward_incremental(Tensor(x), cache).data
+            inc = attn.forward_slots(x, cache, np.arange(2))
         np.testing.assert_array_equal(inc, full)
-        assert cache.position == 6
+        np.testing.assert_array_equal(cache.positions, [6, 6])
 
     def test_token_by_token_matches_full_forward(self):
         attn = self._attn()
@@ -195,8 +176,7 @@ class TestIncrementalAttention:
         with no_grad():
             full = attn(Tensor(x)).data
             cache = KVCache(batch=1, max_len=7, num_heads=2, head_dim=4)
-            steps = [attn.forward_incremental(Tensor(x[:, t:t + 1]),
-                                              cache).data
+            steps = [attn.forward_slots(x[:, t:t + 1], cache, np.arange(1))
                      for t in range(7)]
         np.testing.assert_allclose(np.concatenate(steps, axis=1), full,
                                    atol=1e-12)
@@ -207,18 +187,20 @@ class TestIncrementalAttention:
         with no_grad():
             full = attn(Tensor(x)).data
             cache = KVCache(batch=2, max_len=9, num_heads=2, head_dim=4)
-            prefill = attn.forward_incremental(Tensor(x[:, :5]), cache).data
-            tail = [attn.forward_incremental(Tensor(x[:, t:t + 1]),
-                                             cache).data
+            prefill = attn.forward_slots(x[:, :5], cache, np.arange(2))
+            tail = [attn.forward_slots(x[:, t:t + 1], cache, np.arange(2))
                     for t in range(5, 9)]
         got = np.concatenate([prefill] + tail, axis=1)
         np.testing.assert_allclose(got, full, atol=1e-12)
 
     def test_requires_no_grad(self):
+        """Rejected before anything is written to the cache."""
         attn = self._attn()
         cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=4)
         with pytest.raises(RuntimeError):
-            attn.forward_incremental(Tensor(np.zeros((1, 1, 8))), cache)
+            attn.forward_slots(np.ones((1, 1, 8)), cache, np.arange(1))
+        np.testing.assert_array_equal(cache.positions, [0])
+        assert not cache.keys.any()
 
 
 class TestSlotAttention:
@@ -227,18 +209,19 @@ class TestSlotAttention:
                                   rng=np.random.default_rng(seed))
 
     def test_uniform_slots_match_incremental_bitwise(self):
-        """With uniform cursors (a fresh prefill) forward_slots must equal
-        forward_incremental bit for bit — the continuous-batching engine's
-        single-request equivalence anchor."""
+        """A prefill into two rows of a larger pool computes bit for bit
+        what the same prefill computes in a cache of its own — and what
+        the full forward computes."""
         attn = self._attn()
         x = np.random.default_rng(3).normal(size=(2, 6, 8))
         with no_grad():
-            ref_cache = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
-            ref = attn.forward_incremental(Tensor(x), ref_cache).data
+            own = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
+            ref = attn.forward_slots(x, own, np.arange(2))
             pool = KVCache(batch=4, max_len=8, num_heads=2, head_dim=4)
-            got = attn.forward_slots(Tensor(x), pool,
-                                     np.array([1, 3])).data
+            got = attn.forward_slots(x, pool, np.array([1, 3]))
+            full = attn(Tensor(x)).data
         np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got, full)
         np.testing.assert_array_equal(pool.positions, [0, 6, 0, 6])
 
     def test_ragged_rows_match_independent_decodes(self):
@@ -254,15 +237,14 @@ class TestSlotAttention:
             refs = []
             for seq, row in ((seq_a, 0), (seq_b, 1)):
                 cache = KVCache(batch=1, max_len=8, num_heads=2, head_dim=4)
-                attn.forward_incremental(Tensor(seq), cache)
-                refs.append(attn.forward_incremental(
-                    Tensor(step[row:row + 1]), cache).data)
+                attn.forward_slots(seq, cache, np.arange(1))
+                refs.append(attn.forward_slots(step[row:row + 1], cache,
+                                               np.arange(1)))
             # shared pool, ragged step
             pool = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
-            attn.forward_slots(Tensor(seq_a), pool, np.array([0]))
-            attn.forward_slots(Tensor(seq_b), pool, np.array([1]))
-            got = attn.forward_slots(Tensor(step), pool,
-                                     np.array([0, 1])).data
+            attn.forward_slots(seq_a, pool, np.array([0]))
+            attn.forward_slots(seq_b, pool, np.array([1]))
+            got = attn.forward_slots(step, pool, np.array([0, 1]))
         np.testing.assert_array_equal(got[0:1], refs[0])
         np.testing.assert_array_equal(got[1:2], refs[1])
 
@@ -274,12 +256,12 @@ class TestSlotAttention:
         x = rng.normal(size=(1, 4, 8))
         with no_grad():
             clean = KVCache(batch=1, max_len=6, num_heads=2, head_dim=4)
-            ref = attn.forward_slots(Tensor(x), clean, np.array([0])).data
+            ref = attn.forward_slots(x, clean, np.array([0]))
             dirty = KVCache(batch=1, max_len=6, num_heads=2, head_dim=4)
-            attn.forward_slots(Tensor(100 + rng.normal(size=(1, 6, 8))),
+            attn.forward_slots(100 + rng.normal(size=(1, 6, 8)),
                                dirty, np.array([0]))
             dirty.reset(slots=[0])
-            got = attn.forward_slots(Tensor(x), dirty, np.array([0])).data
+            got = attn.forward_slots(x, dirty, np.array([0]))
         np.testing.assert_array_equal(got, ref)
 
     def test_non_causal_rows_stop_at_fill_length(self):
@@ -289,17 +271,30 @@ class TestSlotAttention:
         x = rng.normal(size=(1, 3, 8))
         with no_grad():
             solo = KVCache(batch=1, max_len=8, num_heads=2, head_dim=4)
-            ref = attn.forward_slots(Tensor(x), solo, np.array([0])).data
+            ref = attn.forward_slots(x, solo, np.array([0]))
             pool = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
             # slot 1 is deeper, forcing a gather wider than slot 0's fill
-            attn.forward_slots(Tensor(rng.normal(size=(1, 7, 8))), pool,
+            attn.forward_slots(rng.normal(size=(1, 7, 8)), pool,
                                np.array([1]))
-            got = attn.forward_slots(Tensor(x), pool, np.array([0])).data
+            got = attn.forward_slots(x, pool, np.array([0]))
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_requires_no_grad(self):
         attn = self._attn()
         cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=4)
         with pytest.raises(RuntimeError):
-            attn.forward_slots(Tensor(np.zeros((1, 1, 8))), cache,
-                               np.array([0]))
+            attn.forward_slots(np.zeros((1, 1, 8)), cache, np.array([0]))
+
+    def test_float32_prefill_stays_float32_and_matches_forward(self):
+        """Masks follow the scores' dtype, so a float32 layer computes in
+        float32 on both paths and they agree bit for bit."""
+        with default_dtype(np.float32):
+            attn = self._attn()
+            x = np.random.default_rng(3).normal(size=(2, 5, 8)) \
+                .astype(np.float32)
+            full = attn(Tensor(x)).data
+            with no_grad():
+                cache = KVCache(batch=3, max_len=8, num_heads=2, head_dim=4)
+                got = attn.forward_slots(x, cache, np.array([2, 0]))
+        assert full.dtype == got.dtype == np.float32
+        np.testing.assert_array_equal(got, full)

@@ -112,6 +112,24 @@ class TestTopK:
         _, idx = top_k(x, 4)
         np.testing.assert_array_equal(np.sort(idx), np.sort(np.argsort(-x)[:4]))
 
+    def test_exact_ties_keep_ascending_index_order(self):
+        x = np.array([[0.25, 0.5, 0.25, 0.5, 0.1],
+                      [0.2, 0.2, 0.2, 0.2, 0.2],
+                      [0.1, 0.3, 0.3, 0.3, 0.0]])
+        vals, idx = top_k(x, 3)
+        np.testing.assert_array_equal(idx, [[1, 3, 0], [0, 1, 2], [1, 2, 3]])
+        np.testing.assert_array_equal(vals, [[0.5, 0.5, 0.25],
+                                             [0.2, 0.2, 0.2],
+                                             [0.3, 0.3, 0.3]])
+        # any axis: the tie order holds along axis 0 as well
+        vals0, idx0 = top_k(x.T, 3, axis=0)
+        np.testing.assert_array_equal(idx0, idx.T)
+        np.testing.assert_array_equal(vals0, vals.T)
+        # a long axis, where an unstable sort would reorder the ties
+        wide = np.tile([0.25, 0.5], 20)
+        _, idx = top_k(wide, 8)
+        np.testing.assert_array_equal(idx, np.arange(1, 17, 2))
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             top_k(np.zeros((2, 3)), 4)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import ClusterTopology
 from repro.models import build_model, nano_moe
+from repro.nn import no_grad
 from repro.placement import Placement, PlacementProblem, RandomPlacement
 from repro.runtime.functional_exec import (BrokeredMoEBlock, detach_experts,
                                            reattach_experts)
@@ -36,6 +37,20 @@ class TestExactEquivalence:
         ids = rng.integers(0, nano_config.vocab_size, size=(2, 10))
         np.testing.assert_array_equal(mono.forward(ids).data,
                                       detached.forward(ids).data)
+
+    def test_cached_decode_bit_identical(self, nano_config, placement, rng):
+        """The array serving path hands a detached block plain arrays."""
+        mono, detached = make_pair(nano_config, placement)
+        ids = rng.integers(0, nano_config.vocab_size, size=(2, 6))
+        with no_grad():
+            logits = []
+            for model in (mono, detached):
+                caches = model.new_kv_caches(2, max_len=8)
+                logits.append([model.forward_incremental(ids, caches).data,
+                               model.forward_incremental(ids[:, :1],
+                                                         caches).data])
+        for got, want in zip(logits[1], logits[0]):
+            np.testing.assert_array_equal(got, want)
 
     def test_loss_bit_identical(self, nano_config, placement, rng):
         mono, detached = make_pair(nano_config, placement)

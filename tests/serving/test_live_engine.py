@@ -96,7 +96,8 @@ class TestFourWayEquivalence:
     The equivalence grid the serving PR rests on: greedy token ids must be
     identical whichever dispatch implementation and whichever decode mode
     runs, on a seeded tiny_mistral.  (The cached x reference-dispatch cell
-    exercises the incremental path without the single-token fast path.)
+    exercises the incremental path with the Tensor dispatch instead of the
+    array dispatch.)
     """
 
     @pytest.fixture(scope="class")
