@@ -6,12 +6,13 @@ matches the fine-tuning regimes, showing that (1) skew is what makes small
 caches viable and (2) profile-pinned caching beats oblivious LRU.
 
 The live-decode section benchmarks the KV-cached incremental runtime:
-``LiveDecodeEngine`` in ``mode="cached"`` (prefill once, one token per
-step) against ``mode="reference"`` (full re-forward every token) on a
-seeded ``tiny_mistral`` over a prompt-length x generation-length grid.
-Every cell is equivalence-checked in the same run — greedy token ids must
-be bit-identical between the modes, and routing records must keep flowing
-to the locality profiler in both.
+``LiveDecodeEngine.decode`` (prefill once, one token per step through the
+serve loop) against the reference ``repro.models.generate`` with
+``temperature=0`` (full re-forward every token, under the same
+``serving_flags``) on a seeded ``tiny_mistral`` over a prompt-length x
+generation-length grid.  Every cell is equivalence-checked in the same
+run — greedy token ids must be bit-identical between the two, and routing
+records must keep flowing to the locality profiler in both.
 
 Run standalone for the JSON artifact::
 
@@ -34,10 +35,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.host import host_record
 from repro.bench.report import format_table, percent
-from repro.models import build_model, mixtral_8x7b_sim, nano_moe, tiny_mistral
+from repro.models import (build_model, generate, mixtral_8x7b_sim, nano_moe,
+                          tiny_mistral)
 from repro.routing import SyntheticRouter, UNIFORM_REGIME, WIKITEXT_REGIME
 from repro.serving import (DecodeSimulator, ExpertCache, LiveDecodeEngine,
-                           ServingConfig, hot_expert_keys)
+                           ServingConfig, hot_expert_keys, serving_flags)
 
 TOKENS = 150
 
@@ -165,6 +167,14 @@ def _records_flowing(model) -> bool:
                * model.config.top_k for i, c in enumerate(counts))
 
 
+def _reference_decode(model, prompt: np.ndarray,
+                      num_tokens: int) -> np.ndarray:
+    """Greedy full re-forward decode of one prompt row, ``decode``-shaped."""
+    with serving_flags(model):
+        full = generate(model, prompt[0], num_tokens, temperature=0.0)
+    return full[None, prompt.shape[1]:]
+
+
 def measure_live_cell(prompt_len: int, num_tokens: int,
                       iters: int = 2) -> dict:
     """Cached vs reference decode wall times plus equivalence checks."""
@@ -172,19 +182,23 @@ def measure_live_cell(prompt_len: int, num_tokens: int,
     engine = LiveDecodeEngine(model)
     prompt = np.random.default_rng(5).integers(
         0, model.config.vocab_size, size=(1, prompt_len))
+    decoders = {
+        "cached": lambda: engine.decode(prompt, num_tokens),
+        "reference": lambda: _reference_decode(model, prompt, num_tokens),
+    }
 
     times = {}
     ids = {}
     flowing = {}
-    for mode in ("cached", "reference"):
+    for side, decode in decoders.items():
         best = float("inf")
         for _ in range(iters):
             start = time.perf_counter()
-            out = engine.decode(prompt, num_tokens, mode=mode)
+            out = decode()
             best = min(best, time.perf_counter() - start)
-        times[mode] = best
-        ids[mode] = out
-        flowing[mode] = _records_flowing(model)
+        times[side] = best
+        ids[side] = out
+        flowing[side] = _records_flowing(model)
     return {
         "prompt_len": prompt_len,
         "num_tokens": num_tokens,
@@ -225,7 +239,8 @@ def test_live_decode_equivalence_all_cells():
 # --------------------------------------------------------------------- #
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Live-decode benchmark: cached vs reference modes")
+        description="Live-decode benchmark: cached decode vs full "
+                    "re-forward reference")
     parser.add_argument("--output", type=Path, default=None,
                         help="write results as JSON to this path")
     parser.add_argument("--smoke", action="store_true",

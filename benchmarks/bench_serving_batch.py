@@ -8,13 +8,18 @@ overhead across the whole batch, so fleet throughput rises well above the
 one-request-at-a-time ``LiveDecodeEngine`` baseline while each request's
 greedy ids stay exactly what a solo decode would produce.
 
+Both sides run the same serve loop (``LiveDecodeEngine.decode`` is that
+loop on a one-request batch), so the identity gates compare against
+``repro.models.generate`` with ``temperature=0`` — the greedy full
+re-forward decoder, independent of the loop they check.
+
 Acceptance gates (hard, also enforced by ``--strict`` and CI):
 
 * batched throughput at 8 concurrent requests >= 3x sequential
   single-stream decoding of the same workload,
-* a single request through the slot pool is greedy-bit-identical to
-  ``LiveDecodeEngine.decode(mode="cached")``,
-* every request of the batched headline run matches its solo decode,
+* a single request through the slot pool is greedy-bit-identical to its
+  ``generate`` ids,
+* every request of the batched headline run matches its ``generate`` ids,
 * request tracing (``tracing=``/``flight=``) is accounting-only: ids
   bit-identical with the full observability stack attached on both live
   engines, per-request ledgers tile the ``serve.prefetch_*`` counters,
@@ -41,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.host import host_record
 from repro.bench.report import format_table
-from repro.models import build_model, tiny_mistral
+from repro.models import build_model, generate, tiny_mistral
 from repro.serving import (ContinuousBatchingEngine, LiveDecodeEngine,
                            Request, poisson_workload)
 
@@ -92,26 +97,31 @@ def _burst_requests(num=HEADLINE_REQUESTS, prompt_len=HEADLINE_PROMPT,
             for i in range(num)]
 
 
+def _oracle_ids(requests):
+    """Each request's solo greedy ids from the full re-forward decoder."""
+    model = _model()
+    return [generate(model, r.prompt_ids, r.decode_tokens,
+                     temperature=0.0)[r.prompt_len:] for r in requests]
+
+
 def _sequential_baseline(model, requests, iters=2):
     """Wall time to decode the requests one at a time (single stream)."""
     engine = LiveDecodeEngine(model)
     best = float("inf")
-    outputs = None
     for _ in range(iters):
         start = time.perf_counter()
-        outs = [engine.decode(r.prompt_ids[None, :], r.decode_tokens)[0]
-                for r in requests]
+        for r in requests:
+            engine.decode(r.prompt_ids[None, :], r.decode_tokens)
         best = min(best, time.perf_counter() - start)
-        outputs = outs
-    return best, outputs
+    return best
 
 
 def measure_headline(iters: int = 2) -> dict:
     """Batched vs sequential throughput plus both equivalence gates."""
     requests = _burst_requests()
     model = _model()
-    seq_time, seq_outputs = _sequential_baseline(model, requests,
-                                                 iters=iters)
+    seq_time = _sequential_baseline(model, requests, iters=iters)
+    oracle = _oracle_ids(requests)
     total_tokens = sum(r.decode_tokens for r in requests)
 
     best = None
@@ -123,14 +133,14 @@ def measure_headline(iters: int = 2) -> dict:
             best = metrics
     per_request_identical = all(
         np.array_equal(outcome.token_ids, solo)
-        for outcome, solo in zip(best.outcomes, seq_outputs))
+        for outcome, solo in zip(best.outcomes, oracle))
 
     # single-request anchor: one request, otherwise idle pool
     solo_engine = ContinuousBatchingEngine(_model(),
                                            max_slots=HEADLINE_SLOTS)
     solo = solo_engine.serve([requests[0]]).outcomes[0]
     single_request_identical = bool(np.array_equal(solo.token_ids,
-                                                   seq_outputs[0]))
+                                                   oracle[0]))
 
     batched_tput = best.throughput_tokens_per_s()
     seq_tput = total_tokens / seq_time
@@ -205,9 +215,9 @@ def measure_tracing(iters: int = 2) -> dict:
     """Request-tracing acceptance: bit-identity, byte tiling, overhead.
 
     Tracing is accounting-only, so every gate here is correctness rather
-    than throughput: the live single-stream engine and the slot-pool
-    engine must generate bit-identical ids with tracing + flight recording
-    attached, the per-request ledgers must tile the aggregate
+    than throughput: ``LiveDecodeEngine.decode`` and the slot-pool
+    ``serve`` loop must generate bit-identical ids with tracing + flight
+    recording attached, the per-request ledgers must tile the aggregate
     ``serve.prefetch_*`` counters (the tracer's in-order mirror equals the
     counters bitwise; the cross-ledger sum may differ from the mirror only
     by float summation order, bounded at ``TRACING_TILE_REL_TOL``
@@ -224,7 +234,7 @@ def measure_tracing(iters: int = 2) -> dict:
     requests = _burst_requests(num=6, prompt_len=8, decode=8, seed=11)
     slots = 4
 
-    # Live single-stream engine: traced decode vs plain decode.
+    # decode(): traced vs plain.
     prompt = requests[0].prompt_ids[None, :]
     plain_ids = LiveDecodeEngine(_model()).decode(prompt, 8)
     traced_ids = LiveDecodeEngine(
@@ -338,14 +348,12 @@ def test_serving_batch_headline(benchmark):
 
 
 def test_continuous_engine_equivalence():
-    """Every batched request matches its solo decode (small workload)."""
+    """Every batched request matches its solo ``generate`` ids (small
+    workload)."""
     requests = _burst_requests(num=4, prompt_len=8, decode=6)
     engine = ContinuousBatchingEngine(_model(), max_slots=2)
     metrics = engine.serve(requests)
-    live = LiveDecodeEngine(_model())
-    for request, outcome in zip(requests, metrics.outcomes):
-        solo = live.decode(request.prompt_ids[None, :],
-                           request.decode_tokens)[0]
+    for outcome, solo in zip(metrics.outcomes, _oracle_ids(requests)):
         np.testing.assert_array_equal(outcome.token_ids, solo,
                                       err_msg=f"request "
                                               f"{outcome.request_id}")

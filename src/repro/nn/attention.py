@@ -41,10 +41,8 @@ class KVCache:
     independent sequence: :meth:`append_rows` writes a subset of rows at
     their own cursors, and :meth:`reset` accepts a slot list so an evicted
     row can be handed to the next request without touching the others.
-    Both engines write through this one path — the continuous-batching
-    slot pool (``ContinuousBatchingEngine``) and the single-batch
-    prefill/decode split (``LiveDecodeEngine``, which appends to every
-    row at once).
+    The serve loop (``ContinuousBatchingEngine``, and
+    ``LiveDecodeEngine`` on top of it) writes through this one path.
 
     No per-step reallocation, no concatenation.  One cache per transformer
     block; allocate the full set with

@@ -5,9 +5,7 @@ from .batching import (FINISH_REASONS, BatchedDecodeSimulator,
                        poisson_workload)
 from .cache import (POLICIES, CacheStats, ExpertCache, hot_expert_keys,
                     safe_ratio)
-from .engine import (DECODE_MODES, DecodeSimulator, LiveDecodeEngine,
-                     LiveEngineBase, ServingConfig, ServingMetrics,
-                     serving_flags)
+from .engine import DecodeSimulator, ServingConfig, ServingMetrics
 from .prefetch import (LIVE_CACHE_POLICIES, PREDICTORS, DecodePrefetcher,
                        OraclePredictor, OverlappedFetchScheduler,
                        PrefetchConfig, PrefetchStats,
@@ -17,12 +15,13 @@ from .prefetch import (LIVE_CACHE_POLICIES, PREDICTORS, DecodePrefetcher,
                        markov_decode_stream, replay_stream,
                        sample_decode_stream, stream_lookahead)
 from .scheduler import (ADMISSION_POLICIES, ContinuousBatchingEngine,
-                        ContinuousServingMetrics, SlotPool)
+                        ContinuousServingMetrics, LiveDecodeEngine, SlotPool,
+                        serving_flags)
 
 __all__ = [
     "ExpertCache", "CacheStats", "POLICIES", "hot_expert_keys",
-    "DecodeSimulator", "LiveDecodeEngine", "LiveEngineBase",
-    "DECODE_MODES", "ServingConfig", "ServingMetrics", "serving_flags",
+    "DecodeSimulator", "LiveDecodeEngine", "ServingConfig", "ServingMetrics",
+    "serving_flags",
     "BatchedDecodeSimulator", "BatchedServingMetrics", "Request",
     "RequestOutcome", "poisson_workload", "FINISH_REASONS",
     "ContinuousBatchingEngine", "ContinuousServingMetrics", "SlotPool",

@@ -644,12 +644,12 @@ class DecodePrefetcher:
     """Accounting-only prefetch + replication sidecar for the live engines.
 
     Attached through ``prefetch=`` on
-    :class:`~repro.serving.engine.LiveDecodeEngine` and
-    :class:`~repro.serving.scheduler.ContinuousBatchingEngine`.  Every
-    engine iteration feeds :meth:`observe_records` with that forward's
-    routing records; the sidecar never touches the model, the KV caches,
-    or the ids buffer, so generated tokens are bit-identical with the
-    sidecar on or off.
+    :class:`~repro.serving.scheduler.ContinuousBatchingEngine` (and
+    :class:`~repro.serving.scheduler.LiveDecodeEngine`).  Every engine
+    forward feeds :meth:`observe_records` with that forward's routing
+    records; the sidecar never touches the model, the KV caches, or the
+    generated ids, so tokens are bit-identical with the sidecar on or
+    off.
 
     Telemetry (when the engine carries a registry): the
     ``serve.prefetch_accuracy`` / ``serve.prefetch_hit_rate`` /

@@ -1,7 +1,7 @@
 """A stdlib HTTP endpoint exposing live telemetry: ``/metrics`` + ``/healthz``.
 
 ``MetricsServer`` wraps :class:`http.server.ThreadingHTTPServer` in a
-daemon thread, so a fine-tune or a :class:`~repro.serving.engine.
+daemon thread, so a fine-tune or a :class:`~repro.serving.scheduler.
 LiveDecodeEngine` decode loop can be scraped *while it runs*:
 
 * ``GET /metrics`` — the Prometheus text rendering

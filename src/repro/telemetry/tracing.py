@@ -368,12 +368,13 @@ def split_by_weight(amount: float,
 class RequestTracer:
     """Engine-side recorder of per-request trace context and ledgers.
 
-    One tracer serves one engine run (or one
-    :class:`~repro.serving.engine.LiveDecodeEngine` decode stream).  The
-    engine drives the lifecycle — :meth:`admit`, :meth:`prefill` /
-    :meth:`decode_step` / :meth:`stall`, :meth:`finish` — and brackets
-    each shared forward with :meth:`set_step` so :meth:`attribute` /
-    :meth:`attribute_fetch` can split shared costs by token share.
+    One tracer serves one engine's runs (``serve`` calls, or
+    :class:`~repro.serving.scheduler.LiveDecodeEngine` decodes, one
+    request per batch row).  The engine drives the lifecycle —
+    :meth:`admit`, :meth:`prefill` / :meth:`decode_step` / :meth:`stall`,
+    :meth:`finish` — and brackets each shared forward with
+    :meth:`set_step` so :meth:`attribute` / :meth:`attribute_fetch` can
+    split shared costs by token share.
 
     With a ``telemetry=`` registry, every request also lands spans on its
     own ``req-<id>`` track (``trace.queue`` / ``trace.prefill`` /
@@ -433,8 +434,7 @@ class RequestTracer:
 
         Pass the engine's :class:`~repro.serving.batching.Request` to pull
         ``trace_id`` / ``request_id`` / ``arrival_time`` / prompt length
-        from it; the keyword fields cover callers without one (the
-        single-stream decode engine).
+        from it; the keyword fields cover callers without one.
         """
         if request is not None:
             trace_id = trace_id or getattr(request, "trace_id", None)

@@ -15,7 +15,7 @@ from repro.parallel import (ProcessPoolExpertExecutor, SerialExpertExecutor,
                             SharedWeightStore, WorkerWeightView,
                             executor_dispatch, expert_supported,
                             make_executor)
-from repro.serving.engine import LiveDecodeEngine
+from repro.serving import LiveDecodeEngine
 from repro.telemetry import Telemetry
 
 

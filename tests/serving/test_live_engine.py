@@ -1,10 +1,29 @@
-"""Tests for the live-model decode engine (prefill/decode split hot loop)."""
+"""Tests for the live-model decode engine (a prompt batch through the one
+serve loop), checked against the full re-forward ``generate`` oracle."""
 
 import numpy as np
 import pytest
 
-from repro.models import build_model, tiny_mistral
-from repro.serving import DECODE_MODES, LiveDecodeEngine
+from repro.models import build_model, generate, tiny_mistral
+from repro.serving import LiveDecodeEngine, serving_flags
+
+
+def oracle(model, prompt_ids, num_tokens):
+    """Per-row greedy ``generate`` ids, shaped like ``decode``'s output."""
+    return np.stack([generate(model, row, num_tokens, temperature=0.0)
+                     [len(row):] for row in np.asarray(prompt_ids)])
+
+
+def run_path(path, model, prompt_ids, num_tokens, dispatch="fused"):
+    """``cached``: the engine's KV-cached decode; ``reference``: the
+    ``generate`` oracle under the serving flags, as the serving benchmark
+    times it.  Either way the model keeps ``dispatch`` afterwards."""
+    if path == "cached":
+        return LiveDecodeEngine(model, dispatch=dispatch).decode(prompt_ids,
+                                                                 num_tokens)
+    model.set_dispatch_mode(dispatch)
+    with serving_flags(model):
+        return oracle(model, prompt_ids, num_tokens)
 
 
 class TestLiveDecodeEngine:
@@ -28,31 +47,26 @@ class TestLiveDecodeEngine:
         np.testing.assert_array_equal(out_fused, out_ref)
 
     def test_cached_and_reference_modes_decode_identically(self, nano_model):
+        """Batches through the engine equal per-row ``generate``."""
+        rng = np.random.default_rng(17)
+        vocab = nano_model.config.vocab_size
         engine = LiveDecodeEngine(nano_model)
-        prompt = np.array([[1, 2, 3], [9, 8, 7]])
-        np.testing.assert_array_equal(engine.decode(prompt, 6, mode="cached"),
-                                      engine.decode(prompt, 6,
-                                                    mode="reference"))
+        prompts = [np.array([[1, 2, 3], [9, 8, 7]])] + [
+            rng.integers(0, vocab, size=shape)
+            for shape in [(1, 1), (3, 5), (4, 2), (2, 9)]]
+        for prompt, num_tokens in zip(prompts, [6, 1, 7, 12, 3]):
+            np.testing.assert_array_equal(
+                engine.decode(prompt, num_tokens),
+                oracle(nano_model, prompt, num_tokens),
+                err_msg=f"prompt {prompt.shape} tokens {num_tokens}")
 
     def test_invalid_dispatch_rejected(self, nano_model):
         with pytest.raises(ValueError):
             LiveDecodeEngine(nano_model, dispatch="eager")
 
-    def test_invalid_mode_rejected(self, nano_model):
-        assert DECODE_MODES == ("cached", "reference")
-        with pytest.raises(ValueError):
-            LiveDecodeEngine(nano_model, mode="speculative")
-        engine = LiveDecodeEngine(nano_model)
-        with pytest.raises(ValueError):
-            engine.decode(np.array([[1, 2]]), 2, mode="speculative")
-
-    def test_default_mode_is_cached(self, nano_model):
-        assert LiveDecodeEngine(nano_model).mode == "cached"
-
-    @pytest.mark.parametrize("mode", ["cached", "reference"])
-    def test_routing_records_flow_without_probs(self, nano_model, mode):
-        engine = LiveDecodeEngine(nano_model, mode=mode)
-        engine.decode(np.array([[1, 2]]), 3)
+    @pytest.mark.parametrize("path", ["cached", "reference"])
+    def test_routing_records_flow_without_probs(self, nano_model, path):
+        run_path(path, nano_model, np.array([[1, 2]]), 3)
         for block in nano_model.blocks:
             record = block.moe.last_record
             assert record is not None
@@ -60,10 +74,10 @@ class TestLiveDecodeEngine:
             assert record.expert_indices.size > 0
             assert block.moe.record_probs is True  # flag restored after
 
-    @pytest.mark.parametrize("mode", ["cached", "reference"])
-    def test_mode_flags_restored(self, nano_model, mode):
+    @pytest.mark.parametrize("path", ["cached", "reference"])
+    def test_mode_flags_restored(self, nano_model, path):
         nano_model.train()
-        LiveDecodeEngine(nano_model, mode=mode).decode(np.array([[1]]), 2)
+        run_path(path, nano_model, np.array([[1]]), 2)
         assert nano_model.training is True
 
     def test_length_validation(self, nano_model):
@@ -76,28 +90,40 @@ class TestLiveDecodeEngine:
         with pytest.raises(ValueError):
             engine.decode(np.array([1, 2]), 1)
 
-    @pytest.mark.parametrize("mode", ["cached", "reference"])
-    def test_no_gradients_recorded(self, nano_model, mode):
-        engine = LiveDecodeEngine(nano_model, mode=mode)
-        engine.decode(np.array([[1, 2]]), 2)
+    @pytest.mark.parametrize("bad", [-1, 64], ids=["negative", "vocab_size"])
+    def test_out_of_range_prompt_ids_rejected(self, nano_model, bad):
+        """Through the one loop, decode() inherits serve()'s id check: a
+        negative id would wrap onto the last embedding row, one at
+        vocab_size would fail mid-run."""
+        assert nano_model.config.vocab_size == 64
+        engine = LiveDecodeEngine(nano_model)
+        with pytest.raises(ValueError, match="request 1"):
+            engine.decode(np.array([[1, 2, 3], [1, 2, bad]]), 2)
+        assert engine.pool.free_count == engine.max_slots
+
+    @pytest.mark.parametrize("path", ["cached", "reference"])
+    def test_no_gradients_recorded(self, nano_model, path):
+        run_path(path, nano_model, np.array([[1, 2]]), 2)
         assert all(p.grad is None for p in nano_model.parameters())
 
     def test_full_context_decode_fills_max_seq_len(self, nano_model):
-        """The preallocated ids buffer covers prompt + generation exactly."""
+        """The slot pool covers prompt + generation exactly."""
         max_len = nano_model.config.max_seq_len
         prompt = np.ones((1, max_len - 3), dtype=np.int64)
         out = LiveDecodeEngine(nano_model).decode(prompt, 3)
         assert out.shape == (1, 3)
+        np.testing.assert_array_equal(out, oracle(nano_model, prompt, 3))
 
 
 class TestFourWayEquivalence:
-    """dispatch {fused, reference} x decode mode {cached, reference}.
+    """dispatch {fused, reference} x decode path {cached, reference}.
 
-    The equivalence grid the serving PR rests on: greedy token ids must be
-    identical whichever dispatch implementation and whichever decode mode
-    runs, on a seeded tiny_mistral.  (The cached x reference-dispatch cell
-    exercises the incremental path with the Tensor dispatch instead of the
-    array dispatch.)
+    The equivalence grid the serving path rests on: greedy token ids must
+    be identical whichever dispatch implementation runs, through the
+    engine's KV-cached decode and through the full re-forward ``generate``
+    oracle, on a seeded tiny_mistral.  (The cached x reference-dispatch
+    cell exercises the incremental path with the Tensor dispatch instead
+    of the array dispatch.)
     """
 
     @pytest.fixture(scope="class")
@@ -109,10 +135,10 @@ class TestFourWayEquivalence:
             0, tiny_model.config.vocab_size, size=(2, 12))
         outputs = {}
         for dispatch in ("fused", "reference"):
-            engine = LiveDecodeEngine(tiny_model, dispatch=dispatch)
-            for mode in ("cached", "reference"):
-                outputs[(dispatch, mode)] = engine.decode(prompt, 10,
-                                                          mode=mode)
+            for path in ("cached", "reference"):
+                outputs[(dispatch, path)] = run_path(path, tiny_model,
+                                                     prompt, 10, dispatch)
+        tiny_model.set_dispatch_mode("fused")
         baseline = outputs[("reference", "reference")]
         assert baseline.shape == (2, 10)
         for cell, out in outputs.items():
@@ -125,13 +151,12 @@ class TestFourWayEquivalence:
             0, tiny_model.config.vocab_size, size=(1, 8))
         choices = {}
         for dispatch in ("fused", "reference"):
-            for mode in ("cached", "reference"):
-                engine = LiveDecodeEngine(tiny_model, dispatch=dispatch,
-                                          mode=mode)
-                engine.decode(prompt, 6)
-                choices[(dispatch, mode)] = [
+            for path in ("cached", "reference"):
+                run_path(path, tiny_model, prompt, 6, dispatch)
+                choices[(dispatch, path)] = [
                     record.expert_indices[-1].copy()
                     for record in tiny_model.routing_records()]
+        tiny_model.set_dispatch_mode("fused")
         baseline = choices[("reference", "reference")]
         for cell, per_layer in choices.items():
             for layer, (got, want) in enumerate(zip(per_layer, baseline)):

@@ -1,20 +1,34 @@
-"""Tests for the continuous-batching engine (slot pool, admission, eviction)."""
+"""Tests for the continuous-batching engine (slot pool, admission, eviction).
+
+Greedy ids are checked against :func:`repro.models.generate` — the full
+re-forward decoder, independent of the serve loop under test.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from repro.models import build_model, nano_moe, tiny_mistral
+from repro.models import build_model, generate, nano_moe, tiny_mistral
+from repro.models.transformer import MoETransformer
+from repro.nn import default_dtype, no_grad
 from repro.parallel import make_executor
 from repro.serving import (ADMISSION_POLICIES, ContinuousBatchingEngine,
-                           LiveDecodeEngine, Request, SlotPool,
-                           poisson_workload)
-from repro.telemetry import Telemetry
+                           LiveDecodeEngine, PrefetchConfig, Request,
+                           SlotPool, poisson_workload)
+from repro.telemetry import RequestTracer, Telemetry
 from repro.telemetry.events import EventLog
 
 
 def make_request(request_id, prompt_ids, decode_tokens, arrival=0.0):
     return Request(request_id, arrival, decode_tokens,
                    prompt_ids=np.asarray(prompt_ids, dtype=np.int64))
+
+
+def solo_ids(model, prompt_ids, decode_tokens):
+    """The oracle: greedy full re-forward ``generate``, prompt stripped."""
+    return generate(model, prompt_ids, decode_tokens,
+                    temperature=0.0)[len(prompt_ids):]
 
 
 @pytest.fixture
@@ -57,7 +71,8 @@ class TestSlotPool:
 
 
 class TestSingleRequestEquivalence:
-    """The anchor: one request through the slot pool == LiveDecodeEngine."""
+    """The anchor: one request through the slot pool == LiveDecodeEngine
+    == the ``generate`` oracle."""
 
     @pytest.fixture(scope="class")
     def tiny_config(self):
@@ -69,12 +84,16 @@ class TestSingleRequestEquivalence:
                                                use_executor):
         """dispatch {fused, reference} x executor {off, on}: a single
         request decoded through the continuous-batching engine yields
-        greedy ids bit-identical to LiveDecodeEngine(mode="cached")."""
+        greedy ids bit-identical to LiveDecodeEngine.decode and to the
+        ``generate`` oracle."""
         prompt = np.random.default_rng(3).integers(
             0, tiny_config.vocab_size, size=12)
-        baseline = LiveDecodeEngine(build_model(tiny_config),
-                                    dispatch=dispatch).decode(
-            prompt[None, :], 10)[0]
+        model = build_model(tiny_config)
+        model.set_dispatch_mode(dispatch)
+        baseline = solo_ids(model, prompt, 10)
+        np.testing.assert_array_equal(
+            LiveDecodeEngine(model, dispatch=dispatch).decode(
+                prompt[None, :], 10)[0], baseline)
         executor = None
         try:
             if use_executor:
@@ -99,9 +118,9 @@ class TestSingleRequestEquivalence:
                                           max_slots=1)
         metrics = engine.serve([make_request(i, p, 6)
                                 for i, p in enumerate(prompts)])
-        live = LiveDecodeEngine(build_model(tiny_config))
+        oracle = build_model(tiny_config)
         for prompt, outcome in zip(prompts, metrics.outcomes):
-            expected = live.decode(prompt[None, :], 6)[0]
+            expected = solo_ids(oracle, prompt, 6)
             np.testing.assert_array_equal(outcome.token_ids, expected,
                                           err_msg=f"request "
                                                   f"{outcome.request_id}")
@@ -159,15 +178,15 @@ class TestSlotLifecycle:
 
     def test_slot_reuse_no_stale_kv(self, nano_config, prompts):
         """5 requests through 2 slots: every request's ids must equal its
-        solo LiveDecodeEngine decode — re-used slots leak no stale KV."""
+        solo ``generate`` ids — re-used slots leak no stale KV."""
         requests = [make_request(i, p, 5) for i, p in enumerate(prompts)]
         engine = ContinuousBatchingEngine(build_model(nano_config),
                                           max_slots=2)
         metrics = engine.serve(requests)
         assert len(metrics.outcomes) == 5
-        live = LiveDecodeEngine(build_model(nano_config))
+        oracle = build_model(nano_config)
         for request, outcome in zip(requests, metrics.outcomes):
-            expected = live.decode(request.prompt_ids[None, :], 5)[0]
+            expected = solo_ids(oracle, request.prompt_ids, 5)
             np.testing.assert_array_equal(outcome.token_ids, expected,
                                           err_msg=f"request "
                                                   f"{outcome.request_id}")
@@ -235,6 +254,18 @@ class TestMetricsAndEvents:
         assert telemetry.histogram("serve.token_latency_s").count == 15
         assert telemetry.gauge("serve.queue_depth").updates > 0
         assert telemetry.gauge("serve.active_slots").value == 0.0
+        # One serve.prefill span per prefill group, one serve.decode_token
+        # per decode step, back to back on the decode track.
+        spans = [s for s in telemetry.spans if s.track == "decode"]
+        prefills = [s for s in spans if s.name == "serve.prefill"]
+        decodes = [s for s in spans if s.name == "serve.decode_token"]
+        assert len(prefills) + len(decodes) == len(spans)
+        assert telemetry.histogram("serve.prefill_latency_s").values == \
+            [s.duration for s in prefills]
+        assert [s.labels["token"] for s in decodes] == \
+            list(range(1, len(decodes) + 1))
+        for prev, cur in zip(spans, spans[1:]):
+            assert cur.start == pytest.approx(prev.end, abs=1e-9)
 
     def test_flags_restored_after_serve(self, nano_model, prompts):
         nano_model.train()
@@ -274,3 +305,145 @@ class TestValidation:
         metrics = ContinuousBatchingEngine(nano_model,
                                            max_slots=2).serve(requests)
         assert len(metrics.outcomes) == 4
+
+
+class TestFailurePaths:
+    def test_failed_serve_releases_its_slots(self, nano_config, prompts):
+        """A forward that raises mid-run must not leak the slots the run
+        held: the pool is full again right after the failure (a leaked
+        pool would make the next serve() spin with nothing to admit or
+        step), and the next serve() gives the ids a fresh engine gives."""
+        model = build_model(nano_config)
+        engine = ContinuousBatchingEngine(model, max_slots=2)
+        calls = []
+
+        def failing_third_call(token_ids, caches, slots):
+            calls.append(len(slots))
+            if len(calls) == 3:
+                raise RuntimeError("injected forward failure")
+            return MoETransformer.forward_slots(model, token_ids, caches,
+                                                slots)
+
+        model.forward_slots = failing_third_call
+        requests = [make_request(i, p, 4) for i, p in enumerate(prompts)]
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.serve(requests)
+        assert calls == [1, 1, 2]  # two prefills, then the failed decode
+        assert engine.pool.free_count == engine.max_slots
+
+        retry = [make_request(0, prompts[1], 5)]
+        fresh = ContinuousBatchingEngine(build_model(nano_config),
+                                         max_slots=2).serve(retry)
+        np.testing.assert_array_equal(
+            engine.serve(retry).outcomes[0].token_ids,
+            fresh.outcomes[0].token_ids)
+
+    @pytest.mark.parametrize("bad", [-1, 64], ids=["negative", "vocab_size"])
+    def test_out_of_range_prompt_ids_rejected(self, nano_model, bad):
+        """Ids outside [0, vocab_size) are rejected up front, naming the
+        request: a negative id would silently wrap onto the last embedding
+        row, one at vocab_size would raise mid-run."""
+        assert nano_model.config.vocab_size == 64
+        engine = ContinuousBatchingEngine(nano_model, max_slots=2)
+        requests = [make_request(0, [1, 2, 3], 4),
+                    make_request(1, [1, 2, bad], 4)]
+        with pytest.raises(ValueError, match="request 1"):
+            engine.serve(requests)
+        assert engine.pool.free_count == engine.max_slots
+
+
+VOCAB = nano_moe().vocab_size
+# Greedy ids may differ from the oracle only where the oracle's two best
+# logits are this close: there the ~1e-12 float64 drift between the
+# cached decode and the full re-forward can flip the argmax.
+NEAR_TIE = 1e-9
+PREFETCH_COUNTERS = {
+    "prefetch_hidden_bytes": "serve.prefetch_hidden_bytes",
+    "prefetch_unhidden_bytes": "serve.prefetch_unhidden_bytes",
+    "prefetch_remote_bytes": "serve.prefetch_remote_bytes",
+}
+
+
+@st.composite
+def serve_plans(draw):
+    """Requests with drawn arrival times, prompts and decode budgets, a
+    pool size, an admission policy, and whether the tracer and the
+    prefetcher ride along."""
+    requests = [
+        Request(i, draw(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2])),
+                draw(st.integers(1, 6)),
+                prompt_ids=np.array(draw(st.lists(
+                    st.integers(0, VOCAB - 1), min_size=1, max_size=6))))
+        for i in range(draw(st.integers(1, 6)))]
+    return (requests, draw(st.integers(1, 4)),
+            draw(st.sampled_from(ADMISSION_POLICIES)), draw(st.booleans()))
+
+
+def expected_outcome(solo, eos_token_id):
+    """The oracle's ids cut after the first EOS, and the finish reason."""
+    if eos_token_id is not None and eos_token_id in solo:
+        return solo[:list(solo).index(eos_token_id) + 1], "eos"
+    return solo, "max_tokens"
+
+
+def matches_oracle(model, request, outcome, solo, eos_token_id) -> bool:
+    """True when ``outcome`` equals the oracle; False when it first differs
+    at a near tie of the oracle's logits; fails the test otherwise."""
+    want, reason = expected_outcome(solo, eos_token_id)
+    got = outcome.token_ids
+    if len(got) == len(want) and np.array_equal(got, want):
+        assert outcome.finish_reason == reason
+        return True
+    common = min(len(got), len(want))
+    differ = np.flatnonzero(got[:common] != want[:common])
+    assert differ.size, (request.request_id, got, want)
+    position = int(differ[0])
+    context = np.concatenate([request.prompt_ids, solo[:position]])
+    with no_grad():
+        logits = model.forward(context[None, :]).data[0, -1]
+    best, second = np.sort(logits)[::-1][:2]
+    assert best - second <= NEAR_TIE, (request.request_id, position,
+                                       best - second)
+    return False
+
+
+class TestServeLoopProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(plan=serve_plans(), data=st.data())
+    def test_serve_matches_generate_oracle(self, plan, data):
+        """Random arrivals, prompts, budgets, pool sizes, admission
+        policies and EOS tokens: every request's ids equal its solo
+        ``generate`` ids cut at EOS, every slot is free after each
+        serve(), and with the tracer and prefetcher attached the ids are
+        the same and the ledgers tile the ``serve.prefetch_*`` counters."""
+        requests, max_slots, admission, sidecars = plan
+        with default_dtype(np.float64):
+            model = build_model(nano_moe(seed=0))
+        solo = [solo_ids(model, r.prompt_ids, r.decode_tokens)
+                for r in requests]
+        generated = sorted({int(t) for ids in solo for t in ids})
+        eos_token_id = data.draw(st.none() | st.sampled_from(generated),
+                                 label="eos_token_id")
+
+        runs = [{}] + ([{"telemetry": Telemetry(), "tracing": RequestTracer(),
+                         "prefetch": PrefetchConfig()}] if sidecars else [])
+        for extra in runs:
+            engine = ContinuousBatchingEngine(
+                model, max_slots=max_slots, admission=admission,
+                eos_token_id=eos_token_id, **extra)
+            outcomes = engine.serve(requests).outcomes
+            assert engine.pool.free_count == max_slots
+            assert [o.request_id for o in outcomes] == \
+                [r.request_id for r in requests]
+            for request, outcome, ids in zip(requests, outcomes, solo):
+                if not matches_oracle(model, request, outcome, ids,
+                                      eos_token_id):
+                    event("greedy near-tie")
+            if extra:
+                tracer, telemetry = extra["tracing"], extra["telemetry"]
+                assert len(tracer.ledgers) == len(requests)
+                for fieldname, counter in PREFETCH_COUNTERS.items():
+                    mirror = tracer.totals.get(fieldname, 0.0)
+                    assert mirror == telemetry.counter(counter).value
+                    assert abs(tracer.attribution_residual(fieldname)) \
+                        <= 1e-9 * max(abs(mirror), 1.0)

@@ -4,8 +4,8 @@ The tracer and flight recorder are accounting-only sidecars; these tests
 pin the two contracts the observability PR rests on:
 
 * greedy ids are bit-identical with the full stack attached (tracer,
-  flight recorder, prefetcher, telemetry) on both the single-stream and
-  the continuous-batching engine, and
+  flight recorder, prefetcher, telemetry) through both entry points of
+  the serve loop, ``decode()`` and ``serve()``, and
 * per-request attributed bytes tile the aggregate counters — the
   tracer's in-order mirror equals the ``serve.prefetch_*`` counters
   bitwise, the per-ledger sums land within float-summation-order noise
@@ -72,20 +72,25 @@ class TestLiveEngineTracing:
         np.testing.assert_array_equal(plain, traced)
 
     def test_ledger_covers_the_decode(self):
+        """decode() serves each batch row as its own request: one finished
+        ledger per row."""
         tracer = RequestTracer()
         flight = FlightRecorder(capacity=16)
         engine = LiveDecodeEngine(_model(), tracing=tracer, flight=flight)
-        engine.decode(np.arange(1, 9)[None, :], 6)
-        (ledger,) = tracer.ledgers
-        assert ledger.finish_reason == "max_tokens"
-        assert ledger.tokens == 6 and ledger.steps == 6
-        assert ledger.prefill_s > 0 and ledger.decode_s > 0
-        assert ledger.ttft_s is not None and ledger.ttft_s > 0
+        engine.decode(np.arange(1, 17).reshape(2, 8), 6)
+        ledgers = sorted(tracer.ledgers, key=lambda led: led.request_id)
+        assert [led.request_id for led in ledgers] == [0, 1]
+        for ledger in ledgers:
+            assert ledger.finish_reason == "max_tokens"
+            assert ledger.prompt_len == 8
+            assert ledger.tokens == 6 and ledger.steps == 6
+            assert ledger.prefill_s > 0 and ledger.decode_s > 0
+            assert ledger.ttft_s is not None and ledger.ttft_s > 0
         # One flight record per engine step (prefill + 5 decode steps),
-        # each carrying the stream's trace id.
+        # each carrying both rows' trace ids.
         assert [r.kind for r in flight.records] == \
             ["prefill"] + ["decode"] * 5
-        assert all(r.trace_ids == [ledger.trace_id]
+        assert all(r.trace_ids == [led.trace_id for led in ledgers]
                    for r in flight.records)
 
     def test_invalid_hooks_rejected(self):

@@ -138,8 +138,8 @@ CHECKS = {
     ),
     # Continuous batching: the throughput ratio (batched vs sequential
     # single-stream) carries the perf band; both bit-identity gates are
-    # hard — the slot-pool runtime diverging from LiveDecodeEngine is a
-    # correctness bug, never jitter.
+    # hard — the slot-pool runtime diverging from the generate oracle is
+    # a correctness bug, never jitter.
     "serving_batch": (
         Check("headline.throughput_ratio", "higher"),
         Check("headline.single_request_identical", "exact"),
