@@ -4,8 +4,9 @@ Measures full forward+backward step time of one :class:`MoEBlock` under the
 two dispatch implementations at several ``(tokens, experts, top_k)`` points:
 
 ``reference (f64)``
-    The seed's per-(slot, expert) loop in the seed's float64 default — the
-    training hot loop this PR replaces.
+    The per-(slot, expert) loop in float64 — the seed's training hot loop,
+    kept as the test oracle ``tests.oracles.reference_dispatch`` and swapped
+    in for the block's ``fused_dispatch`` while it is timed.
 ``fused (f64)``
     The sort → segment-GEMM → scatter-add dispatch at the same precision
     (the like-for-like structural speedup).
@@ -29,15 +30,18 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.bench.report import format_table
-from repro.models import MoEBlock
+from repro.models import MoEBlock, moe_block
 from repro.nn import Tensor
 from repro.nn.tensor import default_dtype
+from tests.oracles import reference_dispatch
 
 HIDDEN = 64
 FFN_HIDDEN = 128
@@ -56,9 +60,14 @@ HEADLINE_MIN_SPEEDUP = 3.0
 EQUIVALENCE_TOL = 1e-6
 
 
-def _make_block(experts: int, top_k: int, dispatch: str) -> MoEBlock:
+def _make_block(experts: int, top_k: int) -> MoEBlock:
     return MoEBlock(HIDDEN, FFN_HIDDEN, experts, top_k,
-                    rng=np.random.default_rng(0), dispatch=dispatch)
+                    rng=np.random.default_rng(0))
+
+
+def _reference_dispatch():
+    """Run every block's Tensor dispatch through the reference oracle."""
+    return mock.patch.object(moe_block, "fused_dispatch", reference_dispatch)
 
 
 def _make_input(tokens: int, dtype=np.float64) -> np.ndarray:
@@ -82,10 +91,11 @@ def _step_time(block: MoEBlock, x: np.ndarray, iters: int = 7) -> float:
 def measure_point(tokens: int, experts: int, top_k: int) -> dict:
     """Step times and speedups of one benchmark point."""
     x64 = _make_input(tokens)
-    t_ref = _step_time(_make_block(experts, top_k, "reference"), x64)
-    t_fused64 = _step_time(_make_block(experts, top_k, "fused"), x64)
+    with _reference_dispatch():
+        t_ref = _step_time(_make_block(experts, top_k), x64)
+    t_fused64 = _step_time(_make_block(experts, top_k), x64)
     with default_dtype(np.float32):
-        t_fused32 = _step_time(_make_block(experts, top_k, "fused"),
+        t_fused32 = _step_time(_make_block(experts, top_k),
                                x64.astype(np.float32))
     return {
         "tokens": tokens,
@@ -109,13 +119,14 @@ def max_divergence(tokens: int, experts: int, top_k: int) -> float:
     parameter gradient (gate and experts).
     """
     x = _make_input(tokens)
-    ref = _make_block(experts, top_k, "reference")
-    fused = _make_block(experts, top_k, "fused")
+    ref = _make_block(experts, top_k)
+    fused = _make_block(experts, top_k)
     worst = 0.0
 
     xr = Tensor(x, requires_grad=True)
-    out_ref = ref(xr)
-    out_ref.backward(np.ones_like(out_ref.data))
+    with _reference_dispatch():
+        out_ref = ref(xr)
+        out_ref.backward(np.ones_like(out_ref.data))
     xf = Tensor(x, requires_grad=True)
     out_fused = fused(xf)
     out_fused.backward(np.ones_like(out_fused.data))

@@ -1,18 +1,18 @@
 """Vectorized vs reference trace replay — speedup and equivalence benchmark.
 
-Times the full trace replay of both step engines under the two modes at
-every paper cell:
+Times the full trace replay of both step engines two ways at every paper
+cell:
 
 ``reference``
-    The seed's per-step loop over steps x layers x workers
-    (``run_trace(mode="reference")``).
+    The per-step loop over steps x layers x workers — one public
+    ``run_step`` per step, the test oracle ``tests.oracles.replay_per_step``.
 ``vectorized``
     The batched replay: one ``ExpertBroker.plan_trace`` per run, fork-join
     spans and all-to-all costs as whole-trace numpy reductions
-    (``run_trace(mode="vectorized")``, the default).
+    (``run_trace``).
 
 Every cell is equivalence-checked in the same run: all ``StepMetrics``
-fields of the two modes must agree to ``< 1e-9`` relative divergence.  The
+fields of the two replays must agree to ``< 1e-9`` relative divergence.  The
 benchmark also times a cold vs cached ``run_full_evaluation`` — the cached
 re-run must complete in under 10 % of the cold wall time — and measures the
 telemetry subsystem's cost on the headline cell: disabled (the default
@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.bench.harness import run_full_evaluation
 from repro.bench.report import format_table
@@ -48,6 +49,7 @@ from repro.placement.random_ import RandomPlacement
 from repro.runtime.engine import ExpertParallelEngine, MasterWorkerEngine
 from repro.telemetry import (RoutingHealthMonitor, Telemetry,
                              write_chrome_trace)
+from tests.oracles import replay_per_step
 
 # (model, dataset, steps); (mixtral, wikitext, 60) is the acceptance point.
 CELLS = [
@@ -92,9 +94,14 @@ def _build_cell(model: str, dataset: str, steps: int):
     return trace, engines
 
 
-def _replay_time(engines, trace, mode: str, iters: int,
+def _batched(engine, trace):
+    return engine.run_trace(trace)
+
+
+def _replay_time(engines, trace, replay, iters: int,
                  repeat: int = 1) -> float:
-    """Min-of-``iters`` wall time of replaying the trace on both engines.
+    """Min-of-``iters`` wall time of ``replay(engine, trace)`` on both
+    engines.
 
     ``repeat`` replays per timed sample amortize timer granularity when a
     single replay is sub-millisecond (the vectorized path).
@@ -104,18 +111,19 @@ def _replay_time(engines, trace, mode: str, iters: int,
         mw, ep = engines()
         start = time.perf_counter()
         for _ in range(repeat):
-            mw.run_trace(trace, mode=mode)
-            ep.run_trace(trace, mode=mode)
+            replay(mw, trace)
+            replay(ep, trace)
         best = min(best, (time.perf_counter() - start) / repeat)
     return best
 
 
 def max_divergence(engines, trace) -> float:
-    """Max relative divergence of any StepMetrics field between the modes."""
+    """Max relative divergence of any StepMetrics field between the
+    batched replay and the per-step oracle."""
     worst = 0.0
     for engine in engines():
-        ref = engine.run_trace(trace, mode="reference")
-        vec = engine.run_trace(trace, mode="vectorized")
+        ref = replay_per_step(engine, trace)
+        vec = engine.run_trace(trace)
         for a, b in zip(ref.steps, vec.steps):
             for name in _METRIC_FIELDS:
                 x, y = getattr(a, name), getattr(b, name)
@@ -128,8 +136,8 @@ def max_divergence(engines, trace) -> float:
 def measure_cell(model: str, dataset: str, steps: int) -> dict:
     """Replay times, speedup, and divergence of one paper cell."""
     trace, engines = _build_cell(model, dataset, steps)
-    t_ref = _replay_time(engines, trace, "reference", iters=2)
-    t_vec = _replay_time(engines, trace, "vectorized", iters=3)
+    t_ref = _replay_time(engines, trace, replay_per_step, iters=2)
+    t_vec = _replay_time(engines, trace, _batched, iters=3)
     return {
         "model": model,
         "dataset": dataset,
@@ -158,7 +166,7 @@ def measure_telemetry(model: str, dataset: str, steps: int,
     # because a single vectorized replay is sub-millisecond.
     baseline, disabled = float("inf"), float("inf")
     for index in range(2 * iters):
-        sample = _replay_time(engines, trace, "vectorized", iters=1, repeat=4)
+        sample = _replay_time(engines, trace, _batched, iters=1, repeat=4)
         if index % 4 in (0, 3):
             baseline = min(baseline, sample)
         else:
@@ -167,8 +175,8 @@ def measure_telemetry(model: str, dataset: str, steps: int,
     for _ in range(iters):
         mw, ep = engines(Telemetry(), Telemetry())
         start = time.perf_counter()
-        mw.run_trace(trace, mode="vectorized")
-        ep.run_trace(trace, mode="vectorized")
+        mw.run_trace(trace)
+        ep.run_trace(trace)
         enabled = min(enabled, time.perf_counter() - start)
     # The routing-health monitor digests every step (gauges + anomaly
     # checks), so its enabled cost is reported, not gated; monitor=None is
@@ -180,8 +188,8 @@ def measure_telemetry(model: str, dataset: str, steps: int,
             monitor_mw=RoutingHealthMonitor(placement=engines.placement),
             monitor_ep=RoutingHealthMonitor(placement=engines.placement))
         start = time.perf_counter()
-        mw.run_trace(trace, mode="vectorized")
-        ep.run_trace(trace, mode="vectorized")
+        mw.run_trace(trace)
+        ep.run_trace(trace)
         monitored = min(monitored, time.perf_counter() - start)
     return {
         "model": model,
@@ -257,7 +265,7 @@ def test_headline_speedup(benchmark):
 
 
 def test_equivalence_all_cells():
-    """Vectorized and reference replay agree at every paper cell."""
+    """The batched replay and the per-step oracle agree at every cell."""
     for model, dataset, _ in CELLS:
         trace, engines = _build_cell(model, dataset, 6)
         divergence = max_divergence(engines, trace)

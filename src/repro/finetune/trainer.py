@@ -30,7 +30,7 @@ import numpy as np
 
 from ..data.loader import LMDataLoader
 from ..lora import LoRAConfig, LoRAReport, inject_lora
-from ..models.moe_block import DISPATCH_MODES, BlockRoutingRecord
+from ..models.moe_block import BlockRoutingRecord
 from ..models.transformer import MoETransformer
 from ..nn.optim import AdamW, GradClipper
 from ..nn.schedule import LRScheduler, WarmupCosineLR
@@ -65,10 +65,7 @@ class FineTuneConfig:
     ``grad_clip`` enables global-norm clipping; ``grad_accumulation`` folds
     several micro-batches into one optimizer step (the effective tokens per
     step grows accordingly); ``warmup_steps``/``min_lr`` switch the constant
-    schedule to warmup+cosine.  ``dispatch`` selects the MoE dispatch
-    implementation for the training loop (``"fused"`` is the hot-loop
-    default; ``"reference"`` keeps the seed's per-(slot, expert) path for
-    A/B runs).
+    schedule to warmup+cosine.
     """
 
     steps: int = 500
@@ -82,14 +79,10 @@ class FineTuneConfig:
     grad_accumulation: int = 1
     warmup_steps: int = 0
     min_lr: float = 0.0
-    dispatch: str = "fused"
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(f"dispatch must be one of {DISPATCH_MODES}, "
-                             f"got {self.dispatch!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.grad_clip is not None and self.grad_clip <= 0:
@@ -202,7 +195,6 @@ class Trainer:
         all_callbacks = [loss_cb, routing_cb, gate_cb] + list(callbacks or [])
 
         self.model.train()
-        self.model.set_dispatch_mode(self.config.dispatch)
         # The inner loop only needs the full (tokens, experts) probability
         # matrix on the gate-monitored layer; skip the per-step copy
         # everywhere else.
@@ -220,7 +212,6 @@ class Trainer:
                 "model": model_cfg.name, "steps": steps,
                 "lr": self.config.lr,
                 "monitored_layer": self.config.monitored_layer,
-                "dispatch": self.config.dispatch,
                 "grad_accumulation": accumulation,
             }, seed=getattr(model_cfg, "seed", None))
 

@@ -5,25 +5,25 @@ The forward pass mirrors the paper's Fig. 1 description: the input
 to its top-k experts, expert outputs are combined with the normalized softmax
 weights of Eq. (1), and the output is reshaped back.
 
-Two dispatch implementations are provided:
+Dispatch runs the stages of a grouped-GEMM MoE kernel — the in-process
+stand-in for the expert-parallel all-to-all the paper's placement work
+optimizes — and all three dispatch paths share one copy of their index
+math:
 
-``fused`` (default)
-    One ``argsort`` of the flattened token→expert assignments across all
-    top-k slots, one contiguous gather per expert (so each expert runs
-    exactly one forward per step, slots merged), and a single-pass combine
-    that applies the gate weights and accumulates every contribution into
-    one output buffer — the same sort → segment-GEMM → scatter-add layout
-    real grouped-GEMM MoE kernels use, and the in-process stand-in for the
-    expert-parallel all-to-all the paper's placement work optimizes.
+* :func:`dispatch_plan` *permutes*: one stable sort of the flattened
+  ``(tokens, top_k)`` token→expert assignments, so every expert's rows form
+  one contiguous segment and each expert runs exactly once per step, slots
+  merged;
+* :func:`unpermute_fold` *unpermutes*: it applies the gate weights, puts
+  the expert-ordered rows back in token-major order and folds the ``top_k``
+  contributions of each token into one output row;
+* :func:`combine_backward` is the mirror single pass for gradients.
 
-``reference``
-    The original per-(slot, expert) loop, kept selectable for A/B testing;
-    the equivalence tests pin the two paths to each other.
-
-Under ``no_grad`` the fused dispatch runs on plain arrays
-(:func:`array_dispatch`): route → permute → expert GEMM → unpermute, the
-same stages and arithmetic for a one-token decode step as for a long
-prefill, with no autograd graph.
+:func:`fused_dispatch` (the Tensor path, under gradients),
+:func:`array_dispatch` (plain arrays, under ``no_grad``, for a one-token
+decode step as for a long prefill) and
+:func:`repro.parallel.dispatch.executor_dispatch` (expert GEMMs on a
+process pool) differ only in how they run the expert GEMMs.
 
 Every forward pass can emit a :class:`BlockRoutingRecord`, the raw material
 for locality profiling and for the communication simulation.
@@ -32,17 +32,15 @@ for locality profiling and for the communication simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.functional import index_select, swiglu_infer, top_k
+from ..nn.functional import index_select, swiglu_infer
 from ..nn.layers import Module
 from ..nn.tensor import Tensor, is_grad_enabled
 from .expert import ExpertFFN
 from .gating import GateOutput, TopKGate
-
-DISPATCH_MODES = ("fused", "reference")
 
 
 @dataclass
@@ -76,69 +74,81 @@ class BlockRoutingRecord:
         return self.access_counts(num_experts)
 
 
-def _combine_segments(seg_outputs: List[Tensor], combine_weights: Tensor,
-                      order: np.ndarray, inv_order: np.ndarray,
-                      top_k: int, num_tokens: int) -> Tensor:
-    """Weighted combine of per-expert output segments, in one pass.
+Segment = Tuple[int, int, int]
 
-    ``seg_outputs`` are the expert outputs in expert-sorted order (their
-    concatenation covers all ``num_tokens * top_k`` dispatch slots);
-    ``order`` is the expert-sort permutation of the flattened
-    ``(tokens, top_k)`` assignment matrix and ``inv_order`` its inverse.
 
-    Forward applies the gate weights and folds the sorted rows back to
-    token-major order, where the top-k contributions of each token are
-    adjacent — so the scatter-add over tokens is a reshape + sum, with no
-    ``np.add.at``.  Backward is the mirror single pass: one gather of the
-    output grad per sorted row, one segment split, one inverse permutation
-    for the weight grads.
+def dispatch_plan(expert_indices: np.ndarray, num_experts: int,
+                  expert_order: Optional[Sequence[int]] = None
+                  ) -> Tuple[np.ndarray, List[Segment]]:
+    """Permute: group the dispatch slots by expert with one stable sort.
+
+    ``expert_indices`` is the gate's ``(tokens, top_k)`` assignment matrix;
+    slot ``s`` of its flattened, token-major view belongs to token
+    ``s // top_k``.  Returns ``(order, segments)``: ``order`` lists every
+    slot grouped by expert, each group in token order and the groups in
+    ``expert_order`` (a permutation of the expert ids; default id order),
+    and ``segments`` holds one ``(expert, lo, hi)`` per expert with
+    tokens, whose slots are ``order[lo:hi]``.  Every ordering hands each
+    expert the identical contiguous batch.
     """
-    cat = (seg_outputs[0].data if len(seg_outputs) == 1 else
-           np.concatenate([t.data for t in seg_outputs], axis=0))
-    w_sorted = combine_weights.data.reshape(-1)[order]
-    hidden = cat.shape[1]
-    weighted = cat * w_sorted[:, None]
-    out_data = weighted[inv_order].reshape(num_tokens, top_k, hidden).sum(axis=1)
-    token_ids = order // top_k
-    bounds = np.cumsum([t.data.shape[0] for t in seg_outputs])[:-1]
-
-    def backward(g: np.ndarray):
-        g_rows = g[token_ids]                       # (tokens*top_k, hidden)
-        g_weights_sorted = np.einsum("ij,ij->i", g_rows, cat)
-        g_weights = np.empty(order.size, dtype=g_weights_sorted.dtype)
-        g_weights[order] = g_weights_sorted
-        g_cat = g_rows * w_sorted[:, None]
-        seg_grads = (np.split(g_cat, bounds, axis=0) if len(seg_outputs) > 1
-                     else [g_cat])
-        return (*seg_grads, g_weights.reshape(num_tokens, top_k))
-
-    return Tensor._make(out_data, (*seg_outputs, combine_weights), backward)
+    flat = expert_indices.reshape(-1)
+    experts: Sequence[int] = range(num_experts)
+    if expert_order is not None:
+        experts = expert_order
+        rank = np.empty(num_experts, dtype=np.int64)
+        rank[np.asarray(expert_order)] = np.arange(num_experts)
+        flat = rank[flat]
+    order = flat.argsort(kind="stable")
+    counts = np.bincount(flat, minlength=num_experts).tolist()
+    segments: List[Segment] = []
+    lo = 0
+    for expert, count in zip(experts, counts):
+        if count:
+            segments.append((int(expert), lo, lo + count))
+            lo += count
+    return order, segments
 
 
-def _scatter_rows_reference(values: Tensor, row_ids: np.ndarray,
-                            num_rows: int) -> Tensor:
-    """The seed implementation's scatter-add combine (``np.add.at`` based).
+def unpermute_fold(rows: np.ndarray, order: np.ndarray, weights: np.ndarray,
+                   top_k: int) -> np.ndarray:
+    """Unpermute: weight the expert-ordered ``rows`` and fold them per token.
 
-    Kept verbatim so ``dispatch="reference"`` A/B-tests against the exact
-    original per-(slot, expert) path, including its scatter primitive —
-    :func:`repro.nn.functional.scatter_rows` itself has since been
-    vectorized.
+    ``rows[i]`` is the expert output of slot ``order[i]`` and ``weights``
+    the gate's ``(tokens, top_k)`` combine matrix.  Back in slot order the
+    ``top_k`` contributions of a token are adjacent, so the scatter-add
+    over tokens is a reshape + sum, with no ``np.add.at``, and its
+    summation order does not depend on the expert order.
     """
-    row_ids = np.asarray(row_ids, dtype=np.int64)
-    out_data = np.zeros((num_rows, values.data.shape[1]),
-                        dtype=values.data.dtype)
-    np.add.at(out_data, row_ids, values.data)
+    out = np.empty(rows.shape, dtype=np.result_type(rows, weights))
+    out[order] = rows
+    out *= weights.reshape(-1, 1)
+    return out.reshape(-1, top_k, rows.shape[1]).sum(axis=1)
 
-    def backward(g: np.ndarray):
-        return (g[row_ids],)
 
-    return Tensor._make(out_data, (values,), backward)
+def combine_backward(g: np.ndarray, rows: np.ndarray, order: np.ndarray,
+                     weights: np.ndarray, top_k: int,
+                     segments: List[Segment]
+                     ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The backward of :func:`unpermute_fold`, in one pass.
+
+    One gather of the output grad ``g`` per expert-ordered row; returns
+    the row gradients split into ``segments`` and the gradient of the
+    ``(tokens, top_k)`` ``weights``.
+    """
+    g_rows = g[order // top_k]
+    g_weights_sorted = np.einsum("ij,ij->i", g_rows, rows)
+    g_weights = np.empty_like(g_weights_sorted)
+    g_weights[order] = g_weights_sorted
+    g_rows = g_rows * weights.reshape(-1)[order][:, None]
+    return ([g_rows[lo:hi] for _, lo, hi in segments],
+            g_weights.reshape(weights.shape))
 
 
 def fused_dispatch(experts: List[ExpertFFN], tokens: Tensor,
                    gate_out: GateOutput,
-                   expert_order: Optional[List[int]] = None) -> Tensor:
-    """Run the fused sort → segment-GEMM → combine dispatch.
+                   expert_order: Optional[Sequence[int]] = None) -> Tensor:
+    """The Tensor dispatch: one gather and one fused expert forward per
+    segment of :func:`dispatch_plan`, then one combine node.
 
     ``expert_order`` permutes which expert's segment runs first (the
     runtime's brokered execution iterates experts grouped by hosting
@@ -147,36 +157,26 @@ def fused_dispatch(experts: List[ExpertFFN], tokens: Tensor,
     outputs are bit-identical across orderings — the property the paper's
     convergence-equivalence claim (Section V-A) rests on.
     """
-    num_tokens = tokens.shape[0]
-    num_experts = len(experts)
     top_k = gate_out.top_k
-    flat_experts = gate_out.expert_indices.reshape(-1)  # token-major
-    sort_order = np.argsort(flat_experts, kind="stable")
-    counts = np.bincount(flat_experts, minlength=num_experts)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    token_ids_sorted = sort_order // top_k
+    order, segments = dispatch_plan(gate_out.expert_indices, len(experts),
+                                    expert_order)
+    token_ids = order // top_k
+    # Tokens within one expert's segment are pairwise distinct (top-k picks
+    # distinct experts per token), so each gather's backward is an
+    # assignment scatter.
+    seg_outputs = [experts[expert].forward_fused(
+        index_select(tokens, token_ids[lo:hi], unique_rows=True))
+        for expert, lo, hi in segments]
+    rows = np.concatenate([t.data for t in seg_outputs])
+    weights = gate_out.combine_weights
 
-    seg_outputs: List[Tensor] = []
-    seg_slots: List[np.ndarray] = []
-    for expert_id in (expert_order if expert_order is not None
-                      else range(num_experts)):
-        lo, hi = starts[expert_id], starts[expert_id + 1]
-        if lo == hi:
-            continue
-        # Tokens within one expert's segment are pairwise distinct (top-k
-        # picks distinct experts per token), so the gather's backward is an
-        # assignment scatter.
-        expert_in = index_select(tokens, token_ids_sorted[lo:hi],
-                                 unique_rows=True)
-        run = getattr(experts[expert_id], "forward_fused", experts[expert_id])
-        seg_outputs.append(run(expert_in))
-        seg_slots.append(sort_order[lo:hi])
-    order = (seg_slots[0] if len(seg_slots) == 1
-             else np.concatenate(seg_slots))
-    inv_order = np.empty_like(order)
-    inv_order[order] = np.arange(order.size)
-    return _combine_segments(seg_outputs, gate_out.combine_weights,
-                             order, inv_order, top_k, num_tokens)
+    def backward(g: np.ndarray):
+        seg_grads, g_weights = combine_backward(g, rows, order, weights.data,
+                                                top_k, segments)
+        return (*seg_grads, g_weights)
+
+    return Tensor._make(unpermute_fold(rows, order, weights.data, top_k),
+                        (*seg_outputs, weights), backward)
 
 
 def array_dispatch(experts: List[ExpertFFN], tokens: np.ndarray,
@@ -185,33 +185,19 @@ def array_dispatch(experts: List[ExpertFFN], tokens: np.ndarray,
 
     ``tokens`` is ``(num_tokens, hidden)``; ``indices`` and ``combine`` are
     the gate's ``(num_tokens, top_k)`` expert ids and normalized weights.
-    The stages of a grouped-GEMM MoE kernel, for any token count:
-    *permute* the flattened assignments into expert order (one stable
-    sort), run each expert once on its contiguous segment through
-    :func:`swiglu_infer`, then *unpermute* the weighted rows back to
-    token-major order and fold the ``top_k`` contributions of each token.
-    Every expert reads the stock bias-free ``Linear`` weights.  The sort,
-    the segment shapes and the fold are :func:`fused_dispatch`'s, so the
-    output matches it bit for bit.
+    Each expert runs once on its contiguous segment through
+    :func:`swiglu_infer`, reading the stock bias-free ``Linear`` weights.
+    The plan, the segment shapes and the fold are :func:`fused_dispatch`'s,
+    so the output matches it bit for bit.
     """
-    num_tokens, top_k = indices.shape
-    flat = indices.reshape(-1)
-    order = flat.argsort(kind="stable")
-    ends = np.bincount(flat, minlength=len(experts)).cumsum()
+    top_k = indices.shape[1]
+    order, segments = dispatch_plan(indices, len(experts))
     permuted = tokens[order // top_k]
-    segments = []
-    start = 0
-    for expert, end in zip(experts, ends):
-        if end > start:
-            segments.append(swiglu_infer(
-                permuted[start:end], expert.w_gate.weight.data,
-                expert.w_up.weight.data, expert.w_down.weight.data))
-        start = end
-    out = segments[0] if len(segments) == 1 else np.concatenate(segments)
-    out *= combine.reshape(-1)[order][:, None]
-    unpermuted = np.empty_like(out)
-    unpermuted[order] = out
-    return unpermuted.reshape(num_tokens, top_k, -1).sum(axis=1)
+    rows = np.concatenate([swiglu_infer(
+        permuted[lo:hi], experts[expert].w_gate.weight.data,
+        experts[expert].w_up.weight.data, experts[expert].w_down.weight.data)
+        for expert, lo, hi in segments])
+    return unpermute_fold(rows, order, combine, top_k)
 
 
 class MoEBlock(Module):
@@ -219,20 +205,16 @@ class MoEBlock(Module):
 
     Parameters mirror :class:`repro.models.config.MoEModelConfig`.  Set
     ``layer_index`` so emitted routing records identify their block.
-    ``dispatch`` selects the token dispatch implementation (``"fused"`` or
-    ``"reference"``); ``record_probs`` controls whether routing records copy
-    the full ``(tokens, num_experts)`` probability matrix (the trainer turns
-    this off on unmonitored layers to cut per-step allocation).
+    ``record_probs`` controls whether routing records copy the full
+    ``(tokens, num_experts)`` probability matrix (the trainer turns this
+    off on unmonitored layers to cut per-step allocation).
     """
 
     def __init__(self, hidden_size: int, ffn_hidden_size: int, num_experts: int,
                  top_k: int, layer_index: int = 0, aux_loss_weight: float = 0.0,
                  rng: Optional[np.random.Generator] = None,
-                 dispatch: str = "fused", record_probs: bool = True):
+                 record_probs: bool = True):
         super().__init__()
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(f"dispatch must be one of {DISPATCH_MODES}, "
-                             f"got {dispatch!r}")
         # Deterministic fallback: expert init must be reproducible even when
         # callers omit the generator (seed hygiene for benchmark runs).
         rng = rng or np.random.default_rng(0)
@@ -240,7 +222,6 @@ class MoEBlock(Module):
         self.num_experts = num_experts
         self.top_k = top_k
         self.layer_index = layer_index
-        self.dispatch = dispatch
         self.gate = TopKGate(hidden_size, num_experts, top_k,
                              aux_loss_weight=aux_loss_weight, rng=rng)
         self.experts = [ExpertFFN(hidden_size, ffn_hidden_size, rng=rng)
@@ -250,7 +231,7 @@ class MoEBlock(Module):
         self.record_routing = True
         self.record_probs = record_probs
         # Optional repro.parallel.ExpertExecutor; when set (and bound for
-        # this layer) the fused dispatch fans expert segments out to it.
+        # this layer) the dispatch fans expert segments out to it.
         self.executor = None
 
     def make_record(self, gate_out: GateOutput) -> BlockRoutingRecord:
@@ -266,11 +247,11 @@ class MoEBlock(Module):
     def forward(self, x):
         """Apply the block to ``(batch, seq, hidden)`` input.
 
-        With gradients enabled this is the Tensor gate plus the selected
-        dispatch.  Under ``no_grad`` the fused dispatch runs on plain
-        arrays (:meth:`_forward_array`) unless the block needs the graph
-        path: ``dispatch="reference"``, an attached executor that can run
-        this layer, LoRA-injected experts, or a gate with an aux loss.
+        With gradients enabled this is the Tensor gate plus
+        :meth:`_dispatch_combine`.  Under ``no_grad`` the dispatch runs on
+        plain arrays (:meth:`_forward_array`) unless the block needs the
+        graph path: an attached executor that can run this layer,
+        LoRA-injected experts, or a gate with an aux loss.
         ``x`` may then be a plain array (``forward_slots`` passes one) and
         the output has the input's type.
         """
@@ -300,7 +281,7 @@ class MoEBlock(Module):
         executor = self.executor
         if executor is not None and executor.can_run(self.layer_index):
             return False
-        return (self.dispatch == "fused" and self.gate.aux_loss_weight <= 0
+        return (self.gate.aux_loss_weight <= 0
                 and all(e._fusable() for e in self.experts))
 
     def _forward_array(self, x: np.ndarray) -> np.ndarray:
@@ -322,60 +303,24 @@ class MoEBlock(Module):
         out = array_dispatch(self.experts, tokens, indices, combine)
         return out.reshape(batch, seq, hidden)
 
-    def _dispatch_combine(self, tokens: Tensor, gate_out: GateOutput) -> Tensor:
-        """Send tokens through their selected experts and combine the results."""
-        if self.dispatch == "reference":
-            return self._dispatch_combine_reference(tokens, gate_out)
-        return self._dispatch_combine_fused(tokens, gate_out)
+    def _dispatch_combine(self, tokens: Tensor, gate_out: GateOutput,
+                          expert_order: Optional[Sequence[int]] = None
+                          ) -> Tensor:
+        """Send tokens through their selected experts and combine the results.
 
-    def _dispatch_combine_fused(self, tokens: Tensor,
-                                gate_out: GateOutput) -> Tensor:
-        """Sort-by-expert fused dispatch: one forward per expert, one combine.
-
-        The flattened ``(tokens, top_k)`` assignment matrix is argsorted once
-        (stable, so same-expert rows keep token order); each expert's rows
-        are then a contiguous segment, gathered in one :func:`index_select`
-        per expert with all slots merged.  The weighted contributions are
-        accumulated by :func:`_combine_segments` in a single pass.
-
-        With an attached :attr:`executor` (see :mod:`repro.parallel`) that
-        can serve this layer, the per-expert segments run through the
-        executor instead — same structure, workers do the GEMMs.  The
-        executor declines (int8 store under gradients, unbound layer) by
-        returning ``False`` from ``can_run``, which falls back here.
+        Runs :func:`fused_dispatch`, or, when an attached :attr:`executor`
+        (see :mod:`repro.parallel`) can serve this layer,
+        :func:`~repro.parallel.dispatch.executor_dispatch` — the same plan
+        and combine, with workers doing the GEMMs.  The executor declines
+        (int8 store under gradients, unbound layer) by returning ``False``
+        from ``can_run``.  ``expert_order`` is :func:`fused_dispatch`'s.
         """
         executor = self.executor
         if executor is not None and executor.can_run(self.layer_index):
             from ..parallel.dispatch import executor_dispatch
-            return executor_dispatch(executor, self.layer_index,
-                                     self.experts, tokens, gate_out)
-        return fused_dispatch(self.experts, tokens, gate_out)
-
-    def _dispatch_combine_reference(self, tokens: Tensor,
-                                    gate_out: GateOutput) -> Tensor:
-        """Reference per-(slot, expert) dispatch, kept for A/B testing.
-
-        Tokens are grouped per (slot, expert) so each expert runs once per
-        slot on a contiguous batch; every pair materializes a full
-        ``(tokens, hidden)`` scatter buffer, summed by a Python reduction.
-        """
-        num_tokens = tokens.shape[0]
-        contributions: List[Tensor] = []
-        for slot in range(self.top_k):
-            slot_experts = gate_out.expert_indices[:, slot]
-            slot_weights = gate_out.combine_weights[(np.arange(num_tokens),
-                                                     np.full(num_tokens, slot))]
-            for expert_id in np.unique(slot_experts):
-                token_ids = np.nonzero(slot_experts == expert_id)[0]
-                expert_in = tokens[token_ids]
-                expert_out = self.experts[int(expert_id)](expert_in)
-                weights = slot_weights[token_ids].reshape(-1, 1)
-                contributions.append(_scatter_rows_reference(
-                    expert_out * weights, token_ids, num_tokens))
-        total = contributions[0]
-        for extra in contributions[1:]:
-            total = total + extra
-        return total
+            return executor_dispatch(executor, self.layer_index, self.experts,
+                                     tokens, gate_out, expert_order)
+        return fused_dispatch(self.experts, tokens, gate_out, expert_order)
 
     def expert_modules(self) -> List[ExpertFFN]:
         """The expert submodules, in id order."""

@@ -241,15 +241,6 @@ class MoETransformer(Module):
         for moe in self._moe_blocks():
             moe.record_probs = enabled
 
-    def set_dispatch_mode(self, mode: str) -> None:
-        """Select the MoE dispatch implementation (``"fused"``/``"reference"``)."""
-        from .moe_block import DISPATCH_MODES
-        if mode not in DISPATCH_MODES:
-            raise ValueError(f"dispatch must be one of {DISPATCH_MODES}, "
-                             f"got {mode!r}")
-        for moe in self._moe_blocks():
-            moe.dispatch = mode
-
     def set_expert_executor(self, executor) -> None:
         """Attach (or with ``None`` detach) a :mod:`repro.parallel` executor.
 

@@ -3,14 +3,16 @@
 :func:`executor_dispatch` is the drop-in counterpart of
 :func:`repro.models.moe_block.fused_dispatch` when an
 :class:`~repro.parallel.executor.ExpertExecutor` is attached: the same
-sort → segment → combine structure, but the per-expert SwiGLU segments run
-through ``executor.run_forward`` / ``run_backward`` (one pooled round trip
-each way per layer) instead of in-process autograd sub-nodes, and the
-whole layer collapses into a single :class:`~repro.nn.tensor.Tensor` graph
-node whose parents are ``(tokens, combine_weights, *trainable weights)``.
+:func:`~repro.models.moe_block.dispatch_plan`,
+:func:`~repro.models.moe_block.unpermute_fold` and
+:func:`~repro.models.moe_block.combine_backward`, but the per-expert SwiGLU
+segments run through ``executor.run_forward`` / ``run_backward`` (one
+pooled round trip each way per layer) instead of in-process autograd
+sub-nodes, and the whole layer collapses into a single
+:class:`~repro.nn.tensor.Tensor` graph node whose parents are
+``(tokens, combine_weights, *trainable weights)``.
 
-The combine arithmetic is copied from ``_combine_segments`` verbatim and
-the worker kernels replay ``fused_swiglu``'s operation order, so for
+The worker kernels replay ``fused_swiglu``'s operation order, so for
 native-format plain-Linear experts the node is bit-identical to the
 in-process fused path; for LoRA experts the workers materialize
 ``W + s·BA`` (the merged weight), which agrees with the layered in-process
@@ -19,14 +21,12 @@ computation to float64 rounding.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..models.moe_block import combine_backward, dispatch_plan, unpermute_fold
 from ..nn.tensor import Tensor, _segment_sum_rows
-
-_PROJ_INDEX = {"w_gate": 0, "w_up": 1, "w_down": 2}
-
 
 def _adapter_payload(expert):
     """Per-projection ``(A, B, scaling)`` triples, or ``None`` if plain.
@@ -44,7 +44,7 @@ def _adapter_payload(expert):
 
 def executor_dispatch(executor, layer: int, experts, tokens: Tensor,
                       gate_out,
-                      expert_order: Optional[List[int]] = None) -> Tensor:
+                      expert_order: Optional[Sequence[int]] = None) -> Tensor:
     """Run one MoE layer's dispatch/combine through ``executor``.
 
     Arguments mirror :func:`~repro.models.moe_block.fused_dispatch` plus
@@ -54,58 +54,24 @@ def executor_dispatch(executor, layer: int, experts, tokens: Tensor,
     path.
     """
     num_tokens = tokens.shape[0]
-    num_experts = len(experts)
     top_k = gate_out.top_k
-    combine_weights = gate_out.combine_weights
-    flat_experts = gate_out.expert_indices.reshape(-1)  # token-major
-    sort_order = np.argsort(flat_experts, kind="stable")
-    counts = np.bincount(flat_experts, minlength=num_experts)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    token_ids_sorted = sort_order // top_k
-
-    tasks = []
-    seg_expert_ids: List[int] = []
-    seg_token_ids: List[np.ndarray] = []
-    seg_slots: List[np.ndarray] = []
-    seg_lora = []
-    for expert_id in (expert_order if expert_order is not None
-                      else range(num_experts)):
-        lo, hi = starts[expert_id], starts[expert_id + 1]
-        if lo == hi:
-            continue
-        ids = token_ids_sorted[lo:hi]
-        lora = _adapter_payload(experts[expert_id])
-        tasks.append((layer, int(expert_id), tokens.data[ids], lora))
-        seg_expert_ids.append(int(expert_id))
-        seg_token_ids.append(ids)
-        seg_slots.append(sort_order[lo:hi])
-        seg_lora.append(lora)
-
-    seg_outputs = executor.run_forward(layer, tasks)
-
-    order = (seg_slots[0] if len(seg_slots) == 1
-             else np.concatenate(seg_slots))
-    inv_order = np.empty_like(order)
-    inv_order[order] = np.arange(order.size)
-    cat = (seg_outputs[0] if len(seg_outputs) == 1
-           else np.concatenate(seg_outputs, axis=0))
-    w_sorted = combine_weights.data.reshape(-1)[order]
-    hidden = cat.shape[1]
-    weighted = cat * w_sorted[:, None]
-    out_data = weighted[inv_order].reshape(num_tokens, top_k,
-                                           hidden).sum(axis=1)
+    weights = gate_out.combine_weights
+    order, segments = dispatch_plan(gate_out.expert_indices, len(experts),
+                                    expert_order)
     token_ids = order // top_k
-    seg_lengths = [t[2].shape[0] for t in tasks]
-    bounds = np.cumsum(seg_lengths)[:-1]
+    tasks = [(layer, expert, tokens.data[token_ids[lo:hi]],
+              _adapter_payload(experts[expert]))
+             for expert, lo, hi in segments]
+    rows = np.concatenate(executor.run_forward(layer, tasks))
 
     # One graph node for the whole layer: map every trainable weight of the
     # active experts to a parent slot, so executor-computed gradients land
     # exactly where the in-process sub-graphs would put them.
-    parents = [tokens, combine_weights]
+    parents = [tokens, weights]
     slots = []  # (segment index, "w"|"a"|"b", projection index)
     need_w = [False] * len(tasks)
     need_lora = [False] * len(tasks)
-    for i, expert_id in enumerate(seg_expert_ids):
+    for i, (expert_id, _, _) in enumerate(segments):
         expert = experts[expert_id]
         for pi, proj in enumerate((expert.w_gate, expert.w_up,
                                    expert.w_down)):
@@ -125,26 +91,19 @@ def executor_dispatch(executor, layer: int, experts, tokens: Tensor,
                     need_lora[i] = True
 
     def backward(g: np.ndarray):
-        # Combine backward — identical single pass to _combine_segments.
-        g_rows = g[token_ids]
-        g_weights_sorted = np.einsum("ij,ij->i", g_rows, cat)
-        g_weights = np.empty(order.size, dtype=g_weights_sorted.dtype)
-        g_weights[order] = g_weights_sorted
-        g_cat = g_rows * w_sorted[:, None]
-        seg_gys = (np.split(g_cat, bounds, axis=0) if len(tasks) > 1
-                   else [g_cat])
+        seg_gys, g_weights = combine_backward(g, rows, order, weights.data,
+                                              top_k, segments)
         need_gx = tokens.requires_grad
-        btasks = [(layer, seg_expert_ids[i], tasks[i][2], seg_gys[i],
-                   seg_lora[i], need_gx, need_w[i], need_lora[i])
-                  for i in range(len(tasks))]
+        btasks = [(layer, expert, x, gy, lora, need_gx, need_w[i],
+                   need_lora[i])
+                  for i, ((_, expert, x, lora), gy)
+                  in enumerate(zip(tasks, seg_gys))]
         results = executor.run_backward(layer, btasks)
         g_tokens = None
         if need_gx:
-            gx_cat = (results[0][0] if len(results) == 1 else
-                      np.concatenate([r[0] for r in results], axis=0))
-            all_ids = (seg_token_ids[0] if len(seg_token_ids) == 1 else
-                       np.concatenate(seg_token_ids))
-            g_tokens = _segment_sum_rows(gx_cat, all_ids, num_tokens)
+            g_tokens = _segment_sum_rows(
+                np.concatenate([r[0] for r in results]), token_ids,
+                num_tokens)
         param_grads = []
         for i, kind, pi in slots:
             grads = results[i][1]
@@ -154,7 +113,7 @@ def executor_dispatch(executor, layer: int, experts, tokens: Tensor,
                 param_grads.append(grads["lora"][pi][0])
             else:
                 param_grads.append(grads["lora"][pi][1])
-        return (g_tokens, g_weights.reshape(num_tokens, top_k),
-                *param_grads)
+        return (g_tokens, g_weights, *param_grads)
 
-    return Tensor._make(out_data, tuple(parents), backward)
+    return Tensor._make(unpermute_fold(rows, order, weights.data, top_k),
+                        tuple(parents), backward)

@@ -51,87 +51,25 @@ class RefinementReport:
 class LocalSearchRefiner:
     """Best-improvement hill climbing over moves and swaps.
 
-    ``mode="vectorized"`` (the default) evaluates every candidate move and
-    swap of a round as numpy delta grids; ``mode="reference"`` keeps the
-    original per-candidate Python scan.  Both visit candidates in the same
-    order with the same strict-improvement tie-breaks, so they apply
-    identical action sequences.
+    Each round scores every candidate move and swap as numpy delta grids
+    and applies the best strictly improving one.  Candidates are visited
+    in a fixed order with strict-improvement tie-breaks, so the action
+    sequence equals the per-candidate scan it replaced (kept as a test
+    oracle in ``tests/oracles.py``).
     """
 
-    MODES = ("vectorized", "reference")
-
-    def __init__(self, max_rounds: int = 200, mode: str = "vectorized"):
+    def __init__(self, max_rounds: int = 200):
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
-        if mode not in self.MODES:
-            raise ValueError(f"unknown mode {mode!r}; known: {self.MODES}")
         self.max_rounds = max_rounds
-        self.mode = mode
 
-    # ------------------------------------------------------------------ #
-    # candidate search
-    # ------------------------------------------------------------------ #
-    def _best_action_reference(self, assignment, worker_time, loads, caps,
-                               coef):
-        """One round's best candidate: the original per-candidate scan."""
-        num_workers, layers = worker_time.shape
-        experts = assignment.shape[1]
-        best_delta = -1e-15
-        best_action: Optional[Tuple] = None
-        for l in range(layers):
-            current_max = worker_time[:, l].max()
-            order = np.argsort(-worker_time[:, l])
-            bottleneck = order[0]
-            # moves: take an expert off the bottleneck worker
-            for e in range(experts):
-                if assignment[l, e] != bottleneck:
-                    continue
-                for target in range(num_workers):
-                    if target == bottleneck or loads[target] >= caps[target]:
-                        continue
-                    new_src = worker_time[bottleneck, l] - \
-                        coef[bottleneck, l, e]
-                    new_dst = worker_time[target, l] + coef[target, l, e]
-                    others = max((worker_time[n, l]
-                                  for n in range(num_workers)
-                                  if n not in (bottleneck, target)),
-                                 default=0.0)
-                    new_max = max(new_src, new_dst, others)
-                    delta = current_max - new_max
-                    if delta > best_delta:
-                        best_delta = delta
-                        best_action = ("move", l, e, bottleneck, target)
-            # swaps: exchange a bottleneck expert with another worker's
-            for e in range(experts):
-                if assignment[l, e] != bottleneck:
-                    continue
-                for e2 in range(experts):
-                    other = assignment[l, e2]
-                    if other == bottleneck:
-                        continue
-                    new_src = worker_time[bottleneck, l] \
-                        - coef[bottleneck, l, e] + coef[bottleneck, l, e2]
-                    new_dst = worker_time[other, l] \
-                        - coef[other, l, e2] + coef[other, l, e]
-                    others_max = max((worker_time[n, l]
-                                      for n in range(num_workers)
-                                      if n not in (bottleneck, other)),
-                                     default=0.0)
-                    new_max = max(new_src, new_dst, others_max)
-                    delta = current_max - new_max
-                    if delta > best_delta:
-                        best_delta = delta
-                        best_action = ("swap", l, e, bottleneck, e2, other)
-        return best_delta, best_action
-
-    def _best_action_vectorized(self, assignment, worker_time, loads, caps,
-                                coef):
+    def _best_action(self, assignment, worker_time, loads, caps, coef):
         """One round's best candidate, as per-layer numpy delta grids.
 
-        Candidate order (layers ascending; per layer all moves in (expert,
-        target) row-major order, then all swaps in (expert, expert) row-major
-        order) and strict-``>`` tie-breaking match the reference scan, so the
-        same action wins.
+        Returns ``(best_delta, best_action)``.  Candidate order (layers
+        ascending; per layer all moves in (expert, target) row-major order,
+        then all swaps in (expert, expert) row-major order) and strict-``>``
+        tie-breaking pick the first best candidate in that order.
         """
         num_workers, layers = worker_time.shape
         best_delta = -1e-15
@@ -210,14 +148,12 @@ class LocalSearchRefiner:
             for e in range(experts):
                 worker_time[assignment[l, e], l] += coef[assignment[l, e], l, e]
 
-        search = (self._best_action_vectorized if self.mode == "vectorized"
-                  else self._best_action_reference)
         initial = float(worker_time.max(axis=0).sum())
         moves = swaps = 0
         actions: List[Tuple] = []
         for _ in range(self.max_rounds):
-            best_delta, best_action = search(assignment, worker_time, loads,
-                                             caps, coef)
+            best_delta, best_action = self._best_action(
+                assignment, worker_time, loads, caps, coef)
             if best_action is None or best_delta <= 1e-15:
                 break
             # plain-int tuples: replayable, JSON-friendly, clean reprs

@@ -7,10 +7,10 @@ runtime its product is the dispatch plan — per-(worker, layer) token counts
 and the corresponding :class:`~repro.comm.message.Message` lists — which the
 engines turn into transfer timings and traffic totals.
 
-Mode contract
--------------
-:meth:`ExpertBroker.plan_trace` is the batched planner behind
-``run_trace(mode="vectorized")``: one einsum over the whole
+Replay contract
+---------------
+:meth:`ExpertBroker.plan_trace` is the batched planner behind the engines'
+``run_trace``: one einsum over the whole
 ``(steps, layers, experts)`` count tensor.  It is defined to equal stacking
 :meth:`ExpertBroker.plan_step` over the trace's steps — integer token
 counts, so agreement is exact, and the engine equivalence suites
@@ -22,14 +22,14 @@ Observability
 Constructed with ``telemetry=``, the broker attributes planned one-direction
 payload bytes to each ``(layer, expert, worker)`` edge as
 ``broker.dispatch_bytes`` counters (see ``docs/OBSERVABILITY.md``).  Both
-planners feed the same counters, so reference and vectorized replays
-accumulate identical byte attributions.
+planners feed the same counters, so a ``run_trace`` replay and the
+per-step loop accumulate identical byte attributions.
 
 Constructed with ``monitor=`` (a :class:`~repro.telemetry.monitor.
 RoutingHealthMonitor`), each plan additionally publishes per-worker token
 loads (``routing.worker_tokens`` / ``routing.worker_share`` gauges) into
 the monitor's registry; gauges are last-value instruments, so after a trace
-plan they reflect the final planned step in both replay modes.
+plan they reflect the final planned step, as after the per-step loop.
 """
 
 from __future__ import annotations

@@ -13,12 +13,12 @@ concurrently.  This module *executes* the same step as discrete events on
    ``nic_contention`` serializes transfers through per-resource FIFOs,
    quantifying how optimistic the paper's independent-links assumption is.
 
-Mode contract
--------------
-``run_trace(mode="vectorized")`` (the default for uncontended runs) computes
-every step's layer-finish times as batched cumulative sums and must equal
-the per-event execution exactly; contended runs always take the event loop
-because FIFO occupancy is genuinely sequential.
+Replay contract
+---------------
+For uncontended runs ``run_trace`` computes every step's layer-finish
+times as batched cumulative sums and must equal the per-event execution
+exactly; contended runs take the event loop because FIFO occupancy is
+genuinely sequential.
 
 Observability
 -------------
@@ -46,7 +46,7 @@ from ..telemetry import Telemetry
 from ..telemetry.monitor import RoutingHealthMonitor
 from .broker import ExpertBroker
 from .engine import (fork_join_span_arrays, lora_backbone_param_count,
-                     lora_expert_param_count, resolve_trace_mode)
+                     lora_expert_param_count, replay_limit)
 from .events import LinkResource, Simulator
 from .flops import FlopModel
 
@@ -217,31 +217,22 @@ class EventDrivenMasterWorker:
             master_egress_busy={k: r.busy_time for k, r in egress.items()})
 
     # ------------------------------------------------------------------ #
-    default_trace_mode = "vectorized"
-
-    def run_trace(self, trace: RoutingTrace, max_steps: Optional[int] = None,
-                  mode: Optional[str] = None) -> List[DESStepResult]:
-        """Execute every step of a routing trace.
+    def run_trace(self, trace: RoutingTrace,
+                  max_steps: Optional[int] = None) -> List[DESStepResult]:
+        """Execute every step of a routing trace (or its first ``max_steps``).
 
         With unlimited master egress (``nic_contention=False``) the
         event-driven step is closed-form — layer finishes are running sums of
-        backbone + fork-join span — so ``mode="vectorized"`` (the default)
-        computes all steps as batched cumulative sums.  Contended runs always
-        take the per-step event loop: FIFO occupancy is genuinely sequential.
-        Telemetry-enabled runs do too — spans are recorded at per-event
-        resolution, which the batched closed form cannot provide.
+        backbone + fork-join span — so all steps are computed as batched
+        cumulative sums.  Contended runs take the per-step event loop: FIFO
+        occupancy is genuinely sequential.  Telemetry-enabled runs do too —
+        spans are recorded at per-event resolution, which the batched closed
+        form cannot provide.
         """
-        mode = resolve_trace_mode(mode, self.default_trace_mode)
-        limit = trace.num_steps if max_steps is None else min(max_steps,
-                                                              trace.num_steps)
-        if mode == "reference" or self.nic_contention or \
-                self.telemetry is not None:
+        limit = replay_limit(trace, max_steps)
+        if self.nic_contention or self.telemetry is not None:
             return [self.run_step(trace.step_counts(step), step=step)
                     for step in range(limit)]
-        return self._run_trace_vectorized(trace, limit)
-
-    def _run_trace_vectorized(self, trace: RoutingTrace,
-                              limit: int) -> List[DESStepResult]:
         plan = self.broker.plan_trace(trace.counts[:limit])
         if self.monitor is not None:
             for step in range(limit):

@@ -15,23 +15,20 @@ the paper says they differ (Section V-B):
   all-to-all in each direction, and the step ends with an all-reduce over
   the replicated trainable parameters.
 
-Both engines replay traces in one of two modes:
+``run_step`` simulates one step.  ``run_trace`` replays a whole trace at
+once: one :meth:`ExpertBroker.plan_trace` for every step, then every
+per-(step, layer, worker) quantity — fork-join spans, backbone times,
+all-to-all and all-reduce costs — reduced as batched numpy operations
+with no Python loops over steps or workers.
 
-* ``mode="vectorized"`` (default): the whole trace is planned at once
-  (:meth:`ExpertBroker.plan_trace`) and every per-(step, layer, worker)
-  quantity — fork-join spans, backbone times, all-to-all and all-reduce
-  costs — is reduced as batched numpy operations with no Python loops over
-  steps or workers.
-* ``mode="reference"``: the original per-step loop, kept as the
-  equivalence oracle (``benchmarks/bench_replay.py`` asserts the two agree
-  and reports the speedup).
-
-Mode contract
--------------
-``reference`` is the semantics; ``vectorized`` is an optimization that must
-reproduce it.  Every ``StepMetrics`` field of the two modes agrees to
-``< 1e-9`` relative divergence (observed ~1e-15) on all four paper cells,
-enforced by ``tests/runtime/test_vectorized_engine.py`` and re-measured by
+Replay contract
+---------------
+Looping ``run_step`` over the trace is the semantics; ``run_trace`` is an
+optimization that must reproduce it.  Every ``StepMetrics`` field agrees
+with the per-step loop (the ``replay_per_step`` oracle of
+``tests/oracles.py``) to ``< 1e-9`` relative divergence (observed ~1e-15)
+on all four paper cells, enforced by
+``tests/runtime/test_vectorized_engine.py`` and re-measured by
 ``benchmarks/bench_replay.py``; process bookkeeping (master/worker stats)
 is part of the contract.
 
@@ -40,7 +37,7 @@ Observability
 Both engines accept ``telemetry=`` (a :class:`repro.telemetry.Telemetry`);
 when set, every simulated phase — backbone, expert fork-join, status sync,
 all-to-all, all-reduce, head, optimizer — is recorded as a model-time span,
-and both replay modes emit the identical span sequence.  Per-step span
+and ``run_trace`` emits the span sequence of the per-step loop.  Per-step span
 durations sum exactly to the ``StepMetrics`` aggregates (verified to 1e-9
 by ``benchmarks/bench_fig6_step_time.py --trace-out``).  With the default
 ``telemetry=None`` the hot paths pay one attribute check.  Span naming
@@ -49,7 +46,7 @@ lives in ``docs/OBSERVABILITY.md``.
 Both engines also accept ``monitor=`` (a :class:`repro.telemetry.monitor.
 RoutingHealthMonitor`); when set, every replayed step feeds the monitor's
 routing-health gauges (load imbalance, locality hit-rate) and anomaly
-detectors, in both replay modes, with the same ``None``-is-free contract.
+detectors, with the same ``None``-is-free contract.
 """
 
 from __future__ import annotations
@@ -73,15 +70,18 @@ from .master import MasterProcess
 from .metrics import RunMetrics, StepMetrics
 from .worker import WorkerProcess
 
-TRACE_MODES = ("vectorized", "reference")
 
+def replay_limit(trace: RoutingTrace, max_steps: Optional[int]) -> int:
+    """Steps a replay covers: the whole trace, or its first ``max_steps``.
 
-def resolve_trace_mode(mode: Optional[str], default: str) -> str:
-    """Validate a replay ``mode`` argument (None selects the default)."""
-    mode = default if mode is None else mode
-    if mode not in TRACE_MODES:
-        raise ValueError(f"unknown replay mode {mode!r}; known: {TRACE_MODES}")
-    return mode
+    Raises before any work for a negative ``max_steps``, which would
+    otherwise slice the trace from its end.
+    """
+    if max_steps is None:
+        return trace.num_steps
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    return min(max_steps, trace.num_steps)
 
 
 def fork_join_span_arrays(topology: ClusterTopology, flops: FlopModel,
@@ -125,7 +125,7 @@ def fork_join_span_arrays(topology: ClusterTopology, flops: FlopModel,
     for suffix, comp in (("f", comp_f), ("b", comp_b)):
         chain = np.where(mask, transfer + comp + transfer, 0.0)
         span = chain.max(axis=1)                    # (S, L)
-        idx = chain.argmax(axis=1)[:, None, :]      # first max == reference
+        idx = chain.argmax(axis=1)[:, None, :]      # first max == run_step
         sel_transfer = np.take_along_axis(transfer, idx, axis=1)[:, 0, :]
         sel_comp = np.take_along_axis(comp, idx, axis=1)[:, 0, :]
         active = span > 0
@@ -281,25 +281,6 @@ class MasterWorkerEngine:
                            cross_node_bytes=cross,
                            num_nodes=self.topology.num_nodes)
 
-    default_trace_mode = "vectorized"
-
-    def run_trace(self, trace: RoutingTrace, max_steps: Optional[int] = None,
-                  mode: Optional[str] = None) -> RunMetrics:
-        """Replay every step of a routing trace.
-
-        ``mode`` selects the batched numpy replay (``"vectorized"``, the
-        default) or the original per-step loop (``"reference"``).
-        """
-        mode = resolve_trace_mode(mode, self.default_trace_mode)
-        limit = trace.num_steps if max_steps is None else min(max_steps,
-                                                              trace.num_steps)
-        if mode == "reference":
-            run = RunMetrics(strategy=self.strategy_name)
-            for step in range(limit):
-                run.append(self.run_step(trace.step_counts(step), step=step))
-            return run
-        return self._run_trace_vectorized(trace, limit)
-
     # ------------------------------------------------------------------ #
     # vectorized replay
     # ------------------------------------------------------------------ #
@@ -354,8 +335,11 @@ class MasterWorkerEngine:
             t += worker_opt
         self._telemetry_now = t
 
-    def _run_trace_vectorized(self, trace: RoutingTrace,
-                              limit: int) -> RunMetrics:
+    def run_trace(self, trace: RoutingTrace,
+                  max_steps: Optional[int] = None) -> RunMetrics:
+        """Replay every step of a routing trace (or its first ``max_steps``)
+        as batched numpy reductions, equal to looping :meth:`run_step`."""
+        limit = replay_limit(trace, max_steps)
         plan = self.broker.plan_trace(trace.counts[:limit])
         if self.monitor is not None:
             for step in range(limit):
@@ -488,7 +472,7 @@ class ExpertParallelEngine:
         if telemetry is not None:
             self.broker._record_dispatch_bytes(np.asarray(step_counts))
         if self.monitor is not None:
-            # The EP reference loop never builds a dispatch plan, so feed
+            # The EP per-step loop never builds a dispatch plan, so feed
             # the monitor (and the broker's worker-load gauges) explicitly.
             self.monitor.observe_step(step_counts, step=step)
             self.broker._publish_worker_load(self.placement.tokens_per_worker(
@@ -583,25 +567,6 @@ class ExpertParallelEngine:
         return sum(1 for w in range(n)
                    if self.topology.is_cross_node(w, (w + 1) % n))
 
-    default_trace_mode = "vectorized"
-
-    def run_trace(self, trace: RoutingTrace, max_steps: Optional[int] = None,
-                  mode: Optional[str] = None) -> RunMetrics:
-        """Replay every step of a routing trace.
-
-        ``mode`` selects the batched numpy replay (``"vectorized"``, the
-        default) or the original per-step loop (``"reference"``).
-        """
-        mode = resolve_trace_mode(mode, self.default_trace_mode)
-        limit = trace.num_steps if max_steps is None else min(max_steps,
-                                                              trace.num_steps)
-        if mode == "reference":
-            run = RunMetrics(strategy=self.strategy_name)
-            for step in range(limit):
-                run.append(self.run_step(trace.step_counts(step), step=step))
-            return run
-        return self._run_trace_vectorized(trace, limit)
-
     def _worker_pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-diagonal ``(N, N)`` latency and inverse-bandwidth matrices."""
         n = self.topology.num_workers
@@ -616,8 +581,11 @@ class ExpertParallelEngine:
                 inv_bw[a, b] = 1.0 / link.bandwidth_bytes_per_s
         return lat, inv_bw
 
-    def _run_trace_vectorized(self, trace: RoutingTrace,
-                              limit: int) -> RunMetrics:
+    def run_trace(self, trace: RoutingTrace,
+                  max_steps: Optional[int] = None) -> RunMetrics:
+        """Replay every step of a routing trace (or its first ``max_steps``)
+        as batched numpy reductions, equal to looping :meth:`run_step`."""
+        limit = replay_limit(trace, max_steps)
         config = self.config
         n = self.topology.num_workers
         num_layers = config.num_layers
@@ -663,7 +631,7 @@ class ExpertParallelEngine:
 
         payload_layer_sum = payload.sum(axis=2)               # (S, L)
         if self.telemetry is not None:
-            # Bytes-on-wire counters, matching the reference loop's
+            # Bytes-on-wire counters, matching the per-step loop's
             # all_to_all_time / ring_all_reduce_time accounting.
             self.telemetry.counter("comm.all_to_all.bytes").add(
                 float(4.0 * ((n - 1) * payload_layer_sum).sum()))
@@ -717,7 +685,7 @@ class ExpertParallelEngine:
                                    expert_forward: np.ndarray, head: float,
                                    allreduce: float,
                                    optimizer: float) -> None:
-        """Replay the vectorized arrays as the reference span sequence.
+        """Replay the vectorized arrays as the per-step span sequence.
 
         ``dispatch``/``gather``/``expert_forward`` are the per-(step, layer)
         forward-pass arrays; the backward pass repeats comm and doubles

@@ -18,7 +18,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..models.moe_block import MoEBlock, fused_dispatch
+from ..models.moe_block import MoEBlock
 from ..models.transformer import MoETransformer
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
@@ -94,16 +94,7 @@ class BrokeredMoEBlock(Module):
         # monolithic block — the paper's convergence-equivalence claim.
         expert_order = [expert_id for worker in sorted(worker_experts)
                         for expert_id in worker_experts[worker]]
-        executor = self.block.executor
-        if executor is not None and \
-                executor.can_run(self.block.layer_index):
-            from ..parallel.dispatch import executor_dispatch
-            total = executor_dispatch(executor, self.block.layer_index,
-                                      self.block.experts, tokens, gate_out,
-                                      expert_order=expert_order)
-        else:
-            total = fused_dispatch(self.block.experts, tokens, gate_out,
-                                   expert_order=expert_order)
+        total = self.block._dispatch_combine(tokens, gate_out, expert_order)
         return total.reshape(batch, seq, hidden)
 
 

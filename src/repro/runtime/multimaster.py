@@ -26,7 +26,8 @@ from ..models.config import MoEModelConfig
 from ..placement.base import Placement
 from ..routing.trace import RoutingTrace
 from .broker import ExpertBroker
-from .engine import lora_backbone_param_count, lora_expert_param_count
+from .engine import (lora_backbone_param_count, lora_expert_param_count,
+                     replay_limit)
 from .flops import FlopModel
 from .metrics import RunMetrics, StepMetrics
 
@@ -196,8 +197,6 @@ class MultiMasterEngine:
                   max_steps: Optional[int] = None) -> RunMetrics:
         """Replay every step of a routing trace."""
         run = RunMetrics(strategy=self.strategy_name)
-        limit = trace.num_steps if max_steps is None else min(max_steps,
-                                                              trace.num_steps)
-        for step in range(limit):
+        for step in range(replay_limit(trace, max_steps)):
             run.append(self.run_step(trace.step_counts(step), step=step))
         return run

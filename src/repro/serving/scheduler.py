@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..models.moe_block import DISPATCH_MODES
 from ..models.transformer import MoETransformer
 from ..nn.attention import KVCache
 from ..nn.quant import quantize_expert_weights
@@ -258,13 +257,12 @@ class ContinuousBatchingEngine:
 
     Knobs: ``max_slots`` (KV pool size = max concurrent requests),
     ``admission``, ``eos_token_id``, ``max_len`` (per-slot cache length,
-    default the model's ``max_seq_len``), ``dispatch`` (fused | reference
-    MoE dispatch), ``weight_format`` (native | int8), ``executor`` (a
-    :mod:`repro.parallel` process-pool executor), ``events`` (a
-    :class:`~repro.telemetry.events.EventLog` receiving ``request_admit``
-    / ``request_evict`` / ``placement_swap`` events), and ``prefetch`` (a
-    :class:`~repro.serving.prefetch.PrefetchConfig` attaching the
-    predictive prefetch + hot-expert replication sidecar).
+    default the model's ``max_seq_len``), ``weight_format`` (native |
+    int8), ``executor`` (a :mod:`repro.parallel` process-pool executor),
+    ``events`` (a :class:`~repro.telemetry.events.EventLog` receiving
+    ``request_admit`` / ``request_evict`` / ``placement_swap`` events), and
+    ``prefetch`` (a :class:`~repro.serving.prefetch.PrefetchConfig`
+    attaching the predictive prefetch + hot-expert replication sidecar).
 
     With ``telemetry=``, the run feeds ``serve.queueing_s``,
     ``serve.ttft_s``, ``serve.token_latency_s`` (every generated token,
@@ -292,7 +290,6 @@ class ContinuousBatchingEngine:
     """
 
     def __init__(self, model: MoETransformer, max_slots: int = 8,
-                 dispatch: str = "fused",
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
                  events: Optional[EventLog] = None,
@@ -304,9 +301,6 @@ class ContinuousBatchingEngine:
         if admission not in ADMISSION_POLICIES:
             raise ValueError(f"admission must be one of "
                              f"{ADMISSION_POLICIES}, got {admission!r}")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(f"dispatch must be one of {DISPATCH_MODES}, "
-                             f"got {dispatch!r}")
         if weight_format not in WEIGHT_FORMATS:
             raise ValueError(f"weight_format must be one of "
                              f"{WEIGHT_FORMATS}, got {weight_format!r}")
@@ -317,7 +311,6 @@ class ContinuousBatchingEngine:
                 raise TypeError(f"{name} must be a {kind.__name__}, "
                                 f"got {type(sidecar).__name__}")
         self.model = model
-        self.model.set_dispatch_mode(dispatch)
         self.telemetry = telemetry
         self.monitor = monitor
         self.executor = executor
@@ -737,13 +730,13 @@ class LiveDecodeEngine(ContinuousBatchingEngine):
     forward.
     """
 
-    def __init__(self, model: MoETransformer, dispatch: str = "fused",
+    def __init__(self, model: MoETransformer,
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
                  executor=None, weight_format: str = "native",
                  events=None, prefetch=None, tracing=None, flight=None):
         # decode() sizes the slot pool to each call's batch.
-        super().__init__(model, max_slots=1, max_len=1, dispatch=dispatch,
+        super().__init__(model, max_slots=1, max_len=1,
                          telemetry=telemetry, monitor=monitor,
                          events=events, executor=executor,
                          weight_format=weight_format, prefetch=prefetch,

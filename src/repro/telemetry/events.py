@@ -237,10 +237,17 @@ class RunManifest:
                    final_metrics=dict(data.get("final_metrics", {})))
 
     def save(self, path) -> None:
-        """Write the manifest as pretty-printed JSON (atomic overwrite)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        """Write the manifest as pretty-printed JSON (atomic overwrite).
+
+        Serializes first, then writes ``<path>.tmp`` and renames it over
+        ``path``: a manifest that fails to serialize leaves the previous
+        file intact.
+        """
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        tmp = f"{os.fspath(path)}.tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "RunManifest":

@@ -6,8 +6,9 @@ import pytest
 from repro.data import LMDataLoader
 from repro.finetune import FineTuneConfig, Trainer
 from repro.finetune.trainer import _merge_records
-from repro.models import build_model
+from repro.models import build_model, moe_block
 from repro.models.moe_block import BlockRoutingRecord
+from tests.oracles import reference_dispatch
 
 
 @pytest.fixture
@@ -17,33 +18,22 @@ def loader(nano_config, rng):
 
 
 class TestDispatchConfig:
-    def test_default_is_fused(self):
-        assert FineTuneConfig().dispatch == "fused"
-
-    def test_invalid_dispatch_rejected(self):
-        with pytest.raises(ValueError):
-            FineTuneConfig(dispatch="eager")
-
-    def test_trainer_applies_dispatch_mode(self, nano_config, loader):
-        model = build_model(nano_config)
-        trainer = Trainer(model, loader,
-                          FineTuneConfig(steps=2, dispatch="reference"))
-        trainer.train()
-        assert all(b.moe.dispatch == "reference" for b in model.blocks)
-
     def test_fused_and_reference_trainers_converge_identically(
-            self, nano_config):
+            self, nano_config, monkeypatch):
+        """Training with the reference dispatch oracle swapped in for
+        ``fused_dispatch`` gives the fused trainer's losses."""
         tokens = np.random.default_rng(0).integers(
             0, nano_config.vocab_size, size=800)
-        results = {}
-        for mode in ("fused", "reference"):
+
+        def losses():
             model = build_model(nano_config)
             loader = LMDataLoader(tokens, batch_size=2, seq_len=16, seed=0)
-            trainer = Trainer(model, loader,
-                              FineTuneConfig(steps=3, dispatch=mode))
-            results[mode] = trainer.train().losses
-        np.testing.assert_allclose(results["fused"], results["reference"],
-                                   rtol=1e-9)
+            return Trainer(model, loader,
+                           FineTuneConfig(steps=3)).train().losses
+
+        fused = losses()
+        monkeypatch.setattr(moe_block, "fused_dispatch", reference_dispatch)
+        np.testing.assert_allclose(fused, losses(), rtol=1e-9)
 
 
 class TestRecordProbsInTrainLoop:

@@ -1,27 +1,33 @@
-"""Fused vs reference MoE dispatch: equivalence, gradcheck, flags.
+"""The MoE dispatch layout: fused vs the reference oracle, array vs fused.
 
 The fused sort → segment-GEMM → scatter-add path must be numerically
-interchangeable with the seed's per-(slot, expert) reference loop — outputs,
-input gradients, and every parameter gradient — including the degenerate
-routing shapes (empty experts, a single expert, top_k == num_experts).
+interchangeable with the per-(slot, expert) reference loop
+(:func:`tests.oracles.reference_dispatch`) — outputs, input gradients, and
+every parameter gradient — including the degenerate routing shapes (empty
+experts, a single expert, top_k == num_experts).  The array dispatch of
+the inference path must equal the fused dispatch bit for bit, and so must
+every expert ordering.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.models import MoEBlock
+from repro.models import MoEBlock, moe_block
 from repro.models.expert import ExpertFFN
-from repro.models.moe_block import DISPATCH_MODES
-from repro.nn import Tensor
+from repro.models.moe_block import array_dispatch, fused_dispatch
+from repro.nn import Tensor, default_dtype
 from tests.conftest import numeric_gradient
+from tests.oracles import reference_dispatch
+
+HIDDEN, FFN_HIDDEN = 12, 24
 
 
-def _paired_blocks(num_experts, top_k, hidden=12, ffn=24, seed=7):
-    ref = MoEBlock(hidden, ffn, num_experts, top_k,
-                   rng=np.random.default_rng(seed), dispatch="reference")
-    fused = MoEBlock(hidden, ffn, num_experts, top_k,
-                     rng=np.random.default_rng(seed), dispatch="fused")
-    return ref, fused
+def _block(num_experts, top_k, dtype=np.float64, seed=7):
+    with default_dtype(dtype):
+        return MoEBlock(HIDDEN, FFN_HIDDEN, num_experts, top_k,
+                        rng=np.random.default_rng(seed))
 
 
 def _run(block, x):
@@ -29,6 +35,29 @@ def _run(block, x):
     out = block(xt)
     out.backward(np.ones_like(out.data))
     return out.data, xt.grad
+
+
+def _dispatch_with_grads(dispatch, num_experts, top_k, x):
+    """One float64 dispatch through a fresh seeded block's gate, backward
+    included; returns the block, the output and the input gradient."""
+    block = _block(num_experts, top_k)
+    xt = Tensor(x, requires_grad=True)
+    out = dispatch(block.experts, xt, block.gate(xt))
+    out.backward(np.ones_like(out.data))
+    return block, out.data, xt.grad
+
+
+def assert_same_gradients(block, oracle_block, atol=1e-11):
+    """Every parameter gradient of ``block`` matches ``oracle_block``'s,
+    including which parameters got none."""
+    oracle_params = dict(oracle_block.named_parameters())
+    for name, param in block.named_parameters():
+        want = oracle_params[name].grad
+        if want is None:
+            assert param.grad is None, name
+        else:
+            np.testing.assert_allclose(param.grad, want, rtol=0, atol=atol,
+                                       err_msg=name)
 
 
 class TestFusedReferenceEquivalence:
@@ -39,45 +68,95 @@ class TestFusedReferenceEquivalence:
         (1, 1, 16),      # single expert
         (4, 4, 20),      # top_k == num_experts: every expert gets all tokens
     ])
-    def test_outputs_and_gradients_match(self, num_experts, top_k, tokens):
-        ref, fused = _paired_blocks(num_experts, top_k)
-        x = np.random.default_rng(3).normal(size=(1, tokens, 12))
-        out_ref, gx_ref = _run(ref, x)
+    def test_outputs_and_gradients_match(self, monkeypatch, num_experts,
+                                         top_k, tokens):
+        """Model level: the block's forward with the oracle swapped in for
+        ``fused_dispatch`` matches the block's own forward."""
+        x = np.random.default_rng(3).normal(size=(1, tokens, HIDDEN))
+        fused = _block(num_experts, top_k)
         out_fused, gx_fused = _run(fused, x)
+        monkeypatch.setattr(moe_block, "fused_dispatch", reference_dispatch)
+        ref = _block(num_experts, top_k)
+        out_ref, gx_ref = _run(ref, x)
         np.testing.assert_allclose(out_fused, out_ref, atol=1e-11)
         np.testing.assert_allclose(gx_fused, gx_ref, atol=1e-11)
-        ref_params = dict(ref.named_parameters())
-        for name, p_fused in fused.named_parameters():
-            p_ref = ref_params[name]
-            if p_ref.grad is None:
-                assert p_fused.grad is None, name
-            else:
-                np.testing.assert_allclose(p_fused.grad, p_ref.grad,
-                                           atol=1e-11, err_msg=name)
+        assert_same_gradients(fused, ref)
 
     def test_unused_expert_gets_no_gradient(self):
         # 3 tokens x top-2 touch at most 6 of 8 experts.
-        ref, fused = _paired_blocks(8, 2)
-        x = np.random.default_rng(3).normal(size=(1, 3, 12))
-        _run(ref, x)
-        _run(fused, x)
-        used = set(fused.last_record.expert_indices.reshape(-1).tolist())
-        for expert_id, expert in enumerate(fused.experts):
+        block = _block(8, 2)
+        _run(block, np.random.default_rng(3).normal(size=(1, 3, HIDDEN)))
+        used = set(block.last_record.expert_indices.reshape(-1).tolist())
+        assert len(used) < 8
+        for expert_id, expert in enumerate(block.experts):
             has_grad = any(p.grad is not None for p in expert.parameters())
             assert has_grad == (expert_id in used)
 
     def test_brokered_equals_monolithic_bit_identical(self):
         # The runtime reorders experts by hosting worker; the fused dispatch
         # guarantees that ordering is bit-neutral.
-        from repro.models.gating import GateOutput
-        from repro.models.moe_block import fused_dispatch
-        block = MoEBlock(12, 24, 8, 2, rng=np.random.default_rng(7))
-        x = np.random.default_rng(3).normal(size=(40, 12))
+        block = _block(8, 2)
+        x = np.random.default_rng(3).normal(size=(40, HIDDEN))
         gate_out = block.gate(Tensor(x))
         out_default = fused_dispatch(block.experts, Tensor(x), gate_out)
         out_reordered = fused_dispatch(block.experts, Tensor(x), gate_out,
                                        expert_order=[5, 2, 7, 0, 1, 6, 3, 4])
         np.testing.assert_array_equal(out_default.data, out_reordered.data)
+
+
+@st.composite
+def routings(draw):
+    """A dispatch problem: expert count, top_k, token count (possibly
+    fewer tokens than experts), an expert order and an input seed."""
+    num_experts = draw(st.integers(1, 8))
+    top_k = draw(st.integers(1, num_experts))
+    tokens = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(num_experts)))
+    return num_experts, top_k, tokens, list(order), draw(st.integers(0, 99))
+
+
+class TestDispatchLayoutProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(routing=routings())
+    @example(routing=(8, 2, 48, list(range(8)), 3))
+    @example(routing=(8, 1, 32, list(range(8)), 3))
+    @example(routing=(8, 2, 3, [7, 6, 5, 4, 3, 2, 1, 0], 3))
+    @example(routing=(1, 1, 16, [0], 3))
+    @example(routing=(4, 4, 20, [2, 0, 3, 1], 3))
+    def test_layout_matches_oracles(self, routing):
+        """(a) ``array_dispatch`` equals ``fused_dispatch`` bitwise in
+        float32 and float64; (b) so does every ``expert_order``; (c) in
+        float64 the fused dispatch is within 1e-11 of the reference oracle
+        on the output, the input gradient and every parameter gradient,
+        and experts no token reaches get no gradient."""
+        num_experts, top_k, tokens, order, seed = routing
+        x = np.random.default_rng(seed).normal(size=(tokens, HIDDEN))
+        for dtype in (np.float32, np.float64):
+            block = _block(num_experts, top_k, dtype)
+            xt = Tensor(x.astype(dtype))
+            gate_out = block.gate(xt)
+            with default_dtype(dtype):
+                fused = fused_dispatch(block.experts, xt, gate_out).data
+                reordered = fused_dispatch(block.experts, xt, gate_out,
+                                           expert_order=order).data
+            array = array_dispatch(block.experts, xt.data,
+                                   gate_out.expert_indices,
+                                   gate_out.combine_weights.data)
+            assert fused.dtype == array.dtype == dtype
+            np.testing.assert_array_equal(array, fused)
+            np.testing.assert_array_equal(reordered, fused)
+
+        block, out, gx = _dispatch_with_grads(fused_dispatch, num_experts,
+                                              top_k, x)
+        oracle, out_ref, gx_ref = _dispatch_with_grads(
+            reference_dispatch, num_experts, top_k, x)
+        np.testing.assert_allclose(out, out_ref, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(gx, gx_ref, rtol=0, atol=1e-11)
+        assert_same_gradients(block, oracle)
+        used = set(block.gate(Tensor(x)).expert_indices.reshape(-1).tolist())
+        for expert_id, expert in enumerate(block.experts):
+            assert (expert.w_gate.weight.grad is not None) == \
+                (expert_id in used)
 
 
 class TestFusedDispatchGradcheck:
@@ -97,27 +176,6 @@ class TestFusedDispatchGradcheck:
         # keeps all tokens away from selection boundaries at eps=1e-6.
         numeric = numeric_gradient(fn, x.copy())
         np.testing.assert_allclose(xt.grad, numeric, atol=1e-5)
-
-
-class TestDispatchFlag:
-    def test_default_is_fused(self):
-        block = MoEBlock(8, 16, 4, 2, rng=np.random.default_rng(0))
-        assert block.dispatch == "fused"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MoEBlock(8, 16, 4, 2, dispatch="eager")
-
-    def test_modes_tuple(self):
-        assert DISPATCH_MODES == ("fused", "reference")
-
-    def test_set_dispatch_mode_on_transformer(self, nano_model):
-        nano_model.set_dispatch_mode("reference")
-        assert all(b.moe.dispatch == "reference" for b in nano_model.blocks)
-        nano_model.set_dispatch_mode("fused")
-        assert all(b.moe.dispatch == "fused" for b in nano_model.blocks)
-        with pytest.raises(ValueError):
-            nano_model.set_dispatch_mode("bogus")
 
 
 class TestRecordProbs:

@@ -109,10 +109,6 @@ class TestSingleTokenDispatchFastPath:
         block(x)                       # gradients on: Tensor path
         assert block.last_record is not None and not calls
         with no_grad():
-            block.dispatch = "reference"
-            block(x)                   # reference dispatch: Tensor path
-            assert not calls
-            block.dispatch = "fused"
             block.gate.aux_loss_weight = 0.1
             block(x)                   # aux loss needs the Tensor gate
             assert not calls and block.last_aux_loss is not None

@@ -1,0 +1,141 @@
+"""Reference implementations the optimized library paths are checked against.
+
+Each oracle is the plain, readable form of a computation whose fast form
+lives in ``src/``; the equivalence tests and the benchmarks that time the
+speedup import them from here.
+
+* :func:`reference_dispatch` — the per-(slot, expert) MoE dispatch loop
+  with an ``np.add.at`` scatter, against
+  :func:`repro.models.moe_block.fused_dispatch` (same signature, so a test
+  can swap it in with ``monkeypatch.setattr(moe_block, "fused_dispatch",
+  reference_dispatch)``).
+* :func:`replay_per_step` — a trace replay as a loop over the public
+  ``run_step``, against the engines' batched ``run_trace``.
+* :class:`ScanLocalSearchRefiner` — local search scoring one candidate at
+  a time, against :class:`repro.placement.local_search.LocalSearchRefiner`.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.nn.tensor import Tensor
+from repro.placement.local_search import LocalSearchRefiner
+from repro.runtime.engine import replay_limit
+from repro.runtime.metrics import RunMetrics
+
+
+def _scatter_rows_add_at(values: Tensor, row_ids: np.ndarray,
+                         num_rows: int) -> Tensor:
+    """Scatter-add ``values`` into ``num_rows`` zero rows (``np.add.at``)."""
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    out_data = np.zeros((num_rows, values.data.shape[1]),
+                        dtype=values.data.dtype)
+    np.add.at(out_data, row_ids, values.data)
+
+    def backward(g: np.ndarray):
+        return (g[row_ids],)
+
+    return Tensor._make(out_data, (values,), backward)
+
+
+def reference_dispatch(experts, tokens: Tensor, gate_out,
+                       expert_order=None) -> Tensor:
+    """The per-(slot, expert) MoE dispatch.
+
+    Tokens are grouped per (slot, expert) so each expert runs once per
+    slot on a contiguous batch through its layer-by-layer ``forward``;
+    every pair materializes a full ``(tokens, hidden)`` scatter buffer,
+    summed by a Python reduction.  ``expert_order`` is accepted for
+    signature compatibility and ignored: the loop order is fixed.
+    """
+    num_tokens = tokens.shape[0]
+    contributions: List[Tensor] = []
+    for slot in range(gate_out.top_k):
+        slot_experts = gate_out.expert_indices[:, slot]
+        slot_weights = gate_out.combine_weights[(np.arange(num_tokens),
+                                                 np.full(num_tokens, slot))]
+        for expert_id in np.unique(slot_experts):
+            token_ids = np.nonzero(slot_experts == expert_id)[0]
+            expert_out = experts[int(expert_id)](tokens[token_ids])
+            weights = slot_weights[token_ids].reshape(-1, 1)
+            contributions.append(_scatter_rows_add_at(
+                expert_out * weights, token_ids, num_tokens))
+    total = contributions[0]
+    for extra in contributions[1:]:
+        total = total + extra
+    return total
+
+
+def replay_per_step(engine, trace, max_steps: Optional[int] = None):
+    """Replay ``trace`` on ``engine`` one public ``run_step`` at a time.
+
+    Returns what the engine's ``run_trace`` returns: a
+    :class:`~repro.runtime.metrics.RunMetrics` for the step engines, the
+    list of per-step results for the event-driven engine.
+    """
+    steps = [engine.run_step(trace.step_counts(step), step=step)
+             for step in range(replay_limit(trace, max_steps))]
+    if not hasattr(engine, "strategy_name"):
+        return steps
+    run = RunMetrics(strategy=engine.strategy_name)
+    for metrics in steps:
+        run.append(metrics)
+    return run
+
+
+class ScanLocalSearchRefiner(LocalSearchRefiner):
+    """:class:`LocalSearchRefiner` scoring one candidate at a time."""
+
+    def _best_action(self, assignment, worker_time, loads, caps, coef):
+        num_workers, layers = worker_time.shape
+        experts = assignment.shape[1]
+        best_delta = -1e-15
+        best_action: Optional[Tuple] = None
+        for l in range(layers):
+            current_max = worker_time[:, l].max()
+            order = np.argsort(-worker_time[:, l])
+            bottleneck = order[0]
+            # moves: take an expert off the bottleneck worker
+            for e in range(experts):
+                if assignment[l, e] != bottleneck:
+                    continue
+                for target in range(num_workers):
+                    if target == bottleneck or loads[target] >= caps[target]:
+                        continue
+                    new_src = worker_time[bottleneck, l] - \
+                        coef[bottleneck, l, e]
+                    new_dst = worker_time[target, l] + coef[target, l, e]
+                    others = max((worker_time[n, l]
+                                  for n in range(num_workers)
+                                  if n not in (bottleneck, target)),
+                                 default=0.0)
+                    new_max = max(new_src, new_dst, others)
+                    delta = current_max - new_max
+                    if delta > best_delta:
+                        best_delta = delta
+                        best_action = ("move", l, e, bottleneck, target)
+            # swaps: exchange a bottleneck expert with another worker's
+            for e in range(experts):
+                if assignment[l, e] != bottleneck:
+                    continue
+                for e2 in range(experts):
+                    other = assignment[l, e2]
+                    if other == bottleneck:
+                        continue
+                    new_src = worker_time[bottleneck, l] \
+                        - coef[bottleneck, l, e] + coef[bottleneck, l, e2]
+                    new_dst = worker_time[other, l] \
+                        - coef[other, l, e2] + coef[other, l, e]
+                    others_max = max((worker_time[n, l]
+                                      for n in range(num_workers)
+                                      if n not in (bottleneck, other)),
+                                     default=0.0)
+                    new_max = max(new_src, new_dst, others_max)
+                    delta = current_max - new_max
+                    if delta > best_delta:
+                        best_delta = delta
+                        best_action = ("swap", l, e, bottleneck, e2, other)
+        return best_delta, best_action

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import ClusterTopology, Link, v100_32gb
+from repro.models import nano_moe
 from repro.placement import (ExactMILPPlacement, LocalityAwarePlacement,
                              LocalSearchRefiner, Placement, PlacementProblem,
                              RefinedLocalityPlacement, SequentialPlacement,
                              expected_step_comm_time)
+from tests.oracles import ScanLocalSearchRefiner
 
 
 class TestRefiner:
@@ -69,14 +74,19 @@ class TestRefiner:
 
 
 class TestModeEquivalence:
-    def _assert_same_refinement(self, start, problem):
-        ref = LocalSearchRefiner(mode="reference").refine(start, problem)
-        vec = LocalSearchRefiner(mode="vectorized").refine(start, problem)
+    """The delta-grid search against the per-candidate scan oracle."""
+
+    @staticmethod
+    def _assert_same_refinement(start, problem):
+        ref = ScanLocalSearchRefiner().refine(start, problem)
+        vec = LocalSearchRefiner().refine(start, problem)
+        assert vec.actions == ref.actions
         np.testing.assert_array_equal(vec.placement.assignment,
                                       ref.placement.assignment)
         assert vec.refined_objective == ref.refined_objective
         assert vec.moves_applied == ref.moves_applied
         assert vec.swaps_applied == ref.swaps_applied
+        return vec
 
     def test_identical_on_small_problem(self, small_problem):
         self._assert_same_refinement(
@@ -86,26 +96,50 @@ class TestModeEquivalence:
                                              small_topology,
                                              small_probability):
         """Exactly-tight capacities forbid every move, so the search must
-        swap — both modes must pick the identical swap sequence."""
+        swap — both must pick the identical swap sequence."""
         problem = PlacementProblem(config=nano_config,
                                    topology=small_topology,
                                    probability_matrix=small_probability,
                                    tokens_per_step=512,
                                    capacities=[2, 2, 2, 2])
         start = SequentialPlacement().place(problem)
-        ref = LocalSearchRefiner(mode="reference").refine(start, problem)
-        vec = LocalSearchRefiner(mode="vectorized").refine(start, problem)
-        np.testing.assert_array_equal(vec.placement.assignment,
-                                      ref.placement.assignment)
-        assert vec.swaps_applied == ref.swaps_applied > 0
-        assert vec.moves_applied == ref.moves_applied == 0
+        report = self._assert_same_refinement(start, problem)
+        assert report.swaps_applied > 0
+        assert report.moves_applied == 0
 
-    def test_default_mode_is_vectorized(self):
-        assert LocalSearchRefiner().mode == "vectorized"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            LocalSearchRefiner(mode="greedy")
+    @given(st.integers(1, 4), st.integers(2, 8), st.integers(1, 2),
+           st.integers(1, 3), st.booleans(), st.booleans(),
+           st.integers(16, 4096), st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_scan_oracle(self, layers, experts, nodes,
+                                          gpus, tight, rounded, tokens,
+                                          seed):
+        """Random problems — topology, tight or slack capacities, rounded
+        (tie-heavy) or raw locality profiles, a random feasible start —
+        give the oracle's action sequence, objective and assignment."""
+        rng = np.random.default_rng(seed)
+        config = nano_moe(num_layers=layers, num_experts=experts,
+                          top_k=int(rng.integers(1, experts + 1)))
+        topology = ClusterTopology(num_nodes=nodes, gpus_per_node=gpus,
+                                   device=v100_32gb(),
+                                   intra_link=Link(18.3e9, 10e-6),
+                                   cross_link=Link(1.17e9, 150e-6))
+        workers = topology.num_workers
+        total = layers * experts
+        caps = np.bincount(rng.integers(0, workers, size=total),
+                           minlength=workers)
+        if not tight:
+            caps += rng.integers(0, 3, size=workers)
+        p = rng.dirichlet(np.ones(experts), size=layers) * config.top_k
+        if rounded:
+            p = np.round(p, 1)
+        problem = PlacementProblem(config=config, topology=topology,
+                                   probability_matrix=p,
+                                   tokens_per_step=tokens,
+                                   capacities=caps.tolist())
+        seats = rng.permutation(np.repeat(np.arange(workers), caps))[:total]
+        self._assert_same_refinement(
+            Placement(seats.reshape(layers, experts)), problem)
 
 
 class TestMovesWithSlack:

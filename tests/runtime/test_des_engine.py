@@ -7,6 +7,8 @@ from repro.placement import PlacementProblem, SequentialPlacement
 from repro.routing import SyntheticRouter, WIKITEXT_REGIME
 from repro.runtime import (EventDrivenMasterWorker, MasterWorkerEngine,
                            contention_penalty)
+from repro.telemetry import Telemetry
+from tests.oracles import replay_per_step
 
 
 @pytest.fixture
@@ -52,8 +54,8 @@ class TestTraceReplay:
         cfg, topo, placement, trace = setup
         des = EventDrivenMasterWorker(cfg, topo, placement, 64, seq_len=16,
                                       nic_contention=False)
-        ref = des.run_trace(trace, mode="reference")
-        vec = des.run_trace(trace, mode="vectorized")
+        ref = replay_per_step(des, trace)
+        vec = des.run_trace(trace)
         assert len(vec) == len(ref) == trace.num_steps
         for a, b in zip(ref, vec):
             assert b.total_time == pytest.approx(a.total_time, rel=1e-9)
@@ -64,8 +66,8 @@ class TestTraceReplay:
         cfg, topo, placement, trace = setup
         des = EventDrivenMasterWorker(cfg, topo, placement, 64, seq_len=16,
                                       nic_contention=True)
-        vec = des.run_trace(trace)  # default mode, falls back internally
-        ref = des.run_trace(trace, mode="reference")
+        vec = des.run_trace(trace)  # falls back to the event loop
+        ref = replay_per_step(des, trace)
         for a, b in zip(ref, vec):
             assert b.total_time == pytest.approx(a.total_time, rel=1e-12)
             assert b.master_egress_busy["nic"] > 0
@@ -75,6 +77,18 @@ class TestTraceReplay:
         des = EventDrivenMasterWorker(cfg, topo, placement, 64, seq_len=16,
                                       nic_contention=False)
         assert len(des.run_trace(trace, max_steps=2)) == 2
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_negative_max_steps_rejected(self, setup, telemetry):
+        """Rejected before any work, on the batched and the event path."""
+        cfg, topo, placement, trace = setup
+        tel = Telemetry() if telemetry else None
+        des = EventDrivenMasterWorker(cfg, topo, placement, 64, seq_len=16,
+                                      telemetry=tel)
+        with pytest.raises(ValueError, match="max_steps"):
+            des.run_trace(trace, max_steps=-1)
+        if tel is not None:
+            assert not tel.spans
 
 
 class TestContention:

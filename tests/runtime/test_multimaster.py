@@ -116,6 +116,13 @@ class TestMultiMasterEngine:
         assert run.num_steps == trace.num_steps
         assert "dp2" in run.strategy
 
+    def test_negative_max_steps_rejected(self, setup):
+        cfg, topo, placement, trace = setup
+        engine = MultiMasterEngine(cfg, topo, placement, 64, 16,
+                                   master_ids=[0, 2])
+        with pytest.raises(ValueError, match="max_steps"):
+            engine.run_trace(trace, max_steps=-1)
+
 
 class TestBandwidthOverrideInLP:
     def test_override_changes_placement(self, nano_config, small_topology,

@@ -1,8 +1,8 @@
-"""Vectorized-vs-reference trace replay equivalence.
+"""Batched trace replay vs the per-step oracle.
 
-The batched ``run_trace(mode="vectorized")`` replay must reproduce the
-per-step reference loop — StepMetrics fields to 1e-9 on every paper cell,
-process bookkeeping included.
+The engines' batched ``run_trace`` must reproduce the per-step loop over
+``run_step`` (:func:`tests.oracles.replay_per_step`) — StepMetrics fields
+to 1e-9 on every paper cell, process bookkeeping included.
 """
 
 from functools import lru_cache
@@ -13,11 +13,11 @@ import pytest
 from repro.bench.workloads import paper_workload
 from repro.placement import PlacementProblem, SequentialPlacement
 from repro.placement.random_ import RandomPlacement
-from repro.routing import SyntheticRouter, WIKITEXT_REGIME
 from repro.routing.trace import RoutingTrace
 from repro.runtime import ExpertParallelEngine, MasterWorkerEngine
-from repro.runtime.engine import resolve_trace_mode
 from repro.runtime.overlap import OverlappedMasterWorkerEngine
+from repro.telemetry import Telemetry
+from tests.oracles import replay_per_step
 
 PAPER_CELLS = [("mixtral", "wikitext"), ("mixtral", "alpaca"),
                ("gritlm", "wikitext"), ("gritlm", "alpaca")]
@@ -59,8 +59,8 @@ class TestPaperCellEquivalence:
                                 cfg.tokens_per_step, cfg.seq_len)
         vec_engine = engine_cls(cfg.model, cfg.topology, placement,
                                 cfg.tokens_per_step, cfg.seq_len)
-        assert_runs_equal(ref_engine.run_trace(trace, mode="reference"),
-                          vec_engine.run_trace(trace, mode="vectorized"))
+        assert_runs_equal(replay_per_step(ref_engine, trace),
+                          vec_engine.run_trace(trace))
 
 
 class TestBookkeeping:
@@ -70,8 +70,8 @@ class TestBookkeeping:
                                  cfg.tokens_per_step, cfg.seq_len)
         vec = MasterWorkerEngine(cfg.model, cfg.topology, placement,
                                  cfg.tokens_per_step, cfg.seq_len)
-        ref.run_trace(trace, mode="reference")
-        vec.run_trace(trace, mode="vectorized")
+        replay_per_step(ref, trace)
+        vec.run_trace(trace)
         assert vec.master.stats.steps == ref.master.stats.steps
         assert vec.master.stats.compute_time == pytest.approx(
             ref.master.stats.compute_time, rel=1e-12)
@@ -110,8 +110,7 @@ class TestSmallScale:
             tokens_per_step=64))
         ref = engine_cls(nano_config, small_topology, placement, 64, 16)
         vec = engine_cls(nano_config, small_topology, placement, 64, 16)
-        assert_runs_equal(ref.run_trace(trace, mode="reference"),
-                          vec.run_trace(trace, mode="vectorized"))
+        assert_runs_equal(replay_per_step(ref, trace), vec.run_trace(trace))
 
     def test_max_steps_limits_replay(self, nano_config, small_topology):
         trace = self._trace_with_idle_workers(nano_config)
@@ -126,18 +125,31 @@ class TestSmallScale:
         run = engine.run_trace(trace, max_steps=3)
         assert len(run.steps) == 3
 
-    def test_unknown_mode_rejected(self, nano_config, small_topology):
-        trace = SyntheticRouter(nano_config, WIKITEXT_REGIME,
-                                seed=0).generate_trace(2, 64)
-        placement = SequentialPlacement().place(PlacementProblem(
-            config=nano_config, topology=small_topology,
-            probability_matrix=np.full(
-                (nano_config.num_layers, nano_config.num_experts),
-                nano_config.top_k / nano_config.num_experts),
-            tokens_per_step=64))
-        engine = MasterWorkerEngine(nano_config, small_topology, placement,
-                                    64, 16)
-        with pytest.raises(ValueError):
-            engine.run_trace(trace, mode="per-step")
-        with pytest.raises(ValueError):
-            resolve_trace_mode("fast", "vectorized")
+
+class TestNegativeMaxSteps:
+    """A negative ``max_steps`` is rejected before any work: sliced
+    naively it would replay the trace's tail and leave negative step
+    counts in the process bookkeeping."""
+
+    @staticmethod
+    def _rejected(engine_cls):
+        cfg, trace, placement = _paper_cell("mixtral", "wikitext")
+        telemetry = Telemetry()
+        engine = engine_cls(cfg.model, cfg.topology, placement,
+                            cfg.tokens_per_step, cfg.seq_len,
+                            telemetry=telemetry)
+        with pytest.raises(ValueError, match="max_steps"):
+            engine.run_trace(trace, max_steps=-1)
+        return engine, telemetry
+
+    def test_master_worker_engine(self):
+        engine, telemetry = self._rejected(MasterWorkerEngine)
+        assert engine.master.stats.steps == 0
+        assert engine.master.stats.compute_time == 0.0
+        assert all(w.stats.tokens_processed == 0 for w in engine.workers)
+        assert telemetry.counter_total("broker.dispatch_bytes") == 0.0
+
+    def test_expert_parallel_engine(self):
+        _, telemetry = self._rejected(ExpertParallelEngine)
+        assert telemetry.counter_total("comm.all_to_all.bytes") == 0.0
+        assert telemetry.counter_total("broker.dispatch_bytes") == 0.0

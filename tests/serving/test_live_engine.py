@@ -4,8 +4,10 @@ serve loop), checked against the full re-forward ``generate`` oracle."""
 import numpy as np
 import pytest
 
-from repro.models import build_model, generate, tiny_mistral
+from repro.models import (MoEBlock, build_model, generate, moe_block,
+                          tiny_mistral)
 from repro.serving import LiveDecodeEngine, serving_flags
+from tests.oracles import reference_dispatch
 
 
 def oracle(model, prompt_ids, num_tokens):
@@ -14,14 +16,12 @@ def oracle(model, prompt_ids, num_tokens):
                      [len(row):] for row in np.asarray(prompt_ids)])
 
 
-def run_path(path, model, prompt_ids, num_tokens, dispatch="fused"):
+def run_path(path, model, prompt_ids, num_tokens):
     """``cached``: the engine's KV-cached decode; ``reference``: the
     ``generate`` oracle under the serving flags, as the serving benchmark
-    times it.  Either way the model keeps ``dispatch`` afterwards."""
+    times it."""
     if path == "cached":
-        return LiveDecodeEngine(model, dispatch=dispatch).decode(prompt_ids,
-                                                                 num_tokens)
-    model.set_dispatch_mode(dispatch)
+        return LiveDecodeEngine(model).decode(prompt_ids, num_tokens)
     with serving_flags(model):
         return oracle(model, prompt_ids, num_tokens)
 
@@ -39,12 +39,17 @@ class TestLiveDecodeEngine:
         np.testing.assert_array_equal(engine.decode(prompt, 5),
                                       engine.decode(prompt, 5))
 
-    def test_dispatch_modes_decode_identically(self, nano_config):
+    def test_dispatch_modes_decode_identically(self, nano_config,
+                                               monkeypatch):
+        """The engine's array dispatch decodes the ids of the Tensor graph
+        path running the reference dispatch oracle."""
         model = build_model(nano_config)
         prompt = np.array([[1, 2, 3]])
-        out_fused = LiveDecodeEngine(model, dispatch="fused").decode(prompt, 5)
-        out_ref = LiveDecodeEngine(model, dispatch="reference").decode(prompt, 5)
-        np.testing.assert_array_equal(out_fused, out_ref)
+        out_array = LiveDecodeEngine(model).decode(prompt, 5)
+        monkeypatch.setattr(MoEBlock, "_array_ready", lambda self: False)
+        monkeypatch.setattr(moe_block, "fused_dispatch", reference_dispatch)
+        out_ref = LiveDecodeEngine(model).decode(prompt, 5)
+        np.testing.assert_array_equal(out_array, out_ref)
 
     def test_cached_and_reference_modes_decode_identically(self, nano_model):
         """Batches through the engine equal per-row ``generate``."""
@@ -59,10 +64,6 @@ class TestLiveDecodeEngine:
                 engine.decode(prompt, num_tokens),
                 oracle(nano_model, prompt, num_tokens),
                 err_msg=f"prompt {prompt.shape} tokens {num_tokens}")
-
-    def test_invalid_dispatch_rejected(self, nano_model):
-        with pytest.raises(ValueError):
-            LiveDecodeEngine(nano_model, dispatch="eager")
 
     @pytest.mark.parametrize("path", ["cached", "reference"])
     def test_routing_records_flow_without_probs(self, nano_model, path):
@@ -116,14 +117,13 @@ class TestLiveDecodeEngine:
 
 
 class TestFourWayEquivalence:
-    """dispatch {fused, reference} x decode path {cached, reference}.
+    """decode path {cached, reference} on a seeded tiny_mistral.
 
-    The equivalence grid the serving path rests on: greedy token ids must
-    be identical whichever dispatch implementation runs, through the
-    engine's KV-cached decode and through the full re-forward ``generate``
-    oracle, on a seeded tiny_mistral.  (The cached x reference-dispatch
-    cell exercises the incremental path with the Tensor dispatch instead
-    of the array dispatch.)
+    The equivalence the serving path rests on: greedy token ids must be
+    identical through the engine's KV-cached decode and through the full
+    re-forward ``generate`` oracle.  (The dispatch implementations are
+    pinned to each other at block level: ``tests/models/test_dispatch.py``
+    and ``tests/models/test_incremental.py``.)
     """
 
     @pytest.fixture(scope="class")
@@ -133,32 +133,21 @@ class TestFourWayEquivalence:
     def test_grid_greedy_ids_identical(self, tiny_model):
         prompt = np.random.default_rng(11).integers(
             0, tiny_model.config.vocab_size, size=(2, 12))
-        outputs = {}
-        for dispatch in ("fused", "reference"):
-            for path in ("cached", "reference"):
-                outputs[(dispatch, path)] = run_path(path, tiny_model,
-                                                     prompt, 10, dispatch)
-        tiny_model.set_dispatch_mode("fused")
-        baseline = outputs[("reference", "reference")]
+        cached = run_path("cached", tiny_model, prompt, 10)
+        baseline = run_path("reference", tiny_model, prompt, 10)
         assert baseline.shape == (2, 10)
-        for cell, out in outputs.items():
-            np.testing.assert_array_equal(out, baseline, err_msg=str(cell))
+        np.testing.assert_array_equal(cached, baseline)
 
     def test_grid_routing_counts_identical(self, tiny_model):
-        """The generated stream routes identically in every cell: the last
-        decode step's per-layer expert choices agree across the grid."""
+        """The generated stream routes identically on both paths: the last
+        decode step's per-layer expert choices agree."""
         prompt = np.random.default_rng(13).integers(
             0, tiny_model.config.vocab_size, size=(1, 8))
         choices = {}
-        for dispatch in ("fused", "reference"):
-            for path in ("cached", "reference"):
-                run_path(path, tiny_model, prompt, 6, dispatch)
-                choices[(dispatch, path)] = [
-                    record.expert_indices[-1].copy()
-                    for record in tiny_model.routing_records()]
-        tiny_model.set_dispatch_mode("fused")
-        baseline = choices[("reference", "reference")]
-        for cell, per_layer in choices.items():
-            for layer, (got, want) in enumerate(zip(per_layer, baseline)):
-                np.testing.assert_array_equal(got, want,
-                                              err_msg=f"{cell} layer {layer}")
+        for path in ("cached", "reference"):
+            run_path(path, tiny_model, prompt, 6)
+            choices[path] = [record.expert_indices[-1].copy()
+                             for record in tiny_model.routing_records()]
+        for layer, (got, want) in enumerate(zip(choices["cached"],
+                                                choices["reference"])):
+            np.testing.assert_array_equal(got, want, err_msg=f"layer {layer}")

@@ -78,29 +78,25 @@ class TestSingleRequestEquivalence:
     def tiny_config(self):
         return tiny_mistral(seed=0, max_seq_len=64)
 
-    @pytest.mark.parametrize("dispatch", ["fused", "reference"])
     @pytest.mark.parametrize("use_executor", [False, True])
-    def test_grid_bit_identical_to_live_engine(self, tiny_config, dispatch,
+    def test_grid_bit_identical_to_live_engine(self, tiny_config,
                                                use_executor):
-        """dispatch {fused, reference} x executor {off, on}: a single
-        request decoded through the continuous-batching engine yields
-        greedy ids bit-identical to LiveDecodeEngine.decode and to the
-        ``generate`` oracle."""
+        """executor {off, on}: a single request decoded through the
+        continuous-batching engine yields greedy ids bit-identical to
+        LiveDecodeEngine.decode and to the ``generate`` oracle."""
         prompt = np.random.default_rng(3).integers(
             0, tiny_config.vocab_size, size=12)
         model = build_model(tiny_config)
-        model.set_dispatch_mode(dispatch)
         baseline = solo_ids(model, prompt, 10)
         np.testing.assert_array_equal(
-            LiveDecodeEngine(model, dispatch=dispatch).decode(
-                prompt[None, :], 10)[0], baseline)
+            LiveDecodeEngine(model).decode(prompt[None, :], 10)[0],
+            baseline)
         executor = None
         try:
             if use_executor:
                 executor = make_executor(num_workers=2)
             engine = ContinuousBatchingEngine(build_model(tiny_config),
-                                              max_slots=4, dispatch=dispatch,
-                                              executor=executor)
+                                              max_slots=4, executor=executor)
             metrics = engine.serve([make_request(0, prompt, 10)])
         finally:
             if executor is not None:
@@ -284,8 +280,6 @@ class TestValidation:
             ContinuousBatchingEngine(nano_model, admission="priority")
         with pytest.raises(ValueError):
             ContinuousBatchingEngine(nano_model, max_slots=0)
-        with pytest.raises(ValueError):
-            ContinuousBatchingEngine(nano_model, dispatch="eager")
 
     def test_rejects_promptless_and_oversized(self, nano_model, nano_config):
         engine = ContinuousBatchingEngine(nano_model, max_slots=2)

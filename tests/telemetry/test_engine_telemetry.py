@@ -2,13 +2,15 @@
 
 The load-bearing invariants:
 
-* telemetry on vs off changes **no** ``StepMetrics`` field, in either
-  replay mode — observation must not perturb the simulation;
-* both replay modes emit the identical span sequence;
+* telemetry on vs off changes **no** ``StepMetrics`` field, in the
+  batched ``run_trace`` replay or the per-step ``run_step`` loop (the
+  ``replay_per_step`` oracle) — observation must not perturb the
+  simulation;
+* both replays emit the identical span sequence;
 * per-step span durations tile ``total_time`` exactly (serialized
   engines), and the category sums recover the comm/sync/allreduce
   aggregates;
-* broker/collective byte counters agree across modes.
+* broker/collective byte counters agree across the two replays.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.runtime import ExpertParallelEngine, MasterWorkerEngine
 from repro.runtime.des_engine import EventDrivenMasterWorker
 from repro.runtime.overlap import OverlappedMasterWorkerEngine
 from repro.telemetry import Telemetry
+from tests.oracles import replay_per_step
 
 METRIC_FIELDS = ("total_time", "comm_time", "compute_time", "sync_time",
                  "allreduce_time", "total_bytes", "cross_node_bytes")
@@ -48,10 +51,14 @@ def _cell():
 
 
 def _run(engine_cls, mode, telemetry=None):
+    """Replay the cell batched (``"vectorized"``) or one ``run_step`` at a
+    time (``"reference"``)."""
     cfg, trace, placement = _cell()
     engine = engine_cls(cfg.model, cfg.topology, placement,
                         cfg.tokens_per_step, cfg.seq_len, telemetry=telemetry)
-    return engine.run_trace(trace, mode=mode)
+    if mode == "reference":
+        return replay_per_step(engine, trace)
+    return engine.run_trace(trace)
 
 
 class TestObservationDoesNotPerturb:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (EventLog, MonitorEvent, RunManifest,
@@ -177,6 +178,20 @@ class TestRunManifest:
         payload = json.loads(path.read_text())
         assert payload["run_id"] == "run-x"
         assert payload["status"] == "running"
+
+    def test_failed_save_keeps_previous_manifest(self, tmp_path):
+        """A save that cannot serialize (numpy scalars reach
+        ``final_metrics`` through ``end_run``) leaves the previous file
+        loadable and no temporary file behind."""
+        path = tmp_path / "manifest.json"
+        manifest = RunManifest(run_id="run-x")
+        manifest.save(path)
+        first = RunManifest.load(path).to_dict()
+        manifest.final_metrics = {"steps_done": np.int64(3)}
+        with pytest.raises(TypeError):
+            manifest.save(path)
+        assert RunManifest.load(path).to_dict() == first
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestGitRev:
