@@ -7,7 +7,7 @@ worker counts, plus the equivalence gates that make the parallel path
 trustworthy:
 
 * native format must match the in-process path *bit for bit* (the
-  workers replay ``fused_swiglu``'s exact op order);
+  workers run the array kernel inside ``fused_swiglu``);
 * int8 format must match an in-process model whose expert weights were
   round-tripped through the same quantizer *bit for bit* (absmax
   quantization is a fixed point), gated at ``1e-6`` to absorb future

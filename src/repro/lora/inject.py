@@ -44,7 +44,9 @@ def _replace_children(module: Module, path: str, config: LoRAConfig,
         child_path = f"{path}.{attr}" if path else attr
         if isinstance(value, Linear):
             if config.matches(child_path):
-                setattr(module, attr, LoRALinear(value, config, rng=rng))
+                setattr(module, attr, LoRALinear(
+                    value, config, rng=rng,
+                    ordinal=len(report.adapted_paths)))
                 report.adapted_paths.append(child_path)
             else:
                 report.skipped_paths.append(child_path)
@@ -56,7 +58,8 @@ def _replace_children(module: Module, path: str, config: LoRAConfig,
             for i, item in enumerate(value):
                 if isinstance(item, Linear) and config.matches(f"{child_path}.{i}"):
                     value = list(value)
-                    value[i] = LoRALinear(item, config, rng=rng)
+                    value[i] = LoRALinear(item, config, rng=rng,
+                                          ordinal=len(report.adapted_paths))
                     setattr(module, attr, value)
                     report.adapted_paths.append(f"{child_path}.{i}")
                 elif isinstance(item, Module):

@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..lora.adapter import LoRALinear
 from ..nn.functional import fused_swiglu
 from ..nn.layers import Linear, Module
 from ..nn.tensor import Tensor
@@ -41,7 +42,7 @@ class ExpertFFN(Module):
 
     def _fusable(self) -> bool:
         # LoRA injection swaps the projections for LoRALinear modules (and
-        # future variants may add biases); the fused kernel reads the plain
+        # future variants may add biases); the plain kernel reads the
         # weight matrices directly, so it only applies to the stock layout.
         # Spelled out: the inference path asks every block on every step.
         gate, up, down = self.w_gate, self.w_up, self.w_down
@@ -49,17 +50,32 @@ class ExpertFFN(Module):
                 and type(down) is Linear and gate.bias is None
                 and up.bias is None and down.bias is None)
 
+    def _lora_fusable(self) -> bool:
+        """Whether all three projections are LoRA over bias-free Linears."""
+        return all(type(p) is LoRALinear and type(p.base) is Linear
+                   and p.base.bias is None
+                   for p in (self.w_gate, self.w_up, self.w_down))
+
     def forward_fused(self, x: Tensor) -> Tensor:
         """Apply the expert through the single-node SwiGLU kernel.
 
-        Falls back to the layer-by-layer :meth:`forward` whenever the
-        projections are not plain bias-free ``Linear`` layers (e.g. after
-        LoRA injection), so callers can use this unconditionally.
+        Stock experts run :func:`fused_swiglu` on their weights; LoRA
+        experts pass their adapter factors too, with the dropout masks
+        drawn in gate, up, down order as the layered forward draws them.
+        Any other layout falls back to the layer-by-layer :meth:`forward`,
+        so callers can use this unconditionally.
         """
-        if not self._fusable():
+        if self._fusable():
+            return fused_swiglu(x, self.w_gate.weight, self.w_up.weight,
+                                self.w_down.weight)
+        if not self._lora_fusable():
             return self.forward(x)
-        return fused_swiglu(x, self.w_gate.weight, self.w_up.weight,
-                            self.w_down.weight)
+        hidden_shape = x.shape[:-1] + (self.ffn_hidden_size,)
+        lora = (self.w_gate.factors(x.shape, x.dtype),
+                self.w_up.factors(x.shape, x.dtype),
+                self.w_down.factors(hidden_shape, x.dtype))
+        return fused_swiglu(x, self.w_gate.base.weight, self.w_up.base.weight,
+                            self.w_down.base.weight, lora=lora)
 
     def num_params(self) -> int:
         """Parameter count."""

@@ -133,15 +133,22 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
+def dropout_mask(rng: np.random.Generator, shape: tuple, p: float,
+                 dtype) -> np.ndarray:
+    """An inverted-dropout mask: ``0`` with probability ``p``, else
+    ``1 / (1 - p)``, in ``dtype`` so a float32 input stays float32."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    return ((rng.random(shape) >= p) / (1.0 - p)).astype(dtype, copy=False)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout; identity when ``training`` is False or ``p == 0``."""
     if not training or p <= 0.0:
         return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     x = _as_tensor(x)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = dropout_mask(rng, x.shape, p, x.dtype)
     out_data = x.data * mask
     return Tensor._make(out_data, (x,), lambda g: (g * mask,))
 
@@ -219,49 +226,171 @@ def scatter_rows(values: Tensor, row_ids: np.ndarray, num_rows: int) -> Tensor:
     return Tensor._make(out_data, (values,), backward)
 
 
-def fused_swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor,
-                 w_down: Tensor) -> Tensor:
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` as a 2-D ``(rows, features)`` matrix (no-op when 2-D)."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
+
+
+def _project(x: np.ndarray, w: np.ndarray, adapter=None, bias=None):
+    """One projection ``x Wᵀ (+ b)``, plus the low-rank branch
+    ``((x·mask) Aᵀ) Bᵀ · s`` when ``adapter = (A, B, s, mask or None)``.
+
+    Works on the input's own shape, in the layered ``Linear`` +
+    ``LoRALinear`` op order, so the result matches that chain bit for bit.
+    Returns ``(y, saved)``; ``saved`` holds the branch's ``(x·mask, r)``
+    for :func:`_project_backward`.
+    """
+    y = x @ w.T
+    if bias is not None:
+        y = y + bias
+    if adapter is None:
+        return y, None
+    a, b, s, mask = adapter
+    xm = x if mask is None else x * mask
+    r = xm @ a.T
+    return y + (r @ b.T) * s, (xm, r)
+
+
+def _project_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, adapter,
+                      saved, need_x: bool, need_w: bool, need_a: bool = False,
+                      need_b: bool = False):
+    """Gradients ``(gx, gW, gA, gB)`` of :func:`_project`; ``None`` for
+    any not needed, so a frozen ``W`` costs no GEMM."""
+    gx = g @ w if need_x else None
+    gw = _flat(g).T @ _flat(x) if need_w else None
+    if adapter is None:
+        return gx, gw, None, None
+    a, b, s, mask = adapter
+    xm, r = saved
+    gs = g * s
+    gr = gs @ b
+    ga = _flat(gr).T @ _flat(xm) if need_a else None
+    gb = _flat(gs).T @ _flat(r) if need_b else None
+    if need_x:
+        gxm = gr @ a
+        if mask is not None:
+            gxm *= mask
+        gx += gxm
+    return gx, gw, ga, gb
+
+
+def lora_linear(x: Tensor, weight: Tensor, lora_a: Tensor, lora_b: Tensor,
+                scaling: float, mask: Optional[np.ndarray] = None,
+                bias: Optional[Tensor] = None) -> Tensor:
+    """LoRA projection ``x Wᵀ + b + ((x·mask) Aᵀ) Bᵀ · s`` as one node.
+
+    The forward is the layered ``Linear`` + low-rank chain's, bit for bit;
+    the backward skips the GEMM of every input that does not require grad
+    (the frozen ``W`` of the fine-tuning recipe).  ``mask`` is the
+    inverted-dropout mask of the branch input, or ``None``.
+    """
+    adapter = (lora_a.data, lora_b.data, scaling, mask)
+    y, saved = _project(x.data, weight.data, adapter,
+                        None if bias is None else bias.data)
+    parents = (x, weight, lora_a, lora_b) + ((bias,) if bias is not None
+                                             else ())
+
+    def backward(g: np.ndarray):
+        grads = _project_backward(g, x.data, weight.data, adapter, saved,
+                                  x.requires_grad, weight.requires_grad,
+                                  lora_a.requires_grad, lora_b.requires_grad)
+        if bias is None or not bias.requires_grad:
+            return grads
+        return (*grads, _flat(g).sum(axis=0))
+
+    return Tensor._make(y, parents, backward)
+
+
+def swiglu_forward(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
+                   w_down: np.ndarray, lora=None):
+    """The SwiGLU FFN ``(silu(x Wg^T) * (x Wu^T)) Wd^T`` on plain arrays.
+
+    ``lora`` is ``None`` or one ``(A, B, scaling, mask or None)`` entry per
+    projection (gate, up, down), each adding its low-rank branch as
+    :func:`_project` does.  Without adapters the op order is
+    :func:`swiglu_infer`'s.  Returns ``(y, saved)`` for
+    :func:`swiglu_backward`.
+    """
+    ad_gate, ad_up, ad_down = lora if lora is not None else (None,) * 3
+    g, saved_gate = _project(x, w_gate, ad_gate)
+    u, saved_up = _project(x, w_up, ad_up)
+    sig = 1.0 / (1.0 + np.exp(-g))
+    s = g * sig
+    h = s * u
+    y, saved_down = _project(h, w_down, ad_down)
+    return y, (g, u, sig, s, h, saved_gate, saved_up, saved_down)
+
+
+def swiglu_backward(gy: np.ndarray, x: np.ndarray, w_gate: np.ndarray,
+                    w_up: np.ndarray, w_down: np.ndarray, lora, saved,
+                    needs) -> tuple:
+    """The gradients of :func:`swiglu_forward`, in one pass.
+
+    ``needs`` flags which gradients to compute, in parent order: ``x``,
+    ``w_gate``, ``w_up``, ``w_down``, then (with ``lora``) ``A``, ``B`` of
+    gate, up and down.  Returns one gradient per flag, ``None`` where the
+    flag is off.
+    """
+    g, u, sig, s, h, saved_gate, saved_up, saved_down = saved
+    ad_gate, ad_up, ad_down = lora if lora is not None else (None,) * 3
+    need_x, need_gate, need_up, need_down = needs[:4]
+    need_ab = needs[4:]
+    gh, gw_down, ga_down, gb_down = _project_backward(
+        gy, h, w_down, ad_down, saved_down, True, need_down, *need_ab[4:])
+    gu = gh * s
+    # d silu(g)/dg = sig + g * sig * (1 - sig), same form as Tensor.silu,
+    # built up in place to avoid three (n, ffn) temporaries.
+    dsilu = 1.0 - sig
+    dsilu *= sig
+    dsilu *= g
+    dsilu += sig
+    gg = gh * u
+    gg *= dsilu
+    gx, gw_gate, ga_gate, gb_gate = _project_backward(
+        gg, x, w_gate, ad_gate, saved_gate, need_x, need_gate, *need_ab[:2])
+    gx_up, gw_up, ga_up, gb_up = _project_backward(
+        gu, x, w_up, ad_up, saved_up, need_x, need_up, *need_ab[2:4])
+    if need_x:
+        gx += gx_up
+    grads = (gx, gw_gate, gw_up, gw_down)
+    if lora is None:
+        return grads
+    return grads + (ga_gate, gb_gate, ga_up, gb_up, ga_down, gb_down)
+
+
+def fused_swiglu(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor,
+                 lora=None) -> Tensor:
     """SwiGLU FFN ``(silu(x Wg^T) * (x Wu^T)) Wd^T`` as one autograd node.
 
     Functionally identical to chaining three ``Linear`` layers with ``silu``
     and ``*``, but the whole expert runs as a single graph node with a
-    hand-written single-pass backward: no intermediate ``Tensor`` wrappers,
-    no transpose nodes, and the weight-gradient GEMMs are skipped outright
-    for frozen weights (gate-frozen fine-tuning, inference).  This is the
-    per-expert kernel of the fused MoE dispatch hot loop.
+    hand-written single-pass backward (:func:`swiglu_forward` /
+    :func:`swiglu_backward`): no intermediate ``Tensor`` wrappers, no
+    transpose nodes, and the gradient GEMMs of frozen inputs are skipped
+    outright (gate-frozen fine-tuning, LoRA's frozen bases, inference).
+    This is the per-expert kernel of the fused MoE dispatch hot loop.
 
-    Weights use the ``Linear`` layout: ``w_gate``/``w_up`` are
-    ``(ffn, hidden)``, ``w_down`` is ``(hidden, ffn)``.
+    ``lora`` is ``None`` or three ``(A, B, scaling, mask or None)`` entries,
+    one per projection, with ``A``/``B`` the adapter Tensors: the node then
+    runs LoRA-wrapped projections, forward bitwise equal to the layered
+    ``LoRALinear`` chain, and its parents are ``x``, the three weights and
+    the six adapter matrices.  Weights use the ``Linear`` layout:
+    ``w_gate``/``w_up`` are ``(ffn, hidden)``, ``w_down`` is
+    ``(hidden, ffn)``.
     """
-    xd = x.data
-    g = xd @ w_gate.data.T
-    u = xd @ w_up.data.T
-    sig = 1.0 / (1.0 + np.exp(-g))
-    s = g * sig
-    h = s * u
-    out_data = h @ w_down.data.T
+    parents = (x, w_gate, w_up, w_down)
+    arrays = None
+    if lora is not None:
+        arrays = tuple((a.data, b.data, s, mask) for a, b, s, mask in lora)
+        parents += tuple(t for a, b, _, _ in lora for t in (a, b))
+    weights = (w_gate.data, w_up.data, w_down.data)
+    out_data, saved = swiglu_forward(x.data, *weights, arrays)
 
     def backward(gy: np.ndarray):
-        gh = gy @ w_down.data
-        gu = gh * s
-        # d silu(g)/dg = sig + g * sig * (1 - sig), same form as Tensor.silu,
-        # built up in place to avoid three (n, ffn) temporaries.
-        dsilu = 1.0 - sig
-        dsilu *= sig
-        dsilu *= g
-        dsilu += sig
-        gg = gh * u
-        gg *= dsilu
-        gx = None
-        if x.requires_grad:
-            gx = gg @ w_gate.data
-            gx += gu @ w_up.data
-        gw_gate = gg.T @ xd if w_gate.requires_grad else None
-        gw_up = gu.T @ xd if w_up.requires_grad else None
-        gw_down = gy.T @ h if w_down.requires_grad else None
-        return (gx, gw_gate, gw_up, gw_down)
+        return swiglu_backward(gy, x.data, *weights, arrays, saved,
+                               tuple(p.requires_grad for p in parents))
 
-    return Tensor._make(out_data, (x, w_gate, w_up, w_down), backward)
+    return Tensor._make(out_data, parents, backward)
 
 
 def swiglu_infer(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,

@@ -12,11 +12,11 @@ sub-nodes, and the whole layer collapses into a single
 :class:`~repro.nn.tensor.Tensor` graph node whose parents are
 ``(tokens, combine_weights, *trainable weights)``.
 
-The worker kernels replay ``fused_swiglu``'s operation order, so for
-native-format plain-Linear experts the node is bit-identical to the
-in-process fused path; for LoRA experts the workers materialize
-``W + s·BA`` (the merged weight), which agrees with the layered in-process
-computation to float64 rounding.
+The worker tasks run :func:`~repro.nn.functional.swiglu_forward` and
+:func:`~repro.nn.functional.swiglu_backward`, the array kernel inside the
+in-process :func:`~repro.nn.functional.fused_swiglu` node, with the same
+adapter factors, so for native-format experts — plain or LoRA — the node
+is bit-identical to the in-process fused path.
 """
 
 from __future__ import annotations
@@ -25,21 +25,33 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..lora.adapter import LoRALinear
 from ..models.moe_block import combine_backward, dispatch_plan, unpermute_fold
 from ..nn.tensor import Tensor, _segment_sum_rows
 
-def _adapter_payload(expert):
-    """Per-projection ``(A, B, scaling)`` triples, or ``None`` if plain.
 
-    The arrays are the live parameter buffers (no copies); tasks pickle
-    them on their way to the workers, so the workers always see the
-    adapters as of the current step.
+def _kernel_operands(expert):
+    """``(lora, params)`` of one expert's SwiGLU kernel call.
+
+    ``lora`` is ``None`` for a plain expert, else one ``(A, B, scaling,
+    None)`` entry per LoRA projection (``None`` for a plain one), over the
+    live adapter buffers: tasks pickle them on their way to the workers,
+    so the workers always see the adapters as of the current step.
+    ``params`` lists the parameter Tensors in
+    :func:`~repro.nn.functional.swiglu_backward`'s gradient order after
+    ``x`` (the three base weights, then ``A``, ``B`` per projection),
+    ``None`` where a plain projection has no adapter.
     """
     projections = (expert.w_gate, expert.w_up, expert.w_down)
-    if not any(hasattr(p, "lora_a") for p in projections):
-        return None
-    return tuple((p.lora_a.data, p.lora_b.data, p.config.scaling)
-                 for p in projections)
+    params = [getattr(p, "base", p).weight for p in projections]
+    if not any(isinstance(p, LoRALinear) for p in projections):
+        return None, params
+    lora = tuple((p.lora_a.data, p.lora_b.data, p.config.scaling, None)
+                 if isinstance(p, LoRALinear) else None for p in projections)
+    for p in projections:
+        params += ((p.lora_a, p.lora_b) if isinstance(p, LoRALinear)
+                   else (None, None))
+    return lora, params
 
 
 def executor_dispatch(executor, layer: int, experts, tokens: Tensor,
@@ -59,61 +71,37 @@ def executor_dispatch(executor, layer: int, experts, tokens: Tensor,
     order, segments = dispatch_plan(gate_out.expert_indices, len(experts),
                                     expert_order)
     token_ids = order // top_k
-    tasks = [(layer, expert, tokens.data[token_ids[lo:hi]],
-              _adapter_payload(experts[expert]))
-             for expert, lo, hi in segments]
+    operands = [_kernel_operands(experts[expert]) for expert, _, _ in segments]
+    tasks = [(layer, expert, tokens.data[token_ids[lo:hi]], lora)
+             for (expert, lo, hi), (lora, _) in zip(segments, operands)]
     rows = np.concatenate(executor.run_forward(layer, tasks))
 
-    # One graph node for the whole layer: map every trainable weight of the
-    # active experts to a parent slot, so executor-computed gradients land
+    # One graph node for the whole layer: every trainable kernel parameter
+    # of the active experts is a parent, so executor-computed gradients land
     # exactly where the in-process sub-graphs would put them.
+    needs = [tuple(p is not None and p.requires_grad for p in params)
+             for _, params in operands]
     parents = [tokens, weights]
-    slots = []  # (segment index, "w"|"a"|"b", projection index)
-    need_w = [False] * len(tasks)
-    need_lora = [False] * len(tasks)
-    for i, (expert_id, _, _) in enumerate(segments):
-        expert = experts[expert_id]
-        for pi, proj in enumerate((expert.w_gate, expert.w_up,
-                                   expert.w_down)):
-            base = getattr(proj, "base", proj)
-            if base.weight.requires_grad:
-                parents.append(base.weight)
-                slots.append((i, "w", pi))
-                need_w[i] = True
-            if hasattr(proj, "lora_a"):
-                if proj.lora_a.requires_grad:
-                    parents.append(proj.lora_a)
-                    slots.append((i, "a", pi))
-                    need_lora[i] = True
-                if proj.lora_b.requires_grad:
-                    parents.append(proj.lora_b)
-                    slots.append((i, "b", pi))
-                    need_lora[i] = True
+    slots = []  # (segment index, gradient index)
+    for i, (_, params) in enumerate(operands):
+        for j, p in enumerate(params):
+            if needs[i][j]:
+                parents.append(p)
+                slots.append((i, j + 1))
 
     def backward(g: np.ndarray):
         seg_gys, g_weights = combine_backward(g, rows, order, weights.data,
                                               top_k, segments)
         need_gx = tokens.requires_grad
-        btasks = [(layer, expert, x, gy, lora, need_gx, need_w[i],
-                   need_lora[i])
-                  for i, ((_, expert, x, lora), gy)
-                  in enumerate(zip(tasks, seg_gys))]
-        results = executor.run_backward(layer, btasks)
+        results = executor.run_backward(layer, [
+            (layer, expert, x, gy, lora, (need_gx,) + need)
+            for (_, expert, x, lora), gy, need in zip(tasks, seg_gys, needs)])
         g_tokens = None
         if need_gx:
             g_tokens = _segment_sum_rows(
                 np.concatenate([r[0] for r in results]), token_ids,
                 num_tokens)
-        param_grads = []
-        for i, kind, pi in slots:
-            grads = results[i][1]
-            if kind == "w":
-                param_grads.append(grads["w"][pi])
-            elif kind == "a":
-                param_grads.append(grads["lora"][pi][0])
-            else:
-                param_grads.append(grads["lora"][pi][1])
-        return (g_tokens, g_weights, *param_grads)
+        return (g_tokens, g_weights, *(results[i][j] for i, j in slots))
 
     return Tensor._make(unpermute_fold(rows, order, weights.data, top_k),
                         tuple(parents), backward)

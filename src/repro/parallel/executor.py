@@ -3,10 +3,12 @@
 Both executors run the same per-segment SwiGLU kernels against the same
 :class:`~repro.parallel.shm.SharedWeightStore` views — the serial executor
 simply evaluates the task functions in-process while the pool fans them out
-over ``fork``-ed workers — so the two are bit-identical by construction,
-and both mirror :func:`repro.nn.functional.fused_swiglu`'s operation order
-exactly, which makes the parallel path bit-identical to the in-process
-fused dispatch as well (for native-format plain-Linear experts).
+over ``fork``-ed workers — so the two are bit-identical by construction.
+The tasks call :func:`~repro.nn.functional.swiglu_forward` and
+:func:`~repro.nn.functional.swiglu_backward`, the very array kernel inside
+the in-process :func:`~repro.nn.functional.fused_swiglu` node, so the
+parallel path is bit-identical to the in-process fused dispatch as well,
+for plain and LoRA experts alike (native weight format).
 
 A task ships only the per-expert activation segment (and, for LoRA
 experts, the small adapter factors); the big frozen weight matrices stay in
@@ -28,10 +30,11 @@ import multiprocessing
 import os
 import time
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..nn.functional import swiglu_backward, swiglu_forward
 from ..nn.tensor import is_grad_enabled
 from ..telemetry.clock import WallClock
 from .shm import (SharedWeightStore, StoreHandle, WorkerWeightView,
@@ -50,84 +53,36 @@ def _worker_init(handle: StoreHandle, origin: float) -> None:
     _ORIGIN = origin
 
 
-def _effective_weights(view: WorkerWeightView, layer: int, expert_id: int,
-                       lora) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ``(w_gate, w_up, w_down)``, with LoRA deltas folded in.
-
-    ``lora`` is ``None`` or a per-projection triple of ``(A, B, scaling)``;
-    the effective weight is ``W + scaling * (B @ A)``, i.e. the wrapped
-    layer's :meth:`~repro.lora.adapter.LoRALinear.merged_weight`.
-    """
-    weights = view.dense_weights(layer, expert_id)
-    if lora is None:
-        return weights
-    return tuple(w + s * (b @ a)
-                 for w, (a, b, s) in zip(weights, lora))
-
-
 def _forward_task(task, view: WorkerWeightView, origin: float):
     """One expert segment forward: ``(y, (pid, start, duration))``.
 
-    The arithmetic replays :func:`~repro.nn.functional.fused_swiglu`'s
-    forward in the identical operation order.
+    ``task`` is ``(layer, expert_id, x, lora)``, with ``lora`` ``None`` or
+    the per-projection ``(A, B, scaling, None)`` entries of
+    :func:`~repro.nn.functional.swiglu_forward`, which does the arithmetic.
     """
     layer, expert_id, x, lora = task
     t0 = time.perf_counter()
-    w_gate, w_up, w_down = _effective_weights(view, layer, expert_id, lora)
-    g = x @ w_gate.T
-    u = x @ w_up.T
-    sig = 1.0 / (1.0 + np.exp(-g))
-    s = g * sig
-    h = s * u
-    y = h @ w_down.T
+    y, _ = swiglu_forward(x, *view.dense_weights(layer, expert_id), lora)
     t1 = time.perf_counter()
     return y, (os.getpid(), t0 - origin, t1 - t0)
 
 
 def _backward_task(task, view: WorkerWeightView, origin: float):
-    """One expert segment backward: ``(gx, grads, (pid, start, duration))``.
+    """One expert segment backward: ``(grads, (pid, start, duration))``.
 
-    Recomputes the forward intermediates, then replays
-    :func:`~repro.nn.functional.fused_swiglu`'s backward — including its
-    in-place ``dsilu`` build — so gradients match the in-process fused
-    path bit for bit.  ``grads`` maps ``"w"`` to the three effective-weight
-    gradients and/or ``"lora"`` to per-projection ``(gA, gB)`` pairs
-    (``gA = s·Bᵀ·gW_eff``, ``gB = s·gW_eff·Aᵀ`` by the chain rule through
-    ``W_eff = W + s·BA``).
+    ``task`` is ``(layer, expert_id, x, gy, lora, needs)``.  Recomputes
+    the forward intermediates, then runs
+    :func:`~repro.nn.functional.swiglu_backward`; ``grads`` holds one
+    gradient per ``needs`` flag (``x``, the three weights, then ``A``,
+    ``B`` per projection), ``None`` where the flag is off.
     """
-    layer, expert_id, x, gy, lora, need_gx, need_w, need_lora = task
+    layer, expert_id, x, gy, lora, needs = task
     t0 = time.perf_counter()
-    w_gate, w_up, w_down = _effective_weights(view, layer, expert_id, lora)
-    g = x @ w_gate.T
-    u = x @ w_up.T
-    sig = 1.0 / (1.0 + np.exp(-g))
-    s = g * sig
-    h = s * u
-    gh = gy @ w_down
-    gu = gh * s
-    dsilu = 1.0 - sig
-    dsilu *= sig
-    dsilu *= g
-    dsilu += sig
-    gg = gh * u
-    gg *= dsilu
-    gx = None
-    if need_gx:
-        gx = gg @ w_gate
-        gx += gu @ w_up
-    grads: Dict[str, Any] = {}
-    if need_w or need_lora:
-        gw_gate = gg.T @ x
-        gw_up = gu.T @ x
-        gw_down = gy.T @ h
-        if need_w:
-            grads["w"] = (gw_gate, gw_up, gw_down)
-        if need_lora:
-            grads["lora"] = tuple(
-                (sc * (b.T @ gw), sc * (gw @ a.T))
-                for gw, (a, b, sc) in zip((gw_gate, gw_up, gw_down), lora))
+    weights = view.dense_weights(layer, expert_id)
+    _, saved = swiglu_forward(x, *weights, lora)
+    grads = swiglu_backward(gy, x, *weights, lora, saved, needs)
     t1 = time.perf_counter()
-    return gx, grads, (os.getpid(), t0 - origin, t1 - t0)
+    return grads, (os.getpid(), t0 - origin, t1 - t0)
 
 
 def _pool_forward(task):
@@ -237,11 +192,12 @@ class ExpertExecutor:
         return [r[0] for r in results]
 
     def run_backward(self, layer: int, tasks: Sequence[tuple]) -> List[tuple]:
-        """Run backward tasks; returns ``(gx, grads)`` pairs per task."""
+        """Run backward tasks ``(layer, expert_id, x, gy, lora, needs)``;
+        returns each task's gradient tuple."""
         results = self._execute("backward", tasks)
         self._record("backward", layer, [r[-1] for r in results],
                      sum(t[2].shape[0] for t in tasks))
-        return [(r[0], r[1]) for r in results]
+        return [r[0] for r in results]
 
     def _execute(self, phase: str, tasks: Sequence[tuple]) -> List[tuple]:
         raise NotImplementedError

@@ -129,8 +129,9 @@ def expert_supported(expert) -> Optional[str]:
 
     Supported experts carry three bias-free projections, each either a plain
     :class:`~repro.nn.layers.Linear` or a LoRA wrapper around one with
-    dropout disabled (the worker kernel materializes ``W + s·BA`` exactly;
-    a dropout branch would need the master's RNG stream).
+    dropout disabled: the worker kernel runs the low-rank branch from the
+    shipped adapter factors, but a dropout mask would need the master's
+    RNG stream.
     """
     for name in _PROJECTIONS:
         proj = getattr(expert, name, None)

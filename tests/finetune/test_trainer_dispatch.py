@@ -1,4 +1,5 @@
-"""Trainer integration of the fused dispatch and record_probs fast paths."""
+"""Trainer integration of the fused dispatch, the one-node LoRA kernels
+and the record_probs fast paths."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ import pytest
 from repro.data import LMDataLoader
 from repro.finetune import FineTuneConfig, Trainer
 from repro.finetune.trainer import _merge_records
+from repro.lora import LoRAConfig, LoRALinear
 from repro.models import build_model, moe_block
+from repro.models import expert as expert_module
+from repro.models.expert import ExpertFFN
 from repro.models.moe_block import BlockRoutingRecord
-from tests.oracles import reference_dispatch
+from tests.oracles import reference_dispatch, reference_lora_forward
 
 
 @pytest.fixture
@@ -34,6 +38,46 @@ class TestDispatchConfig:
         fused = losses()
         monkeypatch.setattr(moe_block, "fused_dispatch", reference_dispatch)
         np.testing.assert_allclose(fused, losses(), rtol=1e-9)
+
+
+class TestLoRAKernels:
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_kernel_and_layered_oracle_trainers_agree(
+            self, nano_config, monkeypatch, dropout):
+        """Training with the layered LoRA oracle swapped in for the
+        ``lora_linear`` and LoRA ``fused_swiglu`` nodes gives the kernel
+        trainer's losses; with dropout, both draw the same masks.  Every
+        expert segment of the kernel run took the LoRA kernel."""
+        tokens = np.random.default_rng(0).integers(
+            0, nano_config.vocab_size, size=800)
+        config = FineTuneConfig(steps=3, lora=LoRAConfig(dropout=dropout))
+
+        def losses():
+            model = build_model(nano_config)
+            loader = LMDataLoader(tokens, batch_size=2, seq_len=16, seed=0)
+            return Trainer(model, loader, config).train().losses
+
+        lora_segments = []
+        kernel = expert_module.fused_swiglu
+
+        def spy(*args, lora=None):
+            lora_segments.append(lora is not None)
+            return kernel(*args, lora=lora)
+
+        monkeypatch.setattr(expert_module, "fused_swiglu", spy)
+        fused = losses()
+        assert lora_segments and all(lora_segments)
+        monkeypatch.setattr(LoRALinear, "forward", reference_lora_forward)
+        monkeypatch.setattr(ExpertFFN, "forward_fused", ExpertFFN.forward)
+        np.testing.assert_allclose(fused, losses(), rtol=1e-9)
+
+    def test_frozen_bases_end_the_step_without_grad(self, nano_config,
+                                                    loader):
+        model = build_model(nano_config)
+        Trainer(model, loader, FineTuneConfig(steps=1)).train()
+        frozen = [p for p in model.parameters() if not p.requires_grad]
+        assert frozen and all(p.grad is None for p in frozen)
+        assert any(p.grad is not None for p in model.trainable_parameters())
 
 
 class TestRecordProbsInTrainLoop:

@@ -6,6 +6,7 @@ import pytest
 from repro.lora import (LoRAConfig, LoRALinear, inject_lora, lora_parameters,
                         merge_lora)
 from repro.models import build_model, nano_moe
+from repro.models.expert import ExpertFFN
 from repro.nn import Linear, Tensor
 
 
@@ -127,3 +128,99 @@ class TestMerge:
         after = nano_model.forward(ids).data
         np.testing.assert_allclose(after, before, atol=1e-10)
         assert len(lora_parameters(nano_model)) == 0
+
+
+def _adapters(model):
+    return [m for _, m in model.named_modules() if isinstance(m, LoRALinear)]
+
+
+class TestDropoutStreams:
+    def test_adapters_draw_distinct_masks(self, nano_model):
+        inject_lora(nano_model, LoRAConfig(dropout=0.1))
+        draws = {tuple(a._dropout_rng.random(5))
+                 for a in _adapters(nano_model)}
+        assert len(draws) == len(_adapters(nano_model))
+
+    def test_same_shape_adapters_apply_different_masks(self, nano_model):
+        inject_lora(nano_model, LoRAConfig(dropout=0.5))
+        attn = nano_model.blocks[0].attn
+        masks = [proj.factors((4, 3, attn.q_proj.in_features),
+                              np.float64)[3]
+                 for proj in (attn.q_proj, attn.k_proj)]
+        assert not np.array_equal(*masks)
+
+    def test_streams_do_not_consume_the_injection_generator(self, nano_config):
+        """Every ``A`` is the injection generator's next draw, as if the
+        adapters drew nothing else from it."""
+        model = build_model(nano_config)
+        config = LoRAConfig(dropout=0.1, seed=3)
+        report = inject_lora(model, config)
+        adapters = dict(model.named_modules())
+        rng = np.random.default_rng(config.seed)
+        for path in report.adapted_paths:
+            adapter = adapters[path]
+            expected = rng.normal(0.0, 1.0 / config.rank,
+                                  size=adapter.lora_a.shape)
+            np.testing.assert_array_equal(adapter.lora_a.data, expected)
+
+
+def _graph_nodes(out):
+    """Every tensor with a backward closure reachable from ``out``."""
+    seen, stack, nodes = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def _op(node):
+    return node._backward.__qualname__.split(".<locals>")[0]
+
+
+class TestGraphStructure:
+    def test_lora_linear_call_is_one_node(self, rng):
+        adapted = LoRALinear(Linear(6, 4, bias=False, rng=rng), LoRAConfig())
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        out = adapted(x)
+        assert out._parents == (x, adapted.base.weight, adapted.lora_a,
+                                adapted.lora_b)
+        assert _graph_nodes(out) == [out]
+
+    def test_lora_expert_segment_is_one_node(self, rng):
+        expert = ExpertFFN(6, 10, rng=rng)
+        for i, name in enumerate(("w_gate", "w_up", "w_down")):
+            setattr(expert, name, LoRALinear(getattr(expert, name),
+                                             LoRAConfig(dropout=0.1),
+                                             rng=rng, ordinal=i))
+        x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        out = expert.forward_fused(x)
+        assert _graph_nodes(out) == [out]
+        projections = (expert.w_gate, expert.w_up, expert.w_down)
+        assert [p for p in out._parents if p.requires_grad] == \
+            [x] + [t for p in projections for t in (p.lora_a, p.lora_b)]
+
+    def test_model_graph_has_one_node_per_adapter_call(self, nano_config,
+                                                       rng):
+        """Attention and head adapters are one ``lora_linear`` node per
+        call, each expert segment one ``fused_swiglu`` node, and no
+        transpose or matmul node touches a parameter."""
+        model = build_model(nano_config)
+        report = inject_lora(model)
+        ids = rng.integers(0, nano_config.vocab_size, size=(2, 8))
+        nodes = _graph_nodes(model.loss(ids, ids))
+        ops = [_op(node) for node in nodes]
+        outside_experts = [p for p in report.adapted_paths
+                           if "experts" not in p]
+        assert ops.count("lora_linear") == len(outside_experts)
+        segments = sum(len(np.unique(r.expert_indices))
+                       for r in model.routing_records())
+        assert ops.count("fused_swiglu") == segments
+        params = {id(p) for p in model.parameters()}
+        for node, op in zip(nodes, ops):
+            if op in ("Tensor.transpose", "Tensor.__matmul__"):
+                assert not any(id(p) in params for p in node._parents), op

@@ -2,7 +2,8 @@
 
 Covers the ops the fused MoE hot loop is built from — ``index_select``,
 ``take_along_rows``, ``scatter_rows``/``_segment_sum_rows``, ``fused_swiglu``
-and ``where`` — each gradient-checked against central differences, plus the
+(plain and with LoRA adapters), ``lora_linear`` and ``where`` — each
+gradient-checked against central differences, plus the
 default-dtype machinery and the no-downcast gradient accumulation rule.
 """
 
@@ -12,7 +13,8 @@ import pytest
 from repro.nn import Tensor, default_dtype, get_default_dtype, ones, \
     set_default_dtype, where, zeros
 from repro.nn.functional import (_segment_sum_rows, fused_swiglu,
-                                 index_select, scatter_rows, take_along_rows)
+                                 index_select, lora_linear, scatter_rows,
+                                 take_along_rows)
 from repro.nn.layers import Linear, Parameter
 
 from tests.conftest import numeric_gradient
@@ -149,6 +151,126 @@ class TestFusedSwiGLU:
         fused_swiglu(x, *params).sum().backward()
         assert x.grad is not None
         assert all(p.grad is None for p in params)
+
+    SCALING = 1.5
+
+    @staticmethod
+    def _adapters(rng):
+        """``(A, B)`` per projection (gate, up, down), rank 2, scaled so
+        the branch is a fraction of the base projection."""
+        return [(0.3 * rng.normal(size=(2, n_in)),
+                 0.3 * rng.normal(size=(n_out, 2)))
+                for n_in, n_out in ((4, 5), (4, 5), (5, 4))]
+
+    @staticmethod
+    def _masks(rng, rows):
+        return [(rng.random(shape) >= 0.3) / 0.7
+                for shape in ((rows, 4), (rows, 4), (rows, 5))]
+
+    @classmethod
+    def _forward_np_lora(cls, x, wg, wu, wd, adapters, masks):
+        def project(v, w, ab, mask):
+            a, b = ab
+            return v @ w.T + ((v * mask) @ a.T) @ b.T * cls.SCALING
+        g = project(x, wg, adapters[0], masks[0])
+        h = (g / (1.0 + np.exp(-g))) * project(x, wu, adapters[1], masks[1])
+        return project(h, wd, adapters[2], masks[2])
+
+    def _lora_tensors(self, adapters, masks, requires_grad=True):
+        return [(Tensor(a.copy(), requires_grad=requires_grad),
+                 Tensor(b.copy(), requires_grad=requires_grad),
+                 self.SCALING, mask)
+                for (a, b), mask in zip(adapters, masks)]
+
+    def test_lora_gradients_all_inputs(self, rng):
+        """Central differences for ``x``, the three weights and the six
+        adapter matrices, with a dropout mask on every projection."""
+        wg, wu, wd = self._weights(rng)
+        x = rng.normal(size=(7, 4))
+        adapters = self._adapters(rng)
+        masks = self._masks(rng, 7)
+        arrays = {"x": x, "wg": wg, "wu": wu, "wd": wd}
+        for proj, (a, b) in zip(("gate", "up", "down"), adapters):
+            arrays[f"a_{proj}"], arrays[f"b_{proj}"] = a, b
+        tensors = {k: Tensor(v.copy(), requires_grad=True)
+                   for k, v in arrays.items()}
+        lora = [(tensors[f"a_{proj}"], tensors[f"b_{proj}"], self.SCALING,
+                 mask) for proj, mask in zip(("gate", "up", "down"), masks)]
+        out = fused_swiglu(tensors["x"], tensors["wg"], tensors["wu"],
+                           tensors["wd"], lora=lora)
+        np.testing.assert_allclose(
+            out.data, self._forward_np_lora(x, wg, wu, wd, adapters, masks),
+            atol=1e-12)
+        (out ** 2).sum().backward()
+        for name in arrays:
+            def fn(v, name=name):
+                inputs = {k: (v if k == name else arrays[k]) for k in arrays}
+                pairs = [(inputs[f"a_{p}"], inputs[f"b_{p}"])
+                         for p in ("gate", "up", "down")]
+                return float((self._forward_np_lora(
+                    inputs["x"], inputs["wg"], inputs["wu"], inputs["wd"],
+                    pairs, masks) ** 2).sum())
+            numeric = numeric_gradient(fn, arrays[name].copy())
+            np.testing.assert_allclose(tensors[name].grad, numeric,
+                                       rtol=1e-6, atol=1e-5, err_msg=name)
+
+    def test_frozen_bases_with_trainable_adapters(self, rng):
+        """Frozen bases get no gradient and cost no GEMM: the node's
+        backward returns ``None`` in their slots."""
+        wg, wu, wd = self._weights(rng)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        bases = [Tensor(w, requires_grad=False) for w in (wg, wu, wd)]
+        lora = self._lora_tensors(self._adapters(rng), self._masks(rng, 3))
+        out = fused_swiglu(x, *bases, lora=lora)
+        contributions = out._backward(np.ones_like(out.data))
+        assert len(contributions) == len(out._parents) == 10
+        assert all(c is None for c in contributions[1:4])
+        assert all(c is not None for c in contributions[4:])
+        out.sum().backward()
+        assert x.grad is not None
+        assert all(w.grad is None for w in bases)
+        assert all(a.grad is not None and b.grad is not None
+                   for a, b, _, _ in lora)
+
+
+class TestLoRALinearOp:
+    def test_gradients_all_inputs(self, rng):
+        """Central differences on a 3-D input with bias and dropout mask."""
+        arrays = {"x": rng.normal(size=(2, 3, 4)),
+                  "w": rng.normal(size=(5, 4)), "a": rng.normal(size=(2, 4)),
+                  "b": rng.normal(size=(5, 2)), "bias": rng.normal(size=5)}
+        mask = (rng.random((2, 3, 4)) >= 0.3) / 0.7
+
+        def forward_np(x, w, a, b, bias):
+            return x @ w.T + bias + ((x * mask) @ a.T) @ b.T * 0.5
+
+        tensors = {k: Tensor(v.copy(), requires_grad=True)
+                   for k, v in arrays.items()}
+        out = lora_linear(tensors["x"], tensors["w"], tensors["a"],
+                          tensors["b"], 0.5, mask, bias=tensors["bias"])
+        assert out._parents == (tensors["x"], tensors["w"], tensors["a"],
+                                tensors["b"], tensors["bias"])
+        np.testing.assert_allclose(out.data, forward_np(**arrays),
+                                   atol=1e-12)
+        (out ** 2).sum().backward()
+        for name in arrays:
+            def fn(v, name=name):
+                inputs = {k: (v if k == name else arrays[k]) for k in arrays}
+                return float((forward_np(**inputs) ** 2).sum())
+            numeric = numeric_gradient(fn, arrays[name].copy())
+            np.testing.assert_allclose(tensors[name].grad, numeric,
+                                       rtol=1e-6, atol=1e-5, err_msg=name)
+
+    def test_frozen_weight_skips_grad(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 4)), requires_grad=False)
+        a = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        out = lora_linear(x, w, a, b, 2.0)
+        assert out._backward(np.ones((3, 5)))[1] is None
+        out.sum().backward()
+        assert w.grad is None
+        assert all(t.grad is not None for t in (x, a, b))
 
 
 class TestWhereGradient:

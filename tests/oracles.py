@@ -13,6 +13,15 @@ speedup import them from here.
   ``run_step``, against the engines' batched ``run_trace``.
 * :class:`ScanLocalSearchRefiner` — local search scoring one candidate at
   a time, against :class:`repro.placement.local_search.LocalSearchRefiner`.
+* :func:`reference_lora_forward` — the layered LoRA chain (base ``Linear``,
+  dropout, two adapter matmuls, scale, add: one graph node each), against
+  the one-node :func:`repro.nn.functional.lora_linear` that
+  :meth:`repro.lora.LoRALinear.forward` runs and the LoRA path of
+  :func:`repro.nn.functional.fused_swiglu`.  It has ``forward``'s
+  signature: ``monkeypatch.setattr(LoRALinear, "forward",
+  reference_lora_forward)`` swaps it in, and the layer-by-layer
+  :meth:`repro.models.expert.ExpertFFN.forward` then composes it into the
+  layered LoRA SwiGLU.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.functional import dropout
 from repro.nn.tensor import Tensor
 from repro.placement.local_search import LocalSearchRefiner
 from repro.runtime.engine import replay_limit
@@ -67,6 +77,22 @@ def reference_dispatch(experts, tokens: Tensor, gate_out,
     for extra in contributions[1:]:
         total = total + extra
     return total
+
+
+def reference_lora_forward(self, x: Tensor) -> Tensor:
+    """``LoRALinear.forward`` as a chain of graph nodes.
+
+    The frozen base layer, then the branch ``dropout(x) @ Aᵀ @ Bᵀ · s``
+    op by op, added to the base output.  The dropout mask comes from the
+    adapter's own generator, as in the kernel path.
+    """
+    out = self.base(x)
+    branch_in = x
+    if self.config.dropout > 0:
+        branch_in = dropout(branch_in, self.config.dropout,
+                            self._dropout_rng, training=self.training)
+    update = (branch_in @ self.lora_a.T) @ self.lora_b.T
+    return out + update * self.config.scaling
 
 
 def replay_per_step(engine, trace, max_steps: Optional[int] = None):
