@@ -39,9 +39,10 @@ def generate(model: MoETransformer, prompt_ids: np.ndarray, max_new_tokens: int,
         raise ValueError("max_new_tokens must be positive")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
-    if prompt_ids.ndim != 1 or len(prompt_ids) == 0:
-        raise ValueError("prompt_ids must be a non-empty 1-D array")
+    prompt_ids = np.asarray(prompt_ids)
+    if prompt_ids.ndim != 1 or len(prompt_ids) == 0 or \
+            not np.issubdtype(prompt_ids.dtype, np.integer):
+        raise ValueError("prompt_ids must be a non-empty 1-D integer array")
 
     rng = np.random.default_rng(seed)
     max_ctx = model.config.max_seq_len

@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.attention import KVCache, MultiHeadAttention
+from ..nn.attention import KVCache, MultiHeadAttention, SlotPlan
 from ..nn.functional import cross_entropy
 from ..nn.layers import Embedding, Linear, Module, Parameter, RMSNorm
 from ..nn.tensor import Tensor, is_grad_enabled
@@ -43,15 +43,17 @@ class TransformerBlock(Module):
         x = x + self.moe(self.ffn_norm(x))
         return x
 
-    def forward_slots(self, x: np.ndarray, cache: KVCache,
-                      slots: np.ndarray) -> np.ndarray:
+    def forward_slots(self, x: np.ndarray, cache: KVCache, layer: int,
+                      plan: SlotPlan) -> np.ndarray:
         """:meth:`forward` for new positions of KV-cache rows, on arrays.
 
-        ``x`` row ``i`` continues the sequence in cache slot ``slots[i]``
-        at that slot's own cursor (ragged attention); the MoE FFN is
-        position-local, so it needs no cache.  Inference-only.
+        ``x`` row ``i`` continues the sequence in cache slot
+        ``plan.slots[i]`` at that slot's own cursor (ragged attention over
+        layer ``layer`` of ``cache``); the MoE FFN is position-local, so it
+        needs no cache.  Inference-only.
         """
-        x = x + self.attn.forward_slots(self.attn_norm.infer(x), cache, slots)
+        x = x + self.attn.forward_slots(self.attn_norm.infer(x), cache,
+                                        layer, plan)
         return x + self.moe(self.ffn_norm.infer(x))
 
 
@@ -81,9 +83,7 @@ class MoETransformer(Module):
     # ------------------------------------------------------------------ #
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Return next-token logits for ``token_ids`` of shape ``(batch, seq)``."""
-        token_ids = np.asarray(token_ids)
-        if token_ids.ndim != 2:
-            raise ValueError(f"expected (batch, seq) token ids, got {token_ids.shape}")
+        token_ids = self._check_token_ids(token_ids)
         seq = token_ids.shape[1]
         if seq > self.config.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max_seq_len "
@@ -93,13 +93,33 @@ class MoETransformer(Module):
             x = block(x)
         return self.lm_head(self.final_norm(x))
 
-    def new_kv_caches(self, batch: int,
-                      max_len: Optional[int] = None) -> List[KVCache]:
-        """Allocate one :class:`~repro.nn.attention.KVCache` per block.
+    def _check_token_ids(self, token_ids) -> np.ndarray:
+        """``token_ids`` checked: a non-empty ``(rows, seq)`` integer array
+        in ``[0, vocab_size)``.  numpy would wrap a negative id onto the
+        last embedding rows and truncate a float one."""
+        token_ids = np.asarray(token_ids)
+        if token_ids.ndim != 2 or token_ids.size == 0:
+            raise ValueError(f"expected non-empty (rows, seq) token ids, "
+                             f"got shape {token_ids.shape}")
+        if not np.issubdtype(token_ids.dtype, np.integer):
+            raise ValueError(f"token ids must be integers, got dtype "
+                             f"{token_ids.dtype}")
+        vocab_size = self.config.vocab_size
+        low, high = token_ids.min(), token_ids.max()
+        if low < 0 or high >= vocab_size:
+            raise ValueError(f"token ids must lie in [0, {vocab_size}), got "
+                             f"{low}..{high}")
+        return token_ids
+
+    def new_kv_cache(self, batch: int,
+                     max_len: Optional[int] = None) -> KVCache:
+        """Allocate the model's :class:`~repro.nn.attention.KVCache`: one
+        key/value buffer pair per block, in the model's dtype, and one
+        cursor per row.
 
         ``max_len`` bounds the total sequence (prompt + generation) the
-        caches can hold; it defaults to, and may not exceed, the model's
-        ``max_seq_len``.  Pass the caches to :meth:`forward_slots`.
+        cache can hold; it defaults to, and may not exceed, the model's
+        ``max_seq_len``.  Pass the cache to :meth:`forward_slots`.
         """
         config = self.config
         if max_len is None:
@@ -107,22 +127,22 @@ class MoETransformer(Module):
         if not 1 <= max_len <= config.max_seq_len:
             raise ValueError(f"max_len {max_len} out of range (1, "
                              f"{config.max_seq_len})")
-        head_dim = config.hidden_size // config.num_heads
-        return [KVCache(batch, max_len, config.num_heads, head_dim)
-                for _ in self.blocks]
+        return KVCache(len(self.blocks), batch, max_len, config.num_heads,
+                       config.hidden_size // config.num_heads,
+                       dtype=self.token_embedding.weight.dtype)
 
     def forward_incremental(self, token_ids: np.ndarray,
-                            caches: List[KVCache]) -> Tensor:
+                            cache: KVCache) -> Tensor:
         """Next-token logits for the new ``token_ids`` of every cache row.
 
         :meth:`forward_slots` over rows ``0 .. len(token_ids) - 1``: the
         whole prompt on the prefill pass, one token per decode step, each
         row at its own cursor.
         """
-        return self.forward_slots(token_ids, caches,
+        return self.forward_slots(token_ids, cache,
                                   np.arange(np.shape(token_ids)[0]))
 
-    def forward_slots(self, token_ids: np.ndarray, caches: List[KVCache],
+    def forward_slots(self, token_ids: np.ndarray, cache: KVCache,
                       slots) -> Tensor:
         """Next-token logits for a subset of KV-cache slots (ragged decode).
 
@@ -130,11 +150,15 @@ class MoETransformer(Module):
         ``seq`` tokens of the sequence occupying cache slot ``slots[i]``,
         continuing at that slot's own fill cursor — one token per active
         request on a decode step, a whole (equal-length) prompt per row on
-        a batched prefill of newly admitted requests.  ``caches`` comes
-        from :meth:`new_kv_caches` and advances in place; rows not listed
+        a batched prefill of newly admitted requests.  ``cache`` comes
+        from :meth:`new_kv_cache` and advances in place; rows not listed
         in ``slots`` are untouched, so waiting requests keep their state
         while others advance.  Slot ids must be distinct rows of the
-        caches.
+        cache.
+
+        Every block shares one :meth:`KVCache.plan`, and the cursors
+        advance after the last block: a call that raises leaves every slot
+        as it was.
 
         Inference-only, and computed on plain arrays from the embedding
         gather to the LM head (no autograd graph); the result is wrapped
@@ -144,35 +168,27 @@ class MoETransformer(Module):
         if is_grad_enabled():
             raise RuntimeError("forward_slots is inference-only; "
                                "wrap the decode loop in no_grad()")
-        token_ids = np.asarray(token_ids)
-        if token_ids.ndim != 2:
-            raise ValueError(f"expected (rows, seq) token ids, got "
-                             f"{token_ids.shape}")
-        if len(caches) != len(self.blocks):
-            raise ValueError(f"expected {len(self.blocks)} KV caches, "
-                             f"got {len(caches)}")
-        slots = caches[0].slot_ids(slots)
-        if slots.size != token_ids.shape[0]:
+        token_ids = self._check_token_ids(token_ids)
+        config = self.config
+        layers, _, max_len, *heads = cache.keys.shape
+        if (layers, *heads) != (len(self.blocks), config.num_heads,
+                                config.hidden_size // config.num_heads) \
+                or max_len > config.max_seq_len:
+            raise ValueError(f"a KV cache of shape {cache.keys.shape} does "
+                             f"not fit this model; use new_kv_cache")
+        rows, seq = token_ids.shape
+        plan = cache.plan(slots, seq)
+        if plan.slots.size != rows:
             raise ValueError(f"slots must have one entry per row, got "
-                             f"{slots.size} for {token_ids.shape[0]} rows")
-        cursors = np.stack([cache.positions for cache in caches])[:, slots]
-        positions = cursors[0]
-        stale = np.flatnonzero((cursors != positions).any(axis=1))
-        if stale.size:
-            raise ValueError(f"KV caches are out of sync on the requested "
-                             f"slots (layer {stale[0]} differs from layer 0)")
-        seq = token_ids.shape[1]
-        if np.any(positions + seq > self.config.max_seq_len):
-            worst = int(slots[int(np.argmax(positions))])
-            raise ValueError(f"slot {worst}: position "
-                             f"{int(positions.max())} + new tokens {seq} "
-                             f"exceeds max_seq_len {self.config.max_seq_len}")
-        # Per-row position embeddings: row i continues at positions[i].
+                             f"{plan.slots.size} for {rows} rows")
+        # Per-row position embeddings: row i continues at its own cursor.
         x = self.token_embedding.infer(token_ids) + \
-            self.position_embedding.data[positions[:, None] + np.arange(seq)]
-        for block, cache in zip(self.blocks, caches):
-            x = block.forward_slots(x, cache, slots)
-        return Tensor(self.lm_head.infer(self.final_norm.infer(x)))
+            self.position_embedding.data[plan.index]
+        for layer, block in enumerate(self.blocks):
+            x = block.forward_slots(x, cache, layer, plan)
+        logits = self.lm_head.infer(self.final_norm.infer(x))
+        cache.commit(plan)
+        return Tensor(logits)
 
     def loss(self, token_ids: np.ndarray, targets: np.ndarray) -> Tensor:
         """Cross-entropy LM loss, plus any gate auxiliary losses."""

@@ -2,17 +2,20 @@
 
 This is the attention block of the backbone transformer.  Training and
 full-sequence inference go through :meth:`MultiHeadAttention.forward`;
-the serving path decodes through a :class:`KVCache` and
+the serving path decodes through one model-wide :class:`KVCache` and
 :meth:`MultiHeadAttention.forward_slots`, which projects only the *new*
 positions of a subset of cache rows and attends each against its own
 cached prefix (ragged, length-aware masking) — the O(T) half of the
 prefill/decode split (`docs/ARCHITECTURE.md` § Serving).  Prefill and
-decode, of one request or of many at different depths, are the same call.
+decode, of one request or of many at different depths, are the same call;
+its slot checks, offsets, gather selector and mask are laid out once per
+step in a :class:`SlotPlan` that every layer shares.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,29 +36,47 @@ def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
     return mask
 
 
+@dataclass
+class SlotPlan:
+    """One ragged step over rows of a :class:`KVCache`, laid out once by
+    :meth:`KVCache.plan` and shared by every layer of the step."""
+
+    slots: np.ndarray               # checked row ids
+    offsets: np.ndarray             # their cursors before the step
+    seq: int                        # new positions per row
+    total: int                      # key columns attended: max offset + seq
+    causal: bool
+    rows: Union[slice, np.ndarray]  # gather selector; a slice gives views
+    index: np.ndarray               # (rows, seq) positions of the new entries
+    write: Tuple[np.ndarray, np.ndarray]  # and their buffer index
+    shape: Tuple[int, ...]          # each layer's new keys and values
+    mask: Optional[np.ndarray]      # additive ragged mask, or None
+
+
 class KVCache:
-    """Preallocated key/value buffers for one attention layer.
+    """Preallocated key/value buffers for every attention layer of a model.
 
-    Holds ``(batch, max_len, num_heads, head_dim)`` buffers plus one fill
-    cursor *per batch row* (:attr:`positions`).  Each row is an
-    independent sequence: :meth:`append_rows` writes a subset of rows at
-    their own cursors, and :meth:`reset` accepts a slot list so an evicted
-    row can be handed to the next request without touching the others.
-    The serve loop (``ContinuousBatchingEngine``, and
-    ``LiveDecodeEngine`` on top of it) writes through this one path.
-
-    No per-step reallocation, no concatenation.  One cache per transformer
-    block; allocate the full set with
-    :meth:`repro.models.MoETransformer.new_kv_caches`.
+    ``keys``/``values`` are ``(layers, batch, max_len, num_heads,
+    head_dim)``, and one fill cursor *per batch row* (:attr:`positions`)
+    serves every layer.  Each row is an independent sequence.  A step over
+    a subset of rows is :meth:`plan` (slot checks, overflow check, offsets,
+    gather selector, write index and mask, once), then per layer
+    :meth:`append_rows` and :meth:`gather`, then :meth:`commit`, which
+    advances the cursors once.  A step that raises before :meth:`commit`
+    leaves every cursor as it was: what it wrote lies past the cursors.
+    :meth:`reset` accepts a slot list so an evicted row can be handed to
+    the next request without touching the others.  The serve loop writes
+    through this one path; allocate a model's cache with
+    :meth:`repro.models.MoETransformer.new_kv_cache`.
     """
 
-    def __init__(self, batch: int, max_len: int, num_heads: int,
-                 head_dim: int, dtype=None):
-        if batch < 1 or max_len < 1:
-            raise ValueError(f"batch ({batch}) and max_len ({max_len}) "
-                             f"must be positive")
+    def __init__(self, layers: int, batch: int, max_len: int,
+                 num_heads: int, head_dim: int, dtype=None):
+        if layers < 1 or batch < 1 or max_len < 1:
+            raise ValueError(f"layers ({layers}), batch ({batch}) and "
+                             f"max_len ({max_len}) must be positive")
         dtype = np.dtype(dtype) if dtype is not None else get_default_dtype()
-        self.keys = np.zeros((batch, max_len, num_heads, head_dim),
+        self.keys = np.zeros((layers, batch, max_len, num_heads, head_dim),
                              dtype=dtype)
         self.values = np.zeros_like(self.keys)
         self._positions = np.zeros(batch, dtype=np.int64)
@@ -63,12 +84,12 @@ class KVCache:
     @property
     def batch(self) -> int:
         """Batch size the buffers were allocated for."""
-        return self.keys.shape[0]
+        return self.keys.shape[1]
 
     @property
     def max_len(self) -> int:
         """Maximum number of positions the cache can hold."""
-        return self.keys.shape[1]
+        return self.keys.shape[2]
 
     @property
     def positions(self) -> np.ndarray:
@@ -108,49 +129,64 @@ class KVCache:
         else:
             self._positions[self.slot_ids(slots)] = 0
 
-    def gather(self, slots: np.ndarray, length: int):
-        """Keys and values of rows ``slots`` over positions ``[0, length)``.
+    def plan(self, slots, seq: int, causal: bool = True) -> SlotPlan:
+        """Check and lay out one step of ``seq`` new positions per slot.
 
-        ``slots`` is an index array checked by :meth:`slot_ids`.  Returns
-        two ``(len(slots), length, num_heads, head_dim)`` arrays: views of
-        the buffers when ``slots`` is an ascending run of rows (every row of
-        one batch, a full slot pool), gathered copies otherwise.
-        """
-        start = int(slots[0])
-        if (slots == np.arange(start, start + slots.size)).all():
-            rows = slice(start, start + slots.size)
-            return self.keys[rows, :length], self.values[rows, :length]
-        return self.keys[slots, :length], self.values[slots, :length]
-
-    def append_rows(self, slots: np.ndarray, keys: np.ndarray,
-                    values: np.ndarray) -> np.ndarray:
-        """Write ``keys``/``values`` into ``slots`` at their own cursors.
-
-        ``slots`` is a 1-D array of distinct row indices (see
-        :meth:`slot_ids`); ``keys``/``values`` are
-        ``(len(slots), seq, num_heads, head_dim)``.  Each row's block lands
-        at that row's cursor, and the cursors advance by ``seq``.  Returns
-        the cursors *before* the append (the absolute offset of each row's
-        new block) — the ragged attention path needs them for its
-        length-aware mask.
-        """
+        Raises ``ValueError`` on bad slot ids (see :meth:`slot_ids`) or when
+        a row would run past ``max_len``, before anything is written.  The
+        mask hides the columns past each row's filled length and, when
+        ``causal``, past each query's own position; it is built in the
+        buffers' dtype, the scores' dtype for a cache in the model's."""
+        if seq < 1:
+            raise ValueError(f"seq must be positive, got {seq}")
         slots = self.slot_ids(slots)
-        expected = (slots.size, keys.shape[1]) + self.keys.shape[2:]
-        if keys.shape != expected or values.shape != expected:
-            raise ValueError(f"expected key/value shape {expected}, got "
-                             f"{keys.shape} / {values.shape}")
-        seq = keys.shape[1]
         offsets = self._positions[slots]
         if np.any(offsets + seq > self.max_len):
             worst = int(slots[int(np.argmax(offsets))])
             raise ValueError(f"KV cache overflow on slot {worst}: "
                              f"{int(offsets.max())} + {seq} exceeds max_len "
                              f"{self.max_len}")
+        total = int(offsets.max()) + seq
+        start = int(slots[0])
+        rows = slots
+        if (slots == np.arange(start, start + slots.size)).all():
+            rows = slice(start, start + slots.size)
+        # Row i's query j sits at position index[i, j]; causal attention
+        # admits key columns <= that, and a non-causal layer still must
+        # stop at the row's filled length.
         index = offsets[:, None] + np.arange(seq)
-        self.keys[slots[:, None], index] = keys
-        self.values[slots[:, None], index] = values
-        self._positions[slots] = offsets + seq
-        return offsets
+        limit = index if causal else offsets[:, None] + (seq - 1)
+        mask = None
+        if limit.min() < total - 1:
+            invalid = np.arange(total) > limit[:, :, None]
+            mask = (invalid * self.keys.dtype.type(-1e9))[:, None]
+        return SlotPlan(slots=slots, offsets=offsets, seq=seq, total=total,
+                        causal=causal, rows=rows, index=index,
+                        write=(slots[:, None], index),
+                        shape=(slots.size, seq) + self.keys.shape[3:],
+                        mask=mask)
+
+    def append_rows(self, layer: int, plan: SlotPlan, keys: np.ndarray,
+                    values: np.ndarray) -> None:
+        """Write layer ``layer``'s new ``keys``/``values``, each
+        ``plan.shape``, at ``plan``'s index; the cursors stay put."""
+        if keys.shape != plan.shape or values.shape != plan.shape:
+            raise ValueError(f"expected key/value shape {plan.shape}, got "
+                             f"{keys.shape} / {values.shape}")
+        self.keys[layer][plan.write] = keys
+        self.values[layer][plan.write] = values
+
+    def gather(self, layer: int, plan: SlotPlan):
+        """Layer ``layer``'s keys and values of ``plan``'s rows over
+        positions ``[0, plan.total)``: views of the buffers when the slots
+        form an ascending run (a full slot pool), copies otherwise."""
+        return (self.keys[layer, plan.rows, :plan.total],
+                self.values[layer, plan.rows, :plan.total])
+
+    def commit(self, plan: SlotPlan) -> None:
+        """Advance the cursors of ``plan``'s rows by its ``seq``, once
+        every layer has appended."""
+        self._positions[plan.slots] = plan.offsets + plan.seq
 
 
 class MultiHeadAttention(Module):
@@ -202,50 +238,46 @@ class MultiHeadAttention(Module):
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.o_proj(merged)
 
-    def forward_slots(self, x: np.ndarray, cache: KVCache,
-                      slots: np.ndarray) -> np.ndarray:
+    def forward_slots(self, x: np.ndarray, cache: KVCache, layer: int,
+                      plan: SlotPlan) -> np.ndarray:
         """Ragged attention for a subset of cache rows at per-slot cursors.
 
-        ``x`` is a plain ``(len(slots), seq, dim)`` array: row ``i`` holds
-        the next ``seq`` positions of the sequence in cache slot
-        ``slots[i]``, starting at that slot's own cursor.  A batched
-        prefill of newly admitted requests (cursors all zero), a decode
-        step of many requests at different depths (one token each, cursors
-        all different) and a single-sequence decode are all this call.
+        ``x`` is a plain ``(len(plan.slots), seq, dim)`` array: row ``i``
+        holds the next ``seq`` positions of the sequence in cache slot
+        ``plan.slots[i]``, starting at that slot's own cursor.  A batched
+        prefill, a ragged decode step of many requests at different depths
+        and a single-sequence decode are all this call.  ``plan`` comes
+        from ``cache.plan(slots, seq, causal=self.causal)``, this layer's
+        keys and values sit at index ``layer`` of ``cache``, and the caller
+        commits the plan once every layer has run.
 
-        Keys are gathered up to the longest row and a length-aware causal
-        mask hides both future positions and every column past a row's
-        cursor, so a slot never attends the previous occupant's stale
-        entries.  The mask's ``-1e9`` surrogate underflows ``exp`` to an
-        exact ``0.0``, and the op chain is :meth:`forward`'s, so a prefill
-        returns :meth:`forward`'s output bit for bit.  Inference-only:
-        returns a plain array and requires gradients disabled.
+        Keys are gathered up to the longest row and the plan's
+        length-aware mask hides both future positions and every column
+        past a row's cursor, so a slot never attends the previous
+        occupant's stale entries.  The mask's ``-1e9`` surrogate
+        underflows ``exp`` to an exact ``0.0``, and the op chain is
+        :meth:`forward`'s, so a prefill returns :meth:`forward`'s output
+        bit for bit.  Inference-only: returns a plain array.
         """
         if is_grad_enabled():
             raise RuntimeError("forward_slots is inference-only; "
                                "wrap the decode loop in no_grad()")
+        if plan.causal != self.causal:
+            raise ValueError(f"plan built with causal={plan.causal} for a "
+                             f"layer with causal={self.causal}")
         rows, seq, _ = x.shape
         heads, hd = self.num_heads, self.head_dim
 
         q = self.q_proj.infer(x).reshape(rows, seq, heads, hd)
         k_new = self.k_proj.infer(x).reshape(rows, seq, heads, hd)
         v_new = self.v_proj.infer(x).reshape(rows, seq, heads, hd)
-        offsets = cache.append_rows(slots, k_new, v_new)
-
-        total = int(offsets.max()) + seq
-        k, v = cache.gather(slots, total)   # (rows, total, heads, hd)
+        cache.append_rows(layer, plan, k_new, v_new)
+        k, v = cache.gather(layer, plan)   # (rows, total, heads, hd)
 
         scores = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)
         scores *= float(1.0 / np.sqrt(hd))
-        # Row i's query at block index j sits at absolute position
-        # offsets[i] + j; causal attention admits key columns <= that, and
-        # a non-causal layer still must stop at the row's filled length.
-        steps = (np.arange(seq) if self.causal
-                 else np.full(seq, seq - 1, dtype=np.int64))
-        limit = offsets[:, None] + steps                    # (rows, seq)
-        if limit.min() < total - 1:
-            invalid = np.arange(total) > limit[:, :, None]
-            scores += (invalid * scores.dtype.type(-1e9))[:, None, :, :]
+        if plan.mask is not None:
+            scores += plan.mask
         # Raw stable softmax, same formula as functional.softmax.
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)

@@ -11,9 +11,10 @@ barrier at batch boundaries, no idle slots while work is queued.
 :mod:`repro.serving`; every sidecar (telemetry, monitor, prefetch,
 tracing, flight) is wired into it once.  The pieces:
 
-* :class:`SlotPool` — the free-list over cache rows, resetting a row's
-  per-slot cursors (:meth:`repro.nn.attention.KVCache.reset`) on acquire
-  so a re-issued slot can never leak the previous occupant's KV entries.
+* :class:`SlotPool` — the free-list over the rows of the model's KV
+  cache, rewinding a row's cursor (:meth:`repro.nn.attention.KVCache.
+  reset`) on acquire so a re-issued slot can never leak the previous
+  occupant's KV entries.
 * :class:`ContinuousBatchingEngine` — the admit → prefill → decode → evict
   loop over ``MoETransformer.forward_slots`` (ragged per-slot attention).
 * :class:`LiveDecodeEngine` — ``decode(prompt_ids, num_tokens)``: one
@@ -84,24 +85,19 @@ def serving_flags(model: MoETransformer):
 
 
 class SlotPool:
-    """Free-list over the rows of a shared KV-cache set.
+    """Free-list over the rows of a model's KV cache, one slot per row.
 
     Slots are handed out lowest-index first (deterministic — tests and
-    event logs can predict placements) and a slot's per-layer cursors are
-    rewound on :meth:`acquire`, so the next occupant starts from position
-    zero and the length-aware mask in ``forward_slots`` can never see the
-    previous request's stale entries.
+    event logs can predict placements) and a slot's cursor, which serves
+    every layer, is rewound on :meth:`acquire`, so the next occupant starts
+    from position zero and the length-aware mask in ``forward_slots`` can
+    never see the previous request's stale entries.
     """
 
-    def __init__(self, caches: Sequence[KVCache], max_slots: int):
-        if max_slots < 1:
-            raise ValueError("max_slots must be positive")
-        if any(cache.batch != max_slots for cache in caches):
-            raise ValueError(f"every cache must have batch == max_slots "
-                             f"({max_slots})")
-        self.caches = list(caches)
-        self.max_slots = max_slots
-        self._free = list(range(max_slots))  # kept sorted, lowest first
+    def __init__(self, cache: KVCache):
+        self.cache = cache
+        self.max_slots = cache.batch
+        self._free = list(range(cache.batch))  # kept sorted, lowest first
 
     @property
     def free_count(self) -> int:
@@ -118,8 +114,7 @@ class SlotPool:
         if not self._free:
             raise RuntimeError("slot pool exhausted")
         slot = self._free.pop(0)
-        for cache in self.caches:
-            cache.reset(slots=[slot])
+        self.cache.reset(slots=[slot])
         return slot
 
     def release(self, slot: int) -> None:
@@ -352,12 +347,12 @@ class ContinuousBatchingEngine:
 
     def _size_pool(self, max_slots: int, max_len: int) -> None:
         """(Re)allocate the KV slot pool: ``max_slots`` rows of
-        ``max_len`` positions per layer."""
+        ``max_len`` positions in every layer."""
         self.max_slots = int(max_slots)
         self.max_len = int(max_len)
-        self.caches = self.model.new_kv_caches(self.max_slots,
-                                               max_len=self.max_len)
-        self.pool = SlotPool(self.caches, self.max_slots)
+        self.cache = self.model.new_kv_cache(self.max_slots,
+                                             max_len=self.max_len)
+        self.pool = SlotPool(self.cache)
 
     # ------------------------------------------------------------------ #
     # online re-placement
@@ -491,9 +486,8 @@ class ContinuousBatchingEngine:
                     step=engine_steps - 1, kind=kind, time=now, counts=counts,
                     queue_depth=len(queue), active_slots=len(active),
                     placement=self.active_placement,
-                    slot_positions={
-                        slot: int(self.caches[0].positions[slot])
-                        for slot in occupied},
+                    slot_positions={slot: int(self.cache.positions[slot])
+                                    for slot in occupied},
                     trace_ids=[active[slot].request.trace_id
                                for slot in occupied])
             # The monitor goes last: an anomaly latching on this step
@@ -609,7 +603,7 @@ class ContinuousBatchingEngine:
                                               for s in group])
                         t0 = time.perf_counter()
                         logits = self.model.forward_slots(prompts,
-                                                          self.caches, slots)
+                                                          self.cache, slots)
                         elapsed = time.perf_counter() - t0
                         now += elapsed
                         first = np.argmax(logits.data[:, -1, :], axis=-1)
@@ -670,7 +664,7 @@ class ContinuousBatchingEngine:
                                               for s in deciding])
                         t0 = time.perf_counter()
                         logits = self.model.forward_slots(tokens,
-                                                          self.caches, slots)
+                                                          self.cache, slots)
                         elapsed = time.perf_counter() - t0
                         now += elapsed
                         steps += 1

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models import MoEBlock, build_model, moe_block, nano_moe
-from repro.nn import Tensor, default_dtype, no_grad
+from repro.models import (MoEBlock, build_model, generate, moe_block,
+                          nano_moe)
+from repro.nn import KVCache, Tensor, default_dtype, no_grad
 
 
 class TestForwardIncremental:
@@ -21,58 +22,72 @@ class TestForwardIncremental:
         ids = np.random.default_rng(0).integers(0, 64, size=(2, 10))
         with no_grad():
             full = nano_model.forward(ids).data
-            caches = nano_model.new_kv_caches(2, max_len=10)
-            inc = nano_model.forward_incremental(ids, caches).data
+            cache = nano_model.new_kv_cache(2, max_len=10)
+            inc = nano_model.forward_incremental(ids, cache).data
         np.testing.assert_array_equal(inc, full)
-        for cache in caches:
-            np.testing.assert_array_equal(cache.positions, [10, 10])
+        np.testing.assert_array_equal(cache.positions, [10, 10])
 
     def test_stepwise_logits_match_full_forward(self, nano_model):
         ids = np.random.default_rng(1).integers(0, 64, size=(1, 8))
         with no_grad():
             full = nano_model.forward(ids).data
-            caches = nano_model.new_kv_caches(1, max_len=8)
-            prefill = nano_model.forward_incremental(ids[:, :3], caches).data
+            cache = nano_model.new_kv_cache(1, max_len=8)
+            prefill = nano_model.forward_incremental(ids[:, :3], cache).data
             steps = [nano_model.forward_incremental(ids[:, t:t + 1],
-                                                    caches).data
+                                                    cache).data
                      for t in range(3, 8)]
         got = np.concatenate([prefill] + steps, axis=1)
         np.testing.assert_allclose(got, full, atol=1e-12)
 
     def test_requires_no_grad(self, nano_model):
-        caches = nano_model.new_kv_caches(1)
+        cache = nano_model.new_kv_cache(1)
         with pytest.raises(RuntimeError):
-            nano_model.forward_incremental(np.array([[1]]), caches)
+            nano_model.forward_incremental(np.array([[1]]), cache)
 
-    def test_cache_count_and_sync_validated(self, nano_model):
-        ids = np.array([[1, 2]])
-        with no_grad():
-            with pytest.raises(ValueError):
-                nano_model.forward_incremental(
-                    ids, nano_model.new_kv_caches(1)[:-1])
-            caches = nano_model.new_kv_caches(1)
-            caches[0]._positions[:] = 1  # desynchronized cursor
-            with pytest.raises(ValueError):
-                nano_model.forward_incremental(ids, caches)
+    @pytest.mark.parametrize("shape", [(1, 1, 8, 2, 8), (2, 1, 8, 4, 4),
+                                       (2, 1, 8, 2, 4), (2, 1, 999, 2, 8)],
+                             ids=["layers", "heads", "head_dim", "max_len"])
+    def test_cache_for_another_model_rejected(self, nano_model, shape):
+        """A cache with another layer count, head layout or a length past
+        ``max_seq_len`` is rejected before any write."""
+        config = nano_model.config
+        assert (config.num_layers, config.num_heads,
+                config.hidden_size // config.num_heads) == (2, 2, 8)
+        cache = KVCache(*shape)
+        with no_grad(), pytest.raises(ValueError, match="new_kv_cache"):
+            nano_model.forward_incremental(np.array([[1, 2]]), cache)
+        np.testing.assert_array_equal(cache.positions, [0])
+        assert not cache.keys.any()
 
     def test_max_seq_len_enforced(self, nano_model):
         max_len = nano_model.config.max_seq_len
         with no_grad():
-            caches = nano_model.new_kv_caches(1)
+            cache = nano_model.new_kv_cache(1)
             with pytest.raises(ValueError):
                 nano_model.forward_incremental(
-                    np.zeros((1, max_len + 1), dtype=np.int64), caches)
+                    np.zeros((1, max_len + 1), dtype=np.int64), cache)
         with pytest.raises(ValueError):
-            nano_model.new_kv_caches(1, max_len=max_len + 1)
+            nano_model.new_kv_cache(1, max_len=max_len + 1)
 
-    def test_new_kv_caches_shapes(self, nano_model):
+    def test_cache_follows_model_dtype(self):
+        """A float32 model's cache is float32 wherever it is allocated, so
+        its serving path stays in float32."""
+        with default_dtype(np.float32):
+            model = build_model(nano_moe(seed=0))
+        cache = model.new_kv_cache(1, max_len=4)    # default dtype: float64
+        assert cache.keys.dtype == cache.values.dtype == np.float32
+        with no_grad():
+            logits = model.forward_incremental(np.array([[1, 2]]), cache)
+        assert logits.data.dtype == np.float32
+
+    def test_new_kv_cache_shape(self, nano_model):
+        """One buffer pair for every layer and one cursor array."""
         config = nano_model.config
-        caches = nano_model.new_kv_caches(3, max_len=17)
-        assert len(caches) == config.num_layers
+        cache = nano_model.new_kv_cache(3, max_len=17)
         head_dim = config.hidden_size // config.num_heads
-        for cache in caches:
-            assert cache.keys.shape == (3, 17, config.num_heads, head_dim)
-            np.testing.assert_array_equal(cache.positions, [0, 0, 0])
+        assert cache.keys.shape == cache.values.shape == \
+            (config.num_layers, 3, 17, config.num_heads, head_dim)
+        np.testing.assert_array_equal(cache.positions, [0, 0, 0])
 
 
 class TestSingleTokenDispatchFastPath:
@@ -162,11 +177,11 @@ class TestForwardSlots:
         with no_grad():
             refs = []
             for prompt, row in ((a, 0), (b, 1)):
-                caches = nano_model.new_kv_caches(1, max_len=16)
-                nano_model.forward_incremental(prompt, caches)
+                cache = nano_model.new_kv_cache(1, max_len=16)
+                nano_model.forward_incremental(prompt, cache)
                 refs.append(nano_model.forward_incremental(
-                    step[row:row + 1], caches).data)
-            pool = nano_model.new_kv_caches(2, max_len=16)
+                    step[row:row + 1], cache).data)
+            pool = nano_model.new_kv_cache(2, max_len=16)
             nano_model.forward_slots(a, pool, np.array([0]))
             nano_model.forward_slots(b, pool, np.array([1]))
             got = nano_model.forward_slots(step, pool,
@@ -175,32 +190,83 @@ class TestForwardSlots:
         np.testing.assert_allclose(got[1:2], refs[1], atol=1e-12)
 
     def test_validation(self, nano_model):
-        pool = nano_model.new_kv_caches(2, max_len=8)
+        pool = nano_model.new_kv_cache(2, max_len=8)
         ids = np.array([[1, 2]])
         with pytest.raises(RuntimeError):
             nano_model.forward_slots(ids, pool, np.array([0]))
         with no_grad():
             with pytest.raises(ValueError):      # one slot per row
                 nano_model.forward_slots(ids, pool, np.array([0, 1]))
-            with pytest.raises(ValueError):      # cache count
-                nano_model.forward_slots(ids, pool[:-1], np.array([0]))
-            pool[0]._positions[0] = 3            # layer desync on slot 0
-            with pytest.raises(ValueError):
+            nano_model.forward_slots(np.ones((1, 7), dtype=np.int64), pool,
+                                     np.array([0]))
+            with pytest.raises(ValueError, match="overflow"):
                 nano_model.forward_slots(ids, pool, np.array([0]))
+        np.testing.assert_array_equal(pool.positions, [7, 0])
 
     @pytest.mark.parametrize("slots", [[-1], [2], [-1, 1], [0, 0]])
     def test_slot_ids_checked_before_any_write(self, nano_model, slots):
         """Slot -1 of a 2-row pool would wrap onto row 1 (and ``[-1, 1]``
         would pass a distinctness check, writing row 1 twice); the ids are
         rejected before any layer writes."""
-        pool = nano_model.new_kv_caches(2, max_len=8)
+        pool = nano_model.new_kv_cache(2, max_len=8)
         ids = np.ones((len(slots), 2), dtype=np.int64)
         with no_grad():
             with pytest.raises(ValueError, match="slot"):
                 nano_model.forward_slots(ids, pool, np.array(slots))
-        for cache in pool:
-            np.testing.assert_array_equal(cache.positions, [0, 0])
-            assert not cache.keys.any()
+        np.testing.assert_array_equal(pool.positions, [0, 0])
+        assert not pool.keys.any()
+
+
+    def test_one_plan_per_step(self, nano_model, monkeypatch):
+        """Slot checks, offsets and the mask are laid out once per call,
+        every block appends through that plan, and the cursors advance
+        in one commit after the last block."""
+        calls = {name: 0 for name in ("slot_ids", "plan", "append_rows",
+                                      "commit")}
+        for name in calls:
+            def spy(*args, _name=name, _method=getattr(KVCache, name)):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(KVCache, name, spy)
+        pool = nano_model.new_kv_cache(3, max_len=8)
+        with no_grad():
+            nano_model.forward_slots(np.ones((2, 3), dtype=np.int64), pool,
+                                     np.array([2, 0]))
+        assert calls == {"slot_ids": 1, "plan": 1,
+                         "append_rows": len(nano_model.blocks), "commit": 1}
+
+
+class TestTokenIdValidation:
+    """Ids are checked once, where both forward paths gather the
+    embedding, and before any KV write."""
+
+    @pytest.mark.parametrize("ids", [[[1, -1, 3]], [[1, 64, 3]],
+                                     [[1.7, 2.2]], [[True, False]]],
+                             ids=["negative", "vocab_size", "float", "bool"])
+    def test_forward_and_loss_reject(self, nano_model, ids):
+        match = "integers" if np.asarray(ids).dtype.kind in "fb" \
+            else r"\[0, 64\)"
+        with pytest.raises(ValueError, match=match):
+            nano_model.forward(ids)
+        with pytest.raises(ValueError, match=match):
+            nano_model.loss(ids, np.zeros_like(ids, dtype=np.int64))
+
+    @pytest.mark.parametrize("prompt, match", [([5, -3], r"\[0, 64\)"),
+                                               ([1.7, 2.2], "integer")],
+                             ids=["negative", "float"])
+    def test_generate_rejects_bad_prompt(self, nano_model, prompt, match):
+        with pytest.raises(ValueError, match=match):
+            generate(nano_model, np.array(prompt), 2, temperature=0.0)
+
+    @pytest.mark.parametrize("ids", [[[1], [-2]], [[1], [64]], [[1.7], [2.2]],
+                                     np.zeros((2, 0), dtype=np.int64)],
+                             ids=["negative", "vocab_size", "float", "empty"])
+    def test_forward_slots_rejects_before_any_write(self, nano_model, ids):
+        pool = nano_model.new_kv_cache(2, max_len=8)
+        with no_grad(), pytest.raises(ValueError, match="token ids"):
+            nano_model.forward_slots(ids, pool, [0, 1])
+        np.testing.assert_array_equal(pool.positions, [0, 0])
+        assert not pool.keys.any()
 
 
 class TestIncrementalDeterminism:
@@ -210,8 +276,8 @@ class TestIncrementalDeterminism:
         outs = []
         for _ in range(2):
             with no_grad():
-                caches = model.new_kv_caches(1, max_len=6)
-                outs.append(model.forward_incremental(ids, caches).data)
+                cache = model.new_kv_cache(1, max_len=6)
+                outs.append(model.forward_incremental(ids, cache).data)
         np.testing.assert_array_equal(outs[0], outs[1])
 
 
@@ -287,14 +353,14 @@ class TestArrayPathProperty:
         with default_dtype(dtype):
             # gradients stay on for every oracle call: the Tensor graph path
             full = [model.forward(np.array([seq])).data[0] for seq in seqs]
-            caches = model.new_kv_caches(pool, max_len=16)
+            cache = model.new_kv_cache(pool, max_len=16)
             cursor = np.zeros(pool, dtype=np.int64)
             for slots, n in events:
                 ids = np.array([seqs[s][cursor[s]:cursor[s] + n]
                                 for s in slots])
                 moe_calls.clear()
                 with no_grad():
-                    logits = model.forward_slots(ids, caches,
+                    logits = model.forward_slots(ids, cache,
                                                  np.array(slots)).data
                 records = model.routing_records()
                 if cursor[slots[0]] == 0:                      # prefill
@@ -310,8 +376,7 @@ class TestArrayPathProperty:
                     np.testing.assert_allclose(logits[:, 0], want, rtol=0,
                                                atol=DECODE_ATOL[dtype])
                 cursor[slots] += n
-                for cache in caches:
-                    np.testing.assert_array_equal(cache.positions, cursor)
+                np.testing.assert_array_equal(cache.positions, cursor)
                 assert len(moe_calls) == len(model.blocks)
                 for moe, x, out, record in moe_calls:
                     ref = moe(Tensor(x))

@@ -66,91 +66,136 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(a1(Tensor(x)).data, a2(Tensor(x)).data)
 
 
+def append(cache, slots, keys, values):
+    """One committed step writing ``keys``/``values`` into every layer;
+    returns its plan."""
+    plan = cache.plan(slots, keys.shape[1])
+    for layer in range(cache.keys.shape[0]):
+        cache.append_rows(layer, plan, keys, values)
+    cache.commit(plan)
+    return plan
+
+
+def slot_step(attn, cache, x, slots):
+    """One standalone ragged attention step: plan, attend, commit."""
+    plan = cache.plan(slots, x.shape[1], causal=attn.causal)
+    out = attn.forward_slots(x, cache, 0, plan)
+    cache.commit(plan)
+    return out
+
+
+def kv_cache(batch, max_len, num_heads=2, head_dim=4, layers=1):
+    return KVCache(layers, batch, max_len, num_heads, head_dim)
+
+
 class TestKVCache:
     def test_overflow_rejected(self):
-        cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=2)
-        cache.append_rows([0], np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2, 2)))
-        with pytest.raises(ValueError):
-            cache.append_rows([0], np.zeros((1, 2, 2, 2)),
-                              np.zeros((1, 2, 2, 2)))
+        cache = kv_cache(batch=1, max_len=4, head_dim=2)
+        append(cache, [0], np.zeros((1, 3, 2, 2)), np.zeros((1, 3, 2, 2)))
+        with pytest.raises(ValueError, match="overflow"):
+            cache.plan([0], 2)
 
     def test_shape_mismatch_rejected(self):
-        cache = KVCache(batch=2, max_len=4, num_heads=2, head_dim=2)
+        """One row of keys would broadcast over both planned rows."""
+        cache = kv_cache(batch=2, max_len=4, head_dim=2)
+        plan = cache.plan([0, 1], 1)
         with pytest.raises(ValueError):
-            cache.append_rows([0, 1], np.zeros((1, 1, 2, 2)),
-                              np.zeros((1, 1, 2, 2)))
+            cache.append_rows(0, plan, np.ones((1, 1, 2, 2)),
+                              np.ones((1, 1, 2, 2)))
+        assert not cache.keys.any()
 
     def test_reset_rewinds(self):
-        cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=2)
-        cache.append_rows([0], np.zeros((1, 4, 2, 2)), np.zeros((1, 4, 2, 2)))
+        cache = kv_cache(batch=1, max_len=4, head_dim=2)
+        append(cache, [0], np.zeros((1, 4, 2, 2)), np.zeros((1, 4, 2, 2)))
         cache.reset()
         np.testing.assert_array_equal(cache.positions, [0])
-        cache.append_rows([0], np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
+        append(cache, [0], np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
         np.testing.assert_array_equal(cache.positions, [2])
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
-            KVCache(batch=0, max_len=4, num_heads=2, head_dim=2)
+            KVCache(1, 0, 4, 2, 2)       # batch
         with pytest.raises(ValueError):
-            KVCache(batch=1, max_len=0, num_heads=2, head_dim=2)
+            KVCache(1, 1, 0, 2, 2)       # max_len
+        with pytest.raises(ValueError):
+            KVCache(0, 1, 4, 2, 2)       # layers
 
     @pytest.mark.parametrize("slots", [[-1], [4], [-1, 3], [3, -1], [0, 9]])
     def test_slot_ids_outside_batch_rejected(self, slots):
         """numpy would wrap slot -1 onto row 3 of a 4-row cache, so
         ``[-1, 3]`` would pass a distinctness check and write row 3 twice;
         every entry point rejects the ids instead, touching nothing."""
-        cache = KVCache(batch=4, max_len=4, num_heads=2, head_dim=2)
-        cache.append_rows([3], np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
-        block = np.full((len(slots), 1, 2, 2), 7.0)
+        cache = kv_cache(batch=4, max_len=4, head_dim=2)
+        append(cache, [3], np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2)))
         with pytest.raises(ValueError, match="slot ids"):
-            cache.append_rows(slots, block, block)
+            cache.plan(slots, 1)
         with pytest.raises(ValueError, match="slot ids"):
             cache.reset(slots=slots)
         np.testing.assert_array_equal(cache.positions, [0, 0, 0, 2])
-        np.testing.assert_array_equal(cache.keys[3, :2], 1.0)
-        assert not np.any(cache.keys == 7.0)
+        np.testing.assert_array_equal(cache.keys[0, 3, :2], 1.0)
+        assert np.count_nonzero(cache.keys) == 2 * 2 * 2
 
 
 class TestKVCachePerSlot:
     def test_append_rows_writes_at_per_slot_cursors(self):
-        cache = KVCache(batch=3, max_len=8, num_heads=2, head_dim=2)
-        cache.append_rows([0, 2], np.ones((2, 3, 2, 2)),
-                          np.ones((2, 3, 2, 2)))
-        offsets = cache.append_rows([2], 2 * np.ones((1, 2, 2, 2)),
-                                    2 * np.ones((1, 2, 2, 2)))
-        np.testing.assert_array_equal(offsets, [3])  # cursor before append
+        cache = kv_cache(batch=3, max_len=8, head_dim=2, layers=2)
+        append(cache, [0, 2], np.ones((2, 3, 2, 2)), np.ones((2, 3, 2, 2)))
+        plan = append(cache, [2], 2 * np.ones((1, 2, 2, 2)),
+                      2 * np.ones((1, 2, 2, 2)))
+        np.testing.assert_array_equal(plan.offsets, [3])  # cursor before
         np.testing.assert_array_equal(cache.positions, [3, 0, 5])
-        np.testing.assert_array_equal(cache.keys[2, :3], 1.0)
-        np.testing.assert_array_equal(cache.keys[2, 3:5], 2.0)
-        np.testing.assert_array_equal(cache.keys[1], 0.0)
+        for layer in range(2):
+            np.testing.assert_array_equal(cache.keys[layer, 2, :3], 1.0)
+            np.testing.assert_array_equal(cache.keys[layer, 2, 3:5], 2.0)
+            np.testing.assert_array_equal(cache.keys[layer, 1], 0.0)
 
     def test_positions_view_is_read_only(self):
-        cache = KVCache(batch=2, max_len=4, num_heads=2, head_dim=2)
+        cache = kv_cache(batch=2, max_len=4, head_dim=2)
         with pytest.raises(ValueError):
             cache.positions[0] = 3
 
     def test_reset_slots_rewinds_subset(self):
-        cache = KVCache(batch=3, max_len=4, num_heads=2, head_dim=2)
-        cache.append_rows([0, 1, 2], np.zeros((3, 3, 2, 2)),
-                          np.zeros((3, 3, 2, 2)))
+        cache = kv_cache(batch=3, max_len=4, head_dim=2)
+        append(cache, [0, 1, 2], np.zeros((3, 3, 2, 2)),
+               np.zeros((3, 3, 2, 2)))
         cache.reset(slots=[1])
         np.testing.assert_array_equal(cache.positions, [3, 0, 3])
 
     def test_append_rows_validation(self):
-        cache = KVCache(batch=3, max_len=4, num_heads=2, head_dim=2)
-        block = np.zeros((2, 1, 2, 2))
+        """Slot ids and overflow are checked when the step is planned,
+        key shapes when a layer appends."""
+        cache = kv_cache(batch=3, max_len=4, head_dim=2)
         with pytest.raises(ValueError):
-            cache.append_rows([0, 0], block, block)      # duplicate slots
+            cache.plan([0, 0], 1)                        # duplicate slots
         with pytest.raises(ValueError):
-            cache.append_rows([], np.zeros((0, 1, 2, 2)),
-                              np.zeros((0, 1, 2, 2)))    # empty
-        with pytest.raises(ValueError):
-            cache.append_rows([0], block, block)         # shape mismatch
-        cache.append_rows([1], np.zeros((1, 4, 2, 2)),
-                          np.zeros((1, 4, 2, 2)))
+            cache.plan([], 1)                            # empty
+        with pytest.raises(ValueError):                  # shape mismatch
+            cache.append_rows(0, cache.plan([0], 1), np.zeros((2, 1, 2, 2)),
+                              np.zeros((2, 1, 2, 2)))
+        append(cache, [1], np.zeros((1, 4, 2, 2)), np.zeros((1, 4, 2, 2)))
         with pytest.raises(ValueError):                  # per-slot overflow
-            cache.append_rows([1], np.zeros((1, 1, 2, 2)),
-                              np.zeros((1, 1, 2, 2)))
+            cache.plan([1], 1)
+
+    def test_uncommitted_step_leaves_cursors(self):
+        """Appends land past the cursors; only ``commit`` moves them."""
+        cache = kv_cache(batch=2, max_len=4, head_dim=2, layers=2)
+        plan = cache.plan([1], 2)
+        cache.append_rows(0, plan, np.ones((1, 2, 2, 2)),
+                          np.ones((1, 2, 2, 2)))
+        np.testing.assert_array_equal(cache.positions, [0, 0])
+        cache.commit(plan)
+        np.testing.assert_array_equal(cache.positions, [0, 2])
+
+    @pytest.mark.parametrize("slots, view", [([0, 1, 2], True), ([1, 2], True),
+                                             ([2], True), ([0, 2], False),
+                                             ([2, 1], False)])
+    def test_gather_views_ascending_runs(self, slots, view):
+        cache = kv_cache(batch=3, max_len=4, head_dim=2, layers=2)
+        plan = cache.plan(slots, 1)
+        keys, values = cache.gather(1, plan)
+        assert np.shares_memory(keys, cache.keys) is view
+        assert np.shares_memory(values, cache.values) is view
+        np.testing.assert_array_equal(keys, cache.keys[1, slots, :1])
 
 
 class TestIncrementalAttention:
@@ -165,8 +210,8 @@ class TestIncrementalAttention:
         x = np.random.default_rng(3).normal(size=(2, 6, 8))
         with no_grad():
             full = attn(Tensor(x)).data
-            cache = KVCache(batch=2, max_len=6, num_heads=2, head_dim=4)
-            inc = attn.forward_slots(x, cache, np.arange(2))
+            cache = kv_cache(batch=2, max_len=6)
+            inc = slot_step(attn, cache, x, np.arange(2))
         np.testing.assert_array_equal(inc, full)
         np.testing.assert_array_equal(cache.positions, [6, 6])
 
@@ -175,8 +220,8 @@ class TestIncrementalAttention:
         x = np.random.default_rng(4).normal(size=(1, 7, 8))
         with no_grad():
             full = attn(Tensor(x)).data
-            cache = KVCache(batch=1, max_len=7, num_heads=2, head_dim=4)
-            steps = [attn.forward_slots(x[:, t:t + 1], cache, np.arange(1))
+            cache = kv_cache(batch=1, max_len=7)
+            steps = [slot_step(attn, cache, x[:, t:t + 1], np.arange(1))
                      for t in range(7)]
         np.testing.assert_allclose(np.concatenate(steps, axis=1), full,
                                    atol=1e-12)
@@ -186,9 +231,9 @@ class TestIncrementalAttention:
         x = np.random.default_rng(5).normal(size=(2, 9, 8))
         with no_grad():
             full = attn(Tensor(x)).data
-            cache = KVCache(batch=2, max_len=9, num_heads=2, head_dim=4)
-            prefill = attn.forward_slots(x[:, :5], cache, np.arange(2))
-            tail = [attn.forward_slots(x[:, t:t + 1], cache, np.arange(2))
+            cache = kv_cache(batch=2, max_len=9)
+            prefill = slot_step(attn, cache, x[:, :5], np.arange(2))
+            tail = [slot_step(attn, cache, x[:, t:t + 1], np.arange(2))
                     for t in range(5, 9)]
         got = np.concatenate([prefill] + tail, axis=1)
         np.testing.assert_allclose(got, full, atol=1e-12)
@@ -196,9 +241,9 @@ class TestIncrementalAttention:
     def test_requires_no_grad(self):
         """Rejected before anything is written to the cache."""
         attn = self._attn()
-        cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=4)
+        cache = kv_cache(batch=1, max_len=4)
         with pytest.raises(RuntimeError):
-            attn.forward_slots(np.ones((1, 1, 8)), cache, np.arange(1))
+            slot_step(attn, cache, np.ones((1, 1, 8)), np.arange(1))
         np.testing.assert_array_equal(cache.positions, [0])
         assert not cache.keys.any()
 
@@ -215,10 +260,10 @@ class TestSlotAttention:
         attn = self._attn()
         x = np.random.default_rng(3).normal(size=(2, 6, 8))
         with no_grad():
-            own = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
-            ref = attn.forward_slots(x, own, np.arange(2))
-            pool = KVCache(batch=4, max_len=8, num_heads=2, head_dim=4)
-            got = attn.forward_slots(x, pool, np.array([1, 3]))
+            own = kv_cache(batch=2, max_len=8)
+            ref = slot_step(attn, own, x, np.arange(2))
+            pool = kv_cache(batch=4, max_len=8)
+            got = slot_step(attn, pool, x, np.array([1, 3]))
             full = attn(Tensor(x)).data
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(got, full)
@@ -236,15 +281,15 @@ class TestSlotAttention:
             # independent baselines
             refs = []
             for seq, row in ((seq_a, 0), (seq_b, 1)):
-                cache = KVCache(batch=1, max_len=8, num_heads=2, head_dim=4)
-                attn.forward_slots(seq, cache, np.arange(1))
-                refs.append(attn.forward_slots(step[row:row + 1], cache,
-                                               np.arange(1)))
+                cache = kv_cache(batch=1, max_len=8)
+                slot_step(attn, cache, seq, np.arange(1))
+                refs.append(slot_step(attn, cache, step[row:row + 1],
+                                      np.arange(1)))
             # shared pool, ragged step
-            pool = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
-            attn.forward_slots(seq_a, pool, np.array([0]))
-            attn.forward_slots(seq_b, pool, np.array([1]))
-            got = attn.forward_slots(step, pool, np.array([0, 1]))
+            pool = kv_cache(batch=2, max_len=8)
+            slot_step(attn, pool, seq_a, np.array([0]))
+            slot_step(attn, pool, seq_b, np.array([1]))
+            got = slot_step(attn, pool, step, np.array([0, 1]))
         np.testing.assert_array_equal(got[0:1], refs[0])
         np.testing.assert_array_equal(got[1:2], refs[1])
 
@@ -255,13 +300,13 @@ class TestSlotAttention:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(1, 4, 8))
         with no_grad():
-            clean = KVCache(batch=1, max_len=6, num_heads=2, head_dim=4)
-            ref = attn.forward_slots(x, clean, np.array([0]))
-            dirty = KVCache(batch=1, max_len=6, num_heads=2, head_dim=4)
-            attn.forward_slots(100 + rng.normal(size=(1, 6, 8)),
-                               dirty, np.array([0]))
+            clean = kv_cache(batch=1, max_len=6)
+            ref = slot_step(attn, clean, x, np.array([0]))
+            dirty = kv_cache(batch=1, max_len=6)
+            slot_step(attn, dirty, 100 + rng.normal(size=(1, 6, 8)),
+                      np.array([0]))
             dirty.reset(slots=[0])
-            got = attn.forward_slots(x, dirty, np.array([0]))
+            got = slot_step(attn, dirty, x, np.array([0]))
         np.testing.assert_array_equal(got, ref)
 
     def test_non_causal_rows_stop_at_fill_length(self):
@@ -270,20 +315,28 @@ class TestSlotAttention:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(1, 3, 8))
         with no_grad():
-            solo = KVCache(batch=1, max_len=8, num_heads=2, head_dim=4)
-            ref = attn.forward_slots(x, solo, np.array([0]))
-            pool = KVCache(batch=2, max_len=8, num_heads=2, head_dim=4)
+            solo = kv_cache(batch=1, max_len=8)
+            ref = slot_step(attn, solo, x, np.array([0]))
+            pool = kv_cache(batch=2, max_len=8)
             # slot 1 is deeper, forcing a gather wider than slot 0's fill
-            attn.forward_slots(rng.normal(size=(1, 7, 8)), pool,
-                               np.array([1]))
-            got = attn.forward_slots(x, pool, np.array([0]))
+            slot_step(attn, pool, rng.normal(size=(1, 7, 8)), np.array([1]))
+            got = slot_step(attn, pool, x, np.array([0]))
         np.testing.assert_allclose(got, ref, atol=1e-12)
+        # A fresh row hides nothing: the full forward, bit for bit.
+        np.testing.assert_array_equal(ref, attn(Tensor(x)).data)
+
+    def test_plan_must_match_layer_causality(self):
+        attn = self._attn(causal=False)
+        cache = kv_cache(batch=1, max_len=4)
+        with no_grad(), pytest.raises(ValueError, match="causal"):
+            attn.forward_slots(np.zeros((1, 1, 8)), cache, 0,
+                               cache.plan([0], 1))
 
     def test_requires_no_grad(self):
         attn = self._attn()
-        cache = KVCache(batch=1, max_len=4, num_heads=2, head_dim=4)
+        cache = kv_cache(batch=1, max_len=4)
         with pytest.raises(RuntimeError):
-            attn.forward_slots(np.zeros((1, 1, 8)), cache, np.array([0]))
+            slot_step(attn, cache, np.zeros((1, 1, 8)), np.array([0]))
 
     def test_float32_prefill_stays_float32_and_matches_forward(self):
         """Masks follow the scores' dtype, so a float32 layer computes in
@@ -294,7 +347,8 @@ class TestSlotAttention:
                 .astype(np.float32)
             full = attn(Tensor(x)).data
             with no_grad():
-                cache = KVCache(batch=3, max_len=8, num_heads=2, head_dim=4)
-                got = attn.forward_slots(x, cache, np.array([2, 0]))
-        assert full.dtype == got.dtype == np.float32
+                cache = kv_cache(batch=3, max_len=8)
+                plan = cache.plan(np.array([2, 0]), 5)
+                got = attn.forward_slots(x, cache, 0, plan)
+        assert full.dtype == got.dtype == plan.mask.dtype == np.float32
         np.testing.assert_array_equal(got, full)

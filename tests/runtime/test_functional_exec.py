@@ -45,10 +45,10 @@ class TestExactEquivalence:
         with no_grad():
             logits = []
             for model in (mono, detached):
-                caches = model.new_kv_caches(2, max_len=8)
-                logits.append([model.forward_incremental(ids, caches).data,
+                cache = model.new_kv_cache(2, max_len=8)
+                logits.append([model.forward_incremental(ids, cache).data,
                                model.forward_incremental(ids[:, :1],
-                                                         caches).data])
+                                                         cache).data])
         for got, want in zip(logits[1], logits[0]):
             np.testing.assert_array_equal(got, want)
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterTopology, Link, v100_32gb
 from repro.models import build_model, generate, nano_moe, tiny_mistral
 from repro.models.transformer import MoETransformer
 from repro.nn import default_dtype, no_grad
 from repro.parallel import make_executor
+from repro.placement import Placement
 from repro.serving import (ADMISSION_POLICIES, ContinuousBatchingEngine,
                            LiveDecodeEngine, PrefetchConfig, Request,
                            SlotPool, poisson_workload)
@@ -40,8 +42,8 @@ def prompts(nano_config):
 
 class TestSlotPool:
     def test_acquire_lowest_first_and_release(self, nano_model):
-        caches = nano_model.new_kv_caches(3)
-        pool = SlotPool(caches, 3)
+        pool = SlotPool(nano_model.new_kv_cache(3))
+        assert pool.max_slots == 3
         assert [pool.acquire() for _ in range(3)] == [0, 1, 2]
         assert pool.free_count == 0 and pool.active_count == 3
         with pytest.raises(RuntimeError):
@@ -50,20 +52,16 @@ class TestSlotPool:
         assert pool.acquire() == 1  # re-issues the freed slot
 
     def test_acquire_rewinds_only_that_slot(self, nano_model):
-        caches = nano_model.new_kv_caches(2)
-        pool = SlotPool(caches, 2)
+        cache = nano_model.new_kv_cache(2)
+        pool = SlotPool(cache)
         pool.acquire(), pool.acquire()
-        for cache in caches:
-            cache._positions[:] = [4, 7]  # simulate decoded prefixes
+        cache._positions[:] = [4, 7]  # simulate decoded prefixes
         pool.release(0)
         pool.acquire()
-        assert all(list(c.positions) == [0, 7] for c in caches)
+        assert list(cache.positions) == [0, 7]
 
     def test_validation(self, nano_model):
-        caches = nano_model.new_kv_caches(2)
-        with pytest.raises(ValueError):
-            SlotPool(caches, 3)          # batch mismatch
-        pool = SlotPool(caches, 2)
+        pool = SlotPool(nano_model.new_kv_cache(2))
         with pytest.raises(ValueError):
             pool.release(0)              # already free
         with pytest.raises(ValueError):
@@ -311,11 +309,11 @@ class TestFailurePaths:
         engine = ContinuousBatchingEngine(model, max_slots=2)
         calls = []
 
-        def failing_third_call(token_ids, caches, slots):
+        def failing_third_call(token_ids, cache, slots):
             calls.append(len(slots))
             if len(calls) == 3:
                 raise RuntimeError("injected forward failure")
-            return MoETransformer.forward_slots(model, token_ids, caches,
+            return MoETransformer.forward_slots(model, token_ids, cache,
                                                 slots)
 
         model.forward_slots = failing_third_call
@@ -356,6 +354,45 @@ PREFETCH_COUNTERS = {
     "prefetch_unhidden_bytes": "serve.prefetch_unhidden_bytes",
     "prefetch_remote_bytes": "serve.prefetch_remote_bytes",
 }
+
+
+# 2 nodes x 2 GPUs: a swapped placement moves experts across both link
+# classes, so the prefetcher's remote bytes follow the swaps.
+TOPOLOGY = ClusterTopology(num_nodes=2, gpus_per_node=2, device=v100_32gb(),
+                           intra_link=Link(18.3e9, 10e-6),
+                           cross_link=Link(1.17e9, 150e-6))
+
+
+@st.composite
+def placement_swaps(draw):
+    """Placements to stage, each before a drawn ``forward_slots`` call
+    (call 0 stages before the first prefill; later calls land between
+    and during admissions, prefills, decode steps and evictions)."""
+    config = nano_moe()
+    calls = draw(st.lists(st.integers(0, 10), max_size=3, unique=True))
+    return {call: Placement(np.array(draw(st.lists(
+        st.integers(0, TOPOLOGY.num_workers - 1),
+        min_size=config.num_layers * config.num_experts,
+        max_size=config.num_layers * config.num_experts))).reshape(
+            config.num_layers, config.num_experts), name=f"call{call}")
+        for call in calls}
+
+
+def staging_swaps(engine, swaps):
+    """Wrap ``engine.model.forward_slots`` to stage ``swaps[k]`` just
+    before the ``k``-th call; returns the list of staged placements."""
+    model, staged, calls = engine.model, [], [0]
+
+    def forward_slots(token_ids, cache, slots):
+        placement = swaps.get(calls[0])
+        calls[0] += 1
+        if placement is not None:
+            engine.swap_placement(placement)
+            staged.append(placement)
+        return MoETransformer.forward_slots(model, token_ids, cache, slots)
+
+    model.forward_slots = forward_slots
+    return staged
 
 
 @st.composite
@@ -403,13 +440,14 @@ def matches_oracle(model, request, outcome, solo, eos_token_id) -> bool:
 
 class TestServeLoopProperty:
     @settings(max_examples=30, deadline=None)
-    @given(plan=serve_plans(), data=st.data())
-    def test_serve_matches_generate_oracle(self, plan, data):
+    @given(plan=serve_plans(), swaps=placement_swaps(), data=st.data())
+    def test_serve_matches_generate_oracle(self, plan, swaps, data):
         """Random arrivals, prompts, budgets, pool sizes, admission
-        policies and EOS tokens: every request's ids equal its solo
-        ``generate`` ids cut at EOS, every slot is free after each
-        serve(), and with the tracer and prefetcher attached the ids are
-        the same and the ledgers tile the ``serve.prefetch_*`` counters."""
+        policies, EOS tokens and placement swaps staged mid-run: every
+        request's ids equal its solo ``generate`` ids cut at EOS, every
+        slot is free after each serve(), and with the tracer and
+        prefetcher attached the ids are the same and the ledgers tile the
+        ``serve.prefetch_*`` counters."""
         requests, max_slots, admission, sidecars = plan
         with default_dtype(np.float64):
             model = build_model(nano_moe(seed=0))
@@ -420,13 +458,25 @@ class TestServeLoopProperty:
                                  label="eos_token_id")
 
         runs = [{}] + ([{"telemetry": Telemetry(), "tracing": RequestTracer(),
-                         "prefetch": PrefetchConfig()}] if sidecars else [])
+                         "prefetch": PrefetchConfig(topology=TOPOLOGY)}]
+                       if sidecars else [])
         for extra in runs:
             engine = ContinuousBatchingEngine(
                 model, max_slots=max_slots, admission=admission,
                 eos_token_id=eos_token_id, **extra)
-            outcomes = engine.serve(requests).outcomes
+            staged = staging_swaps(engine, swaps)
+            try:
+                outcomes = engine.serve(requests).outcomes
+            finally:
+                del model.forward_slots
             assert engine.pool.free_count == max_slots
+            if staged:
+                # The last swap is live, or staged for the next boundary.
+                assert staged[-1] in (engine.active_placement,
+                                      engine._pending_placement)
+                event("placement swapped mid-run"
+                      if engine.active_placement is not None
+                      else "swap staged after the last boundary")
             assert [o.request_id for o in outcomes] == \
                 [r.request_id for r in requests]
             for request, outcome, ids in zip(requests, outcomes, solo):
