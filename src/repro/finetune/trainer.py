@@ -22,6 +22,7 @@ run is bracketed by a :class:`~repro.telemetry.events.RunManifest`
 
 from __future__ import annotations
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -185,8 +186,17 @@ class Trainer:
 
     def train(self, steps: Optional[int] = None,
               callbacks: Optional[List[Callback]] = None) -> FineTuneResult:
-        """Run ``steps`` optimizer steps (defaults to the config's count)."""
+        """Run ``steps`` optimizer steps (defaults to the config's count).
+
+        Raises ``ValueError`` unless ``steps`` is a positive integer,
+        before any state changes.
+        The model is put in training mode unless its root module already
+        is (the mode ``model.train()``/``eval()`` set for the whole tree).
+        """
         steps = steps if steps is not None else self.config.steps
+        if not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(f"steps must be a positive integer, got "
+                             f"{steps!r}")
         model_cfg = self.model.config
 
         loss_cb = LossHistory()
@@ -194,7 +204,8 @@ class Trainer:
         gate_cb = GateMonitor(self.config.monitored_layer)
         all_callbacks = [loss_cb, routing_cb, gate_cb] + list(callbacks or [])
 
-        self.model.train()
+        if not self.model.training:
+            self.model.train()
         # The inner loop only needs the full (tokens, experts) probability
         # matrix on the gate-monitored layer; skip the per-step copy
         # everywhere else.
@@ -225,7 +236,9 @@ class Trainer:
             for step in range(steps):
                 if self.scheduler is not None:
                     self.scheduler.step()
-                self.model.zero_grad()
+                # The optimizer holds every parameter that was trainable
+                # at construction; frozen ones never receive a gradient.
+                self.optimizer.zero_grad()
                 step_loss = 0.0
                 step_counts = None
                 for _ in range(accumulation):
@@ -310,10 +323,11 @@ def pretrain_router(model: MoETransformer, loader: LMDataLoader,
         losses = []
         for _, (inputs, targets) in zip(range(steps), loader.batches(steps)):
             loss = model.loss(inputs, targets)
-            model.zero_grad()
+            optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             losses.append(float(loss.item()))
+        optimizer.zero_grad()
     finally:
         for block, weight in zip(model.blocks, previous_weights):
             block.moe.gate.aux_loss_weight = weight

@@ -35,14 +35,9 @@ def generate(model: MoETransformer, prompt_ids: np.ndarray, max_new_tokens: int,
 
     Returns the full sequence (prompt + continuation).
     """
-    if max_new_tokens < 1:
-        raise ValueError("max_new_tokens must be positive")
+    prompt_ids = _check_decode(prompt_ids, max_new_tokens)
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    prompt_ids = np.asarray(prompt_ids)
-    if prompt_ids.ndim != 1 or len(prompt_ids) == 0 or \
-            not np.issubdtype(prompt_ids.dtype, np.integer):
-        raise ValueError("prompt_ids must be a non-empty 1-D integer array")
 
     rng = np.random.default_rng(seed)
     max_ctx = model.config.max_seq_len
@@ -59,6 +54,19 @@ def generate(model: MoETransformer, prompt_ids: np.ndarray, max_new_tokens: int,
     finally:
         model.train(was_training)
     return np.array(sequence, dtype=np.int64)
+
+
+def _check_decode(prompt_ids, max_new_tokens: int) -> np.ndarray:
+    """``prompt_ids`` as a checked non-empty 1-D integer array; raises
+    ``ValueError`` on a bad prompt or ``max_new_tokens < 1``.  A cast
+    would truncate float ids silently."""
+    if max_new_tokens < 1:
+        raise ValueError("max_new_tokens must be positive")
+    prompt_ids = np.asarray(prompt_ids)
+    if prompt_ids.ndim != 1 or len(prompt_ids) == 0 or \
+            not np.issubdtype(prompt_ids.dtype, np.integer):
+        raise ValueError("prompt_ids must be a non-empty 1-D integer array")
+    return prompt_ids
 
 
 def _sample_token(logits: np.ndarray, temperature: float,
@@ -82,9 +90,11 @@ def decode_routing_counts(model: MoETransformer, prompt_ids: np.ndarray,
     """Per-layer expert access counts accumulated over a decode.
 
     Decode-time routing drives the serving simulation: each generated token
-    makes one routing decision per block (the trailing position).
+    makes one routing decision per block (the trailing position).  The
+    prompt and ``max_new_tokens`` are checked as :func:`generate` checks
+    them.
     """
-    prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
+    prompt_ids = _check_decode(prompt_ids, max_new_tokens)
     config = model.config
     counts = np.zeros((config.num_layers, config.num_experts), dtype=np.int64)
     max_ctx = config.max_seq_len

@@ -5,7 +5,8 @@ namespace.  This replaces PyTorch for the reproduction (see DESIGN.md §1).
 """
 
 from . import functional
-from .attention import KVCache, MultiHeadAttention, causal_mask
+from .attention import KVCache, MultiHeadAttention
+from .functional import causal_mask
 from .layers import (Dropout, Embedding, LayerNorm, Linear, Module, Parameter,
                      RMSNorm, Sequential)
 from .optim import SGD, AdamW, GradClipper, Optimizer

@@ -19,21 +19,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .functional import softmax
+from .functional import attention, merge_heads, scaled_softmax
 from .layers import Linear, Module
 from .tensor import Tensor, get_default_dtype, is_grad_enabled
-
-
-def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
-    """Return an additive causal mask of shape ``(seq_len, seq_len)``.
-
-    Entries above the diagonal are ``-inf`` surrogates (-1e9) so softmax
-    assigns them ~zero weight.  Build it in the scores' dtype: a float64
-    mask would promote float32 scores, and every op after them, to float64.
-    """
-    mask = np.triu(np.ones((seq_len, seq_len), dtype=dtype), k=1)
-    mask *= -1e9
-    return mask
 
 
 @dataclass
@@ -189,6 +177,15 @@ class KVCache:
         self._positions[plan.slots] = plan.offsets + plan.seq
 
 
+def _projection(proj: Module, shape: tuple, dtype) -> tuple:
+    """``proj``'s ``(weight, bias, adapter)`` entry for an input of
+    ``shape``: a plain :class:`Linear`, or a
+    :class:`~repro.lora.LoRALinear` (its ``base`` and ``factors``)."""
+    if isinstance(proj, Linear):
+        return proj.weight, proj.bias, None
+    return proj.base.weight, proj.base.bias, proj.factors(shape, dtype)
+
+
 class MultiHeadAttention(Module):
     """Standard scaled-dot-product multi-head self-attention.
 
@@ -218,25 +215,16 @@ class MultiHeadAttention(Module):
         self.o_proj = Linear(dim, dim, bias=False, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Apply self-attention to ``x`` of shape ``(batch, seq, dim)``."""
-        batch, seq, _ = x.shape
-        heads, hd = self.num_heads, self.head_dim
+        """Apply self-attention to ``x`` of shape ``(batch, seq, dim)``.
 
-        def split_heads(t: Tensor) -> Tensor:
-            # (b, s, d) -> (b, h, s, hd)
-            return t.reshape(batch, seq, heads, hd).transpose(0, 2, 1, 3)
-
-        q = split_heads(self.q_proj(x))
-        k = split_heads(self.k_proj(x))
-        v = split_heads(self.v_proj(x))
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-        if self.causal:
-            scores = scores + causal_mask(seq, scores.dtype)
-        weights = softmax(scores, axis=-1)
-        context = weights @ v  # (b, h, s, hd)
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.o_proj(merged)
+        One :func:`~repro.nn.functional.attention` node.  Each projection
+        is a ``Linear`` or a LoRA adapter over one; an adapter draws its
+        dropout mask from its own stream, as its ``forward`` would.
+        """
+        return attention(x, [_projection(proj, x.shape, x.dtype)
+                             for proj in (self.q_proj, self.k_proj,
+                                          self.v_proj, self.o_proj)],
+                         self.num_heads, self.causal)
 
     def forward_slots(self, x: np.ndarray, cache: KVCache, layer: int,
                       plan: SlotPlan) -> np.ndarray:
@@ -275,14 +263,6 @@ class MultiHeadAttention(Module):
         k, v = cache.gather(layer, plan)   # (rows, total, heads, hd)
 
         scores = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)
-        scores *= float(1.0 / np.sqrt(hd))
-        if plan.mask is not None:
-            scores += plan.mask
-        # Raw stable softmax, same formula as functional.softmax.
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-
+        scaled_softmax(scores, float(1.0 / np.sqrt(hd)), plan.mask)
         context = scores @ v.transpose(0, 2, 1, 3)  # (rows, h, seq, hd)
-        merged = context.transpose(0, 2, 1, 3).reshape(rows, seq, self.dim)
-        return self.o_proj.infer(merged)
+        return self.o_proj.infer(merge_heads(context))

@@ -301,6 +301,158 @@ def lora_linear(x: Tensor, weight: Tensor, lora_a: Tensor, lora_b: Tensor,
     return Tensor._make(y, parents, backward)
 
 
+def rms_normalize(x: np.ndarray, eps: float):
+    """``(x / rms, rms)`` with ``rms = sqrt(mean(x²) + eps)`` over the last
+    axis, on plain arrays: the layered ``Tensor`` chain's ops (``mean`` is
+    a sum times ``1/n``), every scalar in ``x``'s dtype."""
+    ms = (x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
+    rms = np.sqrt(ms + float(eps))
+    return x / rms, rms
+
+
+def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
+    """RMSNorm ``x / sqrt(mean(x²) + eps) * w`` over the last axis as one
+    node.
+
+    The forward is :func:`rms_normalize` times ``w``, the layered chain's
+    bit for bit; the backward is ``(g·w - x̂ · mean(g·w·x̂)) / rms`` with
+    ``x̂ = x / rms``.
+    """
+    w = weight.data
+    n = x.shape[-1]
+    normed, rms = rms_normalize(x.data, eps)
+
+    def backward(g: np.ndarray):
+        gw = _flat(g * normed).sum(axis=0) if weight.requires_grad else None
+        if not x.requires_grad:
+            return None, gw
+        gn = g * w
+        dot = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
+        gn -= normed * dot
+        gn /= rms
+        return gn, gw
+
+    return Tensor._make(normed * w, (x, weight), backward)
+
+
+def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
+    """Return an additive causal mask of shape ``(seq_len, seq_len)``.
+
+    Entries above the diagonal are ``-inf`` surrogates (-1e9) so softmax
+    assigns them ~zero weight.  Build it in the scores' dtype: a float64
+    mask would promote float32 scores, and every op after them, to float64.
+    """
+    mask = np.triu(np.ones((seq_len, seq_len), dtype=dtype), k=1)
+    mask *= -1e9
+    return mask
+
+
+def scaled_softmax(scores: np.ndarray, scale: float,
+                   mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """``softmax(scores · scale + mask)`` over the last axis, in place on
+    ``scores`` (returned): the attention weights of the training kernel
+    and of the KV-cached serving path, in the layered chain's op order.
+    ``scale`` is a Python float, so it takes the scores' dtype."""
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """``(b, s, h·d)`` → ``(b, h, s, d)`` (a view)."""
+    batch, seq, dim = t.shape
+    return t.reshape(batch, seq, heads, dim // heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(t: np.ndarray) -> np.ndarray:
+    """``(b, h, s, d)`` → ``(b, s, h·d)``, the inverse of
+    :func:`_split_heads`."""
+    batch, heads, seq, hd = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(batch, seq, heads * hd)
+
+
+def attention(x: Tensor, projections, num_heads: int,
+              causal: bool = True) -> Tensor:
+    """Multi-head self-attention over ``x`` ``(batch, seq, dim)`` as one
+    node.
+
+    ``projections`` holds the q, k, v and o projections, each a
+    ``(weight, bias or None, adapter or None)`` triple in the ``Linear``
+    layout, where ``adapter`` is ``(A, B, scaling, mask or None)`` as in
+    :func:`lora_linear`; all but ``scaling`` and ``mask`` are Tensors.
+    Each projection runs through :func:`_project`, then come the scaled
+    scores, the causal mask, the stable softmax, the context and the head
+    merge, in the layered chain's op order, so the forward is that chain's
+    bit for bit.  The hand-written backward skips the gradient GEMMs of
+    every input that does not require grad.
+    """
+    seq, dim = x.shape[1:]
+    scale = float(1.0 / np.sqrt(dim // num_heads))
+    owners = []  # per projection: its weight, bias, A and B Tensors
+    arrays = []  # and its (weight, bias, adapter) entry on arrays
+    for weight, bias, adapter in projections:
+        tensors = [weight] + ([] if bias is None else [bias])
+        if adapter is not None:
+            a, b, scaling, mask = adapter
+            tensors += [a, b]
+            adapter = (a.data, b.data, scaling, mask)
+        owners.append(tensors)
+        arrays.append((weight.data, None if bias is None else bias.data,
+                       adapter))
+
+    def project(inp, i):
+        w, b, adapter = arrays[i]
+        return _project(inp, w, adapter, b)
+
+    projected = [project(x.data, i) for i in range(3)]
+    q, k, v = (_split_heads(y, num_heads) for y, _ in projected)
+    probs = q @ k.transpose(0, 1, 3, 2)
+    scaled_softmax(probs, scale,
+                   causal_mask(seq, probs.dtype) if causal else None)
+    merged = merge_heads(probs @ v)
+    out, saved_o = project(merged, 3)
+    saved = [s for _, s in projected] + [saved_o]
+
+    def project_backward(grad, inp, i, need_x):
+        """Projection ``i``'s input gradient and its parameters'."""
+        w, b, adapter = arrays[i]
+        needs = [t.requires_grad for t in owners[i]]
+        need_ab = needs[-2:] if adapter is not None else ()
+        gi, gw, ga, gb = _project_backward(grad, inp, w, adapter, saved[i],
+                                           need_x, needs[0], *need_ab)
+        grads = [gw]
+        if b is not None:
+            grads.append(_flat(grad).sum(axis=0) if needs[1] else None)
+        if adapter is not None:
+            grads += [ga, gb]
+        return gi, grads
+
+    def backward(g: np.ndarray):
+        gmerged, grads_o = project_backward(g, merged, 3, True)
+        gctx = _split_heads(gmerged, num_heads)
+        gv = probs.transpose(0, 1, 3, 2) @ gctx
+        gscores = gctx @ v.transpose(0, 1, 3, 2)
+        gscores -= (gscores * probs).sum(axis=-1, keepdims=True)
+        gscores *= probs
+        gscores *= scale
+        gq = gscores @ k
+        gk = gscores.transpose(0, 1, 3, 2) @ q
+        gx, grads = None, []
+        for i, head_grad in enumerate((gq, gk, gv)):
+            gi, grads_i = project_backward(merge_heads(head_grad), x.data, i,
+                                           x.requires_grad)
+            gx = gi if gx is None else gx + gi
+            grads += grads_i
+        return (gx, *grads, *grads_o)
+
+    return Tensor._make(out, [x] + [t for ts in owners for t in ts],
+                        backward)
+
+
 def swiglu_forward(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
                    w_down: np.ndarray, lora=None):
     """The SwiGLU FFN ``(silu(x Wg^T) * (x Wu^T)) Wd^T`` on plain arrays.

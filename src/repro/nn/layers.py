@@ -13,7 +13,7 @@ import numpy as np
 
 from . import init as initializers
 from .functional import dropout as dropout_fn
-from .functional import embedding_lookup
+from .functional import embedding_lookup, rms_norm, rms_normalize
 from .tensor import Tensor, is_grad_enabled
 
 
@@ -246,15 +246,13 @@ class RMSNorm(Module):
         self.weight = Parameter(np.ones(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        """Run the forward computation."""
-        ms = (x * x).mean(axis=-1, keepdims=True)
-        return x / (ms + self.eps).sqrt() * self.weight
+        """``x / sqrt(mean(x²) + eps) * w`` as one
+        :func:`~repro.nn.functional.rms_norm` node."""
+        return rms_norm(x, self.weight, self.eps)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward`'s op chain on plain arrays (``mean`` is a sum
-        times ``1/n``, as in :meth:`Tensor.mean`)."""
-        ms = (x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
-        return x / np.sqrt(ms + self.eps) * self.weight.data
+        """:meth:`forward`'s arithmetic on plain arrays."""
+        return rms_normalize(x, self.eps)[0] * self.weight.data
 
 
 class Dropout(Module):

@@ -66,6 +66,15 @@ class AdamW(Optimizer):
     """AdamW with decoupled weight decay.
 
     Defaults follow the paper's fine-tuning settings (Section V-A).
+
+    The moments of all parameters of one dtype live in one preallocated
+    flat buffer each; ``_m[i]`` and ``_v[i]`` are views of parameter
+    ``i``'s segment, so writing them in place (as checkpoint loading does)
+    writes the optimizer's state.  :meth:`step` gathers every gradient and
+    parameter into preallocated flat scratch buffers and updates each
+    dtype with a handful of whole-buffer ops: no allocation scales with
+    the parameter count, and the arithmetic is the per-tensor update's,
+    bit for bit.  A gradient is read in its parameter's dtype.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float = 3e-5,
@@ -81,28 +90,94 @@ class AdamW(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m: List[np.ndarray] = [None] * len(self.params)
+        self._v: List[np.ndarray] = [None] * len(self.params)
+        self._groups = []
+        for dtype in dict.fromkeys(p.data.dtype for p in self.params):
+            index = [i for i, p in enumerate(self.params)
+                     if p.data.dtype == dtype]
+            group = _FlatGroup([self.params[i] for i in index], dtype)
+            for i, m, v in zip(index, group.views(group.m),
+                               group.views(group.v)):
+                self._m[i], self._v[i] = m, v
+            self._groups.append(group)
 
     def step(self) -> None:
-        """Apply one update."""
+        """Apply one update to every parameter that has a gradient; one
+        without keeps its value and its moments."""
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        for group in self._groups:
+            where = group.gather()
+            if where is None:
                 continue
-            grad = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v, g, p, t = group.m, group.v, group.grad, group.param, \
+                group.scratch
+            np.multiply(m, self.beta1, out=m, where=where)
+            np.multiply(g, 1.0 - self.beta1, out=t)
+            np.add(m, t, out=m, where=where)
+            np.multiply(v, self.beta2, out=v, where=where)
+            np.multiply(g, 1.0 - self.beta2, out=t)
+            t *= g
+            np.add(v, t, out=v, where=where)
+            np.divide(v, bias2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            np.divide(m, bias1, out=g)
+            g /= t                                   # the update
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                np.multiply(p, self.weight_decay, out=t)
+                g += t
+            g *= self.lr
+            p -= g
+            for param, new in zip(group.params, group.param_views):
+                if param.grad is not None:
+                    param.data = new.copy()
+
+
+class _FlatGroup:
+    """One dtype's flat AdamW state and scratch: moments ``m``/``v`` plus
+    ``grad``, ``param`` and ``scratch`` buffers, with ``params`` laid out
+    back to back in order."""
+
+    def __init__(self, params: List[Parameter], dtype):
+        self.params = params
+        self.shapes = [p.data.shape for p in params]
+        sizes = [p.data.size for p in params]
+        self.bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        total = self.bounds[-1]
+        self.m, self.v, self.grad, self.param, self.scratch = (
+            np.zeros(total, dtype=dtype) for _ in range(5))
+        self.param_views = self.views(self.param)
+        self.mask = np.ones(total, dtype=bool)
+        self.zeros = np.zeros(max(sizes), dtype=dtype)
+
+    def views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """``flat`` cut into the parameters' shaped views."""
+        return [flat[a:b].reshape(shape) for a, b, shape in
+                zip(self.bounds, self.bounds[1:], self.shapes)]
+
+    def gather(self):
+        """Copy gradients (zeros where missing) and values into ``grad``
+        and ``param``.  Returns the ``where=`` mask of the elements to
+        update: ``True`` when every parameter has a gradient, ``None``
+        when none has."""
+        params = self.params
+        grads = [p.grad for p in params]
+        missing = [i for i, grad in enumerate(grads) if grad is None]
+        if len(missing) == len(params):
+            return None
+        for i in missing:
+            grads[i] = self.zeros[:params[i].data.size]
+        np.concatenate(grads, axis=None, out=self.grad, casting="same_kind")
+        np.concatenate([p.data for p in params], axis=None, out=self.param)
+        if not missing:
+            return True
+        self.mask[:] = True
+        for i in missing:
+            self.mask[self.bounds[i]:self.bounds[i + 1]] = False
+        return self.mask
 
 
 class GradClipper:

@@ -204,7 +204,9 @@ class Tensor:
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         parents = tuple(p for p in parents if isinstance(p, Tensor))
         requires = _grad_enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
+        # A full reduction returns a numpy scalar: keep its dtype, as the
+        # constructor keeps an array's.
+        out = Tensor(np.asarray(data), requires_grad=requires)
         if requires:
             out._parents = parents
             out._backward = backward
@@ -245,7 +247,9 @@ class Tensor:
         if grad.shape != self.data.shape:
             grad = np.broadcast_to(grad, self.data.shape).copy()
 
-        # Topological order over the reachable graph.
+        # Topological order over the reachable graph.  A tensor that does
+        # not require grad (a frozen weight, an input) never receives one,
+        # so the walk skips it.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -259,7 +263,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
@@ -306,22 +310,22 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         out_data = self.data + other.data
         return Tensor._make(out_data, (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         out_data = self.data - other.data
         return Tensor._make(out_data, (self, other), lambda g: (g, -g))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return _as_tensor(other).__sub__(self)
+        return _as_tensor(other, self).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         out_data = self.data * other.data
         a, b = self, other
         return Tensor._make(out_data, (a, b), lambda g: (g * b.data, g * a.data))
@@ -329,7 +333,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self)
         out_data = self.data / other.data
         a, b = self, other
         return Tensor._make(
@@ -337,7 +341,7 @@ class Tensor:
             lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return _as_tensor(other).__truediv__(self)
+        return _as_tensor(other, self).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         return Tensor._make(-self.data, (self,), lambda g: (-g,))
@@ -566,8 +570,24 @@ def _segment_sum_rows(values: np.ndarray, row_ids: np.ndarray,
     return out
 
 
-def _as_tensor(value: ArrayLike) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+_SCALARS = (int, float, np.integer, np.floating)
+
+
+def _as_tensor(value: ArrayLike, like: Optional[Tensor] = None) -> Tensor:
+    """``value`` as a :class:`Tensor`.
+
+    A Python or numpy scalar meeting a floating ``like`` takes ``like``'s
+    dtype, as numpy's own weak scalars do.  Built in the default dtype
+    instead, it would be a strongly typed 0-d array under NumPy 2: a float64
+    ``1/n`` or ``eps`` promotes every float32 op it touches to float64.
+    """
+    if isinstance(value, Tensor):
+        return value
+    if (like is not None and isinstance(value, _SCALARS)
+            and like.data.dtype.kind == "f"):
+        return Tensor(np.asarray(value, dtype=like.data.dtype))
+    return Tensor(value)
+
 
 
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
@@ -618,7 +638,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def where(condition: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise select with gradients flowing to both branches."""
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    a_t, b_t = _as_tensor(a), _as_tensor(b)
+    a_t = _as_tensor(a, b if isinstance(b, Tensor) else None)
+    b_t = _as_tensor(b, a_t)
     out_data = np.where(cond, a_t.data, b_t.data)
     return Tensor._make(out_data, (a_t, b_t),
                         lambda g: (g * cond, g * (~np.asarray(cond, dtype=bool))))

@@ -80,10 +80,13 @@ class EventLog:
     crash loses at most the line being written.
 
     ``max_bytes=`` caps the on-disk size for long serving runs: when
-    appending the next line would push the file past the cap, the file is
-    rotated to ``<path>.1`` (replacing any previous rotation) and a fresh
-    file is started, so disk usage stays under ``2 * max_bytes`` and the
-    most recent events are always retained.  :func:`read_events` reads the
+    appending the next line would push a non-empty file past the cap, the
+    file is rotated to ``<path>.1`` (replacing any previous rotation) and a
+    fresh file is started, so the most recent events are always retained.
+    A line longer than ``max_bytes`` is still written whole, alone in its
+    file, so each file holds at most ``max(max_bytes, longest line)``
+    bytes and the pair at most twice that (two 592-byte events under
+    ``max_bytes=200`` take 1,184 bytes).  :func:`read_events` reads the
     rotated pair in order.  Rotation happens on whole-line boundaries only,
     so the rotated file is always fully parseable.
     """

@@ -8,6 +8,7 @@ from repro.finetune import (FineTuneConfig, LambdaCallback, Trainer,
                             pretrain_router)
 from repro.lora import LoRAConfig
 from repro.models import build_model, nano_moe
+from repro.telemetry import RoutingHealthMonitor
 
 
 @pytest.fixture
@@ -76,6 +77,27 @@ class TestTrainer:
     def test_steps_override(self, nano_model, loader):
         trainer = Trainer(nano_model, loader, FineTuneConfig(steps=10))
         assert trainer.train(steps=2).num_steps == 2
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.5])
+    def test_non_positive_steps_rejected_before_any_state_change(
+            self, nano_model, loader, steps):
+        """``steps=0`` used to skip the loop and die in ``int(None)``, and
+        ``steps=2.5`` in ``range``, each leaving the monitor's manifest
+        open."""
+        monitor = RoutingHealthMonitor()
+        trainer = Trainer(nano_model, loader, FineTuneConfig(steps=2),
+                          monitor=monitor)
+        nano_model.eval()
+        probs = [block.moe.record_probs for block in nano_model.blocks]
+        with pytest.raises(ValueError, match="positive integer"):
+            trainer.train(steps=steps)
+        assert monitor.manifest is None
+        assert len(monitor.event_log) == 0
+        assert not any(m.training for _, m in nano_model.named_modules())
+        assert [block.moe.record_probs
+                for block in nano_model.blocks] == probs
+        assert trainer.optimizer._step == 0
+        assert trainer.train().num_steps == 2
 
     def test_lora_report_attached(self, nano_model, loader):
         trainer = Trainer(nano_model, loader, FineTuneConfig(steps=1))

@@ -206,17 +206,28 @@ class TestGraphStructure:
 
     def test_model_graph_has_one_node_per_adapter_call(self, nano_config,
                                                        rng):
-        """Attention and head adapters are one ``lora_linear`` node per
-        call, each expert segment one ``fused_swiglu`` node, and no
-        transpose or matmul node touches a parameter."""
+        """Each attention sublayer is one ``attention`` node carrying its
+        four adapters, each RMSNorm one ``rms_norm`` node, the head adapter
+        one ``lora_linear`` node, each expert segment one ``fused_swiglu``
+        node, and no transpose or matmul node touches a parameter."""
         model = build_model(nano_config)
         report = inject_lora(model)
         ids = rng.integers(0, nano_config.vocab_size, size=(2, 8))
         nodes = _graph_nodes(model.loss(ids, ids))
         ops = [_op(node) for node in nodes]
-        outside_experts = [p for p in report.adapted_paths
-                           if "experts" not in p]
-        assert ops.count("lora_linear") == len(outside_experts)
+        layers = nano_config.num_layers
+        assert ops.count("attention") == layers
+        # The first norm sees only the frozen embeddings: no node.
+        assert ops.count("rms_norm") == 2 * layers
+        assert ops.count("lora_linear") == 1
+        modules = dict(model.named_modules())
+        attention_adapters = {id(t) for path in report.adapted_paths
+                              if ".attn." in path
+                              for t in (modules[path].lora_a,
+                                        modules[path].lora_b)}
+        assert {id(p) for node, op in zip(nodes, ops) if op == "attention"
+                for p in node._parents if p.requires_grad
+                and p._backward is None} == attention_adapters
         segments = sum(len(np.unique(r.expert_indices))
                        for r in model.routing_records())
         assert ops.count("fused_swiglu") == segments

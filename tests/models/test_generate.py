@@ -67,3 +67,23 @@ class TestDecodeRoutingCounts:
                                 nano_config.num_experts)
         # one routing decision (top_k selections) per generated token per layer
         assert np.all(counts.sum(axis=1) == 9 * nano_config.top_k)
+
+    @pytest.mark.parametrize("prompt, max_new_tokens, match", [
+        (np.array([1.7, 2.2]), 3, "integer"),
+        (np.array([[1, 2]]), 3, "1-D"),
+        (np.array([], dtype=np.int64), 3, "non-empty"),
+        (np.array([1, 2]), 0, "max_new_tokens"),
+        (np.array([1, 2]), -2, "max_new_tokens"),
+    ])
+    def test_checks_inputs_as_generate_does(self, nano_model, prompt,
+                                            max_new_tokens, match):
+        """Float ids used to be truncated (``[1.7, 2.2]`` counted as
+        ``[1, 2]``) and ``max_new_tokens < 1`` returned zeros."""
+        for decode in (generate, decode_routing_counts):
+            with pytest.raises(ValueError, match=match):
+                decode(nano_model, prompt, max_new_tokens)
+
+    def test_out_of_vocab_prompt_rejected(self, nano_model, nano_config):
+        with pytest.raises(ValueError, match="token ids"):
+            decode_routing_counts(nano_model,
+                                  np.array([nano_config.vocab_size]), 2)

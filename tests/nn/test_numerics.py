@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.models import build_model, nano_moe
+from repro.nn import Tensor, default_dtype, no_grad, where
 from repro.nn.functional import cross_entropy, log_softmax, softmax
 
 
@@ -75,3 +76,49 @@ class TestDtypeStability:
         assert np.isfinite(float(loss.data))
         for p in nano_model.parameters():
             assert np.all(np.isfinite(p.data))
+
+    @pytest.mark.parametrize("scalar", [0.5, 2, np.float64(0.5), np.int64(3)])
+    def test_scalar_operand_takes_the_tensor_dtype(self, scalar):
+        """NumPy 2 treats a 0-d array as strongly typed: a scalar built in
+        the default float64 promoted every float32 op it met."""
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        outs = [x + scalar, x - scalar, x * scalar, x / scalar, x.mean(),
+                x.mean(axis=0), where(np.ones(3, bool), x, scalar)]
+        if not isinstance(scalar, np.generic):  # numpy's own reflected ops
+            outs += [scalar + x, scalar - x, scalar * x, scalar / x]
+        for out in outs:
+            assert out.dtype == np.float32
+        (x * scalar).sum().backward()
+        assert x.grad.dtype == np.float32
+
+    def test_float32_model_outside_its_dtype_context(self, rng):
+        """A float32 model run under the float64 default: ``forward`` is
+        float32 and bitwise its ``forward_slots`` prefill, and every
+        gradient is float32.  Before, RMSNorm's ``eps``, the mean's
+        ``1/n`` and attention's ``1/sqrt(head_dim)`` computed in float64
+        (a few 1e-7 off the prefill), and the gradients came out
+        float64."""
+        with default_dtype(np.float32):
+            model = build_model(nano_moe(seed=0))
+        ids = rng.integers(0, model.config.vocab_size, size=(2, 7))
+        with no_grad():
+            logits = model.forward(ids).data
+            prefill = model.forward_slots(ids, model.new_kv_cache(2),
+                                          [0, 1]).data
+        assert logits.dtype == prefill.dtype == np.float32
+        np.testing.assert_array_equal(logits, prefill)
+        loss = model.loss(ids, ids)
+        loss.backward()
+        assert loss.dtype == np.float32
+        assert {p.grad.dtype for p in model.parameters()
+                if p.grad is not None} == {np.dtype(np.float32)}
+
+    def test_float64_results_unchanged_by_scalar_rule(self):
+        """Under the float64 default a scalar is the same float64 0-d
+        array as before, so float64 results keep every bit."""
+        x = np.random.default_rng(1).normal(size=(4, 5))
+        t = Tensor(x)
+        np.testing.assert_array_equal(
+            (t * (1.0 / np.sqrt(8)) + 1e-6).mean(axis=-1).data,
+            (x * np.asarray(1.0 / np.sqrt(8)) + np.asarray(1e-6)).sum(
+                axis=-1) * np.asarray(1.0 / 5))

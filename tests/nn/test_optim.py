@@ -1,10 +1,18 @@
 """Tests for SGD / AdamW / gradient clipping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.finetune.checkpoint import load_training_state, save_training_state
+from repro.lora import inject_lora
+from repro.models import build_model
 from repro.nn import SGD, AdamW, GradClipper
 from repro.nn.layers import Parameter
+from tests.oracles import reference_adamw_step
 
 
 def make_param(value=1.0, grad=0.5):
@@ -92,6 +100,142 @@ class TestAdamW:
         p1, p2 = make_param(0.0, 1.0), make_param(0.0, -1.0)
         AdamW([p1, p2], lr=0.1, weight_decay=0.0).step()
         assert p1.data[0] < 0 < p2.data[0]
+
+
+def _twin_params(rng, shapes, dtypes):
+    """Two identical parameter lists; ``dtypes`` cycles over them."""
+    values = [rng.normal(size=shape).astype(dtypes[i % len(dtypes)])
+              for i, shape in enumerate(shapes)]
+    twins = ([Parameter(v) for v in values], [Parameter(v) for v in values])
+    for params in twins:
+        for p, v in zip(params, values):
+            p.data = v.copy()  # a Parameter casts to the default dtype
+    return twins
+
+
+def _set_grads(rng, twins, present):
+    for a, b, have in zip(*twins, present):
+        grad = rng.normal(size=a.shape).astype(a.dtype) if have else None
+        a.grad, b.grad = grad, None if grad is None else grad.copy()
+
+
+def _assert_same_state(flat, ref):
+    assert flat._step == ref._step
+    for i, (a, b) in enumerate(zip(flat.params, ref.params)):
+        assert a.data.dtype == b.data.dtype
+        np.testing.assert_array_equal(a.data, b.data, err_msg=f"param {i}")
+        np.testing.assert_array_equal(flat._m[i], ref._m[i])
+        np.testing.assert_array_equal(flat._v[i], ref._v[i])
+
+
+class TestFlatAdamW:
+    """The flat-buffer step against the per-tensor loop,
+    :func:`tests.oracles.reference_adamw_step`."""
+
+    SHAPES = [(3, 4), (5,), (2, 2, 2), (7, 1), (1,), (4, 6), (6, 4)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), weight_decay=st.sampled_from(
+        [0.0, 3e-7, 0.1]), dtypes=st.sampled_from(
+        [(np.float64,), (np.float32,), (np.float32, np.float64)]),
+        missing=st.floats(0.0, 1.0))
+    def test_bitwise_equal_to_per_tensor_loop(self, seed, weight_decay,
+                                              dtypes, missing):
+        """Random subsets of tensors without a gradient each step; a
+        tensor without one keeps its value and moments."""
+        rng = np.random.default_rng(seed)
+        params, twins = _twin_params(rng, self.SHAPES, dtypes)
+        flat = AdamW(params, lr=1e-2, weight_decay=weight_decay)
+        ref = AdamW(twins, lr=1e-2, weight_decay=weight_decay)
+        for _ in range(12):
+            _set_grads(rng, (params, twins),
+                       rng.random(len(params)) >= missing)
+            flat.step()
+            reference_adamw_step(ref)
+            _assert_same_state(flat, ref)
+
+    def test_moments_are_views_of_one_buffer_per_dtype(self, rng):
+        params, _ = _twin_params(rng, self.SHAPES, (np.float32, np.float64))
+        opt = AdamW(params)
+        for dtype in (np.float32, np.float64):
+            ms = [m for m, p in zip(opt._m, params) if p.dtype == dtype]
+            base = ms[0].base
+            assert base is not None and base.ndim == 1
+            assert all(m.base is base and m.dtype == dtype for m in ms)
+            assert base.size == sum(m.size for m in ms)
+
+    def test_in_place_moment_writes_are_the_state(self, rng):
+        """Checkpoint loading writes ``_m[i][...]`` in place; the next
+        step must read what it wrote."""
+        params, twins = _twin_params(rng, self.SHAPES, (np.float64,))
+        flat, ref = AdamW(params, lr=1e-2), AdamW(twins, lr=1e-2)
+        for opt in (flat, ref):
+            opt._step = 5
+            for i, (m, v) in enumerate(zip(opt._m, opt._v)):
+                m[...] = np.random.default_rng(i).normal(size=m.shape)
+                v[...] = np.random.default_rng(i + 99).random(size=v.shape)
+        _set_grads(rng, (params, twins), [True] * len(params))
+        flat.step()
+        reference_adamw_step(ref)
+        _assert_same_state(flat, ref)
+
+    def test_load_training_state_mid_run(self, nano_config, rng, tmp_path):
+        """Steps 1-4 flat, checkpoint, restore into a fresh model and
+        optimizer, steps 5-8 flat: equal to eight reference steps."""
+        def pair():
+            model = build_model(nano_config)
+            inject_lora(model)
+            return model, AdamW(model.trainable_parameters(), lr=1e-2,
+                                weight_decay=0.1)
+
+        (model, flat), (twin, ref) = pair(), pair()
+        batches = [rng.integers(0, nano_config.vocab_size, size=(2, 2, 8))
+                   for _ in range(8)]
+
+        def step(model, opt, ids, update):
+            opt.zero_grad()
+            model.loss(ids[0], ids[1]).backward()
+            update(opt)
+
+        for ids in batches[:4]:
+            step(model, flat, ids, AdamW.step)
+            step(twin, ref, ids, reference_adamw_step)
+        path = str(tmp_path / "state.npz")
+        save_training_state(model, flat, path, step=4)
+        model, flat = pair()
+        assert load_training_state(model, flat, path) == 4
+        for ids in batches[4:]:
+            step(model, flat, ids, AdamW.step)
+            step(twin, ref, ids, reference_adamw_step)
+        assert any(p.grad is None for p in flat.params)
+        _assert_same_state(flat, ref)
+
+    def test_step_allocates_no_flat_sized_array(self):
+        """Only per-tensor copies are allocated: a flat-size temporary
+        per step pushed a finetune run's peak RSS up through glibc's
+        dynamic mmap threshold."""
+        rng = np.random.default_rng(0)
+        params, twins = _twin_params(rng, [(40, 50)] * 50, (np.float64,))
+        opt = AdamW(params)
+        _set_grads(rng, (params, twins), [True] * 45 + [False] * 5)
+        flat_bytes = sum(p.data.nbytes for p in params)
+        tracemalloc.start()
+        try:
+            opt.step()  # so that the values the next step frees are traced
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < flat_bytes / 8
+
+    def test_no_gradient_at_all_is_a_no_op_but_counts(self, rng):
+        params, twins = _twin_params(rng, self.SHAPES, (np.float64,))
+        flat, ref = AdamW(params), AdamW(twins)
+        flat.step()
+        reference_adamw_step(ref)
+        _assert_same_state(flat, ref)
 
 
 class TestGradClipper:

@@ -22,6 +22,14 @@ speedup import them from here.
   reference_lora_forward)`` swaps it in, and the layer-by-layer
   :meth:`repro.models.expert.ExpertFFN.forward` then composes it into the
   layered LoRA SwiGLU.
+* :func:`reference_attention_forward` and :func:`reference_rms_norm_forward`
+  — ``MultiHeadAttention.forward`` and ``RMSNorm.forward`` as chains of
+  ``Tensor`` ops (18 and 7 graph nodes), against the one-node
+  :func:`repro.nn.functional.attention` and
+  :func:`repro.nn.functional.rms_norm`.  Each has its ``forward``'s
+  signature, so ``monkeypatch.setattr`` swaps it in.
+* :func:`reference_adamw_step` — ``AdamW.step`` as a loop over tensors,
+  against the flat-buffer step.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import dropout
+from repro.nn import causal_mask
+from repro.nn.functional import dropout, softmax
 from repro.nn.tensor import Tensor
 from repro.placement.local_search import LocalSearchRefiner
 from repro.runtime.engine import replay_limit
@@ -93,6 +102,55 @@ def reference_lora_forward(self, x: Tensor) -> Tensor:
                             self._dropout_rng, training=self.training)
     update = (branch_in @ self.lora_a.T) @ self.lora_b.T
     return out + update * self.config.scaling
+
+
+def reference_attention_forward(self, x: Tensor) -> Tensor:
+    """``MultiHeadAttention.forward`` op by op: each projection through its
+    module, then split heads, scores, scale, causal mask, softmax, context
+    and head merge as ``Tensor`` ops."""
+    batch, seq, _ = x.shape
+    heads, hd = self.num_heads, self.head_dim
+
+    def split_heads(t: Tensor) -> Tensor:
+        return t.reshape(batch, seq, heads, hd).transpose(0, 2, 1, 3)
+
+    q = split_heads(self.q_proj(x))
+    k = split_heads(self.k_proj(x))
+    v = split_heads(self.v_proj(x))
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
+    if self.causal:
+        scores = scores + causal_mask(seq, scores.dtype)
+    context = softmax(scores, axis=-1) @ v
+    merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
+    return self.o_proj(merged)
+
+
+def reference_rms_norm_forward(self, x: Tensor) -> Tensor:
+    """``RMSNorm.forward`` op by op."""
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    return x / (ms + self.eps).sqrt() * self.weight
+
+
+def reference_adamw_step(self) -> None:
+    """``AdamW.step`` one tensor at a time, on the optimizer's own
+    per-parameter moment views."""
+    self._step += 1
+    bias1 = 1.0 - self.beta1 ** self._step
+    bias2 = 1.0 - self.beta2 ** self._step
+    for p, m, v in zip(self.params, self._m, self._v):
+        if p.grad is None:
+            continue
+        grad = p.grad
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        update = m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.weight_decay:
+            update = update + self.weight_decay * p.data
+        p.data = p.data - self.lr * update
 
 
 def replay_per_step(engine, trace, max_steps: Optional[int] = None):

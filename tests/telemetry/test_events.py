@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -141,6 +143,51 @@ class TestEventLogRotation:
                                   labels={"blob": "x" * 200}))
         events = read_events(path)
         assert [e.kind for e in events] == ["big"]
+
+    def test_concurrent_writers_across_one_rotation(self, tmp_path):
+        """Four threads emit 15 equal-sized events each under a cap of 40
+        lines: the log rotates exactly once, no line is torn, and the pair
+        reads back every event exactly once, each thread's in order."""
+        path = tmp_path / "events.jsonl"
+        threads, per_thread = 4, 15
+        line = len(json.dumps(MonitorEvent(kind="w0-00").to_dict())) + 1
+        barrier = threading.Barrier(threads)
+
+        def writer(log, t):
+            barrier.wait()
+            for i in range(per_thread):
+                log.emit(MonitorEvent(kind=f"w{t}-{i:02d}"))
+
+        with EventLog(path, max_bytes=40 * line) as log:
+            workers = [threading.Thread(target=writer, args=(log, t))
+                       for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            assert log.rotations == 1
+        for part in (str(path) + ".1", str(path)):
+            for raw in open(part, encoding="utf-8"):
+                json.loads(raw)
+        kinds = [e.kind for e in read_events(path)]
+        assert sorted(kinds) == sorted(f"w{t}-{i:02d}" for t in range(threads)
+                                       for i in range(per_thread))
+        for t in range(threads):
+            mine = [kind for kind in kinds if kind.startswith(f"w{t}-")]
+            assert mine == sorted(mine)
+
+    def test_oversized_events_bound_the_pair(self, tmp_path):
+        """The documented bound: each file holds one line past the cap at
+        most, and the pair twice the longest line."""
+        path = tmp_path / "events.jsonl"
+        event = MonitorEvent(kind="big", labels={"blob": "x" * 485})
+        with EventLog(path, max_bytes=200) as log:
+            for _ in range(3):
+                log.emit(event)
+        size = len(json.dumps(event.to_dict())) + 1
+        assert size == 592
+        total = os.path.getsize(path) + os.path.getsize(str(path) + ".1")
+        assert total == 2 * size
 
     def test_no_cap_never_rotates(self, tmp_path):
         path = tmp_path / "events.jsonl"
