@@ -12,6 +12,8 @@
 * **Failure recovery** — degraded-mode cost of losing each worker.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,15 @@ from repro import VelaConfig, VelaSystem
 from repro.bench import paper_workload
 from repro.bench.report import format_table, percent
 from repro.comm import FP16, INT4, INT8, apply_scheme, quantization_error
-from repro.core import (AdaptivePlacementController, FailureRecoveryPlanner,
-                        phase_switch_trace)
+from repro.core import FailureRecoveryPlanner
 from repro.placement import (ExpertParallelPlacement, LocalityAwarePlacement,
-                             PlacementProblem, ReplicationStrategy,
+                             PlacementProblem, ReplacementController,
+                             ReplanConfig, ReplicationStrategy,
                              SequentialPlacement)
-from repro.routing import ALPACA_REGIME, SyntheticRouter, WIKITEXT_REGIME
+from repro.routing import (ALPACA_REGIME, SyntheticRouter, WIKITEXT_REGIME,
+                           phase_switch_trace)
 from repro.runtime import (EventDrivenMasterWorker, ExpertParallelEngine,
-                           MasterWorkerEngine, contention_penalty)
+                           MasterWorkerEngine, RunMetrics, contention_penalty)
 
 STEPS = 30
 
@@ -83,8 +86,31 @@ def test_framework_placement_factorial(benchmark, workload, problem):
     assert mw_gain > 0.15
 
 
+def replay_replacements(system, trace, placement, decisions):
+    """Replay ``trace`` with each applied decision's placement from the
+    step after it, on one engine per stretch; a decision's migration time
+    lands on the first step it pays for."""
+    applied = [d for d in decisions if d.outcome == "applied"]
+    bounds = [0] + [d.step + 1 for d in applied] + [trace.num_steps]
+    placements = [placement] + [d.placement for d in applied]
+    migrations = [0.0] + [d.report.migration_time_s for d in applied]
+    run = RunMetrics(strategy="replan-vela")
+    for start, stop, stretch, migration in zip(bounds, bounds[1:],
+                                               placements, migrations):
+        if start == stop:
+            continue
+        first, *rest = system.simulate(trace.slice_steps(start, stop),
+                                       stretch).steps
+        run.append(dataclasses.replace(
+            first, total_time=first.total_time + migration,
+            comm_time=first.comm_time + migration))
+        run.steps.extend(rest)
+    return run
+
+
 def test_adaptive_on_curriculum(benchmark, workload):
-    """Dataset switch mid-run: adaptive VELA recovers, static goes stale."""
+    """Dataset switch mid-run: online re-placement recovers, static goes
+    stale."""
     config = workload.config
     trace = phase_switch_trace(config.model,
                                [WIKITEXT_REGIME, ALPACA_REGIME],
@@ -94,29 +120,37 @@ def test_adaptive_on_curriculum(benchmark, workload):
 
     def run():
         system = VelaSystem(config)
-        static = system.simulate(trace, system.place(profile))
-        controller = AdaptivePlacementController(config, check_interval=10,
-                                                 drift_threshold=0.12,
-                                                 window=10)
-        adaptive = controller.run(trace, profile)
-        return static, adaptive
+        placement = system.place(profile)
+        static = system.simulate(trace, placement)
+        controller = ReplacementController(
+            config.model, config.topology, placement,
+            tokens_per_step=config.tokens_per_step,
+            capacities=config.worker_capacities(),
+            replan=ReplanConfig(trigger="interval", interval=10,
+                                window_size=10, cooldown_steps=0))
+        for step in range(trace.num_steps):
+            controller.observe_step(trace.step_counts(step), step=step)
+        adaptive = replay_replacements(system, trace, placement,
+                                       controller.history)
+        return static, adaptive, controller.history
 
-    static, adaptive = benchmark.pedantic(run, rounds=1, iterations=1)
+    static, adaptive, history = benchmark.pedantic(run, rounds=1,
+                                                   iterations=1)
+    applied = [d for d in history if d.outcome == "applied"]
     rows = [["static vela", static.avg_step_time(),
              static.avg_external_traffic_per_node() / 1e6, 0],
-            ["adaptive vela", adaptive.metrics.avg_step_time(),
-             adaptive.metrics.avg_external_traffic_per_node() / 1e6,
-             adaptive.num_replacements]]
+            ["adaptive vela", adaptive.avg_step_time(),
+             adaptive.avg_external_traffic_per_node() / 1e6, len(applied)]]
     print("\nAdaptive re-placement on a wikitext->alpaca curriculum:")
     print(format_table(["system", "step time (s)", "MB/node/step",
                         "re-placements"], rows))
-    for event in adaptive.events:
-        print(f"  step {event.step}: drift {event.drift:.3f}, moved "
-              f"{event.experts_moved} experts in {event.migration_time_s:.1f}s")
-    assert adaptive.num_replacements >= 1
+    for decision in applied:
+        print(f"  step {decision.step}: moved {len(decision.plan.moves)} "
+              f"experts in {decision.report.migration_time_s:.1f}s")
+    assert len(applied) >= 1
     # Post-switch, adaptive must carry less traffic than static.
     tail_static = static.external_traffic_series()[-20:].mean()
-    tail_adaptive = adaptive.metrics.external_traffic_series()[-20:].mean()
+    tail_adaptive = adaptive.external_traffic_series()[-20:].mean()
     assert tail_adaptive < tail_static
 
 

@@ -43,12 +43,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.bench.report import format_table
 from repro.cluster import paper_cluster
 from repro.comm.cost import CommCostModel
-from repro.core.adaptive import phase_switch_trace
 from repro.core.config import VelaConfig
 from repro.models import mixtral_8x7b_sim
 from repro.placement import (LocalityAwarePlacement, PlacementProblem,
                              ReplacementController, ReplanConfig)
-from repro.routing import WIKITEXT_REGIME, SyntheticRouter
+from repro.routing import WIKITEXT_REGIME, SyntheticRouter, phase_switch_trace
 from repro.runtime.broker import ExpertBroker
 from repro.telemetry import MonitorThresholds, RoutingHealthMonitor
 

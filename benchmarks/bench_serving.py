@@ -38,8 +38,10 @@ from repro.bench.report import format_table, percent
 from repro.models import (build_model, generate, mixtral_8x7b_sim, nano_moe,
                           tiny_mistral)
 from repro.routing import SyntheticRouter, UNIFORM_REGIME, WIKITEXT_REGIME
-from repro.serving import (DecodeSimulator, ExpertCache, LiveDecodeEngine,
-                           ServingConfig, hot_expert_keys, serving_flags)
+from repro.serving import (ExpertCache, LiveDecodeEngine,
+                           OverlappedFetchScheduler, PreviousTokenPredictor,
+                           ServingConfig, hot_expert_keys, replay_stream,
+                           sample_decode_stream, serving_flags)
 
 TOKENS = 150
 
@@ -62,7 +64,8 @@ def run_serving(config, regime, capacity, policy="lru", seed=1):
         profile = router.probability_matrix(8192)
         pinned = hot_expert_keys(profile, max(capacity - config.num_layers, 1))
     cache = ExpertCache(capacity=capacity, policy=policy, pinned=pinned)
-    return DecodeSimulator(config, router, cache, seed=seed).run(TOKENS)
+    return replay_stream(sample_decode_stream(config, router, TOKENS, seed),
+                         OverlappedFetchScheduler(config, None, cache))
 
 
 def test_cache_capacity_sweep(benchmark):
@@ -122,18 +125,17 @@ def test_skew_is_what_makes_offloading_work(benchmark):
 
 def test_speculative_prefetch(benchmark):
     """Previous-token speculation hides fetches behind decode compute."""
-    from repro.serving import ExpertCache
-    from repro.serving.prefetch import PrefetchingDecodeSimulator
-
     config = mixtral_8x7b_sim()
     capacity = config.total_experts // 2
 
     def run():
         plain = run_serving(config, WIKITEXT_REGIME, capacity)
         router = SyntheticRouter(config, WIKITEXT_REGIME, seed=1)
-        sim = PrefetchingDecodeSimulator(config, router,
-                                         ExpertCache(capacity), seed=1)
-        return plain, sim.run(TOKENS), sim.prefetcher.stats
+        scheduler = OverlappedFetchScheduler(config, PreviousTokenPredictor(),
+                                             ExpertCache(capacity))
+        spec = replay_stream(sample_decode_stream(config, router, TOKENS, 1),
+                             scheduler)
+        return plain, spec, scheduler.stats
 
     plain, spec, stats = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [["plain LRU", percent(plain.hit_rate),

@@ -4,25 +4,50 @@ The paper profiles locality once because a single fine-tuning dataset keeps
 routing stable (Theorem 1).  This example explores operations beyond that:
 
 1. a curriculum that switches from WikiText-style to Alpaca-style data at
-   step 40 — the static placement goes stale; the adaptive controller
-   detects drift (CUSUM), re-solves the LP, and pays an explicit expert
-   migration,
+   step 40 — the static placement goes stale; a CUSUM detector shows when
+   the drift is visible, and the online re-placement controller re-solves
+   against a sliding routing window every 10 steps, migrating experts only
+   when the move repays its explicit migration cost,
 2. a worker failure drill: for each worker, what does recovery cost and how
    much slower is the degraded cluster?
 
 Run:  python examples/adaptive_curriculum.py
 """
 
-import numpy as np
+import dataclasses
 
 from repro import VelaConfig, VelaSystem
 from repro.bench.report import format_table, percent, series_panel
 from repro.cluster import paper_cluster
-from repro.core import (AdaptivePlacementController, FailureRecoveryPlanner,
-                        phase_switch_trace)
+from repro.core import FailureRecoveryPlanner
 from repro.models import mixtral_8x7b_sim
+from repro.placement import ReplacementController, ReplanConfig
 from repro.routing import (ALPACA_REGIME, WIKITEXT_REGIME, CusumDriftDetector,
-                           SyntheticRouter, calibrate_slack)
+                           SyntheticRouter, calibrate_slack,
+                           phase_switch_trace)
+from repro.runtime import RunMetrics
+
+
+def replay_replacements(system, trace, placement, decisions):
+    """Replay ``trace`` with each applied decision's placement from the
+    step after it, on one engine per stretch; a decision's migration time
+    lands on the first step it pays for."""
+    applied = [d for d in decisions if d.outcome == "applied"]
+    bounds = [0] + [d.step + 1 for d in applied] + [trace.num_steps]
+    placements = [placement] + [d.placement for d in applied]
+    migrations = [0.0] + [d.report.migration_time_s for d in applied]
+    run = RunMetrics(strategy="replan-vela")
+    for start, stop, stretch, migration in zip(bounds, bounds[1:],
+                                               placements, migrations):
+        if start == stop:
+            continue
+        first, *rest = system.simulate(trace.slice_steps(start, stop),
+                                       stretch).steps
+        run.append(dataclasses.replace(
+            first, total_time=first.total_time + migration,
+            comm_time=first.comm_time + migration))
+        run.steps.extend(rest)
+    return run
 
 
 def curriculum_study(config: VelaConfig) -> None:
@@ -42,24 +67,33 @@ def curriculum_study(config: VelaConfig) -> None:
           f"(switch is at step 40)")
 
     system = VelaSystem(config)
-    static = system.simulate(trace, system.place(profile))
-    controller = AdaptivePlacementController(config, check_interval=10,
-                                             drift_threshold=0.12, window=10)
-    adaptive = controller.run(trace, profile)
+    placement = system.place(profile)
+    static = system.simulate(trace, placement)
+    controller = ReplacementController(
+        config.model, config.topology, placement,
+        tokens_per_step=config.tokens_per_step,
+        capacities=config.worker_capacities(),
+        replan=ReplanConfig(trigger="interval", interval=10, window_size=10,
+                            cooldown_steps=0))
+    for step in range(trace.num_steps):
+        controller.observe_step(trace.step_counts(step), step=step)
+    adaptive = replay_replacements(system, trace, placement,
+                                   controller.history)
 
     print(series_panel({
         "static vela": static.external_traffic_series() / 1e6,
-        "adaptive vela": adaptive.metrics.external_traffic_series() / 1e6,
+        "adaptive vela": adaptive.external_traffic_series() / 1e6,
     }, unit="MB/node"))
-    for event in adaptive.events:
-        print(f"re-placement at step {event.step}: drift {event.drift:.3f}, "
-              f"{event.experts_moved} experts moved, migration "
-              f"{event.migration_time_s:.1f}s")
+    for decision in controller.history:
+        if decision.outcome == "applied":
+            print(f"re-placement after step {decision.step}: "
+                  f"{len(decision.plan.moves)} experts moved, migration "
+                  f"{decision.report.migration_time_s:.1f}s")
     rows = [
         ["static", static.avg_step_time(),
          static.external_traffic_series()[-20:].mean() / 1e6],
-        ["adaptive", adaptive.metrics.avg_step_time(),
-         adaptive.metrics.external_traffic_series()[-20:].mean() / 1e6],
+        ["adaptive", adaptive.avg_step_time(),
+         adaptive.external_traffic_series()[-20:].mean() / 1e6],
     ]
     print(format_table(["system", "avg step (s)", "post-switch MB/node"],
                        rows))

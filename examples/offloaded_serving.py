@@ -24,9 +24,17 @@ from repro.data import CharTokenizer, generate_tiny_shakespeare
 from repro.finetune import pretrain_router
 from repro.models import decode_routing_counts, generate, mixtral_8x7b_sim
 from repro.routing import SyntheticRouter, UNIFORM_REGIME, WIKITEXT_REGIME
-from repro.serving import (DecodeSimulator, ExpertCache, hot_expert_keys)
+from repro.serving import (ExpertCache, OverlappedFetchScheduler,
+                           hot_expert_keys, replay_stream,
+                           sample_decode_stream)
 
 TOKENS = 200
+
+
+def decode(config, router, cache):
+    """Modeled offloaded decode of TOKENS tokens: every miss is synchronous."""
+    return replay_stream(sample_decode_stream(config, router, TOKENS, seed=1),
+                         OverlappedFetchScheduler(config, None, cache))
 
 
 def capacity_and_policy_study() -> None:
@@ -39,8 +47,7 @@ def capacity_and_policy_study() -> None:
     for fraction in (0.25, 0.5, 0.75, 1.0):
         capacity = int(config.total_experts * fraction)
         router = SyntheticRouter(config, WIKITEXT_REGIME, seed=1)
-        sim = DecodeSimulator(config, router, ExpertCache(capacity), seed=1)
-        metrics = sim.run(TOKENS)
+        metrics = decode(config, router, ExpertCache(capacity))
         rows.append([f"{fraction:.0%}", percent(metrics.hit_rate),
                      metrics.mean_latency() * 1e3,
                      metrics.throughput_tokens_per_s()])
@@ -57,7 +64,7 @@ def capacity_and_policy_study() -> None:
             profile = router.probability_matrix(8192)
             pinned = hot_expert_keys(profile, capacity - config.num_layers)
         cache = ExpertCache(capacity, policy=policy, pinned=pinned)
-        metrics = DecodeSimulator(config, router, cache, seed=1).run(TOKENS)
+        metrics = decode(config, router, cache)
         rows.append([policy, percent(metrics.hit_rate),
                      metrics.mean_latency() * 1e3])
     print(format_table(["policy", "hit rate", "ms/token"], rows))
@@ -66,8 +73,7 @@ def capacity_and_policy_study() -> None:
     rows = []
     for regime in (WIKITEXT_REGIME, UNIFORM_REGIME):
         router = SyntheticRouter(config, regime, seed=1)
-        metrics = DecodeSimulator(config, router, ExpertCache(capacity),
-                                  seed=1).run(TOKENS)
+        metrics = decode(config, router, ExpertCache(capacity))
         rows.append([regime.name, percent(metrics.hit_rate),
                      metrics.mean_latency() * 1e3])
     print(format_table(["routing", "hit rate", "ms/token"], rows))

@@ -14,14 +14,14 @@ estimator; the companion study quantifies placement regret vs noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from ..placement.base import PlacementProblem
-from ..placement.objective import expected_step_comm_time
-from ..placement.vela import LocalityAwarePlacement
 from .topology import ClusterTopology
+
+if TYPE_CHECKING:  # repro.placement imports repro.cluster
+    from ..placement.base import PlacementProblem
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,10 @@ def bandwidth_noise_study(problem: PlacementProblem,
     For each noise level: probe the topology, solve the LP with the
     *estimated* bandwidths, score the placement under the *true* ones.
     """
+    from ..placement.base import PlacementProblem
+    from ..placement.objective import expected_step_comm_time
+    from ..placement.vela import LocalityAwarePlacement
+
     if not sigmas:
         raise ValueError("need at least one sigma")
     strategy = LocalityAwarePlacement()

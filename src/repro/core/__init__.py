@@ -1,8 +1,5 @@
-"""VELA core: system facade, configuration, strategy comparison, adaptation."""
+"""VELA core: system facade, configuration, strategy comparison, recovery."""
 
-from .adaptive import (AdaptivePlacementController, AdaptiveRunResult,
-                       ReplacementEvent, migration_plan_bytes, migration_time,
-                       phase_switch_trace, profile_drift)
 from .baselines import (PAPER_STRATEGIES, STRATEGY_FACTORIES,
                         compare_strategies, make_strategy, reduction_vs)
 from .config import VelaConfig
@@ -15,9 +12,6 @@ __all__ = [
     "VelaConfig", "VelaSystem",
     "compare_strategies", "make_strategy", "reduction_vs",
     "STRATEGY_FACTORIES", "PAPER_STRATEGIES",
-    "AdaptivePlacementController", "AdaptiveRunResult", "ReplacementEvent",
-    "profile_drift", "migration_time", "migration_plan_bytes",
-    "phase_switch_trace",
     "FailureRecoveryPlanner", "RecoveryPlan",
     "ClusterPlanner", "ClusterOption", "PlanResult", "DEFAULT_OPTIONS",
 ]

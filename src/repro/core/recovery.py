@@ -18,10 +18,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..comm.cost import CommCostModel
 from ..placement.base import Placement, PlacementProblem
 from ..placement.objective import expected_step_comm_time
+from ..placement.replan import plan_migration
 from ..placement.vela import LocalityAwarePlacement
-from .adaptive import migration_time
 from .config import VelaConfig
 
 
@@ -101,8 +102,10 @@ class FailureRecoveryPlanner:
         new_placement.name = f"recovered-from-w{failed_worker}"
 
         lost = int((current.assignment == failed_worker).sum())
-        restore = migration_time(current, new_placement, self.config.model,
-                                 self.config.topology)
+        model, topology = self.config.model, self.config.topology
+        migration = plan_migration(current, new_placement, model,
+                                   num_workers=topology.num_workers)
+        restore = migration.transfer_time(CommCostModel(model, topology))
 
         healthy_problem = PlacementProblem(
             config=self.config.model, topology=self.config.topology,

@@ -122,6 +122,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "name")
 
+    # numpy defers binary operators to the reflected Tensor methods, so a
+    # numpy scalar or array on the left stays on the autograd graph.
+    __array_ufunc__ = None
+
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
         if isinstance(data, Tensor):
             data = data.data

@@ -14,9 +14,8 @@ from .objective import (expected_cross_node_bytes, expected_step_comm_time,
 from .io import load_placement, save_placement
 from .random_ import RandomPlacement
 from .replan import (BreakEvenReport, ExpertMove, MigrationPlan,
-                     RESOLVE_MODES, ReplacementController, ReplanConfig,
-                     ReplanDecision, RoutingWindow, TRIGGER_POLICIES,
-                     plan_migration)
+                     ReplacementController, ReplanConfig, ReplanDecision,
+                     RoutingWindow, TRIGGER_POLICIES, plan_migration)
 from .replication import (FrozenPlacementStrategy, ReplicatedPlacement,
                           ReplicationReport, ReplicationStrategy,
                           expected_step_comm_time_replicated)
@@ -42,5 +41,5 @@ __all__ = [
     "FrozenPlacementStrategy", "expected_step_comm_time_replicated",
     "problem_from_window", "RoutingWindow", "ExpertMove", "MigrationPlan",
     "plan_migration", "BreakEvenReport", "ReplanConfig", "ReplanDecision",
-    "ReplacementController", "TRIGGER_POLICIES", "RESOLVE_MODES",
+    "ReplacementController", "TRIGGER_POLICIES",
 ]

@@ -52,11 +52,8 @@ from .base import Placement, PlacementProblem
 from .local_search import LocalSearchRefiner
 from .lp import problem_from_window
 from .replication import ReplicatedPlacement
-from .vela import LocalityAwarePlacement
 
 TRIGGER_POLICIES = ("anomaly", "interval", "manual")
-
-RESOLVE_MODES = ("local_search", "lp")
 
 REPLACEMENT_EVENT_KINDS = ("replacement_started", "replacement_applied",
                            "replacement_skipped")
@@ -231,8 +228,7 @@ def plan_migration(old, new, config: MoEModelConfig,
     ReplicatedPlacement`; replica sets default to empty for plain
     placements.  ``expert_bytes`` defaults to the model's fp16 expert
     footprint (``config.expert_nbytes()``) — frozen weights plus adapter
-    state travel together, matching :func:`repro.core.adaptive.
-    migration_plan_bytes`.
+    state travel together.
     """
     old_primary, new_primary = _primary_of(old), _primary_of(new)
     if old_primary.assignment.shape != new_primary.assignment.shape:
@@ -363,14 +359,9 @@ class ReplanConfig:
     ``interval`` observed steps), or ``"manual"``
     (:meth:`ReplacementController.request_replan` only).
 
-    ``resolve`` selects how the candidate is computed.
-    ``"local_search"`` (default) hill-climbs from the *current*
-    placement, so only experts whose move actually lowers the objective
-    travel — migration-light, the mode that breaks even quickly.
-    ``"lp"`` re-runs the full LP + rounding pipeline from scratch (plus
-    local-search refinement when ``refine`` is set); it finds the same
-    objective but re-shuffles arbitrarily many label-equivalent experts,
-    so its plans are usually declined on cost.
+    Every re-solve hill-climbs from the *current* placement, so only
+    experts whose move actually lowers the objective travel, and cuts the
+    climb at its most profitable prefix.
     """
 
     window_size: int = 32
@@ -380,17 +371,12 @@ class ReplanConfig:
     cooldown_steps: int = 20
     min_benefit_ratio: float = 1.0
     horizon_steps: int = 100
-    resolve: str = "local_search"
-    refine: bool = True
     background: bool = False
 
     def __post_init__(self) -> None:
         if self.trigger not in TRIGGER_POLICIES:
             raise ValueError(f"trigger must be one of {TRIGGER_POLICIES}, "
                              f"got {self.trigger!r}")
-        if self.resolve not in RESOLVE_MODES:
-            raise ValueError(f"resolve must be one of {RESOLVE_MODES}, "
-                             f"got {self.resolve!r}")
         if self.window_size < 1:
             raise ValueError("window_size must be positive")
         if not 1 <= self.min_window_steps <= self.window_size:
@@ -465,8 +451,7 @@ class ReplacementController:
                  replan: Optional[ReplanConfig] = None,
                  monitor=None, telemetry: Optional[Telemetry] = None,
                  event_log: Optional[EventLog] = None,
-                 targets: Sequence = (),
-                 strategy=None):
+                 targets: Sequence = ()):
         self.config = config
         self.topology = topology
         self.placement = placement
@@ -488,10 +473,7 @@ class ReplacementController:
         else:
             self.event_log = EventLog()
         self.targets = list(targets)
-        self.strategy = strategy or LocalityAwarePlacement()
-        need_refiner = self.replan.refine or \
-            self.replan.resolve == "local_search"
-        self.refiner = LocalSearchRefiner() if need_refiner else None
+        self.refiner = LocalSearchRefiner()
         self.cost_model = CommCostModel(config, topology)
         self.window = RoutingWindow(self.replan.window_size)
         self.history: List[ReplanDecision] = []
@@ -603,20 +585,14 @@ class ReplacementController:
             self.config, self.topology, self.window,
             tokens_per_step=self.tokens_per_step,
             capacities=self.capacities)
-        if self.replan.resolve == "local_search":
-            # Incremental: hill-climb from the active placement, then cut
-            # the climb at the profit-maximizing prefix — later actions
-            # chase ever-smaller traffic savings that no longer repay an
-            # expert transfer within the horizon.
-            base = _primary_of(self.placement)
-            refinement = self.refiner.refine(base, problem)
-            candidate = self._truncate_to_profit(
-                base, refinement.actions, problem, horizon_steps)
-        else:
-            candidate = self.strategy.place(problem)
-            if self.replan.refine:
-                candidate = self.refiner.refine(candidate,
-                                                problem).placement
+        # Incremental: hill-climb from the active placement, then cut the
+        # climb at the profit-maximizing prefix — later actions chase
+        # ever-smaller traffic savings that no longer repay an expert
+        # transfer within the horizon.
+        base = _primary_of(self.placement)
+        refinement = self.refiner.refine(base, problem)
+        candidate = self._truncate_to_profit(
+            base, refinement.actions, problem, horizon_steps)
 
         plan = plan_migration(self.placement, candidate, self.config,
                               num_workers=self.topology.num_workers)

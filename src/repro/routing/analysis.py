@@ -1,9 +1,11 @@
 """Trace analytics: drift detection and stability statistics.
 
-Tools for deciding *when* a locality profile has gone stale — the signal the
-adaptive controller consumes — plus descriptive statistics used in reports:
+Tools for deciding *when* a locality profile has gone stale, plus
+descriptive statistics used in reports:
 
-* **CUSUM drift detector** over per-step total-variation distances,
+* **profile drift**, the mean per-layer total-variation distance between
+  two access profiles, and a **CUSUM drift detector** over its per-step
+  values,
 * **hot-set Jaccard stability** (how much the top-k expert set churns),
 * an analytic expected-traffic model that predicts simulator output in
   closed form (tested against the engines).
@@ -25,6 +27,21 @@ from .trace import RoutingTrace
 # --------------------------------------------------------------------- #
 # drift detection
 # --------------------------------------------------------------------- #
+def profile_drift(expected: np.ndarray, observed: np.ndarray) -> float:
+    """Mean per-layer total-variation distance between two access profiles.
+
+    Both are ``(layers, experts)`` matrices whose rows sum to ``top_k``;
+    the result is in ``[0, 1]`` (0 = identical, 1 = disjoint support).
+    """
+    expected = np.asarray(expected, dtype=np.float64)
+    observed = np.asarray(observed, dtype=np.float64)
+    if expected.shape != observed.shape:
+        raise ValueError("profile shapes differ")
+    row_mass = expected.sum(axis=1, keepdims=True)
+    tv = 0.5 * np.abs(expected - observed).sum(axis=1) / row_mass[:, 0]
+    return float(tv.mean())
+
+
 @dataclass
 class DriftDetection:
     """Result of a CUSUM scan over a trace."""
@@ -57,15 +74,12 @@ class CusumDriftDetector:
     def scan(self, trace: RoutingTrace, reference: np.ndarray,
              start: int = 0) -> DriftDetection:
         """Scan ``trace`` steps against a ``(layers, experts)`` reference."""
-        reference = np.asarray(reference, dtype=np.float64)
         statistic = np.zeros(trace.num_steps)
         s = 0.0
         change: Optional[int] = None
-        row_mass = reference.sum(axis=1, keepdims=True)
         for step in range(start, trace.num_steps):
-            observed = trace.step_counts(step) / trace.tokens_per_step
-            tv = float((0.5 * np.abs(observed - reference).sum(axis=1)
-                        / row_mass[:, 0]).mean())
+            tv = profile_drift(reference, trace.step_counts(step)
+                               / trace.tokens_per_step)
             s = max(0.0, s + tv - self.slack)
             statistic[step] = s
             if change is None and s > self.threshold:
@@ -80,13 +94,9 @@ def calibrate_slack(trace: RoutingTrace, reference: np.ndarray,
     Returns the ``quantile`` of per-step TV deviations, so in-distribution
     noise rarely advances the statistic.
     """
-    reference = np.asarray(reference, dtype=np.float64)
-    row_mass = reference.sum(axis=1, keepdims=True)
-    deviations = []
-    for step in range(trace.num_steps):
-        observed = trace.step_counts(step) / trace.tokens_per_step
-        deviations.append(float((0.5 * np.abs(observed - reference).sum(axis=1)
-                                 / row_mass[:, 0]).mean()))
+    deviations = [profile_drift(reference, trace.step_counts(step)
+                                / trace.tokens_per_step)
+                  for step in range(trace.num_steps)]
     return float(np.quantile(deviations, quantile))
 
 

@@ -188,3 +188,24 @@ class SyntheticRouter:
         Useful for tests that compare profiled vs. true probabilities.
         """
         return self.probability_matrix(profile_tokens=samples, seed=seed)
+
+
+def phase_switch_trace(config: MoEModelConfig, regimes, tokens_per_step: int,
+                       steps_per_phase: int, seed: int = 0) -> RoutingTrace:
+    """A non-stationary workload: concatenated phases, one regime each.
+
+    Models a fine-tuning curriculum that switches datasets mid-run — the
+    scenario where static single-profile placement goes stale.
+    """
+    if steps_per_phase < 1:
+        raise ValueError("steps_per_phase must be positive")
+    counts = []
+    name_parts = []
+    for phase, regime in enumerate(regimes):
+        router = SyntheticRouter(config, regime, seed=seed + phase * 1000)
+        trace = router.generate_trace(steps_per_phase, tokens_per_step)
+        counts.append(trace.counts)
+        name_parts.append(regime.name)
+    return RoutingTrace(model_name=f"{config.name}/{'+'.join(name_parts)}",
+                        top_k=config.top_k, tokens_per_step=tokens_per_step,
+                        counts=np.concatenate(counts, axis=0))

@@ -25,6 +25,7 @@ from ..telemetry.instruments import Histogram
 from ..telemetry.tracing import mint_trace_id
 from .cache import ExpertCache
 from .engine import ServingConfig
+from .prefetch import OverlappedFetchScheduler, sample_decode_step
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,14 @@ class BatchedServingMetrics:
 
 
 class BatchedDecodeSimulator:
-    """Continuous-batching decode loop over a shared expert cache."""
+    """Continuous-batching decode loop over a shared expert cache.
+
+    The loop owns request queueing and admission.  Each engine step samples
+    one token per active stream (:func:`~repro.serving.prefetch.
+    sample_decode_step`) and prices the union of their experts through an
+    :class:`~repro.serving.prefetch.OverlappedFetchScheduler` without
+    speculation, whose compute window covers every active stream.
+    """
 
     def __init__(self, config: MoEModelConfig, router: SyntheticRouter,
                  cache: ExpertCache, max_batch: int = 8,
@@ -216,19 +224,6 @@ class BatchedDecodeSimulator:
         self.max_batch = max_batch
         self.serving = serving or ServingConfig()
         self.seed = seed
-        from ..runtime.flops import FlopModel
-        self._flops = FlopModel(config)
-        self._expert_nbytes = config.expert_nbytes()
-
-    def _step_compute_time(self, active: int) -> float:
-        """One engine step: every active stream advances one token."""
-        device = self.serving.device
-        per_block = self._flops.backbone_layer_time(
-            device, float(active), self.serving.context_len)
-        per_block += self.config.top_k * self._flops.expert_time(
-            device, float(active))
-        return per_block * self.config.num_layers + \
-            self._flops.head_time(device, float(active))
 
     def run(self, requests: List[Request]) -> BatchedServingMetrics:
         """Serve ``requests`` to completion."""
@@ -237,8 +232,8 @@ class BatchedDecodeSimulator:
         rng = np.random.default_rng(self.seed)
         logits = self.router.base_logits
         temperature = self.router.regime.gate_temperature
-        fetch = self.serving.fetch_time(self._expert_nbytes)
-        k = self.config.top_k
+        scheduler = OverlappedFetchScheduler(self.config, None, self.cache,
+                                             self.serving)
 
         pending = sorted(requests, key=lambda r: r.arrival_time)
         queue: List[Request] = []
@@ -263,17 +258,13 @@ class BatchedDecodeSimulator:
                 continue
 
             # one engine step: union of experts needed across streams
-            needed = set()
+            needed = [set() for _ in range(self.config.num_layers)]
             for _ in active:
-                gumbel = rng.gumbel(size=logits.shape) * temperature
-                chosen = np.argpartition(-(logits + gumbel), k - 1,
-                                         axis=1)[:, :k]
-                for layer in range(self.config.num_layers):
-                    for expert in chosen[layer]:
-                        needed.add((layer, int(expert)))
-            misses = sum(0 if self.cache.access(key) else 1
-                         for key in sorted(needed))
-            now += self._step_compute_time(len(active)) + misses * fetch
+                token = sample_decode_step(logits, temperature,
+                                           self.config.top_k, rng)
+                for layer, experts in enumerate(token):
+                    needed[layer] |= experts
+            now += scheduler.step(needed, tokens=len(active)).latency_s
             steps += 1
 
             finished = [rid for rid, left in active.items() if left <= 1]

@@ -1,4 +1,4 @@
-"""Decode-time serving simulation with expert offloading.
+"""Hardware and metrics of decode-time serving with expert offloading.
 
 Models the Fiddler/MoE-Infinity deployment the paper's related work covers:
 a single GPU whose memory holds only part of the expert set; the rest lives
@@ -8,21 +8,20 @@ routes one token through every MoE block; per-token latency is
     compute(all blocks) + fetch_penalty * (misses this token)
 
 Expert locality is the entire game: with skewed routing, a small cache plus
-a good policy approaches all-resident latency.
+a good policy approaches all-resident latency.  The decode loop itself is
+:class:`~repro.serving.prefetch.OverlappedFetchScheduler`; this module holds
+what it is priced with (:class:`ServingConfig`) and what a replay reports
+(:class:`ServingMetrics`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..cluster.device import DeviceSpec, v100_32gb
 from ..models.config import MoEModelConfig
-from ..routing.synthetic import SyntheticRouter
-from ..runtime.flops import FlopModel
-from .cache import ExpertCache
 
 
 @dataclass(frozen=True)
@@ -107,62 +106,3 @@ class ServingMetrics:
         """Decoded tokens per wall-clock second."""
         total = self.token_latencies.sum()
         return self.num_tokens / total if total > 0 else 0.0
-
-
-class DecodeSimulator:
-    """Simulate autoregressive decoding with an expert cache.
-
-    Routing decisions come from a :class:`SyntheticRouter`'s popularity
-    logits, sampled per token (Gumbel top-k), so the access stream has the
-    same locality the profiling pass would measure.
-    """
-
-    def __init__(self, config: MoEModelConfig, router: SyntheticRouter,
-                 cache: ExpertCache, serving: Optional[ServingConfig] = None,
-                 seed: int = 0):
-        self.config = config
-        self.router = router
-        self.cache = cache
-        self.serving = serving or ServingConfig()
-        self.seed = seed
-        self.flops = FlopModel(config)
-        self._expert_nbytes = self.serving.expert_fetch_nbytes(config)
-
-    def _token_compute_time(self) -> float:
-        """One token through every block (attention + top_k experts)."""
-        device = self.serving.device
-        per_block = self.flops.backbone_layer_time(
-            device, 1.0, self.serving.context_len)
-        per_block += self.config.top_k * self.flops.expert_time(device, 1.0)
-        return per_block * self.config.num_layers + \
-            self.flops.head_time(device, 1.0)
-
-    def run(self, num_tokens: int) -> ServingMetrics:
-        """Decode ``num_tokens`` tokens; returns the latency series."""
-        if num_tokens < 1:
-            raise ValueError("num_tokens must be positive")
-        rng = np.random.default_rng(self.seed)
-        logits = self.router.base_logits  # (L, E)
-        temperature = self.router.regime.gate_temperature
-        compute = self._token_compute_time()
-        fetch = self.serving.fetch_time(self._expert_nbytes)
-
-        latencies = np.empty(num_tokens)
-        fetch_total = 0.0
-        k = self.config.top_k
-        for token in range(num_tokens):
-            gumbel = rng.gumbel(size=logits.shape) * temperature
-            scores = logits + gumbel
-            chosen = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-            misses = 0
-            for layer in range(self.config.num_layers):
-                for expert in chosen[layer]:
-                    if not self.cache.access((layer, int(expert))):
-                        misses += 1
-            latency = compute + misses * fetch
-            fetch_total += misses * fetch
-            latencies[token] = latency
-        return ServingMetrics(token_latencies=latencies,
-                              hit_rate=self.cache.stats.hit_rate,
-                              evictions=self.cache.stats.evictions,
-                              fetch_time_total=fetch_total)

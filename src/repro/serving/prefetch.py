@@ -9,24 +9,30 @@ Inference via Predictive Prefetching and Expert Replication" goes further
 and *learns* the next-expert distribution, replicating persistently-hot
 experts so their fetches become local.
 
-This module carries both generations:
+This module holds the one modeled decode loop and its live-engine sidecar:
 
-* :class:`SpeculativePrefetcher` + :class:`PrefetchingDecodeSimulator` —
-  the original previous-token policy over an :class:`ExpertCache`
-  (kept as the baseline and for A/B tests).
 * :class:`PreviousTokenPredictor` / :class:`TransitionPredictor` /
   :class:`OraclePredictor` — pluggable next-step expert predictors.  The
+  previous-token policy is the Fiddler/MoE-Infinity baseline; the
   transition predictor accumulates per-layer expert→expert transition
   counts online from gate history and falls back to the previous-token
   policy until a row has evidence; the oracle reads a prerecorded stream
   and bounds what any predictor could achieve.
-* :class:`OverlappedFetchScheduler` — issues predicted-expert fetches
+* :class:`OverlappedFetchScheduler` — prices one decode step's expert
+  demand against an :class:`ExpertCache`, issues predicted-expert fetches
   ahead of the step that needs them and charges only the *un-hidden*
   remainder (Comet-style fine-grained overlap: speculative fetch time up
   to the step's compute window is free; overflow and mispredictions are
-  synchronous).  Fetches are priced per expert — PCIe for locally-held
-  experts, plus the holder's cluster link when the active placement puts
-  the expert on a remote worker.
+  synchronous).  With no predictor every miss is synchronous — plain
+  offloaded decode.  Fetches are priced per expert at the serving
+  config's weight format — PCIe for locally-held experts, plus the
+  holder's cluster link when the active placement puts the expert on a
+  remote worker.
+* :func:`sample_decode_stream` / :func:`markov_decode_stream` produce
+  offline per-step demand, and :func:`replay_stream` drives a scheduler
+  through it: ``replay_stream(sample_decode_stream(config, router, n,
+  seed), OverlappedFetchScheduler(config, None, cache))`` is the modeled
+  decode of ``n`` tokens.
 * :class:`DecodePrefetcher` — the live-engine sidecar
   (``LiveDecodeEngine(prefetch=...)`` / ``ContinuousBatchingEngine(
   prefetch=...)``): feeds the scheduler from each step's routing records,
@@ -194,110 +200,6 @@ def make_predictor(name: str, config: MoEModelConfig) -> ExpertPredictor:
     if name == "previous":
         return PreviousTokenPredictor()
     raise ValueError(f"predictor must be one of {PREDICTORS}, got {name!r}")
-
-
-# --------------------------------------------------------------------- #
-# the previous-token baseline (PR-1 era API, kept for A/B tests)
-# --------------------------------------------------------------------- #
-class SpeculativePrefetcher:
-    """Previous-token speculation over an expert cache."""
-
-    def __init__(self, cache: ExpertCache):
-        self.cache = cache
-        self.stats = PrefetchStats()
-        self._predicted: Set[ExpertKey] = set()
-
-    def prefetch_for_next(self, used: Set[ExpertKey]) -> Set[ExpertKey]:
-        """Speculatively load the experts the current token used.
-
-        Returns the keys actually fetched (those not already resident).
-        """
-        fetched = set()
-        for key in sorted(used):
-            self.stats.predicted += 1
-            if key not in self.cache:
-                self.cache.access(key)  # loads it (counts as a miss)
-                fetched.add(key)
-        self._predicted = set(used)
-        return fetched
-
-    def score_token(self, needed: Set[ExpertKey]) -> Tuple[int, int]:
-        """Account one token's demand against the last speculation.
-
-        Returns ``(hits_from_prediction, residual_misses)`` where residual
-        misses must be fetched synchronously.
-        """
-        correct = len(needed & self._predicted)
-        self.stats.correct += correct
-        self.stats.wasted += len(self._predicted - needed)
-        residual = 0
-        for key in sorted(needed):
-            if not self.cache.access(key):
-                residual += 1
-        return correct, residual
-
-
-class PrefetchingDecodeSimulator:
-    """Decode loop with previous-token speculative prefetch.
-
-    Speculative fetches overlap the next token's compute: up to
-    ``compute_time / fetch_time`` fetches are free; the remainder and all
-    mispredictions are synchronous.
-    """
-
-    def __init__(self, config: MoEModelConfig, router: SyntheticRouter,
-                 cache: ExpertCache, serving: Optional[ServingConfig] = None,
-                 seed: int = 0):
-        self.config = config
-        self.router = router
-        self.cache = cache
-        self.serving = serving or ServingConfig()
-        self.seed = seed
-        self.flops = FlopModel(config)
-        self.prefetcher = SpeculativePrefetcher(cache)
-        self._expert_nbytes = config.expert_nbytes()
-
-    def _token_compute_time(self) -> float:
-        device = self.serving.device
-        per_block = self.flops.backbone_layer_time(
-            device, 1.0, self.serving.context_len)
-        per_block += self.config.top_k * self.flops.expert_time(device, 1.0)
-        return per_block * self.config.num_layers + \
-            self.flops.head_time(device, 1.0)
-
-    def run(self, num_tokens: int) -> ServingMetrics:
-        """Run to completion; returns metrics."""
-        if num_tokens < 1:
-            raise ValueError("num_tokens must be positive")
-        rng = np.random.default_rng(self.seed)
-        logits = self.router.base_logits
-        temperature = self.router.regime.gate_temperature
-        compute = self._token_compute_time()
-        fetch = self.serving.fetch_time(self._expert_nbytes)
-        hidden_budget = int(compute // fetch) if fetch > 0 else 0
-        k = self.config.top_k
-
-        latencies = np.empty(num_tokens)
-        fetch_total = 0.0
-        pending_prefetches = 0
-        for token in range(num_tokens):
-            gumbel = rng.gumbel(size=logits.shape) * temperature
-            chosen = np.argpartition(-(logits + gumbel), k - 1, axis=1)[:, :k]
-            needed = {(layer, int(e))
-                      for layer in range(self.config.num_layers)
-                      for e in chosen[layer]}
-            # pay for speculative fetches that did not fit the compute window
-            overflow = max(pending_prefetches - hidden_budget, 0)
-            _, residual = self.prefetcher.score_token(needed)
-            latency = compute + (residual + overflow) * fetch
-            fetch_total += (residual + overflow) * fetch
-            latencies[token] = latency
-            pending_prefetches = len(
-                self.prefetcher.prefetch_for_next(needed))
-        return ServingMetrics(token_latencies=latencies,
-                              hit_rate=self.cache.stats.hit_rate,
-                              evictions=self.cache.stats.evictions,
-                              fetch_time_total=fetch_total)
 
 
 # --------------------------------------------------------------------- #
@@ -493,29 +395,34 @@ class OverlappedFetchScheduler:
 # --------------------------------------------------------------------- #
 # offline streams (benchmark + oracle inputs)
 # --------------------------------------------------------------------- #
+def sample_decode_step(logits: np.ndarray, temperature: float, top_k: int,
+                       rng: np.random.Generator) -> ExpertSets:
+    """One decode token's per-layer expert sets.
+
+    Gumbel top-k over ``(layers, experts)`` popularity ``logits``, so the
+    access stream has the same locality the profiling pass would measure.
+    """
+    gumbel = rng.gumbel(size=logits.shape) * temperature
+    chosen = np.argpartition(-(logits + gumbel), top_k - 1, axis=1)[:, :top_k]
+    return [set(map(int, row)) for row in chosen]
+
+
 def sample_decode_stream(config: MoEModelConfig, router: SyntheticRouter,
                          num_steps: int, seed: int = 0
                          ) -> List[ExpertSets]:
-    """Per-step per-layer expert sets, sampled like the decode simulators.
+    """Per-step per-layer expert sets: one :func:`sample_decode_step` each.
 
-    One token per step, Gumbel top-k over the router's popularity logits —
-    the same access process :class:`~repro.serving.engine.DecodeSimulator`
-    replays, materialized up front so several policies (and the belady /
-    oracle bounds) can consume the identical stream.
+    One token per step from the router's popularity logits, materialized
+    up front so several policies (and the belady / oracle bounds) can
+    consume the identical stream.
     """
     if num_steps < 1:
         raise ValueError("num_steps must be positive")
     rng = np.random.default_rng(seed)
     logits = router.base_logits
     temperature = router.regime.gate_temperature
-    k = config.top_k
-    stream: List[ExpertSets] = []
-    for _ in range(num_steps):
-        gumbel = rng.gumbel(size=logits.shape) * temperature
-        chosen = np.argpartition(-(logits + gumbel), k - 1, axis=1)[:, :k]
-        stream.append([set(map(int, chosen[layer]))
-                       for layer in range(config.num_layers)])
-    return stream
+    return [sample_decode_step(logits, temperature, config.top_k, rng)
+            for _ in range(num_steps)]
 
 
 def markov_decode_stream(config: MoEModelConfig, num_steps: int,

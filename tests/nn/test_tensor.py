@@ -102,6 +102,23 @@ class TestArithmeticGradients:
     def test_matmul_vector_lhs(self):
         grad_check(lambda a, b: a @ b, (4,), (4, 3))
 
+    @pytest.mark.parametrize("left", [np.float64(0.5), np.full((2, 3), 0.5)],
+                             ids=["numpy_scalar", "ndarray"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    def test_numpy_left_operand_stays_on_graph(self, left, op):
+        """numpy on the left hands the op to the reflected Tensor method
+        instead of returning an object ndarray off the graph."""
+        fn = {"add": lambda a: left + a, "sub": lambda a: left - a,
+              "mul": lambda a: left * a, "truediv": lambda a: left / a}[op]
+        out = fn(Tensor(np.ones((2, 3)), requires_grad=True))
+        assert isinstance(out, Tensor)
+        assert out.requires_grad
+        grad_check(fn, (2, 3))
+
+    def test_numpy_left_matmul_raises(self):
+        with pytest.raises(TypeError):
+            np.ones((2, 3)) @ Tensor(np.ones((3, 2)), requires_grad=True)
+
 
 class TestReductionGradients:
     def test_sum_all(self):

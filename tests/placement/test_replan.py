@@ -274,11 +274,11 @@ class TestReplanConfig:
     def test_defaults_valid(self):
         config = ReplanConfig()
         assert config.trigger == "anomaly"
-        assert config.resolve == "local_search"
+        assert config.background is False
 
     @pytest.mark.parametrize("kwargs", [
         {"trigger": "sometimes"},
-        {"resolve": "annealing"},
+        {"min_window_steps": 33},  # beyond the default 32-step window
         {"window_size": 0},
         {"min_window_steps": 0},
         {"min_window_steps": 9, "window_size": 8},

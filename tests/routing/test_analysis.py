@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import phase_switch_trace
 from repro.models import nano_moe
 from repro.placement import PlacementProblem, SequentialPlacement
 from repro.routing import (CusumDriftDetector, SyntheticRouter,
                            UNIFORM_REGIME, WIKITEXT_REGIME, calibrate_slack,
-                           hot_set, hot_set_jaccard,
-                           predicted_cross_node_bytes,
+                           hot_set, hot_set_jaccard, phase_switch_trace,
+                           predicted_cross_node_bytes, profile_drift,
                            windowed_hot_set_stability)
 from repro.runtime import MasterWorkerEngine
 
@@ -39,6 +38,29 @@ class TestCusum:
             trace, reference)
         assert detection.detected
         assert 20 <= detection.change_step <= 30
+
+    def test_statistic_is_cusum_of_profile_drift(self, nano_config):
+        """Bitwise: the scan accumulates ``profile_drift`` per step, and
+        ``calibrate_slack`` takes the quantile of the same values."""
+        trace = phase_switch_trace(nano_config,
+                                   [WIKITEXT_REGIME, UNIFORM_REGIME],
+                                   tokens_per_step=512, steps_per_phase=10,
+                                   seed=2)
+        reference = SyntheticRouter(nano_config, WIKITEXT_REGIME,
+                                    seed=2).probability_matrix(4096)
+        detector = CusumDriftDetector(threshold=0.3, slack=0.05)
+        drifts = [profile_drift(reference, trace.step_counts(step)
+                                / trace.tokens_per_step)
+                  for step in range(trace.num_steps)]
+        expected = np.zeros(trace.num_steps)
+        s = 0.0
+        for step in range(2, trace.num_steps):
+            s = max(0.0, s + drifts[step] - detector.slack)
+            expected[step] = s
+        np.testing.assert_array_equal(
+            detector.scan(trace, reference, start=2).statistic, expected)
+        assert calibrate_slack(trace, reference, 0.9) == \
+            float(np.quantile(drifts, 0.9))
 
     def test_statistic_resets_below_slack(self, nano_config, router):
         trace = router.generate_trace(10, 512)

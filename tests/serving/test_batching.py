@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.models import nano_moe
+from repro.models import mixtral_8x7b_sim, nano_moe
 from repro.routing import SyntheticRouter, WIKITEXT_REGIME
 from repro.serving import (BatchedDecodeSimulator, ExpertCache, Request,
-                           poisson_workload)
+                           ServingConfig, poisson_workload)
 
 
 def make_sim(capacity=6, max_batch=4, seed=0):
@@ -128,3 +128,16 @@ class TestBatchedSimulator:
             make_sim().run([])
         with pytest.raises(ValueError):
             make_sim(max_batch=0)
+
+    def test_int8_weight_format_lowers_wall_time(self):
+        """Fetches are priced at the serving config's weight format."""
+        config = mixtral_8x7b_sim()
+        router = SyntheticRouter(config, WIKITEXT_REGIME, seed=1)
+        requests = [Request(i, 0.0, 12) for i in range(4)]
+        wall = {}
+        for fmt in ("fp16", "int8"):
+            sim = BatchedDecodeSimulator(
+                config, router, ExpertCache(config.total_experts // 2),
+                max_batch=4, serving=ServingConfig(weight_format=fmt), seed=1)
+            wall[fmt] = sim.run(requests).wall_time
+        assert wall["int8"] < wall["fp16"]

@@ -7,79 +7,87 @@ from repro.models import build_model, nano_moe
 from repro.models.moe_block import BlockRoutingRecord
 from repro.placement import Placement
 from repro.routing import SyntheticRouter, UNIFORM_REGIME, WIKITEXT_REGIME
-from repro.serving import (DecodeSimulator, ExpertCache, LiveDecodeEngine,
-                           ServingConfig)
+from repro.serving import ExpertCache, LiveDecodeEngine, ServingConfig
 from repro.serving.prefetch import (LIVE_CACHE_POLICIES, PREDICTORS,
                                     DecodePrefetcher, OraclePredictor,
                                     OverlappedFetchScheduler, PrefetchConfig,
-                                    PrefetchingDecodeSimulator,
                                     PreviousTokenPredictor,
-                                    SpeculativePrefetcher,
                                     TransitionPredictor, make_predictor,
                                     markov_decode_stream, replay_stream,
-                                    stream_lookahead)
+                                    sample_decode_stream, stream_lookahead)
 from repro.telemetry import EventLog, Telemetry
+
+
+def previous_token_scheduler(capacity):
+    """The scheduler under previous-token speculation, on ``nano_moe``."""
+    return OverlappedFetchScheduler(nano_moe(), PreviousTokenPredictor(),
+                                    ExpertCache(capacity))
 
 
 class TestSpeculativePrefetcher:
     def test_prefetch_loads_missing(self):
-        cache = ExpertCache(capacity=8)
-        prefetcher = SpeculativePrefetcher(cache)
-        fetched = prefetcher.prefetch_for_next({(0, 1), (0, 2)})
-        assert fetched == {(0, 1), (0, 2)}
-        assert (0, 1) in cache
+        # Demand leaves the speculated experts resident: nothing to fetch.
+        scheduler = previous_token_scheduler(capacity=8)
+        report = scheduler.step([{1, 2}])
+        assert report.predicted == 2
+        assert report.prefetch_fetches == 0
+        assert scheduler.cache.resident == {(0, 1), (0, 2)}
+        # Demand beyond capacity evicted them: speculation loads them back.
+        scheduler = previous_token_scheduler(capacity=2)
+        report = scheduler.step([{1, 2, 3}])
+        assert report.prefetch_fetches == 3
+        assert len(scheduler.cache.resident) == 2
 
     def test_prediction_scoring(self):
-        cache = ExpertCache(capacity=8)
-        prefetcher = SpeculativePrefetcher(cache)
-        prefetcher.prefetch_for_next({(0, 1), (0, 2)})
-        correct, residual = prefetcher.score_token({(0, 1), (0, 3)})
-        assert correct == 1
-        assert residual == 1  # (0, 3) was not speculated or resident
-        assert prefetcher.stats.wasted == 1  # (0, 2) unused
+        scheduler = previous_token_scheduler(capacity=8)
+        scheduler.step([{1, 2}])
+        report = scheduler.step([{1, 3}])
+        assert report.correct == 1
+        assert report.sync_fetches == 1  # (0, 3) was not speculated or resident
+        assert scheduler.stats.wasted == 1  # (0, 2) unused
 
     def test_accuracy_statistic(self):
-        cache = ExpertCache(capacity=8)
-        prefetcher = SpeculativePrefetcher(cache)
-        prefetcher.prefetch_for_next({(0, 1)})
-        prefetcher.score_token({(0, 1)})
-        assert prefetcher.stats.accuracy == 1.0
+        scheduler = previous_token_scheduler(capacity=8)
+        first = scheduler.step([{1}])
+        second = scheduler.step([{1}])
+        assert second.correct == first.predicted == 1
+        # the second step's own prediction is not scored yet
+        assert scheduler.stats.accuracy == 0.5
 
 
 class TestPrefetchingDecode:
-    def make(self, regime, capacity, seed=0):
+    """Previous-token speculation replayed over a sampled decode stream."""
+
+    def stream(self, regime, num_tokens, seed=0):
         config = nano_moe()
         router = SyntheticRouter(config, regime, seed=2)
-        return PrefetchingDecodeSimulator(config, router,
-                                          ExpertCache(capacity), seed=seed)
+        return sample_decode_stream(config, router, num_tokens, seed)
 
     def test_runs_and_reports(self):
-        metrics = self.make(WIKITEXT_REGIME, capacity=6).run(30)
+        metrics = replay_stream(self.stream(WIKITEXT_REGIME, 30),
+                                previous_token_scheduler(capacity=6))
         assert metrics.num_tokens == 30
         assert np.all(metrics.token_latencies > 0)
 
     def test_prefetch_beats_plain_decode_under_skew(self):
         """Temporal locality: speculation hides fetches a plain LRU pays."""
-        config = nano_moe()
-        router = SyntheticRouter(config, WIKITEXT_REGIME, seed=2)
-        plain = DecodeSimulator(config, router, ExpertCache(4), seed=0).run(60)
-        router2 = SyntheticRouter(config, WIKITEXT_REGIME, seed=2)
-        spec = PrefetchingDecodeSimulator(config, router2, ExpertCache(4),
-                                          seed=0).run(60)
+        stream = self.stream(WIKITEXT_REGIME, 60)
+        plain = replay_stream(stream, OverlappedFetchScheduler(
+            nano_moe(), None, ExpertCache(4)))
+        spec = replay_stream(stream, previous_token_scheduler(capacity=4))
         assert spec.mean_latency() <= plain.mean_latency() * 1.05
 
     def test_prediction_accuracy_tracks_skew(self):
         """Skewed routing repeats experts across tokens; uniform does not."""
-        skewed = self.make(WIKITEXT_REGIME, capacity=8)
-        skewed.run(60)
-        uniform = self.make(UNIFORM_REGIME, capacity=8)
-        uniform.run(60)
-        assert skewed.prefetcher.stats.accuracy > \
-            uniform.prefetcher.stats.accuracy
+        skewed = previous_token_scheduler(capacity=8)
+        replay_stream(self.stream(WIKITEXT_REGIME, 60), skewed)
+        uniform = previous_token_scheduler(capacity=8)
+        replay_stream(self.stream(UNIFORM_REGIME, 60), uniform)
+        assert skewed.stats.accuracy > uniform.stats.accuracy
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self.make(WIKITEXT_REGIME, capacity=4).run(0)
+            self.stream(WIKITEXT_REGIME, 0)
 
 
 class TestPredictors:

@@ -5,8 +5,15 @@ import pytest
 
 from repro.models import nano_moe
 from repro.routing import SyntheticRouter, UNIFORM_REGIME, WIKITEXT_REGIME
-from repro.serving import (DecodeSimulator, ExpertCache, ServingConfig,
-                           hot_expert_keys)
+from repro.serving import (ExpertCache, OverlappedFetchScheduler,
+                           ServingConfig, hot_expert_keys, replay_stream,
+                           sample_decode_stream)
+
+
+def decode(config, router, cache, num_tokens, seed=0):
+    """Modeled offloaded decode: no speculation, every miss synchronous."""
+    return replay_stream(sample_decode_stream(config, router, num_tokens, seed),
+                         OverlappedFetchScheduler(config, None, cache))
 
 
 class TestExpertCache:
@@ -80,35 +87,36 @@ class TestHotExpertKeys:
 
 
 class TestDecodeSimulator:
-    def make_sim(self, regime, capacity, policy="lru", pinned=None, seed=0):
+    def run(self, regime, capacity, num_tokens, policy="lru", pinned=None,
+            seed=0):
         config = nano_moe()
         router = SyntheticRouter(config, regime, seed=3)
         cache = ExpertCache(capacity=capacity, policy=policy, pinned=pinned)
-        return DecodeSimulator(config, router, cache, seed=seed)
+        return decode(config, router, cache, num_tokens, seed=seed)
 
     def test_latency_series_shape(self):
-        metrics = self.make_sim(WIKITEXT_REGIME, capacity=4).run(30)
+        metrics = self.run(WIKITEXT_REGIME, capacity=4, num_tokens=30)
         assert metrics.num_tokens == 30
         assert np.all(metrics.token_latencies > 0)
 
     def test_all_resident_means_no_fetches(self):
         config = nano_moe()
-        metrics = self.make_sim(WIKITEXT_REGIME,
-                                capacity=config.total_experts).run(40)
+        metrics = self.run(WIKITEXT_REGIME, capacity=config.total_experts,
+                           num_tokens=40)
         # after compulsory misses, everything fits: fetch time is bounded
         assert metrics.evictions == 0
         assert metrics.hit_rate > 0.8
 
     def test_tiny_cache_thrashes(self):
-        big = self.make_sim(WIKITEXT_REGIME, capacity=8).run(40)
-        small = self.make_sim(WIKITEXT_REGIME, capacity=2).run(40)
+        big = self.run(WIKITEXT_REGIME, capacity=8, num_tokens=40)
+        small = self.run(WIKITEXT_REGIME, capacity=2, num_tokens=40)
         assert small.hit_rate < big.hit_rate
         assert small.mean_latency() > big.mean_latency()
 
     def test_skew_improves_hit_rate(self):
         """Locality is why caching works: skewed routing caches better."""
-        skewed = self.make_sim(WIKITEXT_REGIME, capacity=4).run(60)
-        uniform = self.make_sim(UNIFORM_REGIME, capacity=4).run(60)
+        skewed = self.run(WIKITEXT_REGIME, capacity=4, num_tokens=60)
+        uniform = self.run(UNIFORM_REGIME, capacity=4, num_tokens=60)
         assert skewed.hit_rate > uniform.hit_rate
 
     def test_pinned_policy_with_profile_beats_lru(self):
@@ -118,26 +126,25 @@ class TestDecodeSimulator:
         profile = router.probability_matrix(8192)
         capacity = 6
         pinned = hot_expert_keys(profile, capacity - 2)
-        lru = self.make_sim(WIKITEXT_REGIME, capacity=capacity).run(80)
-        pin_sim = DecodeSimulator(
-            config, router,
-            ExpertCache(capacity, policy="pinned", pinned=pinned), seed=0)
-        pinned_metrics = pin_sim.run(80)
+        lru = self.run(WIKITEXT_REGIME, capacity=capacity, num_tokens=80)
+        pinned_metrics = self.run(WIKITEXT_REGIME, capacity=capacity,
+                                  num_tokens=80, policy="pinned",
+                                  pinned=pinned)
         assert pinned_metrics.hit_rate >= lru.hit_rate - 0.02
 
     def test_throughput_inverse_of_latency(self):
-        metrics = self.make_sim(WIKITEXT_REGIME, capacity=4).run(20)
+        metrics = self.run(WIKITEXT_REGIME, capacity=4, num_tokens=20)
         assert metrics.throughput_tokens_per_s() == \
             pytest.approx(20 / metrics.token_latencies.sum())
 
     def test_deterministic(self):
-        a = self.make_sim(WIKITEXT_REGIME, capacity=4, seed=9).run(15)
-        b = self.make_sim(WIKITEXT_REGIME, capacity=4, seed=9).run(15)
+        a = self.run(WIKITEXT_REGIME, capacity=4, num_tokens=15, seed=9)
+        b = self.run(WIKITEXT_REGIME, capacity=4, num_tokens=15, seed=9)
         np.testing.assert_array_equal(a.token_latencies, b.token_latencies)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self.make_sim(WIKITEXT_REGIME, capacity=4).run(0)
+            self.run(WIKITEXT_REGIME, capacity=4, num_tokens=0)
 
     def test_fetch_time_formula(self):
         serving = ServingConfig(pcie_bandwidth=1e9, fetch_latency_s=1e-3)
