@@ -137,39 +137,23 @@ class Trainer:
         Optional :class:`~repro.telemetry.monitor.RoutingHealthMonitor`;
         digests every step's routing records (gauges + anomaly events) and
         writes the run manifest.
-    executor:
-        Optional :class:`~repro.parallel.ExpertExecutor`; the trainer binds
-        it to the model (native weight format, after LoRA injection —
-        adapters ship per task, frozen bases live in shared memory), routes
-        every MoE layer's expert GEMMs through it, and refreshes its weight
-        store after each optimizer step (a no-op under the standard frozen-
-        base recipe).  The caller keeps ownership: ``close()`` it after
-        training.
     """
 
     def __init__(self, model: MoETransformer, loader: LMDataLoader,
                  config: Optional[FineTuneConfig] = None,
                  inject: bool = True,
                  telemetry: Optional[Telemetry] = None,
-                 monitor: Optional[RoutingHealthMonitor] = None,
-                 executor=None):
+                 monitor: Optional[RoutingHealthMonitor] = None):
         self.model = model
         self.loader = loader
         self.config = config or FineTuneConfig()
         self.telemetry = telemetry
         self.monitor = monitor
-        self.executor = executor
         if inject:
             self.lora_report = inject_lora(model, self.config.lora)
         else:
             self.lora_report = LoRAReport()
             self.lora_report.trainable_params = model.num_parameters(True)
-        if executor is not None:
-            # Bind after injection so the store snapshots the frozen bases
-            # (and support checks see the final projection modules).
-            if not executor.bound:
-                executor.bind(model, weight_format="native")
-            model.set_expert_executor(executor)
         self.optimizer = AdamW(model.trainable_parameters(),
                                lr=self.config.lr, betas=self.config.betas,
                                eps=self.config.eps,
@@ -264,8 +248,6 @@ class Trainer:
                             telemetry.gauge("train.grad_norm").set(
                                 float(grad_norm))
                     self.optimizer.step()
-                    if self.executor is not None:
-                        self.executor.refresh()
                 if telemetry is not None:
                     telemetry.gauge("train.loss").set(step_loss)
                 if monitor is not None:

@@ -7,7 +7,7 @@ weights of Eq. (1), and the output is reshaped back.
 
 Dispatch runs the stages of a grouped-GEMM MoE kernel — the in-process
 stand-in for the expert-parallel all-to-all the paper's placement work
-optimizes — and all three dispatch paths share one copy of their index
+optimizes — and both dispatch paths share one copy of their index
 math:
 
 * :func:`dispatch_plan` *permutes*: one stable sort of the flattened
@@ -19,11 +19,10 @@ math:
   contributions of each token into one output row;
 * :func:`combine_backward` is the mirror single pass for gradients.
 
-:func:`fused_dispatch` (the Tensor path, under gradients),
+:func:`fused_dispatch` (the Tensor path, under gradients) and
 :func:`array_dispatch` (plain arrays, under ``no_grad``, for a one-token
-decode step as for a long prefill) and
-:func:`repro.parallel.dispatch.executor_dispatch` (expert GEMMs on a
-process pool) differ only in how they run the expert GEMMs.
+decode step as for a long prefill) differ only in how they run the expert
+GEMMs.
 
 Every forward pass can emit a :class:`BlockRoutingRecord`, the raw material
 for locality profiling and for the communication simulation.
@@ -230,9 +229,6 @@ class MoEBlock(Module):
         self.last_aux_loss: Optional[Tensor] = None
         self.record_routing = True
         self.record_probs = record_probs
-        # Optional repro.parallel.ExpertExecutor; when set (and bound for
-        # this layer) the dispatch fans expert segments out to it.
-        self.executor = None
 
     def make_record(self, gate_out: GateOutput) -> BlockRoutingRecord:
         """Build a routing record from one forward's gate output."""
@@ -248,10 +244,9 @@ class MoEBlock(Module):
         """Apply the block to ``(batch, seq, hidden)`` input.
 
         With gradients enabled this is the Tensor gate plus
-        :meth:`_dispatch_combine`.  Under ``no_grad`` the dispatch runs on
+        :func:`fused_dispatch`.  Under ``no_grad`` the dispatch runs on
         plain arrays (:meth:`_forward_array`) unless the block needs the
-        graph path: an attached executor that can run this layer,
-        LoRA-injected experts, or a gate with an aux loss.
+        graph path: LoRA-injected experts, or a gate with an aux loss.
         ``x`` may then be a plain array (``forward_slots`` passes one) and
         the output has the input's type.
         """
@@ -273,14 +268,11 @@ class MoEBlock(Module):
         if self.record_routing:
             self.last_record = self.make_record(gate_out)
 
-        output = self._dispatch_combine(tokens, gate_out)
+        output = fused_dispatch(self.experts, tokens, gate_out)
         return output.reshape(batch, seq, hidden)
 
     def _array_ready(self) -> bool:
         """Whether :meth:`_forward_array` can stand in for the graph path."""
-        executor = self.executor
-        if executor is not None and executor.can_run(self.layer_index):
-            return False
         return (self.gate.aux_loss_weight <= 0
                 and all(e._fusable() for e in self.experts))
 
@@ -302,25 +294,6 @@ class MoEBlock(Module):
                 probs=probs if self.record_probs else None)
         out = array_dispatch(self.experts, tokens, indices, combine)
         return out.reshape(batch, seq, hidden)
-
-    def _dispatch_combine(self, tokens: Tensor, gate_out: GateOutput,
-                          expert_order: Optional[Sequence[int]] = None
-                          ) -> Tensor:
-        """Send tokens through their selected experts and combine the results.
-
-        Runs :func:`fused_dispatch`, or, when an attached :attr:`executor`
-        (see :mod:`repro.parallel`) can serve this layer,
-        :func:`~repro.parallel.dispatch.executor_dispatch` — the same plan
-        and combine, with workers doing the GEMMs.  The executor declines
-        (int8 store under gradients, unbound layer) by returning ``False``
-        from ``can_run``.  ``expert_order`` is :func:`fused_dispatch`'s.
-        """
-        executor = self.executor
-        if executor is not None and executor.can_run(self.layer_index):
-            from ..parallel.dispatch import executor_dispatch
-            return executor_dispatch(executor, self.layer_index, self.experts,
-                                     tokens, gate_out, expert_order)
-        return fused_dispatch(self.experts, tokens, gate_out, expert_order)
 
     def expert_modules(self) -> List[ExpertFFN]:
         """The expert submodules, in id order."""

@@ -257,17 +257,6 @@ class MoETransformer(Module):
         for moe in self._moe_blocks():
             moe.record_probs = enabled
 
-    def set_expert_executor(self, executor) -> None:
-        """Attach (or with ``None`` detach) a :mod:`repro.parallel` executor.
-
-        Every MoE block's fused dispatch will fan its expert segments out
-        to the executor when it can serve the layer; the caller owns the
-        executor's lifecycle (``bind`` before attaching, ``close`` after
-        detaching).
-        """
-        for moe in self._moe_blocks():
-            moe.executor = executor
-
     # convenient sizes ---------------------------------------------------
     def num_expert_params(self) -> int:
         """Parameter count across all experts."""

@@ -4,17 +4,16 @@ This is the *weight* counterpart of :mod:`repro.comm.compression` (which
 quantizes activations in flight): expert FFN matrices are stored and shipped
 as signed int8 codes with one float scale per output channel, cutting both
 the bytes a serving-path expert fetch moves through the bandwidth model and
-the bytes a shared-memory weight buffer or checkpoint occupies — 4x vs
-float32, 2x vs the paper's fp16 accounting.
+the bytes a checkpoint occupies — 4x vs float32, 2x vs the paper's fp16
+accounting.
 
 Two consumption patterns are supported:
 
 **dequant-on-load**
     :func:`dequantize` / :meth:`QuantizedTensor.dequantize` reconstruct a
-    dense float matrix once (when an expert is loaded into a worker or an
-    engine) and compute proceeds at full speed with the usual kernels.  The
-    parallel executor's int8 shared-memory format and
-    ``LiveDecodeEngine(weight_format="int8")`` use this.
+    dense float matrix once (when an expert is loaded) and compute proceeds
+    at full speed with the usual kernels.  :func:`quantize_expert_weights`
+    applies this to a whole live model.
 
 **quantized GEMM**
     :func:`quantized_matmul` contracts against the raw codes and applies the
@@ -200,12 +199,13 @@ def quantize_expert_weights(model,
     """Round-trip every expert FFN weight of ``model`` through int8, in place.
 
     This is the dequant-on-load serving path: the model afterwards computes
-    with exactly the values an int8 checkpoint (or int8 shared-memory
-    buffer) reconstructs, so decode outputs match an int8-format deployment
-    bit for bit while every dispatch path (fused, inference array dispatch)
-    keeps working.  Gate, attention and embedding weights are untouched.
-    Returns a :class:`QuantizationReport` with the byte savings and the
-    observed worst-case reconstruction error.
+    with exactly the values an int8 checkpoint reconstructs, so decode
+    outputs match an int8-format deployment bit for bit while both dispatch
+    paths (fused, inference array dispatch) keep working.  Every later
+    engine or trainer on ``model`` runs these round-tripped experts.  Gate,
+    attention and embedding weights are untouched.  Returns a
+    :class:`QuantizationReport` with the byte savings and the observed
+    worst-case reconstruction error.
     """
     report = report or QuantizationReport()
     for _, _, expert in model.iter_experts():

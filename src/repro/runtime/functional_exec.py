@@ -18,7 +18,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..models.moe_block import MoEBlock
+from ..models.moe_block import MoEBlock, fused_dispatch
 from ..models.transformer import MoETransformer
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
@@ -94,7 +94,8 @@ class BrokeredMoEBlock(Module):
         # monolithic block — the paper's convergence-equivalence claim.
         expert_order = [expert_id for worker in sorted(worker_experts)
                         for expert_id in worker_experts[worker]]
-        total = self.block._dispatch_combine(tokens, gate_out, expert_order)
+        total = fused_dispatch(self.block.experts, tokens, gate_out,
+                               expert_order)
         return total.reshape(batch, seq, hidden)
 
 

@@ -14,6 +14,7 @@ This simulates that effect plus simple request queueing:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -54,16 +55,22 @@ class Request:
     trace_id: Optional[str] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.decode_tokens < 1:
-            raise ValueError("decode_tokens must be positive")
+        if not isinstance(self.decode_tokens, numbers.Integral) or \
+                self.decode_tokens < 1:
+            raise ValueError(f"decode_tokens must be a positive integer, "
+                             f"got {self.decode_tokens!r}")
         if self.trace_id is None:
             object.__setattr__(self, "trace_id", mint_trace_id())
         if self.prompt_ids is not None:
-            ids = np.asarray(self.prompt_ids, dtype=np.int64)
-            if ids.ndim != 1 or ids.size < 1:
-                raise ValueError(f"prompt_ids must be a non-empty 1-D token "
-                                 f"array, got shape {ids.shape}")
-            object.__setattr__(self, "prompt_ids", ids)
+            # Check the dtype before the cast, which would truncate float
+            # ids silently (the rule of repro.models.generate).
+            ids = np.asarray(self.prompt_ids)
+            if ids.ndim != 1 or ids.size < 1 or \
+                    not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"prompt_ids must be a non-empty 1-D integer "
+                                 f"array, got {ids.dtype} of shape "
+                                 f"{ids.shape}")
+            object.__setattr__(self, "prompt_ids", ids.astype(np.int64))
 
     @property
     def prompt_len(self) -> int:

@@ -48,9 +48,7 @@ import numpy as np
 
 from ..models.transformer import MoETransformer
 from ..nn.attention import KVCache
-from ..nn.quant import quantize_expert_weights
 from ..nn.tensor import no_grad
-from ..parallel.shm import WEIGHT_FORMATS
 from ..telemetry import Telemetry
 from ..telemetry.events import EventLog, MonitorEvent
 from ..telemetry.flight import FlightRecorder
@@ -252,9 +250,8 @@ class ContinuousBatchingEngine:
 
     Knobs: ``max_slots`` (KV pool size = max concurrent requests),
     ``admission``, ``eos_token_id``, ``max_len`` (per-slot cache length,
-    default the model's ``max_seq_len``), ``weight_format`` (native |
-    int8), ``executor`` (a :mod:`repro.parallel` process-pool executor),
-    ``events`` (a :class:`~repro.telemetry.events.EventLog` receiving
+    default the model's ``max_seq_len``), ``events`` (a
+    :class:`~repro.telemetry.events.EventLog` receiving
     ``request_admit`` / ``request_evict`` / ``placement_swap`` events), and
     ``prefetch`` (a :class:`~repro.serving.prefetch.PrefetchConfig`
     attaching the predictive prefetch + hot-expert replication sidecar).
@@ -288,7 +285,6 @@ class ContinuousBatchingEngine:
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
                  events: Optional[EventLog] = None,
-                 executor=None, weight_format: str = "native",
                  eos_token_id: Optional[int] = None,
                  admission: str = "fcfs",
                  max_len: Optional[int] = None,
@@ -296,9 +292,6 @@ class ContinuousBatchingEngine:
         if admission not in ADMISSION_POLICIES:
             raise ValueError(f"admission must be one of "
                              f"{ADMISSION_POLICIES}, got {admission!r}")
-        if weight_format not in WEIGHT_FORMATS:
-            raise ValueError(f"weight_format must be one of "
-                             f"{WEIGHT_FORMATS}, got {weight_format!r}")
         for name, sidecar, kind in (("tracing", tracing, RequestTracer),
                                     ("flight", flight, FlightRecorder),
                                     ("prefetch", prefetch, PrefetchConfig)):
@@ -308,8 +301,6 @@ class ContinuousBatchingEngine:
         self.model = model
         self.telemetry = telemetry
         self.monitor = monitor
-        self.executor = executor
-        self.weight_format = weight_format
         self.events = events
         self.tracing = tracing
         self.flight = flight
@@ -329,17 +320,6 @@ class ContinuousBatchingEngine:
                 model.config, prefetch, telemetry=telemetry,
                 event_log=events, placement=self.active_placement)
             self.prefetcher.bind(self)
-        self.quantization_report = None
-        if weight_format == "int8":
-            # Round-trip the expert weights through the int8 format so every
-            # in-process path (array dispatch, Tensor dispatch) computes with
-            # exactly the values an int8 deployment reconstructs — outputs
-            # then match the executor's int8 shared-memory store bit for bit.
-            self.quantization_report = quantize_expert_weights(model)
-        if executor is not None:
-            if not executor.bound:
-                executor.bind(model, weight_format=weight_format)
-            model.set_expert_executor(executor)
         self.eos_token_id = eos_token_id
         self.admission = admission
         self._size_pool(max_slots, model.config.max_seq_len
@@ -727,13 +707,11 @@ class LiveDecodeEngine(ContinuousBatchingEngine):
     def __init__(self, model: MoETransformer,
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
-                 executor=None, weight_format: str = "native",
                  events=None, prefetch=None, tracing=None, flight=None):
         # decode() sizes the slot pool to each call's batch.
         super().__init__(model, max_slots=1, max_len=1,
                          telemetry=telemetry, monitor=monitor,
-                         events=events, executor=executor,
-                         weight_format=weight_format, prefetch=prefetch,
+                         events=events, prefetch=prefetch,
                          tracing=tracing, flight=flight)
 
     def decode(self, prompt_ids: np.ndarray, num_tokens: int) -> np.ndarray:

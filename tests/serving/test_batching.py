@@ -34,8 +34,10 @@ class TestWorkload:
             poisson_workload(0, 1.0)
         with pytest.raises(ValueError):
             poisson_workload(5, 0.0)
-        with pytest.raises(ValueError):
-            Request(0, 0.0, decode_tokens=0)
+        for budget in (0, 2.5, 3.0, np.float64(4.0), "4", None):
+            with pytest.raises(ValueError):
+                Request(0, 0.0, decode_tokens=budget)
+        assert Request(0, 0.0, np.int64(3)).decode_tokens == 3
 
     def test_caller_owned_rng_overrides_seed(self):
         rng = np.random.default_rng(9)
@@ -64,6 +66,12 @@ class TestWorkload:
             poisson_workload(4, 1.0, prompt_len=(4, 2), vocab_size=32)
         with pytest.raises(ValueError):
             Request(0, 0.0, 4, prompt_ids=np.zeros((2, 2), dtype=np.int64))
+        for ids in ([1.7, 2.2, 5.9], np.array([1.0, 2.0]), [True, False],
+                    [], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError):
+                Request(0, 0.0, 4, prompt_ids=ids)
+        narrow = Request(0, 0.0, 4, prompt_ids=np.array([1, 2], np.uint8))
+        assert narrow.prompt_ids.dtype == np.int64
         assert Request(0, 0.0, 4).prompt_len == 0
         assert Request(0, 0.0, 4, prompt_ids=[1, 2, 3]).prompt_len == 3
 

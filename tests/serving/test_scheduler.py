@@ -13,7 +13,6 @@ from repro.cluster import ClusterTopology, Link, v100_32gb
 from repro.models import build_model, generate, nano_moe, tiny_mistral
 from repro.models.transformer import MoETransformer
 from repro.nn import default_dtype, no_grad
-from repro.parallel import make_executor
 from repro.placement import Placement
 from repro.serving import (ADMISSION_POLICIES, ContinuousBatchingEngine,
                            LiveDecodeEngine, PrefetchConfig, Request,
@@ -76,12 +75,10 @@ class TestSingleRequestEquivalence:
     def tiny_config(self):
         return tiny_mistral(seed=0, max_seq_len=64)
 
-    @pytest.mark.parametrize("use_executor", [False, True])
-    def test_grid_bit_identical_to_live_engine(self, tiny_config,
-                                               use_executor):
-        """executor {off, on}: a single request decoded through the
-        continuous-batching engine yields greedy ids bit-identical to
-        LiveDecodeEngine.decode and to the ``generate`` oracle."""
+    def test_grid_bit_identical_to_live_engine(self, tiny_config):
+        """A single request decoded through the continuous-batching engine
+        yields greedy ids bit-identical to LiveDecodeEngine.decode and to
+        the ``generate`` oracle."""
         prompt = np.random.default_rng(3).integers(
             0, tiny_config.vocab_size, size=12)
         model = build_model(tiny_config)
@@ -89,16 +86,9 @@ class TestSingleRequestEquivalence:
         np.testing.assert_array_equal(
             LiveDecodeEngine(model).decode(prompt[None, :], 10)[0],
             baseline)
-        executor = None
-        try:
-            if use_executor:
-                executor = make_executor(num_workers=2)
-            engine = ContinuousBatchingEngine(build_model(tiny_config),
-                                              max_slots=4, executor=executor)
-            metrics = engine.serve([make_request(0, prompt, 10)])
-        finally:
-            if executor is not None:
-                executor.close()
+        engine = ContinuousBatchingEngine(build_model(tiny_config),
+                                          max_slots=4)
+        metrics = engine.serve([make_request(0, prompt, 10)])
         np.testing.assert_array_equal(metrics.outcomes[0].token_ids,
                                       baseline)
 

@@ -18,6 +18,16 @@ cbr = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = cbr
 _spec.loader.exec_module(cbr)
 
+# The committed baseline file of every checker kind.
+COMMITTED_BASELINES = {
+    "replay": "BENCH_replay.json",
+    "serving": "BENCH_serving.json",
+    "serving_batch": "BENCH_serving_batch.json",
+    "prefetch": "BENCH_prefetch.json",
+    "tracing": "BENCH_serving_batch.json",
+    "replacement": "BENCH_replacement.json",
+}
+
 
 def replay_payload(speedup=100.0, divergence=1e-15, cache_ratio=0.001):
     return {
@@ -37,18 +47,6 @@ def serving_payload(speedup=10.0, ids_identical=True, records_flowing=True):
             "speedup": speedup,
             "ids_identical": ids_identical,
             "records_flowing": records_flowing,
-        },
-    }
-
-
-def parallel_payload(speedup_ok=True, equiv_native=0.0, equiv_int8=0.0):
-    return {
-        "headline": {
-            "speedup_ok": speedup_ok,
-            "equiv_native_max": equiv_native,
-            "native_tolerance": 1e-12,
-            "equiv_int8_max": equiv_int8,
-            "int8_tolerance": 1e-6,
         },
     }
 
@@ -129,26 +127,6 @@ class TestCompare:
                                serving_payload())
         failed = [f for f in findings if not f.ok]
         assert [f.path for f in failed] == ["headline.ids_identical"]
-
-    def test_parallel_equivalence_is_a_hard_gate(self):
-        findings = cbr.compare("parallel", parallel_payload(),
-                               parallel_payload())
-        assert all(f.ok for f in findings)
-        findings = cbr.compare("parallel",
-                               parallel_payload(equiv_native=1e-9),
-                               parallel_payload())
-        failed = [f.path for f in findings if not f.ok]
-        assert failed == ["headline.equiv_native_max"]
-        findings = cbr.compare("parallel", parallel_payload(equiv_int8=1e-3),
-                               parallel_payload())
-        failed = [f.path for f in findings if not f.ok]
-        assert failed == ["headline.equiv_int8_max"]
-
-    def test_parallel_speedup_gate_regression_fails(self):
-        findings = cbr.compare("parallel", parallel_payload(speedup_ok=False),
-                               parallel_payload())
-        failed = [f.path for f in findings if not f.ok]
-        assert failed == ["headline.speedup_ok"]
 
     def test_serving_batch_identity_is_a_hard_gate(self):
         findings = cbr.compare("serving_batch", serving_batch_payload(),
@@ -251,13 +229,12 @@ class TestMain:
         assert "MISSING BASELINE" in capsys.readouterr().out
 
     def test_against_committed_baselines(self, tmp_path):
-        """The committed baselines must pass their own comparison."""
+        """Every checker kind's committed baseline passes its own
+        comparison; a kind added to or removed from ``CHECKS`` without a
+        row here fails."""
         repo = _TOOLS.parent
-        for kind, name in (("replay", "BENCH_replay.json"),
-                           ("serving", "BENCH_serving.json"),
-                           ("parallel", "BENCH_parallel.json"),
-                           ("serving_batch", "BENCH_serving_batch.json"),
-                           ("replacement", "BENCH_replacement.json")):
+        assert set(COMMITTED_BASELINES) == set(cbr.CHECKS)
+        for kind, name in COMMITTED_BASELINES.items():
             baseline = str(repo / name)
             code = cbr.main(["--kind", kind, "--fresh", baseline,
                              "--baseline", baseline])

@@ -125,17 +125,6 @@ CHECKS = {
         Check("headline.ids_identical", "exact"),
         Check("headline.records_flowing", "exact"),
     ),
-    # The speedup gate is pre-evaluated by bench_parallel.py itself
-    # (``speedup_ok`` is true when the 4-worker gate passed, or when the
-    # host has too few cores to evaluate it honestly); equivalence limits
-    # compare against the committed run's recorded tolerances.
-    "parallel": (
-        Check("headline.speedup_ok", "exact"),
-        Check("headline.equiv_native_max", "limit",
-              baseline_path="headline.native_tolerance"),
-        Check("headline.equiv_int8_max", "limit",
-              baseline_path="headline.int8_tolerance"),
-    ),
     # Continuous batching: the throughput ratio (batched vs sequential
     # single-stream) carries the perf band; both bit-identity gates are
     # hard — the slot-pool runtime diverging from the generate oracle is
