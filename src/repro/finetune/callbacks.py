@@ -6,6 +6,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..models.moe_block import routing_counts
+
 
 class Callback:
     """Observer of fine-tuning progress."""
@@ -42,8 +44,7 @@ class RoutingRecorder(Callback):
 
     def on_step(self, step: int, loss: float, records: List) -> None:
         """Handle one training step's observations."""
-        counts = np.stack([r.access_counts(self.num_experts) for r in records])
-        self.step_counts.append(counts)
+        self.step_counts.append(routing_counts(records, self.num_experts))
 
     def counts_array(self) -> np.ndarray:
         """``(steps, layers, experts)`` counts."""

@@ -4,7 +4,7 @@ from .config import MoEModelConfig
 from .expert import DenseFFN, ExpertFFN
 from .generate import decode_routing_counts, generate
 from .gating import GateOutput, TopKGate
-from .moe_block import BlockRoutingRecord, MoEBlock
+from .moe_block import BlockRoutingRecord, MoEBlock, routing_counts
 from .presets import (build_model, deepseek_moe_sim, gritlm_8x7b_sim,
                       mixtral_8x7b_sim, nano_moe, switch_xxl_sim,
                       tiny_mistral)
@@ -12,7 +12,8 @@ from .transformer import MoETransformer, TransformerBlock
 
 __all__ = [
     "MoEModelConfig", "TopKGate", "GateOutput", "ExpertFFN", "DenseFFN",
-    "MoEBlock", "BlockRoutingRecord", "TransformerBlock", "MoETransformer",
+    "MoEBlock", "BlockRoutingRecord", "routing_counts", "TransformerBlock",
+    "MoETransformer",
     "tiny_mistral", "nano_moe", "mixtral_8x7b_sim", "gritlm_8x7b_sim",
     "switch_xxl_sim", "deepseek_moe_sim",
     "build_model", "generate", "decode_routing_counts",

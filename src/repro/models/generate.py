@@ -8,6 +8,7 @@ from training).
 
 from __future__ import annotations
 
+import numbers
 from typing import List, Optional
 
 import numpy as np
@@ -58,10 +59,12 @@ def generate(model: MoETransformer, prompt_ids: np.ndarray, max_new_tokens: int,
 
 def _check_decode(prompt_ids, max_new_tokens: int) -> np.ndarray:
     """``prompt_ids`` as a checked non-empty 1-D integer array; raises
-    ``ValueError`` on a bad prompt or ``max_new_tokens < 1``.  A cast
-    would truncate float ids silently."""
-    if max_new_tokens < 1:
-        raise ValueError("max_new_tokens must be positive")
+    ``ValueError`` on a bad prompt or a ``max_new_tokens`` that is not a
+    positive integer.  A cast would truncate float ids silently."""
+    if not isinstance(max_new_tokens, numbers.Integral) or \
+            max_new_tokens < 1:
+        raise ValueError(f"max_new_tokens must be a positive integer, got "
+                         f"{max_new_tokens!r}")
     prompt_ids = np.asarray(prompt_ids)
     if prompt_ids.ndim != 1 or len(prompt_ids) == 0 or \
             not np.issubdtype(prompt_ids.dtype, np.integer):

@@ -73,6 +73,30 @@ class BlockRoutingRecord:
         return self.access_counts(num_experts)
 
 
+def routing_counts(records: Sequence[BlockRoutingRecord],
+                   num_experts: int) -> np.ndarray:
+    """One step's ``(layers, experts)`` token-selection matrix.
+
+    Row ``i`` is ``records[i].access_counts(num_experts)``, built by one
+    ``np.bincount`` over the stacked expert indices with ``i * num_experts``
+    added to record ``i``'s.  Raises ``ValueError`` on an expert id outside
+    ``[0, num_experts)``, which would otherwise count toward a neighbouring
+    row.
+    """
+    if not records:
+        return np.zeros((0, num_experts), dtype=np.int64)
+    flat = np.concatenate([record.expert_indices.ravel()
+                           for record in records])
+    if flat.size and (flat.min() < 0 or flat.max() >= num_experts):
+        raise ValueError(f"expert ids must lie in [0, {num_experts}), got "
+                         f"{flat.min()}..{flat.max()}")
+    sizes = np.array([record.expert_indices.size for record in records])
+    flat = flat + np.repeat(np.arange(len(records)) * num_experts, sizes)
+    counts = np.bincount(flat, minlength=len(records) * num_experts)
+    return counts.reshape(len(records), num_experts).astype(np.int64,
+                                                          copy=False)
+
+
 Segment = Tuple[int, int, int]
 
 

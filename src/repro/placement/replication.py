@@ -11,6 +11,13 @@ below charges an adapter all-reduce between replica holders per step.
 
 ``ReplicationStrategy`` greedily replicates the experts that dominate the
 per-layer bottleneck (Eq. (7)) until capacity or improvement runs out.
+
+Every price here comes from one dense share tensor,
+:meth:`ReplicatedPlacement.shares`: ``shares[e, n, l]`` is the fraction of
+expert ``(l, e)``'s tokens that worker ``n`` serves.  Weighting it by the
+Eq. (6) coefficients and reducing over its leading (expert) axis gives the
+per-(worker, layer) times; the reduction adds in expert-id order, so the
+result is bitwise the per-expert loop's.
 """
 
 from __future__ import annotations
@@ -93,21 +100,35 @@ class ReplicatedPlacement:
                 loads[worker] += 1
         return loads
 
+    def shares(self, num_workers: int) -> np.ndarray:
+        """``(experts, workers, layers)`` load shares.
+
+        ``shares[e, n, l]`` is :meth:`fractions`'s share of expert
+        ``(l, e)`` for worker ``n`` when ``n`` holds a copy, else 0; a sole
+        holder's share is 1.
+        """
+        layers, experts = self.num_layers, self.num_experts
+        out = np.zeros((experts, num_workers, layers))
+        out[np.arange(experts)[None, :], np.asarray(self.primary.assignment),
+            np.arange(layers)[:, None]] = 1.0
+        for layer, expert in self.replicas:
+            out[expert, :, layer] = self.expert_shares(layer, expert,
+                                                       num_workers)
+        return out
+
+    def expert_shares(self, layer: int, expert: int,
+                      num_workers: int) -> np.ndarray:
+        """One expert's ``(workers,)`` column of :meth:`shares`."""
+        out = np.zeros(num_workers)
+        out[self.holders(layer, expert)] = self.fractions(layer, expert)
+        return out
+
     def tokens_per_worker(self, step_counts: np.ndarray,
                           num_workers: int) -> np.ndarray:
         """Expected ``K[n, l]`` with replicated experts' load split."""
         step_counts = np.asarray(step_counts, dtype=np.float64)
-        out = np.zeros((num_workers, self.num_layers))
-        for layer in range(self.num_layers):
-            for expert in range(self.num_experts):
-                count = step_counts[layer, expert]
-                if count == 0:
-                    continue
-                holders = self.holders(layer, expert)
-                for worker, fraction in zip(holders,
-                                            self.fractions(layer, expert)):
-                    out[worker, layer] += count * fraction
-        return out
+        return _reduce_experts(step_counts.T[:, None, :]
+                               * self.shares(num_workers))
 
     def replica_sync_bytes(self, config, lora_rank: int = 8) -> float:
         """Per-step adapter bytes synchronized between replica holders.
@@ -120,21 +141,40 @@ class ReplicatedPlacement:
         return per_expert * self.num_replicas
 
 
+def _reduce_experts(per_expert: np.ndarray) -> np.ndarray:
+    """Sum an ``(experts, ...)`` array over its leading axis, adding in
+    expert-id order as a loop over experts does.
+
+    ``np.sum`` adds 8 or more terms pairwise when they lie contiguous in
+    memory (here: one worker and one layer), which changes the bits; a
+    cumulative sum adds in order for every shape.
+    """
+    return np.cumsum(per_expert, axis=0)[-1]
+
+
+def _coefficients(problem: PlacementProblem) -> np.ndarray:
+    """:func:`~repro.placement.lp.comm_coefficients` in the ``(experts,
+    workers, layers)`` layout of :meth:`ReplicatedPlacement.shares`."""
+    return comm_coefficients(problem).transpose(2, 0, 1)
+
+
+def _worker_times(coef: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Per-(worker, layer) communication seconds from ``(experts, workers,
+    layers)`` coefficients and shares."""
+    return _reduce_experts(coef * shares)
+
+
+def _objective(worker_times: np.ndarray) -> float:
+    """Eq. (7): the per-layer bottleneck times, summed in layer order (a
+    cumulative sum, as in :func:`_reduce_experts`)."""
+    return float(np.cumsum(worker_times.max(axis=0))[-1])
+
+
 def expected_step_comm_time_replicated(placement: ReplicatedPlacement,
                                        problem: PlacementProblem) -> float:
     """Eq. (7) generalized to split expert loads."""
-    coef = comm_coefficients(problem)  # (N, L, E): time if fully assigned
-    num_workers = problem.num_workers
-    total = 0.0
-    for layer in range(placement.num_layers):
-        worker_time = np.zeros(num_workers)
-        for expert in range(placement.num_experts):
-            holders = placement.holders(layer, expert)
-            fractions = placement.fractions(layer, expert)
-            for worker, fraction in zip(holders, fractions):
-                worker_time[worker] += coef[worker, layer, expert] * fraction
-        total += worker_time.max()
-    return float(total)
+    return _objective(_worker_times(
+        _coefficients(problem), placement.shares(problem.num_workers)))
 
 
 class FrozenPlacementStrategy(PlacementStrategy):
@@ -205,11 +245,13 @@ class ReplicationStrategy(PlacementStrategy):
         placement = ReplicatedPlacement(primary, {}, bandwidths,
                                         name=self.name)
         capacities = np.asarray(problem.effective_capacities())
-        base_objective = expected_step_comm_time_replicated(placement, problem)
+        coef = _coefficients(problem)
+        base_objective = _objective(_worker_times(
+            coef, placement.shares(problem.num_workers)))
 
         current = base_objective
         for _ in range(self.max_replicas):
-            move = self._best_move(placement, problem, capacities)
+            move = self._best_move(placement, coef, capacities)
             if move is None:
                 break
             (layer, expert), worker, new_objective = move
@@ -243,55 +285,46 @@ class ReplicationStrategy(PlacementStrategy):
         return self.solve(problem)
 
     # ------------------------------------------------------------------ #
-    def _best_move(self, placement: ReplicatedPlacement,
-                   problem: PlacementProblem, capacities: np.ndarray):
-        coef = comm_coefficients(problem)
-        num_workers = problem.num_workers
-        loads = placement.worker_loads(num_workers)
-        spare = capacities - loads
+    def _best_move(self, placement: ReplicatedPlacement, coef: np.ndarray,
+                   capacities: np.ndarray):
+        """The best ``(key, worker, objective)`` replica to add, or None.
+
+        ``coef`` is the problem's ``(experts, workers, layers)``
+        coefficient array.
+        """
+        num_workers = coef.shape[1]
+        spare = capacities - placement.worker_loads(num_workers)
         if spare.max() <= 0:
             return None
 
-        # Current per-layer worker times.
-        layer_times = np.zeros((placement.num_layers, num_workers))
-        for layer in range(placement.num_layers):
-            for expert in range(placement.num_experts):
-                for worker, fraction in zip(
-                        placement.holders(layer, expert),
-                        placement.fractions(layer, expert)):
-                    layer_times[layer, worker] += \
-                        coef[worker, layer, expert] * fraction
+        shares = placement.shares(num_workers)
+        times = _worker_times(coef, shares)  # (workers, layers)
+        bottleneck_layer = int(times.max(axis=0).argmax())
+        bottleneck_worker = int(times[:, bottleneck_layer].argmax())
 
-        bottleneck_layer = int(layer_times.max(axis=1).argmax())
-        bottleneck_worker = int(layer_times[bottleneck_layer].argmax())
-
-        # The bottleneck worker's most expensive expert in that layer.
-        best_expert, best_cost = None, 0.0
-        for expert in range(placement.num_experts):
-            holders = placement.holders(bottleneck_layer, expert)
-            if bottleneck_worker not in holders:
-                continue
-            idx = holders.index(bottleneck_worker)
-            cost = coef[bottleneck_worker, bottleneck_layer, expert] * \
-                placement.fractions(bottleneck_layer, expert)[idx]
-            if cost > best_cost:
-                best_cost, best_expert = cost, expert
-        if best_expert is None:
+        # The bottleneck worker's most expensive expert in that layer (the
+        # lowest id on ties; non-holders cost 0).
+        costs = coef[:, bottleneck_worker, bottleneck_layer] * \
+            shares[:, bottleneck_worker, bottleneck_layer]
+        if not costs.max() > 0.0:
             return None
+        best_expert = int(costs.argmax())
 
         # Try replicating it onto each spare-capacity worker; keep the best.
         key = (bottleneck_layer, best_expert)
-        current_holders = set(placement.holders(*key))
+        current_holders = placement.holders(*key)
         best = None
         for worker in range(num_workers):
             if spare[worker] <= 0 or worker in current_holders:
                 continue
             trial = ReplicatedPlacement(
                 placement.primary,
-                {**placement.replicas,
-                 key: placement.replicas.get(key, []) + [worker]},
-                placement.bandwidths, name=placement.name)
-            objective = expected_step_comm_time_replicated(trial, problem)
+                {key: placement.replicas.get(key, []) + [worker]},
+                placement.bandwidths)
+            trial_shares = shares.copy()
+            trial_shares[best_expert, :, bottleneck_layer] = \
+                trial.expert_shares(*key, num_workers)
+            objective = _objective(_worker_times(coef, trial_shares))
             if best is None or objective < best[2]:
                 best = (key, worker, objective)
         return best

@@ -22,6 +22,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..models.moe_block import routing_counts
+
 
 @dataclass
 class RoutingTrace:
@@ -159,10 +161,8 @@ class RoutingTrace:
                           step_records: Sequence[Sequence],
                           num_experts: int) -> "RoutingTrace":
         """Build from per-step lists of ``BlockRoutingRecord`` objects."""
-        steps = []
-        for records in step_records:
-            layer_counts = [rec.access_counts(num_experts) for rec in records]
-            steps.append(np.stack(layer_counts))
+        steps = [routing_counts(records, num_experts)
+                 for records in step_records]
         return cls(model_name, top_k, tokens_per_step, np.stack(steps))
 
     def save(self, path: str) -> None:

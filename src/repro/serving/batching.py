@@ -214,8 +214,8 @@ class BatchedDecodeSimulator:
     """Continuous-batching decode loop over a shared expert cache.
 
     The loop owns request queueing and admission.  Each engine step samples
-    one token per active stream (:func:`~repro.serving.prefetch.
-    sample_decode_step`) and prices the union of their experts through an
+    one demand mask per active stream (:func:`~repro.serving.prefetch.
+    sample_decode_step`) and prices their union (OR) through an
     :class:`~repro.serving.prefetch.OverlappedFetchScheduler` without
     speculation, whose compute window covers every active stream.
     """
@@ -265,12 +265,10 @@ class BatchedDecodeSimulator:
                 continue
 
             # one engine step: union of experts needed across streams
-            needed = [set() for _ in range(self.config.num_layers)]
+            needed = np.zeros(logits.shape, dtype=bool)
             for _ in active:
-                token = sample_decode_step(logits, temperature,
-                                           self.config.top_k, rng)
-                for layer, experts in enumerate(token):
-                    needed[layer] |= experts
+                needed |= sample_decode_step(logits, temperature,
+                                             self.config.top_k, rng)
             now += scheduler.step(needed, tokens=len(active)).latency_s
             steps += 1
 

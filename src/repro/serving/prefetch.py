@@ -9,17 +9,23 @@ Inference via Predictive Prefetching and Expert Replication" goes further
 and *learns* the next-expert distribution, replicating persistently-hot
 experts so their fetches become local.
 
-This module holds the one modeled decode loop and its live-engine sidecar:
+This module holds the one modeled decode loop and its live-engine sidecar.
+One engine step's expert demand is a ``(layers, experts)`` bool *mask*
+(``mask[l, e]``: layer ``l`` routed at least one token to expert ``e``),
+built from the step's routing records by
+:func:`repro.models.moe_block.routing_counts` and carried unchanged
+through the predictor, the scheduler and the cache:
 
 * :class:`PreviousTokenPredictor` / :class:`TransitionPredictor` /
-  :class:`OraclePredictor` — pluggable next-step expert predictors.  The
+  :class:`OraclePredictor` — pluggable next-step expert predictors, each
+  mapping the current step's mask to the next step's predicted mask.  The
   previous-token policy is the Fiddler/MoE-Infinity baseline; the
   transition predictor accumulates per-layer expert→expert transition
   counts online from gate history and falls back to the previous-token
   policy until a row has evidence; the oracle reads a prerecorded stream
   and bounds what any predictor could achieve.
-* :class:`OverlappedFetchScheduler` — prices one decode step's expert
-  demand against an :class:`ExpertCache`, issues predicted-expert fetches
+* :class:`OverlappedFetchScheduler` — prices one decode step's demand mask
+  against an :class:`ExpertCache`, issues predicted-expert fetches
   ahead of the step that needs them and charges only the *un-hidden*
   remainder (Comet-style fine-grained overlap: speculative fetch time up
   to the step's compute window is free; overflow and mispredictions are
@@ -27,16 +33,18 @@ This module holds the one modeled decode loop and its live-engine sidecar:
   offloaded decode.  Fetches are priced per expert at the serving
   config's weight format — PCIe for locally-held experts, plus the
   holder's cluster link when the active placement puts the expert on a
-  remote worker.
+  remote worker.  The cache sees one access per set mask entry, in
+  row-major ``(layer, expert)`` order.
 * :func:`sample_decode_stream` / :func:`markov_decode_stream` produce
-  offline per-step demand, and :func:`replay_stream` drives a scheduler
-  through it: ``replay_stream(sample_decode_stream(config, router, n,
-  seed), OverlappedFetchScheduler(config, None, cache))`` is the modeled
-  decode of ``n`` tokens.
+  offline per-step demand as one ``(steps, layers, experts)`` mask array,
+  and :func:`replay_stream` drives a scheduler through it:
+  ``replay_stream(sample_decode_stream(config, router, n, seed),
+  OverlappedFetchScheduler(config, None, cache))`` is the modeled decode
+  of ``n`` tokens.
 * :class:`DecodePrefetcher` — the live-engine sidecar
   (``LiveDecodeEngine(prefetch=...)`` / ``ContinuousBatchingEngine(
   prefetch=...)``): feeds the scheduler from each step's routing records,
-  emits ``serve.prefetch_*`` telemetry, and — via a PR-8
+  emits ``serve.prefetch_*`` telemetry, and — via a
   :class:`~repro.placement.replan.RoutingWindow` — periodically promotes
   persistently-hot experts onto the local worker through
   :class:`~repro.placement.replication.ReplicationStrategy` and the
@@ -47,13 +55,15 @@ This module holds the one modeled decode loop and its live-engine sidecar:
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..models.config import MoEModelConfig
+from ..models.moe_block import routing_counts
 from ..routing.synthetic import SyntheticRouter
 from ..runtime.flops import FlopModel
 from .cache import ExpertCache, ExpertKey, safe_ratio
@@ -102,28 +112,25 @@ class PrefetchStats:
 # --------------------------------------------------------------------- #
 # next-step expert predictors
 # --------------------------------------------------------------------- #
-ExpertSets = List[Set[int]]  # one set of expert ids per MoE layer
-
-
 class ExpertPredictor:
-    """Interface: predict the next step's per-layer expert sets."""
+    """Interface: predict the next step's ``(layers, experts)`` mask."""
 
-    def update(self, previous: ExpertSets, current: ExpertSets) -> None:
+    def update(self, previous: np.ndarray, current: np.ndarray) -> None:
         """Learn from one observed transition (previous step → current)."""
 
-    def predict(self, current: ExpertSets) -> ExpertSets:
-        """Per-layer expert sets expected at the *next* step."""
+    def predict(self, current: np.ndarray) -> np.ndarray:
+        """The bool mask of experts expected at the *next* step."""
         raise NotImplementedError
 
 
 class PreviousTokenPredictor(ExpertPredictor):
     """The Fiddler baseline: the next token reuses the current experts."""
 
-    def update(self, previous: ExpertSets, current: ExpertSets) -> None:
+    def update(self, previous: np.ndarray, current: np.ndarray) -> None:
         pass  # stateless
 
-    def predict(self, current: ExpertSets) -> ExpertSets:
-        return [set(layer) for layer in current]
+    def predict(self, current: np.ndarray) -> np.ndarray:
+        return np.array(current, dtype=bool)
 
 
 class TransitionPredictor(ExpertPredictor):
@@ -131,13 +138,14 @@ class TransitionPredictor(ExpertPredictor):
 
     ``counts[l, p, c]`` accumulates how often expert ``c`` was routed at
     a step that followed one routing expert ``p`` on layer ``l`` — gate
-    history digested online, no extra model.  Prediction sums the rows of
-    the currently-active experts and takes the top scorers (as many as
-    are currently active, so the prediction budget matches the
-    previous-token baseline exactly).  Ties break toward the lowest
-    expert id; experts with zero evidence are filled from the
-    previous-token fallback, so a cold-start transition predictor *is*
-    the baseline until it has seen traffic.
+    history digested online, no extra model; one update adds the broadcast
+    AND of the two masks.  Prediction sums the count rows of the currently
+    active experts and takes the top scorers of each layer (as many as are
+    currently active, so the prediction budget matches the previous-token
+    baseline exactly).  Ties break toward the lowest expert id; experts
+    with zero evidence are filled from the previous-token fallback, lowest
+    id first, so a cold-start transition predictor *is* the baseline until
+    it has seen traffic.
     """
 
     def __init__(self, num_layers: int, num_experts: int):
@@ -147,50 +155,46 @@ class TransitionPredictor(ExpertPredictor):
         self.num_experts = num_experts
         self.counts = np.zeros((num_layers, num_experts, num_experts))
 
-    def update(self, previous: ExpertSets, current: ExpertSets) -> None:
-        for layer, (prev, cur) in enumerate(zip(previous, current)):
-            if prev and cur:
-                self.counts[layer][np.ix_(sorted(prev), sorted(cur))] += 1.0
+    def update(self, previous: np.ndarray, current: np.ndarray) -> None:
+        self.counts += previous[:, :, None] & current[:, None, :]
 
-    def predict(self, current: ExpertSets) -> ExpertSets:
-        out: ExpertSets = []
-        for layer, cur in enumerate(current):
-            budget = len(cur)
-            if budget == 0:
-                out.append(set())
-                continue
-            row = self.counts[layer][sorted(cur)].sum(axis=0)
-            order = np.argsort(-row, kind="stable")  # ties: lowest id first
-            picked = [int(e) for e in order[:budget] if row[e] > 0]
-            if len(picked) < budget:  # cold start: previous-token fallback
-                for e in sorted(cur):
-                    if e not in picked:
-                        picked.append(e)
-                    if len(picked) == budget:
-                        break
-            out.append(set(picked))
-        return out
+    def predict(self, current: np.ndarray) -> np.ndarray:
+        budget = current.sum(axis=1, keepdims=True)
+        # One row sum per layer over the active experts; integer-valued
+        # float64 sums are exact in any order.
+        score = np.matmul(current[:, None, :].astype(np.float64),
+                          self.counts)[:, 0, :]
+        # Each expert's place in its layer's stable descending order (ties:
+        # lowest id first); the budget's leading places with evidence win.
+        rank = np.argsort(-score, axis=1, kind="stable").argsort(axis=1)
+        picked = (rank < budget) & (score > 0)
+        # Cold start: fill the rest of the budget from the current experts,
+        # lowest id first.
+        spare = current & ~picked
+        need = budget - picked.sum(axis=1, keepdims=True)
+        return picked | (spare & (spare.cumsum(axis=1) <= need))
 
 
 class OraclePredictor(ExpertPredictor):
     """Offline upper bound: reads the next step from a prerecorded stream.
 
-    Only usable when the access stream is known ahead of time (the
-    benchmark's replay); the live engines reject it.
+    Only usable when the access stream — ``(steps, layers, experts)``
+    masks — is known ahead of time (the benchmark's replay); the live
+    engines reject it.
     """
 
-    def __init__(self, stream: Sequence[ExpertSets]):
-        self.stream = [list(map(set, step)) for step in stream]
+    def __init__(self, stream: Sequence[np.ndarray]):
+        self.stream = np.array(stream, dtype=bool)
         self._calls = 0
 
-    def update(self, previous: ExpertSets, current: ExpertSets) -> None:
+    def update(self, previous: np.ndarray, current: np.ndarray) -> None:
         pass
 
-    def predict(self, current: ExpertSets) -> ExpertSets:
+    def predict(self, current: np.ndarray) -> np.ndarray:
         self._calls += 1
         if self._calls < len(self.stream):
-            return [set(layer) for layer in self.stream[self._calls]]
-        return [set() for _ in current]
+            return self.stream[self._calls].copy()
+        return np.zeros_like(current, dtype=bool)
 
 
 def make_predictor(name: str, config: MoEModelConfig) -> ExpertPredictor:
@@ -232,11 +236,12 @@ class OverlappedFetchScheduler:
     1. last step's speculative fetch time up to the compute window is
        *hidden*; the overflow is charged to this step's latency (bytes
        split proportionally into ``hidden_bytes`` / ``unhidden_bytes``);
-    2. every needed expert is accessed in the cache — misses fetch
-       synchronously (fully un-hidden);
+    2. every needed expert — each set entry of the step's ``(layers,
+       experts)`` demand mask, in row-major order — is accessed in the
+       cache; misses fetch synchronously (fully un-hidden);
     3. the predictor learns the observed transition, predicts the next
-       step, and the scheduler issues speculative fetches for predicted
-       non-resident experts (to be scored at the next step).
+       step's mask, and the scheduler issues speculative fetches for
+       predicted non-resident experts (to be scored at the next step).
 
     A fetch is priced from the expert's *holder*: PCIe host→device
     (:meth:`ServingConfig.fetch_time`) when the active placement holds a
@@ -271,10 +276,11 @@ class OverlappedFetchScheduler:
         self._fetch_nbytes = self.serving.expert_fetch_nbytes(
             self.price_config)
         self._token_compute = self._token_compute_time()
-        self._predicted: Set[ExpertKey] = set()
+        self._predicted = np.zeros((config.num_layers, config.num_experts),
+                                   dtype=bool)
         self._pending_time = 0.0
         self._pending_bytes = 0.0
-        self._prev_sets: Optional[ExpertSets] = None
+        self._previous: Optional[np.ndarray] = None
 
     def set_placement(self, placement) -> None:
         """Swap the placement fetches are priced against (hot-swap hook)."""
@@ -311,24 +317,24 @@ class OverlappedFetchScheduler:
                    key=lambda l: l.bandwidth_bytes_per_s)
         return seconds + link.transfer_time(nbytes), nbytes, True
 
-    def step(self, needed_sets: ExpertSets, tokens: int = 1
-             ) -> StepFetchReport:
+    def step(self, needed: np.ndarray, tokens: int = 1) -> StepFetchReport:
         """Account one decode step's expert demand; speculate for the next.
 
-        ``needed_sets`` holds the expert ids each MoE layer routed to this
-        step; ``tokens`` scales the compute window (a batched ragged step
-        hides more fetch time than a single-token one).
+        ``needed`` is the step's ``(layers, experts)`` bool mask of routed
+        experts; ``tokens`` scales the compute window (a batched ragged
+        step hides more fetch time than a single-token one).
         """
+        needed = np.array(needed, dtype=bool)
+        shape = (self.config.num_layers, self.config.num_experts)
+        if needed.shape != shape:
+            raise ValueError(f"expected a {shape} demand mask, got shape "
+                             f"{needed.shape}")
         stats = self.stats
         stats.steps += 1
         remote_before = stats.remote_bytes
-        needed_keys = {(layer, int(e))
-                       for layer, layer_set in enumerate(needed_sets)
-                       for e in layer_set}
-        predicted = self._predicted
-        correct = len(needed_keys & predicted)
+        correct = int(np.count_nonzero(needed & self._predicted))
         stats.correct += correct
-        stats.wasted += len(predicted - needed_keys)
+        stats.wasted += int(np.count_nonzero(self._predicted)) - correct
 
         compute = self._token_compute * max(int(tokens), 1)
         # 1. last step's speculation overlaps this step's compute window
@@ -338,11 +344,12 @@ class OverlappedFetchScheduler:
         hidden_bytes = self._pending_bytes * hidden_fraction
         overflow_bytes = self._pending_bytes - hidden_bytes
 
-        # 2. demand accesses; residual misses fetch synchronously
+        # 2. demand accesses in (layer, expert) order; residual misses
+        # fetch synchronously
         sync_time = 0.0
         sync_bytes = 0.0
         sync_fetches = 0
-        for key in sorted(needed_keys):
+        for key in _mask_keys(needed):
             if not self.cache.access(key):
                 seconds, nbytes, remote = self._fetch_cost(key)
                 sync_time += seconds
@@ -361,16 +368,14 @@ class OverlappedFetchScheduler:
         pending_time = 0.0
         pending_bytes = 0.0
         if self.predictor is not None:
-            if self._prev_sets is not None:
-                self.predictor.update(self._prev_sets, needed_sets)
-            self._prev_sets = [set(layer) for layer in needed_sets]
-            next_sets = self.predictor.predict(needed_sets)
-            self._predicted = {(layer, int(e))
-                               for layer, layer_set in enumerate(next_sets)
-                               for e in layer_set}
-            predicted_count = len(self._predicted)
+            if self._previous is not None:
+                self.predictor.update(self._previous, needed)
+            self._previous = needed
+            self._predicted = np.asarray(self.predictor.predict(needed),
+                                         dtype=bool)
+            predicted_count = int(np.count_nonzero(self._predicted))
             stats.predicted += predicted_count
-            for key in sorted(self._predicted):
+            for key in _mask_keys(self._predicted):
                 if key not in self.cache:
                     self.cache.access(key)  # loads it (counts as a miss)
                     seconds, nbytes, remote = self._fetch_cost(key)
@@ -392,25 +397,34 @@ class OverlappedFetchScheduler:
             remote_bytes=stats.remote_bytes - remote_before)
 
 
+def _mask_keys(mask: np.ndarray) -> List[ExpertKey]:
+    """The ``(layer, expert)`` keys of a mask's set entries as Python ints,
+    in row-major (sorted) order."""
+    layers, experts = np.nonzero(mask)
+    return list(zip(layers.tolist(), experts.tolist()))
+
+
 # --------------------------------------------------------------------- #
 # offline streams (benchmark + oracle inputs)
 # --------------------------------------------------------------------- #
 def sample_decode_step(logits: np.ndarray, temperature: float, top_k: int,
-                       rng: np.random.Generator) -> ExpertSets:
-    """One decode token's per-layer expert sets.
+                       rng: np.random.Generator) -> np.ndarray:
+    """One decode token's ``(layers, experts)`` demand mask.
 
     Gumbel top-k over ``(layers, experts)`` popularity ``logits``, so the
     access stream has the same locality the profiling pass would measure.
     """
     gumbel = rng.gumbel(size=logits.shape) * temperature
     chosen = np.argpartition(-(logits + gumbel), top_k - 1, axis=1)[:, :top_k]
-    return [set(map(int, row)) for row in chosen]
+    mask = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(mask, chosen, True, axis=1)
+    return mask
 
 
 def sample_decode_stream(config: MoEModelConfig, router: SyntheticRouter,
-                         num_steps: int, seed: int = 0
-                         ) -> List[ExpertSets]:
-    """Per-step per-layer expert sets: one :func:`sample_decode_step` each.
+                         num_steps: int, seed: int = 0) -> np.ndarray:
+    """``(steps, layers, experts)`` demand masks: one
+    :func:`sample_decode_step` per step.
 
     One token per step from the router's popularity logits, materialized
     up front so several policies (and the belady / oracle bounds) can
@@ -421,14 +435,15 @@ def sample_decode_stream(config: MoEModelConfig, router: SyntheticRouter,
     rng = np.random.default_rng(seed)
     logits = router.base_logits
     temperature = router.regime.gate_temperature
-    return [sample_decode_step(logits, temperature, config.top_k, rng)
-            for _ in range(num_steps)]
+    return np.stack([sample_decode_step(logits, temperature, config.top_k,
+                                        rng)
+                     for _ in range(num_steps)])
 
 
 def markov_decode_stream(config: MoEModelConfig, num_steps: int,
                          advance_prob: float = 0.55,
                          resample_prob: float = 0.05,
-                         seed: int = 0) -> List[ExpertSets]:
+                         seed: int = 0) -> np.ndarray:
     """A decode stream with *gate-history* structure, not just popularity.
 
     Real decode traces are temporally structured two ways: consecutive
@@ -438,9 +453,11 @@ def markov_decode_stream(config: MoEModelConfig, num_steps: int,
     Predictive Prefetching and Expert Replication" exploit).  This sampler
     models the second kind explicitly: each layer carries a hidden
     transition cycle (a fixed random single-cycle permutation of its
-    experts), and per step the layer's active expert set either *advances*
-    along the cycle (probability ``advance_prob``), resamples uniformly
-    (``resample_prob`` — routing noise), or stays put.
+    experts), and per step the layer's active experts either *advance*
+    along the cycle (probability ``advance_prob``), resample uniformly
+    (``resample_prob`` — routing noise), or stay put.  Returns
+    ``(steps, layers, experts)`` demand masks with ``top_k`` experts set
+    per layer.
 
     A previous-token policy tops out at the stay probability; a transition
     predictor can learn the cycle and anticipate the advances — the regime
@@ -460,39 +477,40 @@ def markov_decode_stream(config: MoEModelConfig, num_steps: int,
     for layer in range(num_layers):
         order = rng.permutation(num_experts)
         successor[layer][order] = np.roll(order, -1)  # one full cycle
-    state = [set(map(int, rng.choice(num_experts, size=k, replace=False)))
-             for _ in range(num_layers)]
-    stream: List[ExpertSets] = []
-    for _ in range(num_steps):
+    state = np.zeros((num_layers, num_experts), dtype=bool)
+    for layer in range(num_layers):
+        state[layer, rng.choice(num_experts, size=k, replace=False)] = True
+    stream = np.empty((num_steps, num_layers, num_experts), dtype=bool)
+    for step in range(num_steps):
         for layer in range(num_layers):
             u = rng.random()
             if u < advance_prob:
-                state[layer] = {int(successor[layer][e])
-                                for e in state[layer]}
+                row = np.zeros(num_experts, dtype=bool)
+                row[successor[layer]] = state[layer]
+                state[layer] = row
             elif u < advance_prob + resample_prob:
-                state[layer] = set(map(int, rng.choice(
-                    num_experts, size=k, replace=False)))
-        stream.append([set(layer_set) for layer_set in state])
+                state[layer] = False
+                state[layer, rng.choice(num_experts, size=k,
+                                        replace=False)] = True
+        stream[step] = state
     return stream
 
 
-def stream_lookahead(stream: Sequence[ExpertSets]) -> List[ExpertKey]:
+def stream_lookahead(stream: Sequence[np.ndarray]) -> List[ExpertKey]:
     """Flatten a stream into the exact access order :func:`replay_stream`
     uses — the belady policy's ``lookahead`` input."""
-    return [(layer, int(e))
-            for step in stream
-            for layer, e in sorted({(l, int(ex))
-                                    for l, layer_set in enumerate(step)
-                                    for ex in layer_set})]
+    _, layers, experts = np.nonzero(np.asarray(stream, dtype=bool))
+    return list(zip(layers.tolist(), experts.tolist()))
 
 
-def replay_stream(stream: Sequence[ExpertSets],
+def replay_stream(stream: Sequence[np.ndarray],
                   scheduler: OverlappedFetchScheduler) -> ServingMetrics:
-    """Replay a prerecorded stream through a scheduler; returns metrics."""
+    """Replay a prerecorded mask stream through a scheduler; returns
+    metrics."""
     latencies = np.empty(len(stream))
     fetch_total = 0.0
-    for step, needed_sets in enumerate(stream):
-        report = scheduler.step(needed_sets)
+    for step, needed in enumerate(stream):
+        report = scheduler.step(needed)
         latencies[step] = report.latency_s
         fetch_total += report.latency_s - report.compute_s
     return ServingMetrics(token_latencies=latencies,
@@ -514,8 +532,8 @@ class PrefetchConfig:
     the engine's own config); ``topology`` + the engine's active placement
     enable remote-fetch pricing and — with ``replication_budget > 0`` —
     online promotion of persistently-hot experts onto ``local_worker``
-    every ``replication_interval`` observed steps, using the last
-    ``window_size`` steps of routing counts.
+    (a worker id of ``topology``) every ``replication_interval`` observed
+    steps, using the last ``window_size`` steps of routing counts.
     """
 
     predictor: str = "transition"
@@ -539,6 +557,15 @@ class PrefetchConfig:
                              f"got {self.cache_policy!r}")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be positive")
+        if not isinstance(self.local_worker, numbers.Integral) or \
+                self.local_worker < 0:
+            raise ValueError(f"local_worker must be a non-negative integer, "
+                             f"got {self.local_worker!r}")
+        if self.topology is not None and \
+                self.local_worker >= self.topology.num_workers:
+            raise ValueError(f"local_worker {self.local_worker} is not a "
+                             f"worker of a {self.topology.num_workers}-"
+                             f"worker topology")
         if self.replication_budget < 0:
             raise ValueError("replication_budget must be non-negative")
         if self.replication_interval < 1:
@@ -622,10 +649,9 @@ class DecodePrefetcher:
         records = list(records)
         if not records:
             return None
-        needed = [set(map(int, np.unique(record.expert_indices)))
-                  for record in records]
-        tokens = records[0].num_tokens
-        report = self.scheduler.step(needed, tokens=tokens)
+        counts = routing_counts(records, self.config.num_experts)
+        report = self.scheduler.step(counts > 0,
+                                     tokens=records[0].num_tokens)
         self._steps += 1
 
         telemetry = self.telemetry
@@ -646,9 +672,6 @@ class DecodePrefetcher:
                 report.remote_bytes)
 
         if self._window is not None:
-            num_experts = self.config.num_experts
-            counts = np.stack([record.access_counts(num_experts)
-                               for record in records])
             self._window.observe(counts)
             if self._steps % self.prefetch.replication_interval == 0:
                 self._maybe_replicate()

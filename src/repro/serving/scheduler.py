@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..models.moe_block import routing_counts
 from ..models.transformer import MoETransformer
 from ..nn.attention import KVCache
 from ..nn.tensor import no_grad
@@ -458,8 +459,7 @@ class ContinuousBatchingEngine:
                 # the same amounts keeps ledger sums tiling the aggregates.
                 tracing.attribute_fetch(report)
             if flight is not None:
-                counts = np.stack([record.access_counts(num_experts)
-                                   for record in records]) if records \
+                counts = routing_counts(records, num_experts) if records \
                     else None
                 occupied = sorted(active)
                 flight.observe(

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..models.moe_block import routing_counts
 from ..routing.stability import (StabilityMonitor, StabilityReport,
                                  softmax_sensitivity_bound)
 from .events import EventLog, MonitorEvent, RunManifest, current_git_rev
@@ -349,10 +350,11 @@ class RoutingHealthMonitor:
                         ) -> List[MonitorEvent]:
         """Digest one step's :class:`BlockRoutingRecord` list.
 
-        Builds the ``(layers, experts)`` count matrix via each record's
-        ``access_counts`` and pulls the monitored layer's probability
-        matrix when the model recorded one.  ``num_experts`` is inferred
-        from the placement or the recorded probabilities when omitted.
+        Builds the ``(layers, experts)`` count matrix with
+        :func:`~repro.models.moe_block.routing_counts` and pulls the
+        monitored layer's probability matrix when the model recorded one.
+        ``num_experts`` is inferred from the placement or the recorded
+        probabilities when omitted.
         """
         records = list(records)
         if not records:
@@ -369,8 +371,7 @@ class RoutingHealthMonitor:
         if num_experts is None:
             raise ValueError("num_experts is required when no placement is "
                              "set and no record carries probabilities")
-        counts = np.stack([record.access_counts(num_experts)
-                           for record in records])
+        counts = routing_counts(records, num_experts)
         probs = None
         if self.monitored_layer < len(records):
             probs = records[self.monitored_layer].probs

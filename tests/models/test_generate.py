@@ -53,6 +53,8 @@ class TestGenerate:
     def test_validation(self, nano_model):
         with pytest.raises(ValueError):
             generate(nano_model, np.array([1]), 0)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            generate(nano_model, np.array([1, 2, 5]), 2.5, temperature=0.0)
         with pytest.raises(ValueError):
             generate(nano_model, np.array([]), 3)
         with pytest.raises(ValueError):
@@ -74,6 +76,7 @@ class TestDecodeRoutingCounts:
         (np.array([], dtype=np.int64), 3, "non-empty"),
         (np.array([1, 2]), 0, "max_new_tokens"),
         (np.array([1, 2]), -2, "max_new_tokens"),
+        (np.array([1, 2]), 2.5, "max_new_tokens"),
     ])
     def test_checks_inputs_as_generate_does(self, nano_model, prompt,
                                             max_new_tokens, match):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import ExpertFFN, MoEBlock
+from repro.models import ExpertFFN, MoEBlock, routing_counts
+from repro.models.moe_block import BlockRoutingRecord
 from repro.nn import Tensor
 
 
@@ -107,3 +108,26 @@ class TestMoEBlockForward:
 
     def test_expert_modules_list(self):
         assert len(make_block(experts=5).expert_modules()) == 5
+
+
+class TestRoutingCounts:
+    def records(self, rng, tokens=(5, 1, 3), experts=6, k=2):
+        return [BlockRoutingRecord(
+            layer=layer, expert_indices=rng.integers(0, experts, (n, k)),
+            selected_scores=np.ones((n, k)))
+            for layer, n in enumerate(tokens)]
+
+    def test_rows_are_each_records_access_counts(self, rng):
+        records = self.records(rng)
+        counts = routing_counts(records, 6)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            counts, np.stack([r.access_counts(6) for r in records]))
+        assert routing_counts([], 6).shape == (0, 6)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_expert_rejected(self, rng, bad):
+        records = self.records(rng)
+        records[1].expert_indices[0, 0] = bad  # would spill into a neighbour
+        with pytest.raises(ValueError, match="expert ids"):
+            routing_counts(records, 6)

@@ -30,11 +30,25 @@ speedup import them from here.
   signature, so ``monkeypatch.setattr`` swaps it in.
 * :func:`reference_adamw_step` — ``AdamW.step`` as a loop over tensors,
   against the flat-buffer step.
+* :class:`ReferenceTransitionPredictor` and :class:`ReferenceFetchScheduler`
+  — the transition predictor and the overlapped fetch scheduler on
+  per-layer Python sets of expert ids, one layer and one key at a time,
+  against the ``(layers, experts)`` masks of
+  :class:`repro.serving.prefetch.TransitionPredictor` and
+  :class:`repro.serving.prefetch.OverlappedFetchScheduler`;
+  :func:`mask_sets` converts a mask to the sets and
+  :func:`reference_lookahead` flattens a set stream into the cache's
+  access order.
+* :func:`reference_step_comm_time_replicated` and
+  :class:`ReferenceReplicationStrategy` — the replicated Eq. (7) objective
+  and the replication move search as loops over layers, experts and
+  holders, against the one share tensor of
+  :mod:`repro.placement.replication`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -42,8 +56,13 @@ from repro.nn import causal_mask
 from repro.nn.functional import dropout, softmax
 from repro.nn.tensor import Tensor
 from repro.placement.local_search import LocalSearchRefiner
+from repro.placement.lp import comm_coefficients
+from repro.placement.replication import (ReplicatedPlacement,
+                                         ReplicationStrategy)
 from repro.runtime.engine import replay_limit
 from repro.runtime.metrics import RunMetrics
+from repro.serving.cache import ExpertKey, safe_ratio
+from repro.serving.prefetch import OverlappedFetchScheduler, StepFetchReport
 
 
 def _scatter_rows_add_at(values: Tensor, row_ids: np.ndarray,
@@ -223,3 +242,218 @@ class ScanLocalSearchRefiner(LocalSearchRefiner):
                         best_delta = delta
                         best_action = ("swap", l, e, bottleneck, e2, other)
         return best_delta, best_action
+
+
+# --------------------------------------------------------------------- #
+# prefetch: per-layer expert sets
+# --------------------------------------------------------------------- #
+ExpertSets = List[Set[int]]  # one set of expert ids per MoE layer
+
+
+def mask_sets(mask: np.ndarray) -> ExpertSets:
+    """A ``(layers, experts)`` mask as one set of expert ids per layer."""
+    return [set(np.flatnonzero(row).tolist()) for row in np.asarray(mask)]
+
+
+def reference_lookahead(stream: Sequence[ExpertSets]) -> List[ExpertKey]:
+    """``stream_lookahead`` on per-layer sets: each step's ``(layer,
+    expert)`` keys, sorted."""
+    return [key for step in stream
+            for key in sorted((layer, e) for layer, layer_set in
+                              enumerate(step) for e in layer_set)]
+
+
+class ReferenceTransitionPredictor:
+    """``TransitionPredictor`` on per-layer expert sets, layer by layer."""
+
+    def __init__(self, num_layers: int, num_experts: int):
+        self.counts = np.zeros((num_layers, num_experts, num_experts))
+
+    def update(self, previous: ExpertSets, current: ExpertSets) -> None:
+        for layer, (prev, cur) in enumerate(zip(previous, current)):
+            if prev and cur:
+                self.counts[layer][np.ix_(sorted(prev), sorted(cur))] += 1.0
+
+    def predict(self, current: ExpertSets) -> ExpertSets:
+        out: ExpertSets = []
+        for layer, cur in enumerate(current):
+            budget = len(cur)
+            if budget == 0:
+                out.append(set())
+                continue
+            row = self.counts[layer][sorted(cur)].sum(axis=0)
+            order = np.argsort(-row, kind="stable")  # ties: lowest id first
+            picked = [int(e) for e in order[:budget] if row[e] > 0]
+            if len(picked) < budget:  # cold start: previous-token fallback
+                for e in sorted(cur):
+                    if e not in picked:
+                        picked.append(e)
+                    if len(picked) == budget:
+                        break
+            out.append(set(picked))
+        return out
+
+
+class ReferenceFetchScheduler(OverlappedFetchScheduler):
+    """``OverlappedFetchScheduler.step`` on per-layer expert sets.
+
+    The step's keys are collected into a set of ``(layer, expert)`` tuples
+    and accessed in ``sorted`` order; the predictor takes and returns sets
+    (a :class:`ReferenceTransitionPredictor`, or ``None``).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._predicted_keys: set = set()
+        self._prev_sets: Optional[ExpertSets] = None
+
+    def step(self, needed_sets: Sequence[Set[int]], tokens: int = 1
+             ) -> StepFetchReport:
+        stats = self.stats
+        stats.steps += 1
+        remote_before = stats.remote_bytes
+        needed_keys = {(layer, int(e))
+                       for layer, layer_set in enumerate(needed_sets)
+                       for e in layer_set}
+        predicted = self._predicted_keys
+        correct = len(needed_keys & predicted)
+        stats.correct += correct
+        stats.wasted += len(predicted - needed_keys)
+
+        compute = self._token_compute * max(int(tokens), 1)
+        hidden_time = min(self._pending_time, compute)
+        overflow_time = self._pending_time - hidden_time
+        hidden_fraction = safe_ratio(hidden_time, self._pending_time)
+        hidden_bytes = self._pending_bytes * hidden_fraction
+        overflow_bytes = self._pending_bytes - hidden_bytes
+
+        sync_time = 0.0
+        sync_bytes = 0.0
+        sync_fetches = 0
+        for key in sorted(needed_keys):
+            if not self.cache.access(key):
+                seconds, nbytes, remote = self._fetch_cost(key)
+                sync_time += seconds
+                sync_bytes += nbytes
+                sync_fetches += 1
+                if remote:
+                    stats.remote_bytes += nbytes
+        stats.sync_fetches += sync_fetches
+        stats.hidden_bytes += hidden_bytes
+        stats.unhidden_bytes += overflow_bytes + sync_bytes
+        latency = compute + overflow_time + sync_time
+
+        predicted_count = 0
+        prefetch_fetches = 0
+        pending_time = 0.0
+        pending_bytes = 0.0
+        if self.predictor is not None:
+            if self._prev_sets is not None:
+                self.predictor.update(self._prev_sets, needed_sets)
+            self._prev_sets = [set(layer) for layer in needed_sets]
+            next_sets = self.predictor.predict(needed_sets)
+            self._predicted_keys = {(layer, int(e))
+                                    for layer, layer_set in enumerate(
+                                        next_sets)
+                                    for e in layer_set}
+            predicted_count = len(self._predicted_keys)
+            stats.predicted += predicted_count
+            for key in sorted(self._predicted_keys):
+                if key not in self.cache:
+                    self.cache.access(key)
+                    seconds, nbytes, remote = self._fetch_cost(key)
+                    pending_time += seconds
+                    pending_bytes += nbytes
+                    prefetch_fetches += 1
+                    if remote:
+                        stats.remote_bytes += nbytes
+            stats.prefetch_fetches += prefetch_fetches
+        self._pending_time = pending_time
+        self._pending_bytes = pending_bytes
+
+        return StepFetchReport(
+            tokens=int(tokens), compute_s=compute, latency_s=latency,
+            predicted=predicted_count, correct=correct,
+            sync_fetches=sync_fetches, prefetch_fetches=prefetch_fetches,
+            hidden_bytes=hidden_bytes,
+            unhidden_bytes=overflow_bytes + sync_bytes,
+            remote_bytes=stats.remote_bytes - remote_before)
+
+
+# --------------------------------------------------------------------- #
+# replication: loops over layers, experts and holders
+# --------------------------------------------------------------------- #
+def _loop_step_comm_time(placement: ReplicatedPlacement,
+                         coef: np.ndarray) -> float:
+    """The replicated Eq. (7) objective from ``(workers, layers,
+    experts)`` coefficients, one holder at a time."""
+    total = 0.0
+    for layer in range(placement.num_layers):
+        worker_time = np.zeros(coef.shape[0])
+        for expert in range(placement.num_experts):
+            holders = placement.holders(layer, expert)
+            fractions = placement.fractions(layer, expert)
+            for worker, fraction in zip(holders, fractions):
+                worker_time[worker] += coef[worker, layer, expert] * fraction
+        total += worker_time.max()
+    return float(total)
+
+
+def reference_step_comm_time_replicated(placement: ReplicatedPlacement,
+                                        problem) -> float:
+    """``expected_step_comm_time_replicated`` as loops over layers,
+    experts and holders."""
+    return _loop_step_comm_time(placement, comm_coefficients(problem))
+
+
+class ReferenceReplicationStrategy(ReplicationStrategy):
+    """:class:`ReplicationStrategy` choosing each move with the loops."""
+
+    def _best_move(self, placement, coef, capacities):
+        coef = coef.transpose(1, 2, 0)  # (workers, layers, experts)
+        num_workers = coef.shape[0]
+        loads = placement.worker_loads(num_workers)
+        spare = capacities - loads
+        if spare.max() <= 0:
+            return None
+
+        layer_times = np.zeros((placement.num_layers, num_workers))
+        for layer in range(placement.num_layers):
+            for expert in range(placement.num_experts):
+                for worker, fraction in zip(
+                        placement.holders(layer, expert),
+                        placement.fractions(layer, expert)):
+                    layer_times[layer, worker] += \
+                        coef[worker, layer, expert] * fraction
+
+        bottleneck_layer = int(layer_times.max(axis=1).argmax())
+        bottleneck_worker = int(layer_times[bottleneck_layer].argmax())
+
+        best_expert, best_cost = None, 0.0
+        for expert in range(placement.num_experts):
+            holders = placement.holders(bottleneck_layer, expert)
+            if bottleneck_worker not in holders:
+                continue
+            idx = holders.index(bottleneck_worker)
+            cost = coef[bottleneck_worker, bottleneck_layer, expert] * \
+                placement.fractions(bottleneck_layer, expert)[idx]
+            if cost > best_cost:
+                best_cost, best_expert = cost, expert
+        if best_expert is None:
+            return None
+
+        key = (bottleneck_layer, best_expert)
+        current_holders = set(placement.holders(*key))
+        best = None
+        for worker in range(num_workers):
+            if spare[worker] <= 0 or worker in current_holders:
+                continue
+            trial = ReplicatedPlacement(
+                placement.primary,
+                {**placement.replicas,
+                 key: placement.replicas.get(key, []) + [worker]},
+                placement.bandwidths, name=placement.name)
+            objective = _loop_step_comm_time(trial, coef)
+            if best is None or objective < best[2]:
+                best = (key, worker, objective)
+        return best

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import ClusterTopology, Link, paper_cluster
+from repro.models import nano_moe
 from repro.placement import (FrozenPlacementStrategy, LocalityAwarePlacement,
                              Placement, PlacementProblem,
                              ReplicatedPlacement, ReplicationStrategy,
                              expected_step_comm_time,
                              expected_step_comm_time_replicated)
+from repro.placement.lp import comm_coefficients
+from tests.oracles import (ReferenceReplicationStrategy,
+                           reference_step_comm_time_replicated)
 
 
 @pytest.fixture
@@ -154,3 +161,95 @@ class TestFrozenPlacementStrategy:
             self, primary, bandwidths):
         rp = ReplicatedPlacement(primary, {(0, 0): [1]}, bandwidths)
         np.testing.assert_array_equal(rp.assignment, primary.assignment)
+
+
+TOPOLOGIES = {
+    "single": ClusterTopology(num_nodes=1, gpus_per_node=1),
+    "small": ClusterTopology(num_nodes=2, gpus_per_node=2,
+                             intra_link=Link(18.3e9, 10e-6),
+                             cross_link=Link(1.17e9, 150e-6)),
+    "paper": paper_cluster(),
+}
+
+
+@st.composite
+def replication_cases(draw):
+    """A problem at 6, 8 or 9 experts on 1–12 layers, a random primary and
+    random replicas (some holders repeated or equal to the primary), and
+    capacities with spare room.  Half the profiles take few distinct
+    values, so costs tie."""
+    layers = draw(st.integers(1, 12))
+    experts = draw(st.sampled_from([6, 8, 9]))
+    topology = TOPOLOGIES[draw(st.sampled_from(sorted(TOPOLOGIES)))]
+    workers = topology.num_workers
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    config = nano_moe().with_overrides(num_layers=layers,
+                                       num_experts=experts)
+    if draw(st.booleans()):
+        profile = rng.integers(0, 3, size=(layers, experts)) + 0.0
+    else:
+        profile = rng.random((layers, experts)) ** 3
+        profile[rng.random((layers, experts)) < 0.2] = 0.0
+    profile[:, 0] += 1.0  # no all-zero layer
+    profile *= config.top_k / profile.sum(axis=1, keepdims=True)
+    primary = Placement(rng.integers(0, workers, size=(layers, experts)))
+    replicas = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (int(rng.integers(layers)), int(rng.integers(experts)))
+        replicas.setdefault(key, []).extend(
+            rng.integers(0, workers, size=rng.integers(1, 3)).tolist())
+    placement = ReplicatedPlacement(primary, replicas,
+                                    topology.master_bandwidths())
+    loads = placement.worker_loads(workers)
+    capacities = (loads + rng.integers(0, 3, size=workers)).tolist()
+    problem = PlacementProblem(config=config, topology=topology,
+                               probability_matrix=profile,
+                               tokens_per_step=int(rng.integers(1, 5000)),
+                               capacities=capacities)
+    return problem, placement
+
+
+class TestShareTensorProperty:
+    """The share-tensor pricing is bitwise the per-holder loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=replication_cases())
+    def test_objective_and_loads_bitwise_equal_loops(self, case):
+        problem, placement = case
+        assert expected_step_comm_time_replicated(placement, problem) == \
+            reference_step_comm_time_replicated(placement, problem)
+        workers = problem.num_workers
+        counts = problem.probability_matrix * problem.tokens_per_step
+        expected = np.zeros((workers, placement.num_layers))
+        for layer in range(placement.num_layers):
+            for expert in range(placement.num_experts):
+                for worker, fraction in zip(placement.holders(layer, expert),
+                                            placement.fractions(layer,
+                                                                expert)):
+                    expected[worker, layer] += counts[layer, expert] * \
+                        fraction
+        np.testing.assert_array_equal(
+            placement.tokens_per_worker(counts, workers), expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=replication_cases(), budget=st.integers(0, 6))
+    def test_moves_and_replicas_bitwise_equal_loops(self, case, budget):
+        problem, placement = case
+        coef = comm_coefficients(problem).transpose(2, 0, 1)
+        capacities = np.asarray(problem.effective_capacities())
+        assert ReplicationStrategy()._best_move(
+            placement, coef, capacities) == \
+            ReferenceReplicationStrategy()._best_move(
+                placement, coef, capacities)
+        base = FrozenPlacementStrategy(placement.primary)
+        fast = ReplicationStrategy(base=base,
+                                   max_replicas=budget).solve(problem)
+        slow = ReferenceReplicationStrategy(
+            base=base, max_replicas=budget).solve(problem)
+        assert fast.base_objective == slow.base_objective == \
+            reference_step_comm_time_replicated(
+                ReplicatedPlacement(placement.primary, {},
+                                    problem.topology.master_bandwidths()),
+                problem)
+        assert fast.replicated_objective == slow.replicated_objective
+        assert fast.placement.replicas == slow.placement.replicas

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.cluster import paper_cluster
 from repro.models import build_model, nano_moe
 from repro.models.moe_block import BlockRoutingRecord
 from repro.placement import Placement
@@ -16,6 +20,18 @@ from repro.serving.prefetch import (LIVE_CACHE_POLICIES, PREDICTORS,
                                     markov_decode_stream, replay_stream,
                                     sample_decode_stream, stream_lookahead)
 from repro.telemetry import EventLog, Telemetry
+from tests.oracles import (ReferenceFetchScheduler,
+                           ReferenceTransitionPredictor, mask_sets,
+                           reference_lookahead)
+
+
+def demand(*layers, num_layers=2, num_experts=4) -> np.ndarray:
+    """A ``(num_layers, num_experts)`` demand mask (``nano_moe``'s shape by
+    default) with the given expert ids set on the leading layers."""
+    mask = np.zeros((num_layers, num_experts), dtype=bool)
+    for layer, experts in enumerate(layers):
+        mask[layer, list(experts)] = True
+    return mask
 
 
 def previous_token_scheduler(capacity):
@@ -28,31 +44,43 @@ class TestSpeculativePrefetcher:
     def test_prefetch_loads_missing(self):
         # Demand leaves the speculated experts resident: nothing to fetch.
         scheduler = previous_token_scheduler(capacity=8)
-        report = scheduler.step([{1, 2}])
+        report = scheduler.step(demand([1, 2]))
         assert report.predicted == 2
         assert report.prefetch_fetches == 0
         assert scheduler.cache.resident == {(0, 1), (0, 2)}
         # Demand beyond capacity evicted them: speculation loads them back.
         scheduler = previous_token_scheduler(capacity=2)
-        report = scheduler.step([{1, 2, 3}])
+        report = scheduler.step(demand([1, 2, 3]))
         assert report.prefetch_fetches == 3
         assert len(scheduler.cache.resident) == 2
 
     def test_prediction_scoring(self):
         scheduler = previous_token_scheduler(capacity=8)
-        scheduler.step([{1, 2}])
-        report = scheduler.step([{1, 3}])
+        scheduler.step(demand([1, 2]))
+        report = scheduler.step(demand([1, 3]))
         assert report.correct == 1
         assert report.sync_fetches == 1  # (0, 3) was not speculated or resident
         assert scheduler.stats.wasted == 1  # (0, 2) unused
 
     def test_accuracy_statistic(self):
         scheduler = previous_token_scheduler(capacity=8)
-        first = scheduler.step([{1}])
-        second = scheduler.step([{1}])
+        first = scheduler.step(demand([1]))
+        second = scheduler.step(demand([1]))
         assert second.correct == first.predicted == 1
         # the second step's own prediction is not scored yet
         assert scheduler.stats.accuracy == 0.5
+
+    def test_cache_sees_keys_in_row_major_order(self):
+        scheduler = OverlappedFetchScheduler(nano_moe(), None,
+                                             ExpertCache(8))
+        scheduler.step(demand([3, 0], [2, 1]))
+        assert list(scheduler.cache._resident) == [(0, 0), (0, 3), (1, 1),
+                                                   (1, 2)]
+
+    def test_demand_shape_checked(self):
+        scheduler = previous_token_scheduler(capacity=8)
+        with pytest.raises(ValueError, match="demand mask"):
+            scheduler.step(np.zeros((3, 4), dtype=bool))
 
 
 class TestPrefetchingDecode:
@@ -92,35 +120,42 @@ class TestPrefetchingDecode:
 
 class TestPredictors:
     def test_previous_token_returns_fresh_copies(self):
-        current = [{0, 1}, {2}]
+        current = demand([0, 1], [2])
         predicted = PreviousTokenPredictor().predict(current)
-        assert predicted == current
-        assert predicted[0] is not current[0]
+        np.testing.assert_array_equal(predicted, current)
+        assert predicted is not current
 
     def test_transition_cold_start_is_previous_token(self):
         predictor = TransitionPredictor(num_layers=2, num_experts=4)
-        assert predictor.predict([{1, 3}, {0}]) == [{1, 3}, {0}]
+        current = demand([1, 3], [0])
+        np.testing.assert_array_equal(predictor.predict(current), current)
 
     def test_transition_learns_a_cycle(self):
         predictor = TransitionPredictor(num_layers=1, num_experts=4)
-        cycle = [{0}, {1}, {2}, {3}]
+        cycle = [demand([i], num_layers=1) for i in range(4)]
         for _ in range(3):
             for i in range(4):
-                predictor.update([cycle[i]], [cycle[(i + 1) % 4]])
+                predictor.update(cycle[i], cycle[(i + 1) % 4])
         for i in range(4):
-            assert predictor.predict([cycle[i]]) == [cycle[(i + 1) % 4]]
+            np.testing.assert_array_equal(predictor.predict(cycle[i]),
+                                          cycle[(i + 1) % 4])
 
     def test_transition_budget_matches_current_set(self):
         predictor = TransitionPredictor(num_layers=1, num_experts=8)
-        for prev, cur in [({0, 1}, {2, 3}), ({2, 3}, {4, 5})]:
-            predictor.update([prev], [cur])
-        assert len(predictor.predict([{0, 1}])[0]) == 2
-        assert predictor.predict([set()]) == [set()]
+        shape = dict(num_layers=1, num_experts=8)
+        for prev, cur in [([0, 1], [2, 3]), ([2, 3], [4, 5])]:
+            predictor.update(demand(prev, **shape), demand(cur, **shape))
+        assert predictor.predict(demand([0, 1], **shape)).sum() == 2
+        assert not predictor.predict(demand(**shape)).any()
 
     def test_transition_ties_break_toward_lowest_id(self):
         predictor = TransitionPredictor(num_layers=1, num_experts=4)
-        predictor.update([{0}], [{1, 2, 3}])  # equal evidence for 1, 2, 3
-        assert predictor.predict([{0}]) == [{1}]
+        # equal evidence for 1, 2, 3
+        predictor.update(demand([0], num_layers=1),
+                         demand([1, 2, 3], num_layers=1))
+        np.testing.assert_array_equal(
+            predictor.predict(demand([0], num_layers=1)),
+            demand([1], num_layers=1))
 
     def test_transition_validation(self):
         with pytest.raises(ValueError):
@@ -129,11 +164,11 @@ class TestPredictors:
             TransitionPredictor(num_layers=2, num_experts=0)
 
     def test_oracle_reads_ahead_and_runs_dry(self):
-        stream = [[{0}], [{1}], [{2}]]
+        stream = [demand([0]), demand([1]), demand([2])]
         oracle = OraclePredictor(stream)
-        assert oracle.predict([{0}]) == [{1}]
-        assert oracle.predict([{1}]) == [{2}]
-        assert oracle.predict([{2}]) == [set()]  # past the end
+        np.testing.assert_array_equal(oracle.predict(stream[0]), stream[1])
+        np.testing.assert_array_equal(oracle.predict(stream[1]), stream[2])
+        assert not oracle.predict(stream[2]).any()  # past the end
 
     def test_make_predictor(self):
         config = nano_moe()
@@ -153,16 +188,16 @@ class TestOverlappedFetchScheduler:
 
     def test_off_baseline_pays_every_miss_synchronously(self):
         scheduler = self.make(predictor=None)
-        first = scheduler.step([{0, 1}, {2}])
+        first = scheduler.step(demand([0, 1], [2]))
         assert first.sync_fetches == 3
         assert first.predicted == 0 and first.prefetch_fetches == 0
         assert first.latency_s > first.compute_s
-        second = scheduler.step([{0, 1}, {2}])  # all resident now
+        second = scheduler.step(demand([0, 1], [2]))  # all resident now
         assert second.sync_fetches == 0
         assert second.latency_s == pytest.approx(second.compute_s)
 
     def test_correct_prediction_removes_sync_fetches(self):
-        stream = [[{0}], [{1}], [{2}]]
+        stream = [demand([0]), demand([1]), demand([2])]
         scheduler = self.make(OraclePredictor(stream))
         scheduler.step(stream[0])
         report = scheduler.step(stream[1])
@@ -170,7 +205,7 @@ class TestOverlappedFetchScheduler:
         assert report.sync_fetches == 0  # the oracle prefetched it
 
     def test_pending_bytes_split_hidden_plus_unhidden(self):
-        stream = [[{0}], [{1}], [{2}]]
+        stream = [demand([0]), demand([1]), demand([2])]
         scheduler = self.make(OraclePredictor(stream))
         scheduler.step(stream[0])  # issues one prefetch for expert 1
         nbytes = scheduler._fetch_nbytes
@@ -180,14 +215,14 @@ class TestOverlappedFetchScheduler:
         assert report.latency_s >= report.compute_s
 
     def test_tokens_scale_the_compute_window(self):
-        one = self.make(predictor=None).step([{0}], tokens=1)
-        many = self.make(predictor=None).step([{0}], tokens=32)
+        one = self.make(predictor=None).step(demand([0]), tokens=1)
+        many = self.make(predictor=None).step(demand([0]), tokens=32)
         assert many.compute_s == pytest.approx(32 * one.compute_s)
 
     def test_stats_accumulate_across_steps(self):
         scheduler = self.make(PreviousTokenPredictor())
         for _ in range(4):
-            scheduler.step([{0, 1}, {2, 3}])
+            scheduler.step(demand([0, 1], [2, 3]))
         stats = scheduler.stats
         assert stats.steps == 4
         assert stats.predicted == 16  # 4 experts speculated every step
@@ -202,8 +237,8 @@ class TestOverlappedFetchScheduler:
         kwargs = dict(topology=small_topology, local_worker=0)
         far = self.make(predictor=None, placement=remote, **kwargs)
         near = self.make(predictor=None, placement=local, **kwargs)
-        far_report = far.step([{0, 1}])
-        near_report = near.step([{0, 1}])
+        far_report = far.step(demand([0, 1]))
+        near_report = near.step(demand([0, 1]))
         assert far_report.remote_bytes == pytest.approx(
             2 * far._fetch_nbytes)
         assert near_report.remote_bytes == 0.0
@@ -216,27 +251,26 @@ class TestOverlappedFetchScheduler:
                               placement=Placement(np.ones(shape,
                                                           dtype=np.int64)),
                               topology=small_topology, local_worker=0)
-        scheduler.step([{0}])
+        scheduler.step(demand([0]))
         assert scheduler.stats.remote_bytes > 0
         scheduler.set_placement(Placement(np.zeros(shape, dtype=np.int64)))
         before = scheduler.stats.remote_bytes
-        scheduler.step([{1}])  # a fresh miss, now held locally
+        scheduler.step(demand([1]))  # a fresh miss, now held locally
         assert scheduler.stats.remote_bytes == before
 
 
 class TestMarkovDecodeStream:
     def test_deterministic_under_seed(self):
         config = nano_moe()
-        assert markov_decode_stream(config, 20, seed=3) == \
-            markov_decode_stream(config, 20, seed=3)
+        np.testing.assert_array_equal(markov_decode_stream(config, 20, seed=3),
+                                      markov_decode_stream(config, 20, seed=3))
 
     def test_set_sizes_stay_top_k(self):
         config = nano_moe()
         stream = markov_decode_stream(config, 50, seed=1)
-        assert len(stream) == 50
-        for step in stream:
-            assert len(step) == config.num_layers
-            assert all(len(layer) == config.top_k for layer in step)
+        assert stream.shape == (50, config.num_layers, config.num_experts)
+        assert stream.dtype == bool
+        assert (stream.sum(axis=2) == config.top_k).all()
 
     def test_validation(self):
         config = nano_moe()
@@ -271,14 +305,10 @@ class TestStreamLookahead:
         config = nano_moe()
         stream = markov_decode_stream(config, 10, seed=2)
         lookahead = stream_lookahead(stream)
-        assert len(lookahead) == sum(
-            len({(l, e) for l, layer in enumerate(step) for e in layer})
-            for step in stream)
-        expected = [(l, e) for step in stream
-                    for l, e in sorted({(l, int(e))
-                                        for l, layer in enumerate(step)
-                                        for e in layer})]
-        assert lookahead == expected
+        assert len(lookahead) == stream.sum()
+        assert lookahead == reference_lookahead(
+            [mask_sets(step) for step in stream])
+        assert all(type(l) is int and type(e) is int for l, e in lookahead)
 
     def test_belady_hit_rate_bounds_lru(self):
         config = nano_moe()
@@ -291,6 +321,88 @@ class TestStreamLookahead:
         lru_metrics = replay_stream(stream, lru)
         oracle_metrics = replay_stream(stream, oracle)
         assert oracle_metrics.hit_rate >= lru_metrics.hit_rate
+
+
+@st.composite
+def demand_streams(draw):
+    """A ``(steps, layers, experts)`` demand stream of 1–4 layers and 1–9
+    experts.  Steps repeat a few drawn masks, so transitions recur and
+    tie in the predictor's counts; drawn masks often leave a layer
+    empty."""
+    layers = draw(st.integers(1, 4))
+    experts = draw(st.integers(1, 9))
+    patterns = draw(st.lists(arrays(np.bool_, (layers, experts),
+                                    elements=st.booleans(),
+                                    fill=st.nothing()),
+                             min_size=1, max_size=4))
+    order = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=1,
+                          max_size=24))
+    return np.stack([patterns[i] for i in order])
+
+
+def sized_config(stream):
+    """``nano_moe`` resized to a stream's layers and experts."""
+    _, layers, experts = stream.shape
+    return nano_moe().with_overrides(num_layers=layers, num_experts=experts,
+                                     top_k=min(2, experts))
+
+
+class TestMaskProperty:
+    """The mask path against the per-layer-set oracles on random streams."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream=demand_streams())
+    def test_transition_predictions_match_oracle(self, stream):
+        _, layers, experts = stream.shape
+        predictor = TransitionPredictor(layers, experts)
+        oracle = ReferenceTransitionPredictor(layers, experts)
+        previous = None
+        for current in stream:
+            if previous is not None:
+                predictor.update(previous, current)
+                oracle.update(mask_sets(previous), mask_sets(current))
+            predicted = predictor.predict(current)
+            assert predicted.shape == current.shape
+            assert predicted.dtype == bool
+            assert mask_sets(predicted) == oracle.predict(mask_sets(current))
+            previous = current
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=demand_streams(),
+           policy=st.sampled_from(["lru", "lfu", "belady"]),
+           speculate=st.booleans(), capacity=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 16))
+    def test_scheduler_and_cache_match_oracle(self, stream, policy,
+                                              speculate, capacity, seed):
+        """Reports, stats, cache counters and the resident set step for
+        step equal the set-driven scheduler's, remote pricing included."""
+        config = sized_config(stream)
+        topology = paper_cluster()
+        assignment = np.random.default_rng(seed).integers(
+            0, topology.num_workers, size=stream.shape[1:])
+
+        def make(scheduler_cls, predictor, lookahead):
+            cache_kwargs = {}
+            if policy == "belady":
+                cache_kwargs["lookahead"] = lookahead
+            return scheduler_cls(
+                config, predictor if speculate else None,
+                ExpertCache(capacity, policy=policy, **cache_kwargs),
+                placement=Placement(assignment), topology=topology)
+
+        sets = [mask_sets(step) for step in stream]
+        fast = make(OverlappedFetchScheduler,
+                    TransitionPredictor(*stream.shape[1:]),
+                    stream_lookahead(stream))
+        oracle = make(ReferenceFetchScheduler,
+                      ReferenceTransitionPredictor(*stream.shape[1:]),
+                      reference_lookahead(sets))
+        for needed, needed_sets in zip(stream, sets):
+            assert fast.step(needed, tokens=3) == \
+                oracle.step(needed_sets, tokens=3)
+            assert fast.cache.resident == oracle.cache.resident
+        assert fast.stats == oracle.stats
+        assert fast.cache.stats == oracle.cache.stats
 
 
 class TestPrefetchConfig:
@@ -312,10 +424,18 @@ class TestPrefetchConfig:
         {"replication_budget": -1},
         {"replication_interval": 0},
         {"window_size": 0},
+        {"local_worker": -1},
+        {"local_worker": 7},
+        {"local_worker": 1.0},
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            PrefetchConfig(**kwargs)
+            PrefetchConfig(**{"topology": paper_cluster(), **kwargs})
+
+    def test_local_worker_bound_needs_a_topology(self):
+        assert PrefetchConfig(local_worker=7).local_worker == 7
+        assert PrefetchConfig(topology=paper_cluster(),
+                              local_worker=5).local_worker == 5
 
 
 class TestDecodePrefetcherLive:

@@ -61,6 +61,24 @@ def serving_batch_payload(ratio=4.0, single=True, per_request=True):
     }
 
 
+def prefetch_payload(accuracy_transition=0.5887451171875, speedup=1.29):
+    return {
+        "headline": {
+            "ids_identical_live": True,
+            "ids_identical_batch": True,
+            "transition_beats_previous": True,
+            "transition_reduces_unhidden": True,
+            "replication_applied": True,
+            "accuracy_previous": 0.4488525390625,
+            "accuracy_transition": accuracy_transition,
+            "live_accuracy": 0.8235294117647058,
+            "replicas": 2,
+            "replication_events": 4,
+            "speedup": speedup,
+        },
+    }
+
+
 def replacement_payload(applied=True, drop=0.2, recouped=True,
                         break_even=16.0, declined=True):
     return {
@@ -143,6 +161,19 @@ class TestCompare:
                                serving_batch_payload(ratio=4.0),
                                tolerance=0.5)
         assert all(f.ok for f in findings)
+
+    def test_prefetch_headline_figures_are_exact(self):
+        # The modeled speedup keeps its band ...
+        findings = cbr.compare("prefetch", prefetch_payload(speedup=0.5),
+                               prefetch_payload(), tolerance=0.7)
+        assert all(f.ok for f in findings)
+        # ... but a predictor that drifts fails, even while it still beats
+        # the previous-token baseline.
+        findings = cbr.compare(
+            "prefetch", prefetch_payload(accuracy_transition=0.5887),
+            prefetch_payload(), tolerance=0.7)
+        failed = [f.path for f in findings if not f.ok]
+        assert failed == ["headline.accuracy_transition"]
 
     def test_replacement_booleans_are_hard_gates(self):
         findings = cbr.compare("replacement", replacement_payload(),

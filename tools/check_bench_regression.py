@@ -143,14 +143,23 @@ CHECKS = {
     # FlopModel compute, bandwidth-priced fetches), so every gate that
     # could regress is a correctness bug, not jitter — both bit-identity
     # booleans, the transition-beats-previous accuracy/bytes wins, and
-    # the live replication pass firing are exact; only the modeled
-    # speedup carries the tolerance band.
+    # the live replication pass firing are exact.  So are the headline
+    # figures a drifting predictor or replication pass would move: the
+    # accuracies are ratios of integer counters and the replica counts
+    # integers, all from seeded replays, and --smoke runs the headline
+    # capacity, so a fresh run reads the committed values.  Only the
+    # modeled speedup carries the tolerance band.
     "prefetch": (
         Check("headline.ids_identical_live", "exact"),
         Check("headline.ids_identical_batch", "exact"),
         Check("headline.transition_beats_previous", "exact"),
         Check("headline.transition_reduces_unhidden", "exact"),
         Check("headline.replication_applied", "exact"),
+        Check("headline.accuracy_previous", "exact"),
+        Check("headline.accuracy_transition", "exact"),
+        Check("headline.live_accuracy", "exact"),
+        Check("headline.replicas", "exact"),
+        Check("headline.replication_events", "exact"),
         Check("headline.speedup", "higher"),
     ),
     # Request tracing: everything here is correctness, not wall clock —
