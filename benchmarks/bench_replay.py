@@ -4,12 +4,12 @@ Times the full trace replay of both step engines two ways at every paper
 cell:
 
 ``reference``
-    The per-step loop over steps x layers x workers — one public
-    ``run_step`` per step, the test oracle ``tests.oracles.replay_per_step``.
+    The seed's per-step loops over steps x layers x workers, kept as the
+    test oracle ``tests.oracles.replay_per_step``.
 ``vectorized``
-    The batched replay: one ``ExpertBroker.plan_trace`` per run, fork-join
-    spans and all-to-all costs as whole-trace numpy reductions
-    (``run_trace``).
+    The batched replay, each engine's only path: one
+    ``ExpertBroker.plan_trace`` per run, fork-join spans and all-to-all
+    costs as whole-trace numpy reductions (``run_trace``).
 
 Every cell is equivalence-checked in the same run: all ``StepMetrics``
 fields of the two replays must agree to ``< 1e-9`` relative divergence.  The

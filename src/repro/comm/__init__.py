@@ -1,4 +1,4 @@
-"""Communication substrate: messages, cost models, collectives."""
+"""Communication substrate: cost models, collectives, compression."""
 
 from .collective import (all_to_all_time, cross_node_bytes_all_to_all,
                          one_to_all_time, ring_all_reduce_time,
@@ -7,11 +7,8 @@ from .compression import (FP16, INT4, INT8, SCHEMES, CompressionScheme,
                           apply_scheme, dequantize_absmax, expected_relative_error,
                           quantization_error, quantize_absmax, roundtrip)
 from .cost import CommCostModel
-from .message import (BACKWARD_KINDS, FORWARD_KINDS, MASTER, Message,
-                      MessageKind)
 
 __all__ = [
-    "Message", "MessageKind", "MASTER", "FORWARD_KINDS", "BACKWARD_KINDS",
     "CommCostModel",
     "CompressionScheme", "FP16", "INT8", "INT4", "SCHEMES",
     "quantize_absmax", "dequantize_absmax", "roundtrip",

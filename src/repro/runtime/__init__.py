@@ -1,4 +1,4 @@
-"""Simulated distributed runtime: broker, master/worker processes, engines."""
+"""Simulated distributed runtime: broker, step engines, event simulator."""
 
 from .broker import DispatchPlan, ExpertBroker
 from .des_engine import (DESStepResult, EventDrivenMasterWorker,
@@ -9,17 +9,14 @@ from .events import LinkResource, Simulator
 from .flops import BACKWARD_MULTIPLIER, FlopModel
 from .functional_exec import (BrokeredMoEBlock, detach_experts,
                               reattach_experts)
-from .master import MasterProcess, MasterStats
 from .multimaster import (MultiMasterEngine, effective_bandwidths,
                           master_worker_link)
 from .overlap import OverlappedMasterWorkerEngine, overlap_speedup
 from .metrics import RunMetrics, StepMetrics
-from .worker import WorkerProcess, WorkerStats
 
 __all__ = [
     "Simulator", "LinkResource", "FlopModel", "BACKWARD_MULTIPLIER",
     "ExpertBroker", "DispatchPlan",
-    "MasterProcess", "MasterStats", "WorkerProcess", "WorkerStats",
     "MasterWorkerEngine", "ExpertParallelEngine",
     "EventDrivenMasterWorker", "DESStepResult", "contention_penalty",
     "OverlappedMasterWorkerEngine", "overlap_speedup",

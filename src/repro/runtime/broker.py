@@ -3,27 +3,29 @@
 The broker replaces each MoE block in the model backbone.  It performs no
 computation itself: given the gate's routing decisions for a step, it plans
 which tokens (and later, gradients) flow to which worker.  In this simulated
-runtime its product is the dispatch plan — per-(worker, layer) token counts
-and the corresponding :class:`~repro.comm.message.Message` lists — which the
-engines turn into transfer timings and traffic totals.
+runtime its product is the dispatch plan — per-(worker, layer) token
+counts — which the engines turn into transfer timings and traffic totals.
 
 Replay contract
 ---------------
-:meth:`ExpertBroker.plan_trace` is the batched planner behind the engines'
-``run_trace``: one einsum over the whole
-``(steps, layers, experts)`` count tensor.  It is defined to equal stacking
-:meth:`ExpertBroker.plan_step` over the trace's steps — integer token
-counts, so agreement is exact, and the engine equivalence suites
-(``tests/runtime/test_vectorized_engine.py``, ``benchmarks/bench_replay.py``)
-hold both paths to ``< 1e-9`` relative divergence end to end.
+:meth:`ExpertBroker.plan_trace` is the batched planner behind the step
+engines' one replay (``run_step`` and ``run_trace``): one einsum over the
+whole ``(steps, layers, experts)`` count tensor.  It is defined to equal
+stacking :meth:`ExpertBroker.plan_step` over the trace's steps — integer
+token counts, so agreement is exact.  ``plan_step`` plans for the
+event-driven and multi-master engines and for the per-step oracle loops
+in ``tests/oracles.py``, which the engine equivalence suites
+(``tests/runtime/test_vectorized_engine.py``,
+``tests/runtime/test_replay_property.py``, ``benchmarks/bench_replay.py``)
+hold the batched replay to within ``< 1e-9`` relative divergence.
 
 Observability
 -------------
 Constructed with ``telemetry=``, the broker attributes planned one-direction
 payload bytes to each ``(layer, expert, worker)`` edge as
 ``broker.dispatch_bytes`` counters (see ``docs/OBSERVABILITY.md``).  Both
-planners feed the same counters, so a ``run_trace`` replay and the
-per-step loop accumulate identical byte attributions.
+planners feed the same counters, so a batched replay and the per-step
+loop accumulate identical byte attributions.
 
 Constructed with ``monitor=`` (a :class:`~repro.telemetry.monitor.
 RoutingHealthMonitor`), each plan additionally publishes per-worker token
@@ -35,11 +37,10 @@ plan they reflect the final planned step, as after the per-step loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..comm.message import MASTER, Message, MessageKind
 from ..models.config import MoEModelConfig
 from ..placement.base import Placement
 from ..telemetry import Telemetry
@@ -233,17 +234,3 @@ class ExpertBroker:
             self._publish_worker_load(tokens[-1])
         return TracePlan(tokens=tokens,
                          token_bytes=self.config.token_feature_nbytes())
-
-    def messages_for_layer(self, plan: DispatchPlan, layer: int,
-                           kind: MessageKind, step: int = -1) -> List[Message]:
-        """Materialize the point-to-point messages of one block, one phase."""
-        to_workers = kind in (MessageKind.TOKEN_DISPATCH, MessageKind.GRAD_DISPATCH)
-        messages = []
-        for worker in range(plan.num_workers):
-            nbytes = plan.bytes_to_worker(worker, layer)
-            if nbytes <= 0:
-                continue
-            src, dst = (MASTER, worker) if to_workers else (worker, MASTER)
-            messages.append(Message(src=src, dst=dst, nbytes=nbytes,
-                                    kind=kind, layer=layer, step=step))
-        return messages

@@ -15,10 +15,11 @@ concurrently.  This module *executes* the same step as discrete events on
 
 Replay contract
 ---------------
-For uncontended runs ``run_trace`` computes every step's layer-finish
-times as batched cumulative sums and must equal the per-event execution
-exactly; contended runs take the event loop because FIFO occupancy is
-genuinely sequential.
+The event loop is this engine's only path: ``run_trace`` runs
+``run_step`` once per step, since FIFO occupancy under contention is
+genuinely sequential.  For traces of uncontended steps the batched
+:class:`~repro.runtime.engine.MasterWorkerEngine` is the fast replay, and
+its step times equal this loop's to ``1e-12`` (point 1 above).
 
 Observability
 -------------
@@ -27,8 +28,7 @@ backbone/head/optimizer spans on the ``master`` track and every expert
 round-trip as dispatch → expert → gather spans on per-worker
 ``worker-<n>`` tracks — under contention the dispatch/gather spans start
 when the FIFO grants the link, making queueing delay visible in the Chrome
-trace.  Telemetry-enabled replays always use the event loop (spans need
-per-event times), so enable it for inspection runs, not timing sweeps.
+trace.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from ..routing.trace import RoutingTrace
 from ..telemetry import Telemetry
 from ..telemetry.monitor import RoutingHealthMonitor
 from .broker import ExpertBroker
-from .engine import (fork_join_span_arrays, lora_backbone_param_count,
-                     lora_expert_param_count, replay_limit)
+from .engine import (lora_backbone_param_count, lora_expert_param_count,
+                     replay_limit, validate_step_size)
 from .events import LinkResource, Simulator
 from .flops import FlopModel
 
@@ -79,8 +79,7 @@ class EventDrivenMasterWorker:
                  lora_rank: int = 8, nic_contention: bool = False,
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None):
-        if tokens_per_step < 1:
-            raise ValueError("tokens_per_step must be positive")
+        validate_step_size(tokens_per_step, seq_len)
         self.config = config
         self.topology = topology
         self.placement = placement
@@ -219,62 +218,10 @@ class EventDrivenMasterWorker:
     # ------------------------------------------------------------------ #
     def run_trace(self, trace: RoutingTrace,
                   max_steps: Optional[int] = None) -> List[DESStepResult]:
-        """Execute every step of a routing trace (or its first ``max_steps``).
-
-        With unlimited master egress (``nic_contention=False``) the
-        event-driven step is closed-form — layer finishes are running sums of
-        backbone + fork-join span — so all steps are computed as batched
-        cumulative sums.  Contended runs take the per-step event loop: FIFO
-        occupancy is genuinely sequential.  Telemetry-enabled runs do too —
-        spans are recorded at per-event resolution, which the batched closed
-        form cannot provide.
-        """
-        limit = replay_limit(trace, max_steps)
-        if self.nic_contention or self.telemetry is not None:
-            return [self.run_step(trace.step_counts(step), step=step)
-                    for step in range(limit)]
-        plan = self.broker.plan_trace(trace.counts[:limit])
-        if self.monitor is not None:
-            for step in range(limit):
-                self.monitor.observe_step(trace.counts[step], step=step)
-        spans = fork_join_span_arrays(self.topology, self.flops, plan.tokens,
-                                      plan.token_bytes)
-        layers = self.config.num_layers
-        tokens = float(self.tokens_per_step)
-        bf = self.flops.backbone_layer_time(self.master_device, tokens,
-                                            self.seq_len)
-        bb = self.flops.backbone_layer_time(self.master_device, tokens,
-                                            self.seq_len, backward=True)
-        heads = (self.flops.head_time(self.master_device, tokens)
-                 + self.flops.head_time(self.master_device, tokens,
-                                        backward=True))
-        optimizer = self.flops.optimizer_time(
-            self.master_device, lora_backbone_param_count(self.config,
-                                                          self.lora_rank))
-        worker_opt = max(
-            self.flops.optimizer_time(
-                w.device, lora_expert_param_count(self.config, self.lora_rank)
-                * int(load))
-            for w, load in zip(self.topology.workers,
-                               self.placement.worker_loads(
-                                   self.topology.num_workers)))
-
-        forward_finish = np.cumsum(bf + spans["span_f"], axis=1)   # (S, L)
-        backward_start = forward_finish[:, -1] + heads
-        backward_finish = backward_start[:, None] + \
-            np.cumsum(bb + spans["span_b"], axis=1)
-        totals = backward_finish[:, -1] + optimizer + worker_opt
-
-        results = []
-        for step in range(limit):
-            finishes = np.concatenate([forward_finish[step],
-                                       backward_finish[step]])
-            results.append(DESStepResult(
-                total_time=float(totals[step]),
-                layer_finish_times=[float(t) for t in finishes],
-                events_processed=2 * layers,
-                master_egress_busy={"nic": 0.0, "pcie": 0.0}))
-        return results
+        """Execute every step of a routing trace (or its first
+        ``max_steps``) on the event loop, one :meth:`run_step` per step."""
+        return [self.run_step(trace.step_counts(step), step=step)
+                for step in range(replay_limit(trace, max_steps))]
 
 
 def contention_penalty(config: MoEModelConfig, topology: ClusterTopology,

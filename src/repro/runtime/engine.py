@@ -15,32 +15,35 @@ the paper says they differ (Section V-B):
   all-to-all in each direction, and the step ends with an all-reduce over
   the replicated trainable parameters.
 
-``run_step`` simulates one step.  ``run_trace`` replays a whole trace at
+Each engine has one replay path.  ``run_trace`` replays a whole trace at
 once: one :meth:`ExpertBroker.plan_trace` for every step, then every
 per-(step, layer, worker) quantity — fork-join spans, backbone times,
 all-to-all and all-reduce costs — reduced as batched numpy operations
-with no Python loops over steps or workers.
+with no Python loops over steps or workers.  ``run_step(step_counts,
+step)`` is the same replay on a one-step trace, its metrics, spans and
+monitor feed labelled ``step``.
 
 Replay contract
 ---------------
-Looping ``run_step`` over the trace is the semantics; ``run_trace`` is an
-optimization that must reproduce it.  Every ``StepMetrics`` field agrees
-with the per-step loop (the ``replay_per_step`` oracle of
-``tests/oracles.py``) to ``< 1e-9`` relative divergence (observed ~1e-15)
-on all four paper cells, enforced by
-``tests/runtime/test_vectorized_engine.py`` and re-measured by
-``benchmarks/bench_replay.py``; process bookkeeping (master/worker stats)
-is part of the contract.
+The readable specification of a step is the seed's per-step loop over
+layers and workers, kept as the test oracle ``replay_per_step`` in
+``tests/oracles.py``.  Every ``StepMetrics`` field of ``run_trace`` agrees
+with it to ``< 1e-9`` relative divergence (observed ~1e-15): on all four
+paper cells in ``tests/runtime/test_vectorized_engine.py``, on random
+small models, topologies, placements and traces in
+``tests/runtime/test_replay_property.py``, and re-measured by
+``benchmarks/bench_replay.py``.
 
 Observability
 -------------
 Both engines accept ``telemetry=`` (a :class:`repro.telemetry.Telemetry`);
 when set, every simulated phase — backbone, expert fork-join, status sync,
 all-to-all, all-reduce, head, optimizer — is recorded as a model-time span,
-and ``run_trace`` emits the span sequence of the per-step loop.  Per-step span
-durations sum exactly to the ``StepMetrics`` aggregates (verified to 1e-9
-by ``benchmarks/bench_fig6_step_time.py --trace-out``).  With the default
-``telemetry=None`` the hot paths pay one attribute check.  Span naming
+in the span sequence of the oracle loops, and successive calls land back
+to back on one timeline.  Per-step span durations sum exactly to the
+``StepMetrics`` aggregates (verified to 1e-9 by
+``benchmarks/bench_fig6_step_time.py --trace-out``).  With the default
+``telemetry=None`` the replay pays one attribute check.  Span naming
 lives in ``docs/OBSERVABILITY.md``.
 
 Both engines also accept ``monitor=`` (a :class:`repro.telemetry.monitor.
@@ -51,14 +54,12 @@ detectors, with the same ``None``-is-free contract.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..cluster.topology import ClusterTopology
-from ..comm.collective import (all_to_all_time, cross_node_bytes_all_to_all,
-                               ring_all_reduce_time, status_sync_time)
-from ..comm.cost import CommCostModel
+from ..comm.collective import ring_all_reduce_time, status_sync_time
 from ..models.config import MoEModelConfig
 from ..placement.base import Placement
 from ..routing.trace import RoutingTrace
@@ -66,22 +67,32 @@ from ..telemetry import Telemetry
 from ..telemetry.monitor import RoutingHealthMonitor
 from .broker import ExpertBroker
 from .flops import BACKWARD_MULTIPLIER, FlopModel
-from .master import MasterProcess
 from .metrics import RunMetrics, StepMetrics
-from .worker import WorkerProcess
+
+
+def validate_step_size(tokens_per_step: int, seq_len: int) -> None:
+    """Reject a step without tokens or sequence length, before any work."""
+    if tokens_per_step < 1:
+        raise ValueError("tokens_per_step must be positive")
+    if seq_len < 1:
+        raise ValueError("seq_len must be positive")
 
 
 def replay_limit(trace: RoutingTrace, max_steps: Optional[int]) -> int:
     """Steps a replay covers: the whole trace, or its first ``max_steps``.
 
-    Raises before any work for a negative ``max_steps``, which would
-    otherwise slice the trace from its end.
+    Raises before any work unless there is at least one step to replay: a
+    negative ``max_steps`` would slice the trace from its end, and zero
+    steps (``max_steps=0`` or an empty trace) would return a run whose
+    averages are NaN.
     """
-    if max_steps is None:
-        return trace.num_steps
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    return min(max_steps, trace.num_steps)
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be positive, got {max_steps}")
+    limit = trace.num_steps if max_steps is None \
+        else min(max_steps, trace.num_steps)
+    if limit < 1:
+        raise ValueError("the trace has no steps to replay")
+    return limit
 
 
 def fork_join_span_arrays(topology: ClusterTopology, flops: FlopModel,
@@ -92,15 +103,12 @@ def fork_join_span_arrays(topology: ClusterTopology, flops: FlopModel,
     ``trace_tokens`` is a :meth:`ExpertBroker.plan_trace` token tensor of
     shape ``(steps, workers, layers)``.  For each (step, layer) the span is
     the slowest worker chain ``dispatch -> expert compute -> gather``
-    (workers with zero tokens are skipped), exactly the per-step
-    :meth:`MasterWorkerEngine._layer_span` — computed for every step and
-    layer at once.
+    (workers with zero tokens are skipped; ties go to the lowest worker
+    id), computed for every step and layer at once.
 
     Returns ``(steps, layers)`` arrays ``span_f/span_b`` (forward/backward
     spans), ``comm_f/comm_b`` and ``comp_f/comp_b`` (the comm and compute
-    attribution of each span's slowest chain), plus per-worker aggregates
-    ``worker_forward``, ``worker_backward`` (compute seconds summed over the
-    replay) and ``worker_tokens`` (forward tokens processed).
+    attribution of each span's slowest chain).
     """
     num_workers = topology.num_workers
     lat = np.array([topology.master_link(w).latency_s
@@ -117,15 +125,11 @@ def fork_join_span_arrays(topology: ClusterTopology, flops: FlopModel,
     comp_f = base_flops / dev
     comp_b = (base_flops * BACKWARD_MULTIPLIER) / dev
 
-    out: Dict[str, np.ndarray] = {
-        "worker_forward": np.where(mask, comp_f, 0.0).sum(axis=(0, 2)),
-        "worker_backward": np.where(mask, comp_b, 0.0).sum(axis=(0, 2)),
-        "worker_tokens": np.where(mask, tokens, 0.0).sum(axis=(0, 2)),
-    }
+    out: Dict[str, np.ndarray] = {}
     for suffix, comp in (("f", comp_f), ("b", comp_b)):
         chain = np.where(mask, transfer + comp + transfer, 0.0)
         span = chain.max(axis=1)                    # (S, L)
-        idx = chain.argmax(axis=1)[:, None, :]      # first max == run_step
+        idx = chain.argmax(axis=1)[:, None, :]      # first max
         sel_transfer = np.take_along_axis(transfer, idx, axis=1)[:, 0, :]
         sel_comp = np.take_along_axis(comp, idx, axis=1)[:, 0, :]
         active = span > 0
@@ -152,7 +156,62 @@ def lora_expert_param_count(config: MoEModelConfig, rank: int = 8) -> int:
     return 3 * (config.hidden_size + config.ffn_hidden_size) * rank
 
 
-class MasterWorkerEngine:
+class _StepEngine:
+    """What the step engines share: the constructor's common half, and
+    ``run_step`` / ``run_trace`` over the engine's one batched ``_replay``.
+    """
+
+    def __init__(self, config: MoEModelConfig, topology: ClusterTopology,
+                 placement: Placement, tokens_per_step: int, seq_len: int,
+                 lora_rank: int, strategy_name: str,
+                 telemetry: Optional[Telemetry],
+                 monitor: Optional[RoutingHealthMonitor]):
+        validate_step_size(tokens_per_step, seq_len)
+        self.config = config
+        self.topology = topology
+        self.placement = placement
+        self.tokens_per_step = tokens_per_step
+        self.seq_len = seq_len
+        self.lora_rank = lora_rank
+        self.strategy_name = strategy_name
+        self.telemetry = telemetry
+        self.monitor = monitor
+        # Model-time cursor: successive steps land back to back on the
+        # exported trace timeline.
+        self._telemetry_now = 0.0
+        self.flops = FlopModel(config)
+        self.broker = ExpertBroker(config, placement, topology.num_workers,
+                                   telemetry=telemetry, monitor=monitor)
+
+    def _replay(self, counts: np.ndarray,
+                first_step: int) -> List[StepMetrics]:
+        """Metrics of every step of a ``(steps, layers, experts)`` count
+        tensor, labelled from ``first_step``; records spans, counters and
+        monitor feeds as it goes."""
+        raise NotImplementedError
+
+    def _observe_steps(self, counts: np.ndarray, first_step: int) -> None:
+        """Feed each step's counts to the routing-health monitor, if any."""
+        if self.monitor is not None:
+            for offset, step_counts in enumerate(counts):
+                self.monitor.observe_step(step_counts,
+                                          step=first_step + offset)
+
+    def run_step(self, step_counts: np.ndarray, step: int = 0) -> StepMetrics:
+        """Simulate one fine-tuning step: the replay of a one-step trace,
+        its metrics and spans labelled ``step``."""
+        return self._replay(np.asarray(step_counts)[None], step)[0]
+
+    def run_trace(self, trace: RoutingTrace,
+                  max_steps: Optional[int] = None) -> RunMetrics:
+        """Replay every step of a routing trace (or its first
+        ``max_steps``) as batched numpy reductions."""
+        limit = replay_limit(trace, max_steps)
+        return RunMetrics(strategy=self.strategy_name,
+                          steps=self._replay(trace.counts[:limit], 0))
+
+
+class MasterWorkerEngine(_StepEngine):
     """VELA's runtime: backbone on the master, experts sharded on workers."""
 
     def __init__(self, config: MoEModelConfig, topology: ClusterTopology,
@@ -160,130 +219,13 @@ class MasterWorkerEngine:
                  lora_rank: int = 8, strategy_name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None):
-        if tokens_per_step < 1:
-            raise ValueError("tokens_per_step must be positive")
-        self.config = config
-        self.topology = topology
-        self.placement = placement
-        self.tokens_per_step = tokens_per_step
-        self.seq_len = seq_len
-        self.lora_rank = lora_rank
-        self.strategy_name = strategy_name or placement.name
-        self.telemetry = telemetry
-        self.monitor = monitor
-        # Model-time cursor: successive steps land back to back on the
-        # exported trace timeline.
-        self._telemetry_now = 0.0
+        super().__init__(config, topology, placement, tokens_per_step,
+                         seq_len, lora_rank, strategy_name or placement.name,
+                         telemetry, monitor)
+        self.master_device = topology.workers[topology.master_worker_id].device
+        # Experts per worker, whose adapters its optimizer step updates.
+        self.hosted_experts = placement.worker_loads(topology.num_workers)
 
-        self.flops = FlopModel(config)
-        self.cost = CommCostModel(config, topology)
-        self.broker = ExpertBroker(config, placement, topology.num_workers,
-                                   telemetry=telemetry, monitor=monitor)
-        master_device = topology.workers[topology.master_worker_id].device
-        self.master = MasterProcess(config, master_device, self.flops, seq_len)
-        self.workers = [WorkerProcess(w.worker_id, w.device, self.flops)
-                        for w in topology.workers]
-        loads = placement.worker_loads(topology.num_workers)
-        for worker, load in zip(self.workers, loads):
-            worker.host_experts(int(load))
-
-    # ------------------------------------------------------------------ #
-    def _layer_span(self, layer_bytes: np.ndarray, layer_tokens: np.ndarray,
-                    backward: bool) -> tuple[float, float, float]:
-        """Fork-join span of one block's exchange+compute.
-
-        Returns ``(span, comm_part, compute_part)`` where the span is the
-        slowest worker chain (dispatch -> expert compute -> gather).
-        """
-        span = 0.0
-        comm_part = 0.0
-        compute_part = 0.0
-        for worker_id, nbytes in enumerate(layer_bytes):
-            if layer_tokens[worker_id] <= 0:
-                continue
-            link = self.topology.master_link(worker_id)
-            dispatch = link.transfer_time(float(nbytes))
-            gather = link.transfer_time(float(nbytes))
-            worker = self.workers[worker_id]
-            if backward:
-                compute = worker.backward_time(float(layer_tokens[worker_id]))
-            else:
-                compute = worker.forward_time(float(layer_tokens[worker_id]))
-            chain = dispatch + compute + gather
-            if chain > span:
-                span = chain
-                comm_part = dispatch + gather
-                compute_part = compute
-        return span, comm_part, compute_part
-
-    def run_step(self, step_counts: np.ndarray, step: int = 0) -> StepMetrics:
-        """Simulate one fine-tuning step and return its metrics."""
-        plan = self.broker.plan_step(step_counts)
-        if self.monitor is not None:
-            self.monitor.observe_step(step_counts, step=step)
-        tokens = float(self.tokens_per_step)
-        telemetry = self.telemetry
-        t0 = self._telemetry_now
-
-        total = comm = compute = 0.0
-        for backward in (False, True):
-            direction = "bwd" if backward else "fwd"
-            for layer in range(self.config.num_layers):
-                backbone = self.master.backbone_layer_time(tokens, backward=backward)
-                span, comm_part, compute_part = self._layer_span(
-                    plan.layer_bytes(layer), plan.tokens[:, layer], backward)
-                if telemetry is not None:
-                    cursor = t0 + total
-                    telemetry.record_span(
-                        "mw.backbone", cursor, backbone, category="backbone",
-                        track="master", step=step, layer=layer,
-                        direction=direction)
-                    telemetry.record_span(
-                        "mw.fork_join", cursor + backbone, span,
-                        category="fork_join", track="master", step=step,
-                        layer=layer, direction=direction, comm_s=comm_part,
-                        compute_s=compute_part)
-                total += backbone + span
-                comm += comm_part
-                compute += backbone + compute_part
-
-        head = self.master.head_time(tokens) + self.master.head_time(tokens, backward=True)
-        optimizer = self.master.optimizer_time(
-            lora_backbone_param_count(self.config, self.lora_rank))
-        worker_opt = max(w.optimizer_time(
-            lora_expert_param_count(self.config, self.lora_rank))
-            for w in self.workers)
-        if telemetry is not None:
-            cursor = t0 + total
-            telemetry.record_span("mw.head", cursor, head, category="head",
-                                  track="master", step=step)
-            telemetry.record_span("mw.optimizer.master", cursor + head,
-                                  optimizer, category="optimizer",
-                                  track="master", step=step)
-            telemetry.record_span("mw.optimizer.worker",
-                                  cursor + head + optimizer, worker_opt,
-                                  category="optimizer", track="master",
-                                  step=step)
-        total += head + optimizer + worker_opt
-        compute += head + optimizer + worker_opt
-        if telemetry is not None:
-            self._telemetry_now = t0 + total
-
-        for worker in self.workers:
-            worker.end_step()
-        self.master.end_step()
-
-        total_bytes = float(self.cost.step_bytes_per_worker(plan.tokens).sum())
-        cross = self.cost.cross_node_bytes(plan.tokens)
-        return StepMetrics(step=step, total_time=total, comm_time=comm,
-                           compute_time=compute, sync_time=0.0,
-                           allreduce_time=0.0, total_bytes=total_bytes,
-                           cross_node_bytes=cross,
-                           num_nodes=self.topology.num_nodes)
-
-    # ------------------------------------------------------------------ #
-    # vectorized replay
-    # ------------------------------------------------------------------ #
     def _vectorized_core_total(self, spans: Dict[str, np.ndarray], bf: float,
                                bb: float, head: float) -> np.ndarray:
         """Per-step time before the optimizer tail, shape ``(steps,)``."""
@@ -292,18 +234,18 @@ class MasterWorkerEngine:
                 + spans["span_f"].sum(axis=1) + spans["span_b"].sum(axis=1))
 
     def _emit_vectorized_telemetry(self, spans: Dict[str, np.ndarray],
-                                   limit: int, bf: float, bb: float,
+                                   first_step: int, bf: float, bb: float,
                                    head: float, optimizer: float,
                                    worker_opt: float) -> None:
-        """Replay the vectorized arrays onto the trace timeline.
+        """Lay the replayed arrays onto the trace timeline as spans.
 
-        Emits the same span sequence as ``run_step`` — only runs when
-        telemetry is enabled, so the batched fast path stays loop-free when
-        it is off.
+        Only runs when telemetry is enabled, so the replay stays loop-free
+        when it is off.
         """
         telemetry = self.telemetry
         t = self._telemetry_now
-        for step in range(limit):
+        for offset in range(spans["span_f"].shape[0]):
+            step = first_step + offset
             for direction, b, key in (("fwd", bf, "f"), ("bwd", bb, "b")):
                 span_arr = spans[f"span_{key}"]
                 comm_arr = spans[f"comm_{key}"]
@@ -314,13 +256,13 @@ class MasterWorkerEngine:
                         track="master", step=step, layer=layer,
                         direction=direction)
                     t += b
-                    span = float(span_arr[step, layer])
+                    span = float(span_arr[offset, layer])
                     telemetry.record_span(
                         "mw.fork_join", t, span, category="fork_join",
                         track="master", step=step, layer=layer,
                         direction=direction,
-                        comm_s=float(comm_arr[step, layer]),
-                        compute_s=float(comp_arr[step, layer]))
+                        comm_s=float(comm_arr[offset, layer]),
+                        compute_s=float(comp_arr[offset, layer]))
                     t += span
             telemetry.record_span("mw.head", t, head, category="head",
                                   track="master", step=step)
@@ -335,20 +277,15 @@ class MasterWorkerEngine:
             t += worker_opt
         self._telemetry_now = t
 
-    def run_trace(self, trace: RoutingTrace,
-                  max_steps: Optional[int] = None) -> RunMetrics:
-        """Replay every step of a routing trace (or its first ``max_steps``)
-        as batched numpy reductions, equal to looping :meth:`run_step`."""
-        limit = replay_limit(trace, max_steps)
-        plan = self.broker.plan_trace(trace.counts[:limit])
-        if self.monitor is not None:
-            for step in range(limit):
-                self.monitor.observe_step(trace.counts[step], step=step)
+    def _replay(self, counts: np.ndarray,
+                first_step: int) -> List[StepMetrics]:
+        plan = self.broker.plan_trace(counts)
+        self._observe_steps(counts, first_step)
         spans = fork_join_span_arrays(self.topology, self.flops, plan.tokens,
                                       plan.token_bytes)
         num_layers = self.config.num_layers
         tokens = float(self.tokens_per_step)
-        device = self.master.device
+        device = self.master_device
         bf = self.flops.backbone_layer_time(device, tokens, self.seq_len)
         bb = self.flops.backbone_layer_time(device, tokens, self.seq_len,
                                             backward=True)
@@ -357,15 +294,13 @@ class MasterWorkerEngine:
         optimizer = self.flops.optimizer_time(
             device, lora_backbone_param_count(self.config, self.lora_rank))
         per_expert = lora_expert_param_count(self.config, self.lora_rank)
-        worker_opts = np.array([
-            self.flops.optimizer_time(w.device,
-                                      per_expert * w.num_hosted_experts)
-            for w in self.workers])
-        tail = optimizer + float(worker_opts.max())
+        worker_opt = max(
+            self.flops.optimizer_time(w.device, per_expert * int(hosted))
+            for w, hosted in zip(self.topology.workers, self.hosted_experts))
+        tail = optimizer + worker_opt
         if self.telemetry is not None:
-            self._emit_vectorized_telemetry(spans, limit, bf, bb, head,
-                                            optimizer,
-                                            float(worker_opts.max()))
+            self._emit_vectorized_telemetry(spans, first_step, bf, bb, head,
+                                            optimizer, worker_opt)
 
         total = self._vectorized_core_total(spans, bf, bb, head) + tail
         comm = spans["comm_f"].sum(axis=1) + spans["comm_b"].sum(axis=1)
@@ -381,30 +316,17 @@ class MasterWorkerEngine:
              for w in range(self.topology.num_workers)])
         cross = bytes_per_worker[:, cross_mask].sum(axis=1)
 
-        # Process bookkeeping, identical to the per-step loop's accumulation.
-        self.master.stats.compute_time += limit * (num_layers * (bf + bb)
-                                                   + head + optimizer)
-        self.master.stats.steps += limit
-        for n, worker in enumerate(self.workers):
-            worker.stats.compute_time += (spans["worker_forward"][n]
-                                          + spans["worker_backward"][n]
-                                          + limit * worker_opts[n])
-            worker.stats.tokens_processed += spans["worker_tokens"][n]
-            worker.stats.steps += limit
-
-        run = RunMetrics(strategy=self.strategy_name)
-        for step in range(limit):
-            run.append(StepMetrics(
-                step=step, total_time=float(total[step]),
-                comm_time=float(comm[step]), compute_time=float(compute[step]),
-                sync_time=0.0, allreduce_time=0.0,
-                total_bytes=float(total_bytes[step]),
-                cross_node_bytes=float(cross[step]),
-                num_nodes=self.topology.num_nodes))
-        return run
+        return [StepMetrics(
+            step=first_step + offset, total_time=float(total[offset]),
+            comm_time=float(comm[offset]),
+            compute_time=float(compute[offset]), sync_time=0.0,
+            allreduce_time=0.0, total_bytes=float(total_bytes[offset]),
+            cross_node_bytes=float(cross[offset]),
+            num_nodes=self.topology.num_nodes)
+            for offset in range(len(counts))]
 
 
-class ExpertParallelEngine:
+class ExpertParallelEngine(_StepEngine):
     """Conventional expert parallelism: replicated backbone, all-to-all."""
 
     def __init__(self, config: MoEModelConfig, topology: ClusterTopology,
@@ -422,144 +344,18 @@ class ExpertParallelEngine:
         to 0 to model an idealized zero-overhead runtime (see the ablation
         bench).
         """
-        if tokens_per_step < 1:
-            raise ValueError("tokens_per_step must be positive")
         if sync_software_overhead_s < 0:
             raise ValueError("sync overhead must be non-negative")
-        self.config = config
-        self.topology = topology
-        self.placement = placement
-        self.tokens_per_step = tokens_per_step
-        self.seq_len = seq_len
-        self.lora_rank = lora_rank
-        self.strategy_name = strategy_name
+        super().__init__(config, topology, placement, tokens_per_step,
+                         seq_len, lora_rank, strategy_name, telemetry,
+                         monitor)
         self.sync_software_overhead_s = sync_software_overhead_s
-        self.telemetry = telemetry
-        self.monitor = monitor
-        self._telemetry_now = 0.0
-        self.flops = FlopModel(config)
         self.token_bytes = config.token_feature_nbytes()
-        self.broker = ExpertBroker(config, placement, topology.num_workers,
-                                   telemetry=telemetry, monitor=monitor)
         # Replicated phases end at a barrier, so the slowest device gates
         # every data-parallel compute step; expert compute is per-owner.
-        self.device = topology.device
         self.worker_devices = [w.device for w in topology.workers]
         self.slowest_device = min(self.worker_devices,
                                   key=lambda d: d.effective_flops)
-
-    def _byte_matrix(self, layer: int, layer_counts: np.ndarray) -> np.ndarray:
-        """Expected all-to-all payloads for one block's dispatch.
-
-        Inputs are sharded uniformly, so each device originates ``1/N`` of
-        every expert's token selections.
-        """
-        n = self.topology.num_workers
-        dest_tokens = np.bincount(self.placement.assignment[layer],
-                                  weights=layer_counts, minlength=n)
-        # Every source shard contributes equally to every destination.
-        matrix = np.tile(dest_tokens / n, (n, 1)) * self.token_bytes
-        return matrix
-
-    def run_step(self, step_counts: np.ndarray, step: int = 0) -> StepMetrics:
-        """Simulate one fine-tuning step; returns its metrics."""
-        config = self.config
-        n = self.topology.num_workers
-        shard_tokens = self.tokens_per_step / n
-        sync_unit = status_sync_time(self.topology) + self.sync_software_overhead_s
-        telemetry = self.telemetry
-        t0 = self._telemetry_now
-        if telemetry is not None:
-            self.broker._record_dispatch_bytes(np.asarray(step_counts))
-        if self.monitor is not None:
-            # The EP per-step loop never builds a dispatch plan, so feed
-            # the monitor (and the broker's worker-load gauges) explicitly.
-            self.monitor.observe_step(step_counts, step=step)
-            self.broker._publish_worker_load(self.placement.tokens_per_worker(
-                np.asarray(step_counts), n))
-
-        total = comm = compute = sync = 0.0
-        cross_bytes = 0.0
-        total_bytes = 0.0
-        for backward in (False, True):
-            mult = 2.0 if backward else 1.0
-            direction = "bwd" if backward else "fwd"
-            for layer in range(config.num_layers):
-                backbone = mult * self.flops.backbone_layer_time(
-                    self.slowest_device, shard_tokens, self.seq_len)
-                matrix = self._byte_matrix(layer, step_counts[layer])
-                dispatch = all_to_all_time(matrix, self.topology,
-                                           telemetry=telemetry)
-                gather = all_to_all_time(matrix.T, self.topology,
-                                         telemetry=telemetry)
-                dest_tokens = matrix.sum(axis=0) / self.token_bytes
-                expert = mult * max(
-                    self.flops.expert_time(device, float(t))
-                    for device, t in zip(self.worker_devices, dest_tokens))
-                if telemetry is not None:
-                    cursor = t0 + total
-                    common = dict(track="ep", step=step, layer=layer,
-                                  direction=direction)
-                    telemetry.record_span("ep.backbone", cursor, backbone,
-                                          category="backbone", **common)
-                    cursor += backbone
-                    telemetry.record_span("ep.status_sync", cursor, sync_unit,
-                                          category="sync", **common)
-                    cursor += sync_unit
-                    telemetry.record_span("ep.all_to_all.dispatch", cursor,
-                                          dispatch, category="all_to_all",
-                                          **common)
-                    cursor += dispatch
-                    telemetry.record_span("ep.expert", cursor, expert,
-                                          category="expert", **common)
-                    cursor += expert
-                    telemetry.record_span("ep.all_to_all.gather", cursor,
-                                          gather, category="all_to_all",
-                                          **common)
-                total += backbone + sync_unit + dispatch + expert + gather
-                comm += dispatch + gather
-                compute += backbone + expert
-                sync += sync_unit
-                off_diag = matrix.sum() - np.trace(matrix)
-                total_bytes += 2.0 * off_diag
-                cross_bytes += 2.0 * cross_node_bytes_all_to_all(matrix,
-                                                                 self.topology)
-
-        head = 3.0 * self.flops.head_time(self.slowest_device, shard_tokens)
-        trainable = lora_backbone_param_count(config, self.lora_rank)
-        # Trainable-parameter gradients stay in full precision (the paper's
-        # mixed-precision setup keeps non-pretrained variables at fp32).
-        grad_bytes = trainable * 4.0
-        allreduce = ring_all_reduce_time(grad_bytes, self.topology,
-                                         telemetry=telemetry)
-        optimizer = self.flops.optimizer_time(self.slowest_device, trainable)
-        if telemetry is not None:
-            cursor = t0 + total
-            telemetry.record_span("ep.head", cursor, head, category="head",
-                                  track="ep", step=step)
-            telemetry.record_span("ep.allreduce", cursor + head, allreduce,
-                                  category="allreduce", track="ep", step=step)
-            telemetry.record_span("ep.optimizer", cursor + head + allreduce,
-                                  optimizer, category="optimizer", track="ep",
-                                  step=step)
-        total += head + allreduce + optimizer
-        compute += head + optimizer
-        if telemetry is not None:
-            self._telemetry_now = t0 + total
-
-        # All-reduce traffic: ring volume per edge, over node-crossing edges.
-        ring_edge_bytes = 2.0 * (n - 1) / n * grad_bytes
-        cross_edges = self._ring_cross_edges()
-        allreduce_cross = ring_edge_bytes * cross_edges
-        allreduce_total = ring_edge_bytes * n
-        total_bytes += allreduce_total
-        cross_bytes += allreduce_cross
-
-        return StepMetrics(step=step, total_time=total, comm_time=comm,
-                           compute_time=compute, sync_time=sync,
-                           allreduce_time=allreduce, total_bytes=total_bytes,
-                           cross_node_bytes=cross_bytes,
-                           num_nodes=self.topology.num_nodes)
 
     def _ring_cross_edges(self) -> int:
         """Node-boundary edges of the natural worker ring 0-1-...-N-0."""
@@ -581,11 +377,9 @@ class ExpertParallelEngine:
                 inv_bw[a, b] = 1.0 / link.bandwidth_bytes_per_s
         return lat, inv_bw
 
-    def run_trace(self, trace: RoutingTrace,
-                  max_steps: Optional[int] = None) -> RunMetrics:
-        """Replay every step of a routing trace (or its first ``max_steps``)
-        as batched numpy reductions, equal to looping :meth:`run_step`."""
-        limit = replay_limit(trace, max_steps)
+    def _replay(self, counts: np.ndarray,
+                first_step: int) -> List[StepMetrics]:
+        steps = len(counts)
         config = self.config
         n = self.topology.num_workers
         num_layers = config.num_layers
@@ -593,13 +387,12 @@ class ExpertParallelEngine:
         sync_unit = status_sync_time(self.topology) + \
             self.sync_software_overhead_s
 
-        plan = self.broker.plan_trace(trace.counts[:limit])
-        if self.monitor is not None:
-            for step in range(limit):
-                self.monitor.observe_step(trace.counts[step], step=step)
-        # Per-destination payload of the uniform-shard all-to-all: the byte
-        # matrix of `_byte_matrix` has identical rows, so one (S, L, N) slab
-        # carries every step's matrices at once.
+        plan = self.broker.plan_trace(counts)
+        self._observe_steps(counts, first_step)
+        # Per-destination payload of the uniform-shard all-to-all: inputs
+        # are sharded uniformly, so every device sends 1/N of each
+        # destination's token selections, and one (S, L, N) slab carries
+        # every step's byte matrices at once.
         dest_tokens = plan.tokens.transpose(0, 2, 1).astype(np.float64)
         payload = dest_tokens / n * self.token_bytes          # (S, L, N)
         present = (payload > 0).astype(np.float64)
@@ -616,7 +409,7 @@ class ExpertParallelEngine:
         gather = gather_time.max(axis=2)
 
         dev = np.array([d.effective_flops for d in self.worker_devices])
-        # matrix.sum(axis=0) / token_bytes == n * payload / token_bytes
+        # Tokens each destination's experts compute: n * payload / bytes.
         expert_tokens = payload * n / self.token_bytes
         expert = ((self.flops.expert_forward_flops() * expert_tokens)
                   / dev[None, None, :]).max(axis=2)           # forward pass
@@ -625,21 +418,23 @@ class ExpertParallelEngine:
                                                   shard_tokens, self.seq_len)
         head = 3.0 * self.flops.head_time(self.slowest_device, shard_tokens)
         trainable = lora_backbone_param_count(config, self.lora_rank)
+        # Trainable-parameter gradients stay in full precision (the paper's
+        # mixed-precision setup keeps non-pretrained variables at fp32).
         grad_bytes = trainable * 4.0
         allreduce = ring_all_reduce_time(grad_bytes, self.topology)
         optimizer = self.flops.optimizer_time(self.slowest_device, trainable)
 
         payload_layer_sum = payload.sum(axis=2)               # (S, L)
         if self.telemetry is not None:
-            # Bytes-on-wire counters, matching the per-step loop's
-            # all_to_all_time / ring_all_reduce_time accounting.
+            # Bytes on the wire, as all_to_all_time / ring_all_reduce_time
+            # count them.
             self.telemetry.counter("comm.all_to_all.bytes").add(
                 float(4.0 * ((n - 1) * payload_layer_sum).sum()))
             if n > 1:
                 self.telemetry.counter("comm.all_reduce.bytes").add(
-                    limit * 2.0 * (n - 1) * grad_bytes)
+                    steps * 2.0 * (n - 1) * grad_bytes)
             self._emit_vectorized_telemetry(
-                limit, num_layers, backbone, sync_unit, dispatch, gather,
+                first_step, num_layers, backbone, sync_unit, dispatch, gather,
                 expert, head, allreduce, optimizer)
 
         # Forward + backward pass: the byte matrix is identical, backbone and
@@ -668,32 +463,32 @@ class ExpertParallelEngine:
         total_bytes = total_bytes + ring_edge_bytes * n
         cross = cross + ring_edge_bytes * self._ring_cross_edges()
 
-        run = RunMetrics(strategy=self.strategy_name)
-        for step in range(limit):
-            run.append(StepMetrics(
-                step=step, total_time=float(total[step]),
-                comm_time=float(comm[step]), compute_time=float(compute[step]),
-                sync_time=float(sync), allreduce_time=float(allreduce),
-                total_bytes=float(total_bytes[step]),
-                cross_node_bytes=float(cross[step]),
-                num_nodes=self.topology.num_nodes))
-        return run
+        return [StepMetrics(
+            step=first_step + offset, total_time=float(total[offset]),
+            comm_time=float(comm[offset]),
+            compute_time=float(compute[offset]), sync_time=float(sync),
+            allreduce_time=float(allreduce),
+            total_bytes=float(total_bytes[offset]),
+            cross_node_bytes=float(cross[offset]),
+            num_nodes=self.topology.num_nodes)
+            for offset in range(steps)]
 
-    def _emit_vectorized_telemetry(self, limit: int, num_layers: int,
+    def _emit_vectorized_telemetry(self, first_step: int, num_layers: int,
                                    backbone: float, sync_unit: float,
                                    dispatch: np.ndarray, gather: np.ndarray,
                                    expert_forward: np.ndarray, head: float,
                                    allreduce: float,
                                    optimizer: float) -> None:
-        """Replay the vectorized arrays as the per-step span sequence.
+        """Lay the replayed arrays onto the trace timeline as spans.
 
         ``dispatch``/``gather``/``expert_forward`` are the per-(step, layer)
         forward-pass arrays; the backward pass repeats comm and doubles
-        compute, exactly as ``run_step`` does.
+        compute.
         """
         telemetry = self.telemetry
         t = self._telemetry_now
-        for step in range(limit):
+        for offset in range(dispatch.shape[0]):
+            step = first_step + offset
             for direction, mult in (("fwd", 1.0), ("bwd", 2.0)):
                 for layer in range(num_layers):
                     common = dict(track="ep", step=step, layer=layer,
@@ -702,11 +497,12 @@ class ExpertParallelEngine:
                         ("ep.backbone", mult * backbone, "backbone"),
                         ("ep.status_sync", sync_unit, "sync"),
                         ("ep.all_to_all.dispatch",
-                         float(dispatch[step, layer]), "all_to_all"),
+                         float(dispatch[offset, layer]), "all_to_all"),
                         ("ep.expert",
-                         mult * float(expert_forward[step, layer]), "expert"),
+                         mult * float(expert_forward[offset, layer]),
+                         "expert"),
                         ("ep.all_to_all.gather",
-                         float(gather[step, layer]), "all_to_all"),
+                         float(gather[offset, layer]), "all_to_all"),
                     )
                     for name, duration, category in phases:
                         telemetry.record_span(name, t, duration,

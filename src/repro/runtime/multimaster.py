@@ -27,7 +27,7 @@ from ..placement.base import Placement
 from ..routing.trace import RoutingTrace
 from .broker import ExpertBroker
 from .engine import (lora_backbone_param_count, lora_expert_param_count,
-                     replay_limit)
+                     replay_limit, validate_step_size)
 from .flops import FlopModel
 from .metrics import RunMetrics, StepMetrics
 
@@ -63,8 +63,7 @@ class MultiMasterEngine:
                  placement: Placement, tokens_per_step: int, seq_len: int,
                  master_ids: Sequence[int], lora_rank: int = 8,
                  strategy_name: Optional[str] = None):
-        if tokens_per_step < 1:
-            raise ValueError("tokens_per_step must be positive")
+        validate_step_size(tokens_per_step, seq_len)
         master_ids = list(master_ids)
         if not master_ids:
             raise ValueError("need at least one master")

@@ -16,7 +16,10 @@ forced there.)
 run concurrently with the master's continuing backbone backward; the step
 ends when both the master's chain and the slowest outstanding expert
 round-trip finish.  The speedup over the baseline engine quantifies what
-pipelining buys on top of locality-aware placement.
+pipelining buys on top of locality-aware placement.  The engine overrides
+only the baseline's step total and span layout; ``run_step`` and
+``run_trace`` are the baseline's one batched replay, held to the
+overlapped per-step loop in ``tests/oracles.py``.
 
 With ``telemetry=``, backward fork-joins are recorded on a separate
 ``exchange`` track so the exported Chrome trace shows them running
@@ -36,11 +39,7 @@ from ..cluster.topology import ClusterTopology
 from ..models.config import MoEModelConfig
 from ..placement.base import Placement
 from ..routing.trace import RoutingTrace
-from .broker import ExpertBroker
-from .engine import (MasterWorkerEngine, lora_backbone_param_count,
-                     lora_expert_param_count)
-from .flops import FlopModel
-from .metrics import RunMetrics, StepMetrics
+from .engine import MasterWorkerEngine
 
 
 class OverlappedMasterWorkerEngine(MasterWorkerEngine):
@@ -62,29 +61,28 @@ class OverlappedMasterWorkerEngine(MasterWorkerEngine):
         outstanding = np.maximum(t_fwd, candidates.max(axis=1))
         return np.maximum(t_fwd + num_layers * bb, outstanding)
 
-    def _emit_vectorized_telemetry(self, spans, limit, bf, bb, head,
+    def _emit_vectorized_telemetry(self, spans, first_step, bf, bb, head,
                                    optimizer, worker_opt):
-        """Replay the overlapped timeline from the vectorized arrays.
-
-        Same span sequence as this engine's ``run_step``: forward serialized
-        on the ``master`` track, backward fork-joins on the ``exchange``
-        track starting at the master's clock.
+        """Lay the overlapped timeline onto the trace as spans: forward
+        serialized on the ``master`` track, backward fork-joins on the
+        ``exchange`` track starting at the master's clock.
         """
         telemetry = self.telemetry
         num_layers = self.config.num_layers
         t = self._telemetry_now
-        for step in range(limit):
+        for offset in range(spans["span_f"].shape[0]):
+            step = first_step + offset
             for layer in range(num_layers):
                 telemetry.record_span(
                     "mw.backbone", t, bf, category="backbone",
                     track="master", step=step, layer=layer, direction="fwd")
                 t += bf
-                span = float(spans["span_f"][step, layer])
+                span = float(spans["span_f"][offset, layer])
                 telemetry.record_span(
                     "mw.fork_join", t, span, category="fork_join",
                     track="master", step=step, layer=layer, direction="fwd",
-                    comm_s=float(spans["comm_f"][step, layer]),
-                    compute_s=float(spans["comp_f"][step, layer]))
+                    comm_s=float(spans["comm_f"][offset, layer]),
+                    compute_s=float(spans["comp_f"][offset, layer]))
                 t += span
             telemetry.record_span("mw.head", t, head, category="head",
                                   track="master", step=step)
@@ -92,12 +90,12 @@ class OverlappedMasterWorkerEngine(MasterWorkerEngine):
             master_clock = t
             outstanding = t
             for layer in reversed(range(num_layers)):
-                span = float(spans["span_b"][step, layer])
+                span = float(spans["span_b"][offset, layer])
                 telemetry.record_span(
                     "mw.fork_join", master_clock, span, category="fork_join",
                     track="exchange", step=step, layer=layer, direction="bwd",
-                    comm_s=float(spans["comm_b"][step, layer]),
-                    compute_s=float(spans["comp_b"][step, layer]))
+                    comm_s=float(spans["comm_b"][offset, layer]),
+                    compute_s=float(spans["comp_b"][offset, layer]))
                 telemetry.record_span(
                     "mw.backbone", master_clock, bb, category="backbone",
                     track="master", step=step, layer=layer, direction="bwd")
@@ -113,104 +111,6 @@ class OverlappedMasterWorkerEngine(MasterWorkerEngine):
                                   step=step)
             t += worker_opt
         self._telemetry_now = t
-
-    def run_step(self, step_counts: np.ndarray, step: int = 0) -> StepMetrics:
-        """Simulate one fine-tuning step; returns its metrics."""
-        plan = self.broker.plan_step(step_counts)
-        if self.monitor is not None:
-            self.monitor.observe_step(step_counts, step=step)
-        tokens = float(self.tokens_per_step)
-        telemetry = self.telemetry
-        t0 = self._telemetry_now
-
-        total = comm = compute = 0.0
-
-        # Forward: unchanged — gating dependencies force serialization.
-        for layer in range(self.config.num_layers):
-            backbone = self.master.backbone_layer_time(tokens, backward=False)
-            span, comm_part, compute_part = self._layer_span(
-                plan.layer_bytes(layer), plan.tokens[:, layer],
-                backward=False)
-            if telemetry is not None:
-                cursor = t0 + total
-                telemetry.record_span(
-                    "mw.backbone", cursor, backbone, category="backbone",
-                    track="master", step=step, layer=layer, direction="fwd")
-                telemetry.record_span(
-                    "mw.fork_join", cursor + backbone, span,
-                    category="fork_join", track="master", step=step,
-                    layer=layer, direction="fwd", comm_s=comm_part,
-                    compute_s=compute_part)
-            total += backbone + span
-            comm += comm_part
-            compute += backbone + compute_part
-
-        head = self.master.head_time(tokens) + \
-            self.master.head_time(tokens, backward=True)
-        if telemetry is not None:
-            telemetry.record_span("mw.head", t0 + total, head,
-                                  category="head", track="master", step=step)
-        total += head
-        compute += head
-
-        # Backward: the master's chain is the sum of backbone backward
-        # times; each block's expert round-trip starts when the master
-        # passes that block and completes independently.
-        master_clock = total
-        outstanding_finish = total
-        for layer in reversed(range(self.config.num_layers)):
-            # Master reaches block `layer`, computes the combine gradient
-            # and dispatches expert gradients, then continues immediately.
-            span, comm_part, compute_part = self._layer_span(
-                plan.layer_bytes(layer), plan.tokens[:, layer],
-                backward=True)
-            outstanding_finish = max(outstanding_finish, master_clock + span)
-            comm += comm_part
-            compute += compute_part
-            backbone = self.master.backbone_layer_time(tokens, backward=True)
-            if telemetry is not None:
-                telemetry.record_span(
-                    "mw.fork_join", t0 + master_clock, span,
-                    category="fork_join", track="exchange", step=step,
-                    layer=layer, direction="bwd", comm_s=comm_part,
-                    compute_s=compute_part)
-                telemetry.record_span(
-                    "mw.backbone", t0 + master_clock, backbone,
-                    category="backbone", track="master", step=step,
-                    layer=layer, direction="bwd")
-            master_clock += backbone
-            compute += backbone
-        total = max(master_clock, outstanding_finish)
-
-        optimizer = self.master.optimizer_time(
-            lora_backbone_param_count(self.config, self.lora_rank))
-        worker_opt = max(w.optimizer_time(
-            lora_expert_param_count(self.config, self.lora_rank))
-            for w in self.workers)
-        if telemetry is not None:
-            cursor = t0 + total
-            telemetry.record_span("mw.optimizer.master", cursor, optimizer,
-                                  category="optimizer", track="master",
-                                  step=step)
-            telemetry.record_span("mw.optimizer.worker", cursor + optimizer,
-                                  worker_opt, category="optimizer",
-                                  track="master", step=step)
-        total += optimizer + worker_opt
-        compute += optimizer + worker_opt
-        if telemetry is not None:
-            self._telemetry_now = t0 + total
-
-        for worker in self.workers:
-            worker.end_step()
-        self.master.end_step()
-
-        total_bytes = float(self.cost.step_bytes_per_worker(plan.tokens).sum())
-        cross = self.cost.cross_node_bytes(plan.tokens)
-        return StepMetrics(step=step, total_time=total, comm_time=comm,
-                           compute_time=compute, sync_time=0.0,
-                           allreduce_time=0.0, total_bytes=total_bytes,
-                           cross_node_bytes=cross,
-                           num_nodes=self.topology.num_nodes)
 
 
 def overlap_speedup(config: MoEModelConfig, topology: ClusterTopology,

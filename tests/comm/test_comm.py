@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterTopology, Link, paper_cluster, v100_32gb
-from repro.comm import (CommCostModel, Message, MessageKind, all_to_all_time,
+from repro.comm import (CommCostModel, all_to_all_time,
                         cross_node_bytes_all_to_all, one_to_all_time,
                         ring_all_reduce_time, status_sync_time)
 from repro.models import mixtral_8x7b_sim, nano_moe
@@ -13,17 +13,6 @@ from repro.models import mixtral_8x7b_sim, nano_moe
 @pytest.fixture
 def cost_model():
     return CommCostModel(mixtral_8x7b_sim(), paper_cluster())
-
-
-class TestMessage:
-    def test_construction(self):
-        msg = Message(src=-1, dst=2, nbytes=100.0,
-                      kind=MessageKind.TOKEN_DISPATCH)
-        assert msg.dst == 2
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            Message(0, 1, -1.0, MessageKind.TOKEN_RESULT)
 
 
 class TestEq5BlockTime:

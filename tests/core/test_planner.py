@@ -77,6 +77,16 @@ class TestPlanner:
             ClusterPlanner(config).recommend(profile, trace,
                                              target_step_time_s=0)
 
+    def test_zero_step_replay_rejected(self, workload):
+        """No step to replay is an error, not an empty run whose NaN step
+        time meets no target."""
+        config, profile, trace = workload
+        with pytest.raises(ValueError, match="max_steps"):
+            ClusterPlanner(config).recommend(profile, trace,
+                                             target_step_time_s=1e3,
+                                             options=(ClusterOption(3, 2),),
+                                             max_steps=0)
+
     def test_nano_fits_anywhere(self):
         config = nano_moe()
         router = SyntheticRouter(config, WIKITEXT_REGIME, seed=0)

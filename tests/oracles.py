@@ -9,8 +9,13 @@ speedup import them from here.
   :func:`repro.models.moe_block.fused_dispatch` (same signature, so a test
   can swap it in with ``monkeypatch.setattr(moe_block, "fused_dispatch",
   reference_dispatch)``).
-* :func:`replay_per_step` — a trace replay as a loop over the public
-  ``run_step``, against the engines' batched ``run_trace``.
+* :func:`replay_per_step` — a trace replay one step at a time through the
+  per-step loops over layers and workers (:func:`master_worker_step`,
+  :func:`overlapped_step`, :func:`expert_parallel_step`), against the one
+  batched replay behind each step engine's ``run_step`` and ``run_trace``.
+  The expert-parallel loop prices each block through the
+  :mod:`repro.comm.collective` functions, so their ``comm.*.bytes``
+  counters are compared too.
 * :class:`ScanLocalSearchRefiner` — local search scoring one candidate at
   a time, against :class:`repro.placement.local_search.LocalSearchRefiner`.
 * :func:`reference_lora_forward` — the layered LoRA chain (base ``Linear``,
@@ -52,6 +57,9 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.comm import (CommCostModel, all_to_all_time,
+                        cross_node_bytes_all_to_all, ring_all_reduce_time,
+                        status_sync_time)
 from repro.nn import causal_mask
 from repro.nn.functional import dropout, softmax
 from repro.nn.tensor import Tensor
@@ -59,8 +67,11 @@ from repro.placement.local_search import LocalSearchRefiner
 from repro.placement.lp import comm_coefficients
 from repro.placement.replication import (ReplicatedPlacement,
                                          ReplicationStrategy)
-from repro.runtime.engine import replay_limit
-from repro.runtime.metrics import RunMetrics
+from repro.runtime.engine import (ExpertParallelEngine, MasterWorkerEngine,
+                                  lora_backbone_param_count,
+                                  lora_expert_param_count, replay_limit)
+from repro.runtime.metrics import RunMetrics, StepMetrics
+from repro.runtime.overlap import OverlappedMasterWorkerEngine
 from repro.serving.cache import ExpertKey, safe_ratio
 from repro.serving.prefetch import OverlappedFetchScheduler, StepFetchReport
 
@@ -172,21 +183,351 @@ def reference_adamw_step(self) -> None:
         p.data = p.data - self.lr * update
 
 
-def replay_per_step(engine, trace, max_steps: Optional[int] = None):
-    """Replay ``trace`` on ``engine`` one public ``run_step`` at a time.
+def _master_device(engine):
+    return engine.topology.workers[engine.topology.master_worker_id].device
 
-    Returns what the engine's ``run_trace`` returns: a
-    :class:`~repro.runtime.metrics.RunMetrics` for the step engines, the
-    list of per-step results for the event-driven engine.
+
+def _worker_optimizer_time(engine) -> float:
+    """Slowest worker's adapter update over the experts it hosts."""
+    per_expert = lora_expert_param_count(engine.config, engine.lora_rank)
+    loads = engine.placement.worker_loads(engine.topology.num_workers)
+    return max(engine.flops.optimizer_time(w.device, per_expert * int(load))
+               for w, load in zip(engine.topology.workers, loads))
+
+
+def _fork_join_span(engine, layer_bytes: np.ndarray,
+                    layer_tokens: np.ndarray,
+                    backward: bool) -> Tuple[float, float, float]:
+    """Fork-join span of one block's exchange+compute.
+
+    Returns ``(span, comm_part, compute_part)`` where the span is the
+    slowest worker chain (dispatch -> expert compute -> gather).
     """
-    steps = [engine.run_step(trace.step_counts(step), step=step)
-             for step in range(replay_limit(trace, max_steps))]
-    if not hasattr(engine, "strategy_name"):
-        return steps
-    run = RunMetrics(strategy=engine.strategy_name)
-    for metrics in steps:
-        run.append(metrics)
-    return run
+    span = 0.0
+    comm_part = 0.0
+    compute_part = 0.0
+    for worker_id, nbytes in enumerate(layer_bytes):
+        if layer_tokens[worker_id] <= 0:
+            continue
+        link = engine.topology.master_link(worker_id)
+        dispatch = link.transfer_time(float(nbytes))
+        gather = link.transfer_time(float(nbytes))
+        compute = engine.flops.expert_time(
+            engine.topology.workers[worker_id].device,
+            float(layer_tokens[worker_id]), backward=backward)
+        chain = dispatch + compute + gather
+        if chain > span:
+            span = chain
+            comm_part = dispatch + gather
+            compute_part = compute
+    return span, comm_part, compute_part
+
+
+def _step_bytes(engine, tokens: np.ndarray) -> Tuple[float, float]:
+    """Total and cross-node bytes of one master-worker step (Eq. (6))."""
+    cost = CommCostModel(engine.config, engine.topology)
+    return (float(cost.step_bytes_per_worker(tokens).sum()),
+            cost.cross_node_bytes(tokens))
+
+
+def master_worker_step(engine: MasterWorkerEngine, step_counts: np.ndarray,
+                       step: int = 0) -> StepMetrics:
+    """One :class:`MasterWorkerEngine` step, serialized block by block."""
+    plan = engine.broker.plan_step(step_counts)
+    if engine.monitor is not None:
+        engine.monitor.observe_step(step_counts, step=step)
+    tokens = float(engine.tokens_per_step)
+    telemetry = engine.telemetry
+    t0 = engine._telemetry_now
+    master = _master_device(engine)
+    flops = engine.flops
+
+    total = comm = compute = 0.0
+    for backward in (False, True):
+        direction = "bwd" if backward else "fwd"
+        for layer in range(engine.config.num_layers):
+            backbone = flops.backbone_layer_time(master, tokens,
+                                                 engine.seq_len,
+                                                 backward=backward)
+            span, comm_part, compute_part = _fork_join_span(
+                engine, plan.layer_bytes(layer), plan.tokens[:, layer],
+                backward)
+            if telemetry is not None:
+                cursor = t0 + total
+                telemetry.record_span(
+                    "mw.backbone", cursor, backbone, category="backbone",
+                    track="master", step=step, layer=layer,
+                    direction=direction)
+                telemetry.record_span(
+                    "mw.fork_join", cursor + backbone, span,
+                    category="fork_join", track="master", step=step,
+                    layer=layer, direction=direction, comm_s=comm_part,
+                    compute_s=compute_part)
+            total += backbone + span
+            comm += comm_part
+            compute += backbone + compute_part
+
+    head = flops.head_time(master, tokens) + \
+        flops.head_time(master, tokens, backward=True)
+    optimizer = flops.optimizer_time(
+        master, lora_backbone_param_count(engine.config, engine.lora_rank))
+    worker_opt = _worker_optimizer_time(engine)
+    if telemetry is not None:
+        cursor = t0 + total
+        telemetry.record_span("mw.head", cursor, head, category="head",
+                              track="master", step=step)
+        telemetry.record_span("mw.optimizer.master", cursor + head,
+                              optimizer, category="optimizer",
+                              track="master", step=step)
+        telemetry.record_span("mw.optimizer.worker",
+                              cursor + head + optimizer, worker_opt,
+                              category="optimizer", track="master",
+                              step=step)
+    total += head + optimizer + worker_opt
+    compute += head + optimizer + worker_opt
+    if telemetry is not None:
+        engine._telemetry_now = t0 + total
+
+    total_bytes, cross = _step_bytes(engine, plan.tokens)
+    return StepMetrics(step=step, total_time=total, comm_time=comm,
+                       compute_time=compute, sync_time=0.0,
+                       allreduce_time=0.0, total_bytes=total_bytes,
+                       cross_node_bytes=cross,
+                       num_nodes=engine.topology.num_nodes)
+
+
+def overlapped_step(engine: OverlappedMasterWorkerEngine,
+                    step_counts: np.ndarray, step: int = 0) -> StepMetrics:
+    """One :class:`OverlappedMasterWorkerEngine` step: forward serialized,
+    backward expert round-trips concurrent with the master's chain."""
+    plan = engine.broker.plan_step(step_counts)
+    if engine.monitor is not None:
+        engine.monitor.observe_step(step_counts, step=step)
+    tokens = float(engine.tokens_per_step)
+    telemetry = engine.telemetry
+    t0 = engine._telemetry_now
+    master = _master_device(engine)
+    flops = engine.flops
+
+    total = comm = compute = 0.0
+
+    # Forward: unchanged — gating dependencies force serialization.
+    for layer in range(engine.config.num_layers):
+        backbone = flops.backbone_layer_time(master, tokens, engine.seq_len,
+                                             backward=False)
+        span, comm_part, compute_part = _fork_join_span(
+            engine, plan.layer_bytes(layer), plan.tokens[:, layer],
+            backward=False)
+        if telemetry is not None:
+            cursor = t0 + total
+            telemetry.record_span(
+                "mw.backbone", cursor, backbone, category="backbone",
+                track="master", step=step, layer=layer, direction="fwd")
+            telemetry.record_span(
+                "mw.fork_join", cursor + backbone, span,
+                category="fork_join", track="master", step=step,
+                layer=layer, direction="fwd", comm_s=comm_part,
+                compute_s=compute_part)
+        total += backbone + span
+        comm += comm_part
+        compute += backbone + compute_part
+
+    head = flops.head_time(master, tokens) + \
+        flops.head_time(master, tokens, backward=True)
+    if telemetry is not None:
+        telemetry.record_span("mw.head", t0 + total, head,
+                              category="head", track="master", step=step)
+    total += head
+    compute += head
+
+    # Backward: the master's chain is the sum of backbone backward
+    # times; each block's expert round-trip starts when the master
+    # passes that block and completes independently.
+    master_clock = total
+    outstanding_finish = total
+    for layer in reversed(range(engine.config.num_layers)):
+        # Master reaches block `layer`, computes the combine gradient
+        # and dispatches expert gradients, then continues immediately.
+        span, comm_part, compute_part = _fork_join_span(
+            engine, plan.layer_bytes(layer), plan.tokens[:, layer],
+            backward=True)
+        outstanding_finish = max(outstanding_finish, master_clock + span)
+        comm += comm_part
+        compute += compute_part
+        backbone = flops.backbone_layer_time(master, tokens, engine.seq_len,
+                                             backward=True)
+        if telemetry is not None:
+            telemetry.record_span(
+                "mw.fork_join", t0 + master_clock, span,
+                category="fork_join", track="exchange", step=step,
+                layer=layer, direction="bwd", comm_s=comm_part,
+                compute_s=compute_part)
+            telemetry.record_span(
+                "mw.backbone", t0 + master_clock, backbone,
+                category="backbone", track="master", step=step,
+                layer=layer, direction="bwd")
+        master_clock += backbone
+        compute += backbone
+    total = max(master_clock, outstanding_finish)
+
+    optimizer = flops.optimizer_time(
+        master, lora_backbone_param_count(engine.config, engine.lora_rank))
+    worker_opt = _worker_optimizer_time(engine)
+    if telemetry is not None:
+        cursor = t0 + total
+        telemetry.record_span("mw.optimizer.master", cursor, optimizer,
+                              category="optimizer", track="master",
+                              step=step)
+        telemetry.record_span("mw.optimizer.worker", cursor + optimizer,
+                              worker_opt, category="optimizer",
+                              track="master", step=step)
+    total += optimizer + worker_opt
+    compute += optimizer + worker_opt
+    if telemetry is not None:
+        engine._telemetry_now = t0 + total
+
+    total_bytes, cross = _step_bytes(engine, plan.tokens)
+    return StepMetrics(step=step, total_time=total, comm_time=comm,
+                       compute_time=compute, sync_time=0.0,
+                       allreduce_time=0.0, total_bytes=total_bytes,
+                       cross_node_bytes=cross,
+                       num_nodes=engine.topology.num_nodes)
+
+
+def _ep_byte_matrix(engine, layer: int,
+                    layer_counts: np.ndarray) -> np.ndarray:
+    """Expected all-to-all payloads for one block's dispatch.
+
+    Inputs are sharded uniformly, so each device originates ``1/N`` of
+    every expert's token selections.
+    """
+    n = engine.topology.num_workers
+    dest_tokens = np.bincount(engine.placement.assignment[layer],
+                              weights=layer_counts, minlength=n)
+    # Every source shard contributes equally to every destination.
+    return np.tile(dest_tokens / n, (n, 1)) * engine.token_bytes
+
+
+def expert_parallel_step(engine: ExpertParallelEngine,
+                         step_counts: np.ndarray,
+                         step: int = 0) -> StepMetrics:
+    """One :class:`ExpertParallelEngine` step, block by block, through the
+    :mod:`repro.comm.collective` cost functions."""
+    config = engine.config
+    topology = engine.topology
+    n = topology.num_workers
+    shard_tokens = engine.tokens_per_step / n
+    sync_unit = status_sync_time(topology) + engine.sync_software_overhead_s
+    telemetry = engine.telemetry
+    t0 = engine._telemetry_now
+    if telemetry is not None:
+        engine.broker._record_dispatch_bytes(np.asarray(step_counts))
+    if engine.monitor is not None:
+        # The EP per-step loop never builds a dispatch plan, so feed
+        # the monitor (and the broker's worker-load gauges) explicitly.
+        engine.monitor.observe_step(step_counts, step=step)
+        engine.broker._publish_worker_load(
+            engine.placement.tokens_per_worker(np.asarray(step_counts), n))
+
+    total = comm = compute = sync = 0.0
+    cross_bytes = 0.0
+    total_bytes = 0.0
+    for backward in (False, True):
+        mult = 2.0 if backward else 1.0
+        direction = "bwd" if backward else "fwd"
+        for layer in range(config.num_layers):
+            backbone = mult * engine.flops.backbone_layer_time(
+                engine.slowest_device, shard_tokens, engine.seq_len)
+            matrix = _ep_byte_matrix(engine, layer, step_counts[layer])
+            dispatch = all_to_all_time(matrix, topology, telemetry=telemetry)
+            gather = all_to_all_time(matrix.T, topology, telemetry=telemetry)
+            dest_tokens = matrix.sum(axis=0) / engine.token_bytes
+            expert = mult * max(
+                engine.flops.expert_time(device, float(t))
+                for device, t in zip(engine.worker_devices, dest_tokens))
+            if telemetry is not None:
+                cursor = t0 + total
+                common = dict(track="ep", step=step, layer=layer,
+                              direction=direction)
+                telemetry.record_span("ep.backbone", cursor, backbone,
+                                      category="backbone", **common)
+                cursor += backbone
+                telemetry.record_span("ep.status_sync", cursor, sync_unit,
+                                      category="sync", **common)
+                cursor += sync_unit
+                telemetry.record_span("ep.all_to_all.dispatch", cursor,
+                                      dispatch, category="all_to_all",
+                                      **common)
+                cursor += dispatch
+                telemetry.record_span("ep.expert", cursor, expert,
+                                      category="expert", **common)
+                cursor += expert
+                telemetry.record_span("ep.all_to_all.gather", cursor,
+                                      gather, category="all_to_all",
+                                      **common)
+            total += backbone + sync_unit + dispatch + expert + gather
+            comm += dispatch + gather
+            compute += backbone + expert
+            sync += sync_unit
+            off_diag = matrix.sum() - np.trace(matrix)
+            total_bytes += 2.0 * off_diag
+            cross_bytes += 2.0 * cross_node_bytes_all_to_all(matrix,
+                                                             topology)
+
+    head = 3.0 * engine.flops.head_time(engine.slowest_device, shard_tokens)
+    trainable = lora_backbone_param_count(config, engine.lora_rank)
+    # Trainable-parameter gradients stay in full precision (the paper's
+    # mixed-precision setup keeps non-pretrained variables at fp32).
+    grad_bytes = trainable * 4.0
+    allreduce = ring_all_reduce_time(grad_bytes, topology,
+                                     telemetry=telemetry)
+    optimizer = engine.flops.optimizer_time(engine.slowest_device,
+                                            trainable)
+    if telemetry is not None:
+        cursor = t0 + total
+        telemetry.record_span("ep.head", cursor, head, category="head",
+                              track="ep", step=step)
+        telemetry.record_span("ep.allreduce", cursor + head, allreduce,
+                              category="allreduce", track="ep", step=step)
+        telemetry.record_span("ep.optimizer", cursor + head + allreduce,
+                              optimizer, category="optimizer", track="ep",
+                              step=step)
+    total += head + allreduce + optimizer
+    compute += head + optimizer
+    if telemetry is not None:
+        engine._telemetry_now = t0 + total
+
+    # All-reduce traffic: ring volume per edge, over node-crossing edges.
+    ring_edge_bytes = 2.0 * (n - 1) / n * grad_bytes
+    total_bytes += ring_edge_bytes * n
+    cross_bytes += ring_edge_bytes * engine._ring_cross_edges()
+
+    return StepMetrics(step=step, total_time=total, comm_time=comm,
+                       compute_time=compute, sync_time=sync,
+                       allreduce_time=allreduce, total_bytes=total_bytes,
+                       cross_node_bytes=cross_bytes,
+                       num_nodes=topology.num_nodes)
+
+
+_STEP_LOOPS = {
+    MasterWorkerEngine: master_worker_step,
+    OverlappedMasterWorkerEngine: overlapped_step,
+    ExpertParallelEngine: expert_parallel_step,
+}
+
+
+def replay_per_step(engine, trace, max_steps: Optional[int] = None
+                    ) -> RunMetrics:
+    """Replay ``trace`` on a step engine one per-step loop at a time.
+
+    Returns what the engine's ``run_trace`` returns, with the same spans,
+    counters and monitor feed; the engine supplies only its configuration
+    and its broker.
+    """
+    step_loop = _STEP_LOOPS[type(engine)]
+    return RunMetrics(strategy=engine.strategy_name, steps=[
+        step_loop(engine, trace.step_counts(step), step)
+        for step in range(replay_limit(trace, max_steps))])
 
 
 class ScanLocalSearchRefiner(LocalSearchRefiner):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.comm import MASTER, MessageKind
 from repro.models import nano_moe
 from repro.placement import Placement
 from repro.runtime import ExpertBroker
@@ -45,27 +44,6 @@ class TestPlanning:
         with pytest.raises(ValueError):
             ExpertBroker(nano_config, Placement(np.zeros((1, 1), dtype=int)),
                          num_workers=2)
-
-
-class TestMessages:
-    def test_dispatch_messages_from_master(self, broker):
-        plan = broker.plan_step(step_counts())
-        msgs = broker.messages_for_layer(plan, 0, MessageKind.TOKEN_DISPATCH)
-        assert all(m.src == MASTER for m in msgs)
-        assert {m.dst for m in msgs} == {0, 1, 2}
-
-    def test_result_messages_to_master(self, broker):
-        plan = broker.plan_step(step_counts())
-        msgs = broker.messages_for_layer(plan, 0, MessageKind.TOKEN_RESULT)
-        assert all(m.dst == MASTER for m in msgs)
-
-    def test_zero_token_workers_skipped(self, broker, nano_config):
-        counts = np.zeros((2, 4), dtype=int)
-        counts[0, 0] = 64 * 2  # everything to expert 0 -> worker 0
-        counts[1, 3] = 64 * 2
-        plan = broker.plan_step(counts)
-        msgs = broker.messages_for_layer(plan, 0, MessageKind.TOKEN_DISPATCH)
-        assert len(msgs) == 1 and msgs[0].dst == 0
 
 
 class TestTracePlan:

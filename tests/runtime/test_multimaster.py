@@ -108,6 +108,10 @@ class TestMultiMasterEngine:
                               master_ids=[0, 0])
         with pytest.raises(ValueError):
             MultiMasterEngine(cfg, topo, placement, 64, 16, master_ids=[99])
+        for seq_len in (0, -1):
+            with pytest.raises(ValueError, match="seq_len must be positive"):
+                MultiMasterEngine(cfg, topo, placement, 64, seq_len,
+                                  master_ids=[0])
 
     def test_run_trace(self, setup):
         cfg, topo, placement, trace = setup
@@ -120,8 +124,9 @@ class TestMultiMasterEngine:
         cfg, topo, placement, trace = setup
         engine = MultiMasterEngine(cfg, topo, placement, 64, 16,
                                    master_ids=[0, 2])
-        with pytest.raises(ValueError, match="max_steps"):
-            engine.run_trace(trace, max_steps=-1)
+        for max_steps in (-1, 0):
+            with pytest.raises(ValueError, match="max_steps"):
+                engine.run_trace(trace, max_steps=max_steps)
 
 
 class TestBandwidthOverrideInLP:

@@ -1,8 +1,8 @@
 """Batched trace replay vs the per-step oracle.
 
-The engines' batched ``run_trace`` must reproduce the per-step loop over
-``run_step`` (:func:`tests.oracles.replay_per_step`) — StepMetrics fields
-to 1e-9 on every paper cell, process bookkeeping included.
+The engines' batched ``run_trace`` must reproduce the per-step loops of
+:func:`tests.oracles.replay_per_step` — StepMetrics fields to 1e-9 on
+every paper cell and on traces with idle workers and layers.
 """
 
 from functools import lru_cache
@@ -63,25 +63,6 @@ class TestPaperCellEquivalence:
                           vec_engine.run_trace(trace))
 
 
-class TestBookkeeping:
-    def test_worker_and_master_stats_match(self):
-        cfg, trace, placement = _paper_cell("mixtral", "wikitext")
-        ref = MasterWorkerEngine(cfg.model, cfg.topology, placement,
-                                 cfg.tokens_per_step, cfg.seq_len)
-        vec = MasterWorkerEngine(cfg.model, cfg.topology, placement,
-                                 cfg.tokens_per_step, cfg.seq_len)
-        replay_per_step(ref, trace)
-        vec.run_trace(trace)
-        assert vec.master.stats.steps == ref.master.stats.steps
-        assert vec.master.stats.compute_time == pytest.approx(
-            ref.master.stats.compute_time, rel=1e-12)
-        for w_ref, w_vec in zip(ref.workers, vec.workers):
-            assert w_vec.stats.steps == w_ref.stats.steps
-            assert w_vec.stats.tokens_processed == w_ref.stats.tokens_processed
-            assert w_vec.stats.compute_time == pytest.approx(
-                w_ref.stats.compute_time, rel=1e-12)
-
-
 class TestSmallScale:
     def _trace_with_idle_workers(self, nano_config):
         """A valid trace with steps where most workers host zero tokens."""
@@ -127,9 +108,9 @@ class TestSmallScale:
 
 
 class TestNegativeMaxSteps:
-    """A negative ``max_steps`` is rejected before any work: sliced
-    naively it would replay the trace's tail and leave negative step
-    counts in the process bookkeeping."""
+    """A negative or zero ``max_steps`` is rejected before any work: sliced
+    naively a negative one would replay the trace's tail, and zero steps
+    would return a run whose averages are NaN."""
 
     @staticmethod
     def _rejected(engine_cls):
@@ -138,18 +119,28 @@ class TestNegativeMaxSteps:
         engine = engine_cls(cfg.model, cfg.topology, placement,
                             cfg.tokens_per_step, cfg.seq_len,
                             telemetry=telemetry)
-        with pytest.raises(ValueError, match="max_steps"):
-            engine.run_trace(trace, max_steps=-1)
+        for max_steps in (-1, 0):
+            with pytest.raises(ValueError, match="max_steps"):
+                engine.run_trace(trace, max_steps=max_steps)
+        assert not telemetry.spans
         return engine, telemetry
 
     def test_master_worker_engine(self):
-        engine, telemetry = self._rejected(MasterWorkerEngine)
-        assert engine.master.stats.steps == 0
-        assert engine.master.stats.compute_time == 0.0
-        assert all(w.stats.tokens_processed == 0 for w in engine.workers)
+        _, telemetry = self._rejected(MasterWorkerEngine)
         assert telemetry.counter_total("broker.dispatch_bytes") == 0.0
 
     def test_expert_parallel_engine(self):
         _, telemetry = self._rejected(ExpertParallelEngine)
         assert telemetry.counter_total("comm.all_to_all.bytes") == 0.0
         assert telemetry.counter_total("broker.dispatch_bytes") == 0.0
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_empty_trace_rejected(self, engine_cls):
+        cfg, trace, placement = _paper_cell("mixtral", "wikitext")
+        empty = RoutingTrace(model_name=trace.model_name, top_k=trace.top_k,
+                             tokens_per_step=trace.tokens_per_step,
+                             counts=trace.counts[:0])
+        engine = engine_cls(cfg.model, cfg.topology, placement,
+                            cfg.tokens_per_step, cfg.seq_len)
+        with pytest.raises(ValueError, match="no steps"):
+            engine.run_trace(empty)

@@ -3,8 +3,8 @@
 The load-bearing invariants:
 
 * telemetry on vs off changes **no** ``StepMetrics`` field, in the
-  batched ``run_trace`` replay or the per-step ``run_step`` loop (the
-  ``replay_per_step`` oracle) — observation must not perturb the
+  batched ``run_trace`` replay or the per-step oracle loops
+  (``tests.oracles.replay_per_step``) — observation must not perturb the
   simulation;
 * both replays emit the identical span sequence;
 * per-step span durations tile ``total_time`` exactly (serialized
@@ -51,8 +51,8 @@ def _cell():
 
 
 def _run(engine_cls, mode, telemetry=None):
-    """Replay the cell batched (``"vectorized"``) or one ``run_step`` at a
-    time (``"reference"``)."""
+    """Replay the cell batched (``"vectorized"``) or through the per-step
+    oracle loops (``"reference"``)."""
     cfg, trace, placement = _cell()
     engine = engine_cls(cfg.model, cfg.topology, placement,
                         cfg.tokens_per_step, cfg.seq_len, telemetry=telemetry)
