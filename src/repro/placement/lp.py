@@ -18,7 +18,7 @@ variable vector is ``[X.flatten(order=(n,l,e)), lambda_0..lambda_{L-1}]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -134,7 +134,12 @@ def comm_coefficients(problem: PlacementProblem) -> np.ndarray:
 
 
 def build_placement_lp(problem: PlacementProblem) -> PlacementLP:
-    """Construct the relaxed LP for a placement problem."""
+    """Construct the relaxed LP for a placement problem.
+
+    The constraint matrices come from index arrays whose COO entries run
+    row by row (within a row, in column order, ``lambda_l`` last), so
+    they convert to the same CSR arrays as a row-at-a-time assembly.
+    """
     config = problem.config
     n_workers = problem.num_workers
     layers, experts = config.num_layers, config.num_experts
@@ -147,59 +152,46 @@ def build_placement_lp(problem: PlacementProblem) -> PlacementLP:
     cost_scale = float(coef.max()) or 1.0
     coef = coef / cost_scale
 
-    def xi(worker: int, layer: int, expert: int) -> int:
-        return (worker * layers + layer) * experts + expert
+    # cols[n, l, e] is the flat index of X[n, l, e].
+    cols = np.arange(n_x).reshape(n_workers, layers, experts)
 
     # Objective: minimize sum of lambdas.
     c = np.zeros(n_vars)
     c[n_x:] = 1.0
 
-    # Equality: each expert assigned exactly once -> L*E rows.
-    eq_rows, eq_cols, eq_vals = [], [], []
-    row = 0
-    for layer in range(layers):
-        for expert in range(experts):
-            for worker in range(n_workers):
-                eq_rows.append(row)
-                eq_cols.append(xi(worker, layer, expert))
-                eq_vals.append(1.0)
-            row += 1
-    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)),
-                             shape=(row, n_vars))
-    b_eq = np.ones(row)
+    # Equality: each expert assigned exactly once -> L*E rows, row l*E + e
+    # holding X[n, l, e] for every worker n.
+    n_eq = layers * experts
+    a_eq = sparse.csr_matrix(
+        (np.ones(n_x), (np.repeat(np.arange(n_eq), n_workers),
+                        cols.transpose(1, 2, 0).reshape(-1))),
+        shape=(n_eq, n_vars))
+    b_eq = np.ones(n_eq)
 
-    # Inequalities: capacity rows (N) + lambda rows (N*L).
-    ub_rows, ub_cols, ub_vals = [], [], []
-    b_ub: List[float] = []
-    row = 0
-    capacities = problem.effective_capacities()
-    for worker in range(n_workers):
-        for layer in range(layers):
-            for expert in range(experts):
-                ub_rows.append(row)
-                ub_cols.append(xi(worker, layer, expert))
-                ub_vals.append(1.0)
-        b_ub.append(float(capacities[worker]))
-        row += 1
+    # Inequalities: capacity rows (N), sum_{l,e} X[n,l,e] <= C_n, then
+    # lambda rows (N*L), row N + n*L + l:
     # (b*H / 4*B_n) * sum_e X[n,l,e] P[l,e] K - lambda_l <= 0
-    for worker in range(n_workers):
-        for layer in range(layers):
-            for expert in range(experts):
-                ub_rows.append(row)
-                ub_cols.append(xi(worker, layer, expert))
-                ub_vals.append(coef[worker, layer, expert])
-            ub_rows.append(row)
-            ub_cols.append(n_x + layer)
-            ub_vals.append(-1.0)
-            b_ub.append(0.0)
-            row += 1
+    n_lambda = n_workers * layers
+    lambda_cols = np.column_stack([cols.reshape(n_lambda, experts),
+                                   np.tile(n_x + np.arange(layers),
+                                           n_workers)])
+    lambda_vals = np.column_stack([coef.reshape(n_lambda, experts),
+                                   np.full(n_lambda, -1.0)])
+    ub_rows = np.concatenate([
+        np.repeat(np.arange(n_workers), layers * experts),
+        np.repeat(n_workers + np.arange(n_lambda), experts + 1)])
+    ub_cols = np.concatenate([cols.reshape(-1), lambda_cols.reshape(-1)])
+    ub_vals = np.concatenate([np.ones(n_x), lambda_vals.reshape(-1)])
     a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)),
-                             shape=(row, n_vars))
+                             shape=(n_workers + n_lambda, n_vars))
+    b_ub = np.concatenate([
+        np.asarray(problem.effective_capacities(), dtype=np.float64),
+        np.zeros(n_lambda)])
 
     lower = np.zeros(n_vars)
     upper = np.concatenate([np.ones(n_x), np.full(layers, np.inf)])
 
-    return PlacementLP(c=c, a_ub=a_ub, b_ub=np.array(b_ub), a_eq=a_eq,
+    return PlacementLP(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
                        b_eq=b_eq, lower=lower, upper=upper,
                        num_workers=n_workers, num_layers=layers,
                        num_experts=experts, cost_scale=cost_scale)
@@ -209,7 +201,8 @@ def solve_lp_scipy(lp: PlacementLP) -> np.ndarray:
     """Solve with scipy's HiGHS backend; returns the full variable vector."""
     from scipy.optimize import linprog
 
-    bounds = list(zip(lp.lower, [None if np.isinf(u) else u for u in lp.upper]))
+    # An (n, 2) bounds array; linprog reads an infinite bound as none.
+    bounds = np.column_stack([lp.lower, lp.upper])
     result = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
                      b_eq=lp.b_eq, bounds=bounds, method="highs")
     if not result.success:

@@ -16,8 +16,13 @@ speedup import them from here.
   The expert-parallel loop prices each block through the
   :mod:`repro.comm.collective` functions, so their ``comm.*.bytes``
   counters are compared too.
-* :class:`ScanLocalSearchRefiner` — local search scoring one candidate at
-  a time, against :class:`repro.placement.local_search.LocalSearchRefiner`.
+* :class:`ScanLocalSearchRefiner` — local search scoring every candidate
+  of every layer one at a time on every round, against
+  :class:`repro.placement.local_search.LocalSearchRefiner`, whose rounds
+  re-score only the layers the last action changed.
+* :func:`reference_build_placement_lp` — the placement LP assembled by
+  Python loops appending one COO entry at a time, against the index arrays
+  of :func:`repro.placement.lp.build_placement_lp`.
 * :func:`reference_lora_forward` — the layered LoRA chain (base ``Linear``,
   dropout, two adapter matmuls, scale, add: one graph node each), against
   the one-node :func:`repro.nn.functional.lora_linear` that
@@ -56,6 +61,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.comm import (CommCostModel, all_to_all_time,
                         cross_node_bytes_all_to_all, ring_all_reduce_time,
@@ -63,8 +69,9 @@ from repro.comm import (CommCostModel, all_to_all_time,
 from repro.nn import causal_mask
 from repro.nn.functional import dropout, softmax
 from repro.nn.tensor import Tensor
-from repro.placement.local_search import LocalSearchRefiner
-from repro.placement.lp import comm_coefficients
+from repro.placement.base import Placement, PlacementProblem
+from repro.placement.local_search import RefinementReport
+from repro.placement.lp import PlacementLP, comm_coefficients
 from repro.placement.replication import (ReplicatedPlacement,
                                          ReplicationStrategy)
 from repro.runtime.engine import (ExpertParallelEngine, MasterWorkerEngine,
@@ -530,10 +537,59 @@ def replay_per_step(engine, trace, max_steps: Optional[int] = None
         for step in range(replay_limit(trace, max_steps))])
 
 
-class ScanLocalSearchRefiner(LocalSearchRefiner):
-    """:class:`LocalSearchRefiner` scoring one candidate at a time."""
+class ScanLocalSearchRefiner:
+    """:class:`LocalSearchRefiner` scanning every candidate of every layer,
+    one at a time, on every round."""
 
-    def _best_action(self, assignment, worker_time, loads, caps, coef):
+    def __init__(self, max_rounds: int = 200):
+        self.max_rounds = max_rounds
+
+    def refine(self, placement: Placement,
+               problem: PlacementProblem) -> RefinementReport:
+        coef = comm_coefficients(problem)
+        num_workers = problem.num_workers
+        layers, experts = placement.num_layers, placement.num_experts
+        caps = problem.effective_capacities()
+        assignment = placement.assignment.copy()
+        loads = np.bincount(assignment.reshape(-1), minlength=num_workers)
+        worker_time = np.zeros((num_workers, layers))
+        for l in range(layers):
+            for e in range(experts):
+                n = assignment[l, e]
+                worker_time[n, l] += coef[n, l, e]
+        initial = float(worker_time.max(axis=0).sum())
+        moves = swaps = 0
+        actions: List[Tuple] = []
+        for _ in range(self.max_rounds):
+            best_delta, best_action = self._best_action(
+                assignment, worker_time, loads, caps, coef)
+            if best_action is None or best_delta <= 1e-15:
+                break
+            actions.append(best_action)
+            if best_action[0] == "move":
+                _, l, e, src, dst = best_action
+                assignment[l, e] = dst
+                worker_time[src, l] -= coef[src, l, e]
+                worker_time[dst, l] += coef[dst, l, e]
+                loads[src] -= 1
+                loads[dst] += 1
+                moves += 1
+            else:
+                _, l, e, src, e2, dst = best_action
+                assignment[l, e] = dst
+                assignment[l, e2] = src
+                worker_time[src, l] += coef[src, l, e2] - coef[src, l, e]
+                worker_time[dst, l] += coef[dst, l, e] - coef[dst, l, e2]
+                swaps += 1
+        return RefinementReport(
+            placement=Placement(assignment, capacities=caps,
+                                name=f"{placement.name}+ls"),
+            initial_objective=initial,
+            refined_objective=float(worker_time.max(axis=0).sum()),
+            moves_applied=moves, swaps_applied=swaps, actions=actions)
+
+    @staticmethod
+    def _best_action(assignment, worker_time, loads, caps, coef):
         num_workers, layers = worker_time.shape
         experts = assignment.shape[1]
         best_delta = -1e-15
@@ -541,7 +597,7 @@ class ScanLocalSearchRefiner(LocalSearchRefiner):
         for l in range(layers):
             current_max = worker_time[:, l].max()
             order = np.argsort(-worker_time[:, l])
-            bottleneck = order[0]
+            bottleneck = int(order[0])
             # moves: take an expert off the bottleneck worker
             for e in range(experts):
                 if assignment[l, e] != bottleneck:
@@ -566,7 +622,7 @@ class ScanLocalSearchRefiner(LocalSearchRefiner):
                 if assignment[l, e] != bottleneck:
                     continue
                 for e2 in range(experts):
-                    other = assignment[l, e2]
+                    other = int(assignment[l, e2])
                     if other == bottleneck:
                         continue
                     new_src = worker_time[bottleneck, l] \
@@ -583,6 +639,75 @@ class ScanLocalSearchRefiner(LocalSearchRefiner):
                         best_delta = delta
                         best_action = ("swap", l, e, bottleneck, e2, other)
         return best_delta, best_action
+
+
+def reference_build_placement_lp(problem: PlacementProblem) -> PlacementLP:
+    """:func:`repro.placement.lp.build_placement_lp` as one Python loop per
+    constraint family, appending COO entries row by row."""
+    config = problem.config
+    n_workers = problem.num_workers
+    layers, experts = config.num_layers, config.num_experts
+    n_x = n_workers * layers * experts
+    n_vars = n_x + layers
+
+    coef = comm_coefficients(problem)
+    cost_scale = float(coef.max()) or 1.0
+    coef = coef / cost_scale
+
+    def xi(worker: int, layer: int, expert: int) -> int:
+        return (worker * layers + layer) * experts + expert
+
+    c = np.zeros(n_vars)
+    c[n_x:] = 1.0
+
+    # Equality: each expert assigned exactly once -> L*E rows.
+    eq_rows, eq_cols, eq_vals = [], [], []
+    row = 0
+    for layer in range(layers):
+        for expert in range(experts):
+            for worker in range(n_workers):
+                eq_rows.append(row)
+                eq_cols.append(xi(worker, layer, expert))
+                eq_vals.append(1.0)
+            row += 1
+    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)),
+                             shape=(row, n_vars))
+    b_eq = np.ones(row)
+
+    # Inequalities: capacity rows (N) + lambda rows (N*L).
+    ub_rows, ub_cols, ub_vals = [], [], []
+    b_ub: List[float] = []
+    row = 0
+    capacities = problem.effective_capacities()
+    for worker in range(n_workers):
+        for layer in range(layers):
+            for expert in range(experts):
+                ub_rows.append(row)
+                ub_cols.append(xi(worker, layer, expert))
+                ub_vals.append(1.0)
+        b_ub.append(float(capacities[worker]))
+        row += 1
+    # (b*H / 4*B_n) * sum_e X[n,l,e] P[l,e] K - lambda_l <= 0
+    for worker in range(n_workers):
+        for layer in range(layers):
+            for expert in range(experts):
+                ub_rows.append(row)
+                ub_cols.append(xi(worker, layer, expert))
+                ub_vals.append(coef[worker, layer, expert])
+            ub_rows.append(row)
+            ub_cols.append(n_x + layer)
+            ub_vals.append(-1.0)
+            b_ub.append(0.0)
+            row += 1
+    a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)),
+                             shape=(row, n_vars))
+
+    lower = np.zeros(n_vars)
+    upper = np.concatenate([np.ones(n_x), np.full(layers, np.inf)])
+    return PlacementLP(c=c, a_ub=a_ub, b_ub=np.array(b_ub), a_eq=a_eq,
+                       b_eq=b_eq, lower=lower, upper=upper,
+                       num_workers=n_workers, num_layers=layers,
+                       num_experts=experts, cost_scale=cost_scale)
 
 
 # --------------------------------------------------------------------- #

@@ -61,6 +61,23 @@ class TestRefiner:
         with pytest.raises(ValueError):
             LocalSearchRefiner(max_rounds=-1)
 
+    @pytest.mark.parametrize("max_rounds", [2.5, "3", True, np.float64(3)])
+    def test_non_integer_max_rounds_rejected(self, max_rounds):
+        """Non-integers and bools fail at construction, before a
+        RefinedLocalityPlacement would solve its LP."""
+        with pytest.raises(ValueError, match="max_rounds"):
+            LocalSearchRefiner(max_rounds=max_rounds)
+        with pytest.raises(ValueError, match="max_rounds"):
+            RefinedLocalityPlacement(max_rounds=max_rounds)
+
+    def test_numpy_integer_max_rounds_accepted(self, small_problem):
+        base = SequentialPlacement().place(small_problem)
+        report = LocalSearchRefiner(max_rounds=np.int64(1)).refine(
+            base, small_problem)
+        assert len(report.actions) <= 1
+        assert RefinedLocalityPlacement(
+            max_rounds=np.int64(3)).refiner.max_rounds == 3
+
     def test_close_to_milp_on_small_instance(self, small_problem):
         """Refined rounding should land within 30 % of the exact optimum."""
         refined = RefinedLocalityPlacement().solve(small_problem)
@@ -73,20 +90,88 @@ class TestRefiner:
         assert placement.name.endswith("+ls")
 
 
+class TestStartValidation:
+    """A start that does not fit the problem raises before any work:
+    nano_moe (2 layers x 4 experts) on the paper's 6 workers."""
+
+    @pytest.fixture
+    def problem(self, small_probability, paper_topology):
+        return PlacementProblem(config=nano_moe(), topology=paper_topology,
+                                probability_matrix=small_probability,
+                                tokens_per_step=64)
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_wrong_shape_rejected(self, problem, layers):
+        start = Placement(np.zeros((layers, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(2, 4\)"):
+            LocalSearchRefiner().refine(start, problem)
+
+    def test_unknown_worker_rejected(self, problem):
+        start = Placement(np.array([[0, 1, 2, 3], [4, 5, 6, 0]]))
+        with pytest.raises(ValueError, match="6 workers"):
+            LocalSearchRefiner().refine(start, problem)
+
+    def test_refine_from_window_checks_start(self, problem):
+        start = Placement(np.zeros((1, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(2, 4\)"):
+            LocalSearchRefiner().refine_from_window(
+                start, problem.config, problem.topology,
+                np.ones((2, 4)), tokens_per_step=64)
+
+
 class TestModeEquivalence:
-    """The delta-grid search against the per-candidate scan oracle."""
+    """The incremental search against the full-scan oracle."""
 
     @staticmethod
     def _assert_same_refinement(start, problem):
+        """Both searches agree; returns the oracle's report."""
         ref = ScanLocalSearchRefiner().refine(start, problem)
         vec = LocalSearchRefiner().refine(start, problem)
         assert vec.actions == ref.actions
         np.testing.assert_array_equal(vec.placement.assignment,
                                       ref.placement.assignment)
+        assert vec.initial_objective == ref.initial_objective
         assert vec.refined_objective == ref.refined_objective
         assert vec.moves_applied == ref.moves_applied
         assert vec.swaps_applied == ref.swaps_applied
-        return vec
+        return ref
+
+    @staticmethod
+    def _three_worker_problem(probability, capacities):
+        """2 layers x 2 experts on three workers.  nano_moe's b*H/4 is 64,
+        so these bandwidths give per-token times 1, 2 and 4 and, with
+        K = 1, ``coef[n, l, e] = (1, 2, 4)[n] * P[l, e]``."""
+        topology = ClusterTopology(num_nodes=1, gpus_per_node=3,
+                                   device=v100_32gb(),
+                                   intra_link=Link(18.3e9, 10e-6),
+                                   cross_link=Link(1.17e9, 150e-6))
+        return PlacementProblem(config=nano_moe(num_layers=2, num_experts=2),
+                                topology=topology,
+                                probability_matrix=np.array(probability),
+                                tokens_per_step=1, capacities=capacities,
+                                bandwidth_override=[64.0, 32.0, 16.0])
+
+    def test_move_taking_last_free_seat(self):
+        """Both layers' best move goes to worker 0, which has one free
+        seat.  Layer 0 takes it (delta 12 against 10), so layer 1 must be
+        re-scored although the action did not touch it: its next best
+        moves the expert to worker 1 instead."""
+        problem = self._three_worker_problem([[3.0, 1.0], [2.5, 1.0]],
+                                             capacities=[1, 2, 5])
+        ref = self._assert_same_refinement(Placement(np.full((2, 2), 2)),
+                                           problem)
+        assert ref.actions == [("move", 0, 0, 2, 0), ("move", 1, 0, 2, 1),
+                               ("move", 0, 1, 2, 1)]
+
+    def test_move_freeing_seat_on_full_worker(self):
+        """Worker 0 starts full.  Layer 0 moves an expert off it (delta
+        2.4), which opens worker 0 to layer 1: its best is no longer the
+        move to worker 2 (delta 2) but the one to worker 0 (delta 4.2)."""
+        problem = self._three_worker_problem([[5.0, 2.4], [2.2, 1.0]],
+                                             capacities=[2, 4, 4])
+        ref = self._assert_same_refinement(
+            Placement(np.array([[0, 0], [1, 1]])), problem)
+        assert ref.actions == [("move", 0, 1, 0, 1), ("move", 1, 0, 1, 0)]
 
     def test_identical_on_small_problem(self, small_problem):
         self._assert_same_refinement(

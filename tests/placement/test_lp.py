@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.bench.workloads import paper_workload
+from repro.cluster import ClusterTopology, Link, v100_32gb
+from repro.models import nano_moe
 from repro.placement import (ExactMILPPlacement, LocalityAwarePlacement,
                              PlacementProblem, SequentialPlacement,
                              build_placement_lp, comm_coefficients,
                              expected_step_comm_time, expected_worker_times,
                              relaxed_objective, round_relaxed_assignment,
                              rounding_gap, solve_lp_scipy)
+from tests.oracles import reference_build_placement_lp
+
+PAPER_CELLS = [("mixtral", "wikitext"), ("mixtral", "alpaca"),
+               ("gritlm", "wikitext"), ("gritlm", "alpaca")]
 
 
 class TestCoefficients:
@@ -61,6 +71,73 @@ class TestLPStructure:
         solution[lp.var_index(2, 1, 3)] = 0.7
         x = lp.extract_assignment(solution)
         assert x[2, 1, 3] == 0.7
+
+
+class TestBuilderOracle:
+    """The index-array LP builder against the row-by-row oracle."""
+
+    @staticmethod
+    def _assert_same_arrays(new, ref):
+        assert new.dtype == ref.dtype
+        np.testing.assert_array_equal(new, ref)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 8), st.booleans(), st.booleans(),
+           st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_property_matches_reference(self, nodes, gpus, layers, experts,
+                                        slack, zero_profile, seed):
+        """Random topologies, bandwidths, capacities and profiles (an
+        all-zero one exercises the unit cost scale) give the oracle's
+        vectors, cost scale and CSR arrays, values and dtypes."""
+        rng = np.random.default_rng(seed)
+        config = nano_moe(num_layers=layers, num_experts=experts,
+                          top_k=int(rng.integers(1, experts + 1)))
+        topology = ClusterTopology(num_nodes=nodes, gpus_per_node=gpus,
+                                   device=v100_32gb(),
+                                   intra_link=Link(18.3e9, 10e-6),
+                                   cross_link=Link(1.17e9, 150e-6))
+        workers = topology.num_workers
+        caps = np.bincount(rng.integers(0, workers, size=layers * experts),
+                           minlength=workers)
+        if slack:
+            caps += rng.integers(0, 4, size=workers)
+        p = rng.dirichlet(np.ones(experts), size=layers) * config.top_k
+        problem = PlacementProblem(
+            config=config, topology=topology,
+            probability_matrix=np.zeros_like(p) if zero_profile else p,
+            tokens_per_step=int(rng.integers(1, 8192)),
+            capacities=caps.tolist(),
+            bandwidth_override=rng.uniform(1e8, 1e11, size=workers).tolist())
+        new = build_placement_lp(problem)
+        ref = reference_build_placement_lp(problem)
+        for name in ("c", "b_ub", "b_eq", "lower", "upper"):
+            self._assert_same_arrays(getattr(new, name), getattr(ref, name))
+        assert new.cost_scale == ref.cost_scale
+        for name in ("a_ub", "a_eq"):
+            new_m, ref_m = getattr(new, name), getattr(ref, name)
+            assert new_m.shape == ref_m.shape
+            for part in ("data", "indices", "indptr"):
+                self._assert_same_arrays(getattr(new_m, part),
+                                         getattr(ref_m, part))
+
+    @pytest.mark.parametrize("model,dataset", PAPER_CELLS)
+    def test_paper_cell_solution_bitwise(self, model, dataset):
+        """The (n, 2) bounds array gives HiGHS the model the per-variable
+        tuple list gave it: the same ``x``, bit for bit."""
+        workload = paper_workload(model, dataset, seed=1)
+        config = workload.config
+        lp = build_placement_lp(PlacementProblem(
+            config=config.model, topology=config.topology,
+            probability_matrix=workload.probability_matrix,
+            tokens_per_step=config.tokens_per_step,
+            capacities=config.worker_capacities()))
+        tuple_bounds = list(zip(lp.lower, [None if np.isinf(u) else u
+                                           for u in lp.upper]))
+        old = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                      b_eq=lp.b_eq, bounds=tuple_bounds, method="highs")
+        assert old.success
+        assert solve_lp_scipy(lp).tobytes() == old.x.tobytes()
 
 
 class TestSolveAndRound:
