@@ -1,16 +1,14 @@
-"""LP solver benchmarks: formulation build time and solve time at paper
-scale (N=6 workers, L=32 blocks, E=8 experts -> 1,568 variables), plus the
-built-in simplex on reduced instances.
+"""LP solver benchmarks: formulation build time and HiGHS solve time at
+paper scale (N=6 workers, L=32 blocks, E=8 experts -> 1,568 variables).
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster import ExpertMemoryModel, paper_cluster
-from repro.models import mixtral_8x7b_sim, nano_moe
+from repro.models import mixtral_8x7b_sim
 from repro.placement import (LocalityAwarePlacement, PlacementProblem,
-                             build_placement_lp, solve_lp_scipy,
-                             solve_lp_simplex)
+                             build_placement_lp, solve_lp_scipy)
 from repro.routing import SyntheticRouter, WIKITEXT_REGIME
 
 
@@ -24,17 +22,6 @@ def paper_scale_problem():
         probability_matrix=router.probability_matrix(8192),
         tokens_per_step=1920,
         capacities=ExpertMemoryModel().capacities(topology, config))
-
-
-@pytest.fixture(scope="module")
-def nano_problem():
-    config = nano_moe()
-    topology = paper_cluster()
-    router = SyntheticRouter(config, WIKITEXT_REGIME, seed=1)
-    return PlacementProblem(
-        config=config, topology=topology,
-        probability_matrix=router.probability_matrix(2048),
-        tokens_per_step=512)
 
 
 def test_build_lp_paper_scale(benchmark, paper_scale_problem):
@@ -53,22 +40,3 @@ def test_full_vela_pipeline_paper_scale(benchmark, paper_scale_problem):
     """Profile-to-placement latency a user pays before fine-tuning starts."""
     solution = benchmark(LocalityAwarePlacement().solve, paper_scale_problem)
     assert solution.placement.worker_loads(6).sum() == 256
-
-
-def test_simplex_nano_scale(benchmark, nano_problem):
-    lp = build_placement_lp(nano_problem)
-    solution = benchmark.pedantic(solve_lp_simplex, (lp,), rounds=1,
-                                  iterations=1)
-    reference = solve_lp_scipy(lp)
-    assert lp.objective_value(solution) == \
-        pytest.approx(lp.objective_value(reference), rel=1e-6, abs=1e-12)
-
-
-def test_simplex_paper_scale_correctness(benchmark, paper_scale_problem):
-    """The from-scratch simplex solves the real 1,568-variable instance."""
-    lp = build_placement_lp(paper_scale_problem)
-    solution = benchmark.pedantic(solve_lp_simplex, (lp,), rounds=1,
-                                  iterations=1)
-    reference = solve_lp_scipy(lp)
-    assert lp.objective_value(solution) == \
-        pytest.approx(lp.objective_value(reference), rel=1e-4)

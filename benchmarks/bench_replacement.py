@@ -103,9 +103,9 @@ def _replay(scenario):
     live_bytes, shadow_bytes = [], []
     for step, counts in enumerate(scenario["trace"].counts):
         scenario["monitor"].observe_step(counts, step=step)
-        live_bytes.append(cost.cross_node_bytes(broker.plan_step(counts).tokens))
+        live_bytes.append(cost.cross_node_bytes(broker.plan_step(counts)))
         shadow_bytes.append(
-            cost.cross_node_bytes(shadow.plan_step(counts).tokens))
+            cost.cross_node_bytes(shadow.plan_step(counts)))
     return live_bytes, shadow_bytes
 
 

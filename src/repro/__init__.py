@@ -9,8 +9,8 @@ Public API tour:
 * ``repro.data`` — synthetic Tiny-Shakespeare / WikiText / Alpaca corpora.
 * ``repro.routing`` — traces, locality profiling, synthetic routers,
   Theorem-1 stability analysis.
-* ``repro.cluster`` / ``repro.comm`` — hardware topology and communication
-  cost models (the paper's Eq. (5)-(7)).
+* ``repro.cluster`` / ``repro.comm`` — hardware topology, byte accounting
+  and the expert-parallel collectives.
 * ``repro.placement`` — the LP-based locality-aware placement plus all
   baselines (sequential, random, expert-parallel, greedy, exact MILP).
 * ``repro.runtime`` — the master-worker and expert-parallel step engines.

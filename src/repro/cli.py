@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     place = sub.add_parser("place", help="solve and save a placement")
     _add_workload_args(place)
     place.add_argument("--output", default="placement.json")
-    place.add_argument("--solver", choices=("scipy", "simplex"),
-                       default="scipy")
 
     heatmap_cmd = sub.add_parser("heatmap", help="print a Fig. 7 heatmap")
     _add_workload_args(heatmap_cmd)
@@ -108,7 +106,7 @@ def cmd_place(args) -> int:
         probability_matrix=workload.probability_matrix,
         tokens_per_step=config.tokens_per_step,
         capacities=config.worker_capacities())
-    solution = LocalityAwarePlacement(solver=args.solver).solve(problem)
+    solution = LocalityAwarePlacement().solve(problem)
     save_placement(solution.placement, args.output,
                    model_name=config.model.name,
                    extra={"workload": workload.name,

@@ -1,8 +1,7 @@
 """Communication substrate: cost models, collectives, compression."""
 
 from .collective import (all_to_all_time, cross_node_bytes_all_to_all,
-                         one_to_all_time, ring_all_reduce_time,
-                         status_sync_time)
+                         ring_all_reduce_time, status_sync_time)
 from .compression import (FP16, INT4, INT8, SCHEMES, CompressionScheme,
                           apply_scheme, dequantize_absmax, expected_relative_error,
                           quantization_error, quantize_absmax, roundtrip)
@@ -13,6 +12,6 @@ __all__ = [
     "CompressionScheme", "FP16", "INT8", "INT4", "SCHEMES",
     "quantize_absmax", "dequantize_absmax", "roundtrip",
     "quantization_error", "expected_relative_error", "apply_scheme",
-    "one_to_all_time", "all_to_all_time", "status_sync_time",
+    "all_to_all_time", "status_sync_time",
     "ring_all_reduce_time", "cross_node_bytes_all_to_all",
 ]

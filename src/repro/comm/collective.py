@@ -1,15 +1,13 @@
 """Collective communication cost models.
 
-These model the patterns that distinguish the paper's two execution
-frameworks:
+These model the collectives of conventional expert parallelism, the
+paper's baseline (VELA's master-worker one-to-all is priced by the step
+engines' fork-join spans):
 
-* master-worker **one-to-all** (VELA): the master exchanges data with every
-  worker in parallel over independent links; a phase completes when the
-  slowest worker finishes (Eq. (7)'s max).
-* **all-to-all** (conventional expert parallelism): every device exchanges
-  with every other, preceded by the status synchronization the paper
-  describes ("all devices need to determine how many tokens they should
-  receive from each other before performing the data transfer").
+* **all-to-all**: every device exchanges with every other, preceded by
+  the status synchronization the paper describes ("all devices need to
+  determine how many tokens they should receive from each other before
+  performing the data transfer").
 * **ring all-reduce**: EP's end-of-step gradient synchronization for the
   replicated non-expert layers.
 """
@@ -22,29 +20,6 @@ import numpy as np
 
 from ..cluster.topology import ClusterTopology
 from ..telemetry import Telemetry
-
-
-def one_to_all_time(bytes_per_worker: np.ndarray,
-                    topology: ClusterTopology,
-                    telemetry: Optional[Telemetry] = None) -> float:
-    """Master sends ``bytes_per_worker[n]`` to each worker concurrently.
-
-    With ``telemetry``, the payload lands on the ``comm.one_to_all.bytes``
-    bytes-on-wire counter.
-    """
-    bytes_per_worker = np.asarray(bytes_per_worker, dtype=np.float64)
-    if bytes_per_worker.shape[0] != topology.num_workers:
-        raise ValueError("bytes_per_worker length must equal num_workers")
-    worst = 0.0
-    for worker, nbytes in enumerate(bytes_per_worker):
-        if nbytes <= 0:
-            continue
-        link = topology.master_link(worker)
-        worst = max(worst, link.transfer_time(float(nbytes)))
-    if telemetry is not None:
-        telemetry.counter("comm.one_to_all.bytes").add(
-            float(bytes_per_worker.clip(min=0.0).sum()))
-    return worst
 
 
 def all_to_all_time(byte_matrix: np.ndarray, topology: ClusterTopology,

@@ -1,13 +1,14 @@
-"""The paper's communication cost model (Eq. (5)–(7)).
+"""Byte accounting and migration pricing for the master-worker pattern.
 
 All quantities derive from three inputs: the model's per-token feature bytes
 (``b * H / 8``), per-block token counts ``K[n, l]``, and the master-worker
-bandwidths ``B_n``.
+links.  The paper's per-block and per-step times are priced elsewhere: the
+step engines' fork-join spans
+(:func:`~repro.runtime.engine.fork_join_span_arrays`) and the planner's
+expected step time (:func:`~repro.placement.objective.expected_step_comm_time`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -16,52 +17,12 @@ from ..models.config import MoEModelConfig
 
 
 class CommCostModel:
-    """Closed-form communication times and byte counts for one cluster+model."""
+    """Byte counts and migration times for one cluster+model."""
 
     def __init__(self, config: MoEModelConfig, topology: ClusterTopology):
         self.config = config
         self.topology = topology
         self.token_bytes = config.token_feature_nbytes()
-
-    # ------------------------------------------------------------------ #
-    # Eq. (5): single worker, single block
-    # ------------------------------------------------------------------ #
-    def block_bytes(self, tokens: float) -> float:
-        """``D_{n,l} = b*H*K / 8`` — one direction, one block."""
-        return self.token_bytes * tokens
-
-    def block_round_trip_time(self, worker: int, tokens: float) -> float:
-        """Eq. (5): ``2 D / B_n`` plus two link latencies (send + receive)."""
-        link = self.topology.master_link(worker)
-        nbytes = self.block_bytes(tokens)
-        if nbytes == 0:
-            return 0.0
-        return 2.0 * (link.latency_s + nbytes / link.bandwidth_bytes_per_s)
-
-    # ------------------------------------------------------------------ #
-    # Eq. (7): full step, master-worker pattern
-    # ------------------------------------------------------------------ #
-    def layer_comm_time(self, tokens_per_worker: np.ndarray) -> float:
-        """Max over workers of the round-trip time for one block.
-
-        ``tokens_per_worker`` is the ``K[n]`` vector for one layer.
-        """
-        times = [self.block_round_trip_time(worker, float(tokens))
-                 for worker, tokens in enumerate(tokens_per_worker)]
-        return max(times)
-
-    def step_comm_time(self, tokens_matrix: np.ndarray,
-                       passes: int = 2) -> float:
-        """Sum over blocks of per-block maxima, for ``passes`` round trips.
-
-        ``tokens_matrix`` has shape ``(workers, layers)``.  ``passes=2``
-        covers forward (features out/back) and backward (gradients out/back),
-        i.e. the paper's four exchanges.
-        """
-        total = 0.0
-        for layer in range(tokens_matrix.shape[1]):
-            total += self.layer_comm_time(tokens_matrix[:, layer])
-        return passes * total
 
     # ------------------------------------------------------------------ #
     # migration pricing (online re-placement)

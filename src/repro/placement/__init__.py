@@ -21,8 +21,7 @@ from .replication import (FrozenPlacementStrategy, ReplicatedPlacement,
                           expected_step_comm_time_replicated)
 from .rounding import round_relaxed_assignment, rounding_gap
 from .sequential import SequentialPlacement
-from .simplex import SimplexError, simplex_solve
-from .vela import LocalityAwarePlacement, PlacementSolution, solve_lp_simplex
+from .vela import LocalityAwarePlacement, PlacementSolution
 
 __all__ = [
     "Placement", "PlacementProblem", "PlacementStrategy",
@@ -31,11 +30,10 @@ __all__ = [
     "HierarchicalPlacement", "RefinedLocalityPlacement",
     "LocalSearchRefiner", "RefinementReport",
     "PlacementSolution", "PlacementLP", "build_placement_lp",
-    "comm_coefficients", "solve_lp_scipy", "solve_lp_simplex",
+    "comm_coefficients", "solve_lp_scipy",
     "round_relaxed_assignment", "rounding_gap",
     "expected_step_comm_time", "expected_worker_times",
     "expected_cross_node_bytes", "relaxed_objective",
-    "simplex_solve", "SimplexError",
     "save_placement", "load_placement",
     "ReplicatedPlacement", "ReplicationStrategy", "ReplicationReport",
     "FrozenPlacementStrategy", "expected_step_comm_time_replicated",

@@ -1,22 +1,21 @@
 """VELA's locality-aware expert placement (the paper's core algorithm).
 
-Pipeline: build the relaxed LP (Section IV-B) -> solve (HiGHS by default, or
-the built-in simplex) -> round with the paper's three-step procedure ->
-validated :class:`~repro.placement.base.Placement`.
+Pipeline: build the relaxed LP (Section IV-B) -> solve it with scipy's
+HiGHS, the off-the-shelf solver the paper calls for -> round with the
+paper's three-step procedure -> validated
+:class:`~repro.placement.base.Placement`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .base import Placement, PlacementProblem, PlacementStrategy
-from .lp import PlacementLP, build_placement_lp, solve_lp_scipy
+from .lp import build_placement_lp, solve_lp_scipy
 from .objective import expected_step_comm_time, relaxed_objective
 from .rounding import round_relaxed_assignment
-from .simplex import simplex_solve
 
 
 @dataclass
@@ -36,33 +35,10 @@ class PlacementSolution:
         return (self.rounded_objective - self.lp_objective) / self.lp_objective
 
 
-def solve_lp_simplex(lp: PlacementLP) -> np.ndarray:
-    """Solve the placement LP with the built-in simplex.
-
-    The explicit ``X <= 1`` bounds are dropped: non-negativity plus the
-    per-expert assignment equality already imply them.
-    """
-    x, _ = simplex_solve(lp.c, a_ub=lp.a_ub.toarray(), b_ub=lp.b_ub,
-                         a_eq=lp.a_eq.toarray(), b_eq=lp.b_eq)
-    return x
-
-
 class LocalityAwarePlacement(PlacementStrategy):
-    """The VELA placement strategy.
-
-    Parameters
-    ----------
-    solver:
-        ``"scipy"`` (HiGHS, default) or ``"simplex"`` (built-in, dependency-
-        free, slower on large instances).
-    """
+    """The VELA placement strategy."""
 
     name = "vela"
-
-    def __init__(self, solver: str = "scipy"):
-        if solver not in ("scipy", "simplex"):
-            raise ValueError(f"unknown solver {solver!r}")
-        self.solver = solver
 
     def solve(self, problem: PlacementProblem) -> PlacementSolution:
         """Full pipeline with diagnostics."""
@@ -71,11 +47,7 @@ class LocalityAwarePlacement(PlacementStrategy):
                              "run LocalityProfiler (or a synthetic router's "
                              "probability_matrix) first")
         lp = build_placement_lp(problem)
-        if self.solver == "scipy":
-            solution = solve_lp_scipy(lp)
-        else:
-            solution = solve_lp_simplex(lp)
-        relaxed = lp.extract_assignment(solution)
+        relaxed = lp.extract_assignment(solve_lp_scipy(lp))
         placement = round_relaxed_assignment(relaxed,
                                              problem.effective_capacities(),
                                              name=self.name)

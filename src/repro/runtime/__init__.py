@@ -1,11 +1,10 @@
-"""Simulated distributed runtime: broker, step engines, event simulator."""
+"""Simulated distributed runtime: broker and step engines."""
 
-from .broker import DispatchPlan, ExpertBroker
+from .broker import ExpertBroker
 from .des_engine import (DESStepResult, EventDrivenMasterWorker,
-                         contention_penalty)
+                         LinkResource, contention_penalty)
 from .engine import (ExpertParallelEngine, MasterWorkerEngine,
                      lora_backbone_param_count, lora_expert_param_count)
-from .events import LinkResource, Simulator
 from .flops import BACKWARD_MULTIPLIER, FlopModel
 from .functional_exec import (BrokeredMoEBlock, detach_experts,
                               reattach_experts)
@@ -15,8 +14,8 @@ from .overlap import OverlappedMasterWorkerEngine, overlap_speedup
 from .metrics import RunMetrics, StepMetrics
 
 __all__ = [
-    "Simulator", "LinkResource", "FlopModel", "BACKWARD_MULTIPLIER",
-    "ExpertBroker", "DispatchPlan",
+    "LinkResource", "FlopModel", "BACKWARD_MULTIPLIER",
+    "ExpertBroker",
     "MasterWorkerEngine", "ExpertParallelEngine",
     "EventDrivenMasterWorker", "DESStepResult", "contention_penalty",
     "OverlappedMasterWorkerEngine", "overlap_speedup",

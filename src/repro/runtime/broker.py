@@ -3,29 +3,34 @@
 The broker replaces each MoE block in the model backbone.  It performs no
 computation itself: given the gate's routing decisions for a step, it plans
 which tokens (and later, gradients) flow to which worker.  In this simulated
-runtime its product is the dispatch plan — per-(worker, layer) token
-counts — which the engines turn into transfer timings and traffic totals.
+runtime its product is the dispatch plan — the token selections each
+worker receives per block, ``K[n, l]`` — which the engines turn into
+transfer timings and traffic totals, pricing each token at
+``config.token_feature_nbytes()``.
 
 Replay contract
 ---------------
-:meth:`ExpertBroker.plan_trace` is the batched planner behind the step
-engines' one replay (``run_step`` and ``run_trace``): one einsum over the
-whole ``(steps, layers, experts)`` count tensor.  It is defined to equal
-stacking :meth:`ExpertBroker.plan_step` over the trace's steps — integer
-token counts, so agreement is exact.  ``plan_step`` plans for the
-event-driven and multi-master engines and for the per-step oracle loops
-in ``tests/oracles.py``, which the engine equivalence suites
+:meth:`ExpertBroker.plan_trace` is the one planner: one einsum over the
+whole ``(steps, layers, experts)`` count tensor against the placement's
+binary tensor ``X[n, l, e]``, returning the ``(steps, workers, layers)``
+token tensor.  :meth:`ExpertBroker.plan_step` is ``plan_trace`` on a
+one-step trace; it plans for the event-driven and multi-master engines
+and for the per-step oracle loops in ``tests/oracles.py``.  For integer
+counts both equal stacking :meth:`~repro.placement.base.Placement.
+tokens_per_worker` over the steps exactly, values and dtype
+(``tests/runtime/test_broker.py``); the engine equivalence suites
 (``tests/runtime/test_vectorized_engine.py``,
 ``tests/runtime/test_replay_property.py``, ``benchmarks/bench_replay.py``)
-hold the batched replay to within ``< 1e-9`` relative divergence.
+hold the batched replay to the oracle loops within ``< 1e-9`` relative
+divergence.
 
 Observability
 -------------
 Constructed with ``telemetry=``, the broker attributes planned one-direction
 payload bytes to each ``(layer, expert, worker)`` edge as
-``broker.dispatch_bytes`` counters (see ``docs/OBSERVABILITY.md``).  Both
-planners feed the same counters, so a batched replay and the per-step
-loop accumulate identical byte attributions.
+``broker.dispatch_bytes`` counters (see ``docs/OBSERVABILITY.md``).  A
+trace planned at once and the same trace planned step by step accumulate
+identical byte attributions.
 
 Constructed with ``monitor=`` (a :class:`~repro.telemetry.monitor.
 RoutingHealthMonitor`), each plan additionally publishes per-worker token
@@ -36,7 +41,6 @@ plan they reflect the final planned step, as after the per-step loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,73 +49,6 @@ from ..models.config import MoEModelConfig
 from ..placement.base import Placement
 from ..telemetry import Telemetry
 from ..telemetry.monitor import RoutingHealthMonitor
-
-
-@dataclass
-class DispatchPlan:
-    """Planned data movement for one fine-tuning step.
-
-    ``tokens`` has shape ``(workers, layers)``: token selections each worker
-    receives per block (the ``K[n, l]`` of the paper's Eq. (6)).
-    """
-
-    tokens: np.ndarray
-    token_bytes: float
-
-    @property
-    def num_workers(self) -> int:
-        """Worker process count."""
-        return self.tokens.shape[0]
-
-    @property
-    def num_layers(self) -> int:
-        """Number of MoE blocks."""
-        return self.tokens.shape[1]
-
-    def bytes_to_worker(self, worker: int, layer: int) -> float:
-        """One-direction payload for one block."""
-        return float(self.tokens[worker, layer]) * self.token_bytes
-
-    def layer_bytes(self, layer: int) -> np.ndarray:
-        """One-direction payloads of all workers for one block."""
-        return self.tokens[:, layer] * self.token_bytes
-
-
-@dataclass
-class TracePlan:
-    """Planned data movement for a whole trace replay.
-
-    ``tokens`` has shape ``(steps, workers, layers)`` — every step's
-    ``K[n, l]`` tensor at once, the input the vectorized engines reduce over
-    without per-step Python loops.
-    """
-
-    tokens: np.ndarray
-    token_bytes: float
-
-    @property
-    def num_steps(self) -> int:
-        """Number of planned steps."""
-        return self.tokens.shape[0]
-
-    @property
-    def num_workers(self) -> int:
-        """Worker process count."""
-        return self.tokens.shape[1]
-
-    @property
-    def num_layers(self) -> int:
-        """Number of MoE blocks."""
-        return self.tokens.shape[2]
-
-    def step_plan(self, step: int) -> DispatchPlan:
-        """The single-step :class:`DispatchPlan` view of one step."""
-        return DispatchPlan(tokens=self.tokens[step],
-                            token_bytes=self.token_bytes)
-
-    def bytes(self) -> np.ndarray:
-        """One-direction payloads, shape ``(steps, workers, layers)``."""
-        return self.tokens * self.token_bytes
 
 
 class ExpertBroker:
@@ -191,32 +128,15 @@ class ExpertBroker:
             telemetry.gauge("routing.worker_share", worker=worker).set(
                 float(load) / total if total > 0 else 0.0)
 
-    def plan_step(self, step_counts: np.ndarray) -> DispatchPlan:
-        """Build the dispatch plan from one step's routing counts.
-
-        ``step_counts`` is the ``(layers, experts)`` matrix of token
-        selections from a routing trace.
-        """
-        step_counts = np.asarray(step_counts)
-        expected = (self.config.num_layers, self.config.num_experts)
-        if step_counts.shape != expected:
-            raise ValueError(f"step_counts shape {step_counts.shape} != {expected}")
-        tokens = self.placement.tokens_per_worker(step_counts, self.num_workers)
-        if self.telemetry is not None or self.tracer is not None:
-            self._record_dispatch_bytes(step_counts)
-        if self.monitor is not None:
-            self._publish_worker_load(tokens)
-        return DispatchPlan(tokens=tokens,
-                            token_bytes=self.config.token_feature_nbytes())
-
-    def plan_trace(self, trace_counts: np.ndarray) -> TracePlan:
-        """Build the dispatch plans for every step of a trace at once.
+    def plan_trace(self, trace_counts: np.ndarray) -> np.ndarray:
+        """Plan every step of a trace at once.
 
         ``trace_counts`` is the ``(steps, layers, experts)`` count tensor of
-        a :class:`~repro.routing.trace.RoutingTrace`.  The result equals
-        stacking :meth:`plan_step` over steps but runs as a single einsum
-        against the placement's binary tensor ``X[n, l, e]`` (Eq. (6)
-        batched over the whole trace).
+        a :class:`~repro.routing.trace.RoutingTrace`.  Returns the
+        ``(steps, workers, layers)`` tensor of token selections each worker
+        receives per block, Eq. (6)'s ``K[n, l]`` batched over the trace:
+        a single einsum against the placement's binary tensor
+        ``X[n, l, e]``, integer for integer counts.
         """
         trace_counts = np.asarray(trace_counts)
         expected = (self.config.num_layers, self.config.num_experts)
@@ -232,5 +152,13 @@ class ExpertBroker:
             # Gauges are last-value: publishing the final step leaves the
             # same end state as stepping plan_step over the trace.
             self._publish_worker_load(tokens[-1])
-        return TracePlan(tokens=tokens,
-                         token_bytes=self.config.token_feature_nbytes())
+        return tokens
+
+    def plan_step(self, step_counts: np.ndarray) -> np.ndarray:
+        """Plan one step: :meth:`plan_trace` on a one-step trace.
+
+        ``step_counts`` is the ``(layers, experts)`` matrix of token
+        selections from a routing trace; returns its ``(workers, layers)``
+        token matrix ``K[n, l]``.
+        """
+        return self.plan_trace(np.asarray(step_counts)[None])[0]

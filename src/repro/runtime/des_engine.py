@@ -1,21 +1,22 @@
-"""Event-driven execution of a master-worker fine-tuning step.
+"""Transfer-level execution of a master-worker fine-tuning step.
 
 The closed-form :class:`~repro.runtime.engine.MasterWorkerEngine` computes
 each block's span as ``max_n(dispatch + compute + gather)`` — the paper's
 fork-join model, which assumes the master can transmit to every worker
-concurrently.  This module *executes* the same step as discrete events on
-:class:`~repro.runtime.events.Simulator`, which buys two things:
+concurrently.  This module times the same step transfer by transfer, in
+the order the master issues them, which buys two things:
 
-1. **Validation** — with unlimited master egress, the event-driven step time
-   must equal the closed form exactly (asserted in tests).
+1. **Validation** — with unlimited master egress, the step time must
+   equal the closed form exactly (asserted in tests).
 2. **Contention studies** — real masters push all cross-node traffic through
    one NIC and all intra-node traffic through one PCIe root; enabling
-   ``nic_contention`` serializes transfers through per-resource FIFOs,
-   quantifying how optimistic the paper's independent-links assumption is.
+   ``nic_contention`` books transfers on per-resource FIFOs
+   (:class:`LinkResource`), quantifying how optimistic the paper's
+   independent-links assumption is.
 
 Replay contract
 ---------------
-The event loop is this engine's only path: ``run_trace`` runs
+The per-transfer loop is this engine's only path: ``run_trace`` runs
 ``run_step`` once per step, since FIFO occupancy under contention is
 genuinely sequential.  For traces of uncontended steps the batched
 :class:`~repro.runtime.engine.MasterWorkerEngine` is the fast replay, and
@@ -23,7 +24,7 @@ its step times equal this loop's to ``1e-12`` (point 1 above).
 
 Observability
 -------------
-With ``telemetry=``, each step is recorded at event resolution: master
+With ``telemetry=``, each step is recorded at transfer resolution: master
 backbone/head/optimizer spans on the ``master`` track and every expert
 round-trip as dispatch → expert → gather spans on per-worker
 ``worker-<n>`` tracks — under contention the dispatch/gather spans start
@@ -47,8 +48,35 @@ from ..telemetry.monitor import RoutingHealthMonitor
 from .broker import ExpertBroker
 from .engine import (lora_backbone_param_count, lora_expert_param_count,
                      replay_limit, validate_step_size)
-from .events import LinkResource, Simulator
 from .flops import FlopModel
+
+
+class LinkResource:
+    """A FIFO-serialized transmission resource (e.g. one NIC).
+
+    ``occupy`` books a transfer of ``duration`` seconds starting no earlier
+    than ``start``; returns the completion time.  Used by
+    :class:`EventDrivenMasterWorker` to model a master process whose
+    cross-node sends share one NIC.
+    """
+
+    def __init__(self) -> None:
+        self.free_at = 0.0
+        self.busy_time = 0.0
+
+    def occupy(self, start: float, duration: float) -> float:
+        """Book the resource; returns the completion time."""
+        if start < 0 or duration < 0:
+            raise ValueError("start and duration must be non-negative")
+        begin = max(start, self.free_at)
+        self.free_at = begin + duration
+        self.busy_time += duration
+        return self.free_at
+
+    def reset(self) -> None:
+        """Clear the resource timeline."""
+        self.free_at = 0.0
+        self.busy_time = 0.0
 
 
 @dataclass
@@ -57,7 +85,6 @@ class DESStepResult:
 
     total_time: float
     layer_finish_times: List[float]
-    events_processed: int
     master_egress_busy: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -67,7 +94,7 @@ class DESStepResult:
 
 
 class EventDrivenMasterWorker:
-    """Executes master-worker steps on the discrete-event simulator.
+    """Executes master-worker steps transfer by transfer.
 
     Parameters mirror :class:`MasterWorkerEngine`; ``nic_contention``
     serializes the master's transfers per link class (one cross-node NIC,
@@ -112,14 +139,14 @@ class EventDrivenMasterWorker:
     def run_step(self, step_counts: np.ndarray,
                  step: int = 0) -> DESStepResult:
         """Execute one full step (forward + backward + heads + optimizers)."""
-        plan = self.broker.plan_step(np.asarray(step_counts))
+        worker_tokens = self.broker.plan_step(np.asarray(step_counts))
         if self.monitor is not None:
             self.monitor.observe_step(np.asarray(step_counts), step=step)
-        sim = Simulator()
         egress = {"nic": LinkResource(), "pcie": LinkResource()}
         ingress = {"nic": LinkResource(), "pcie": LinkResource()}
 
         tokens = float(self.tokens_per_step)
+        token_bytes = self.config.token_feature_nbytes()
         layers = self.config.num_layers
         layer_finish: List[float] = []
         telemetry = self.telemetry
@@ -141,10 +168,10 @@ class EventDrivenMasterWorker:
                 dispatch_start = state["t"] + backbone
                 layer_end = dispatch_start  # at least the backbone
                 for worker in range(self.topology.num_workers):
-                    layer_tokens = float(plan.tokens[worker, layer])
+                    layer_tokens = float(worker_tokens[worker, layer])
                     if layer_tokens <= 0:
                         continue
-                    nbytes = plan.bytes_to_worker(worker, layer)
+                    nbytes = layer_tokens * token_bytes
                     duration = self._transfer_duration(worker, nbytes)
                     key = self._egress_key(worker)
                     if key is None:
@@ -175,7 +202,6 @@ class EventDrivenMasterWorker:
                     layer_end = max(layer_end, done)
                 state["t"] = layer_end
                 layer_finish.append(layer_end)
-                sim.at(layer_end, lambda: None)
 
         run_pass(backward=False)
         head = (self.flops.head_time(self.master_device, tokens)
@@ -206,20 +232,18 @@ class EventDrivenMasterWorker:
                 worker_opt, category="optimizer", track="master", step=step)
         state["t"] += optimizer + worker_opt
 
-        sim.run()
         if telemetry is not None:
             self._telemetry_now = t0 + state["t"]
         return DESStepResult(
             total_time=state["t"],
             layer_finish_times=layer_finish,
-            events_processed=sim.events_processed,
             master_egress_busy={k: r.busy_time for k, r in egress.items()})
 
     # ------------------------------------------------------------------ #
     def run_trace(self, trace: RoutingTrace,
                   max_steps: Optional[int] = None) -> List[DESStepResult]:
         """Execute every step of a routing trace (or its first
-        ``max_steps``) on the event loop, one :meth:`run_step` per step."""
+        ``max_steps``), one :meth:`run_step` per step."""
         return [self.run_step(trace.step_counts(step), step=step)
                 for step in range(replay_limit(trace, max_steps))]
 

@@ -180,6 +180,7 @@ class _StepEngine:
         # exported trace timeline.
         self._telemetry_now = 0.0
         self.flops = FlopModel(config)
+        self.token_bytes = config.token_feature_nbytes()
         self.broker = ExpertBroker(config, placement, topology.num_workers,
                                    telemetry=telemetry, monitor=monitor)
 
@@ -281,8 +282,8 @@ class MasterWorkerEngine(_StepEngine):
                 first_step: int) -> List[StepMetrics]:
         plan = self.broker.plan_trace(counts)
         self._observe_steps(counts, first_step)
-        spans = fork_join_span_arrays(self.topology, self.flops, plan.tokens,
-                                      plan.token_bytes)
+        spans = fork_join_span_arrays(self.topology, self.flops, plan,
+                                      self.token_bytes)
         num_layers = self.config.num_layers
         tokens = float(self.tokens_per_step)
         device = self.master_device
@@ -308,8 +309,8 @@ class MasterWorkerEngine(_StepEngine):
                    + spans["comp_b"].sum(axis=1) + head + tail)
 
         # Byte accounting == CommCostModel.step_bytes_per_worker, batched.
-        bytes_per_worker = 4.0 * (plan.token_bytes
-                                  * plan.tokens.sum(axis=2))   # (S, N)
+        bytes_per_worker = 4.0 * (self.token_bytes
+                                  * plan.sum(axis=2))          # (S, N)
         total_bytes = bytes_per_worker.sum(axis=1)
         cross_mask = np.array(
             [self.topology.is_cross_node_from_master(w)
@@ -350,7 +351,6 @@ class ExpertParallelEngine(_StepEngine):
                          seq_len, lora_rank, strategy_name, telemetry,
                          monitor)
         self.sync_software_overhead_s = sync_software_overhead_s
-        self.token_bytes = config.token_feature_nbytes()
         # Replicated phases end at a barrier, so the slowest device gates
         # every data-parallel compute step; expert compute is per-owner.
         self.worker_devices = [w.device for w in topology.workers]
@@ -393,7 +393,7 @@ class ExpertParallelEngine(_StepEngine):
         # are sharded uniformly, so every device sends 1/N of each
         # destination's token selections, and one (S, L, N) slab carries
         # every step's byte matrices at once.
-        dest_tokens = plan.tokens.transpose(0, 2, 1).astype(np.float64)
+        dest_tokens = plan.transpose(0, 2, 1).astype(np.float64)
         payload = dest_tokens / n * self.token_bytes          # (S, L, N)
         present = (payload > 0).astype(np.float64)
 

@@ -117,7 +117,7 @@ class MultiMasterEngine:
 
     def run_step(self, step_counts: np.ndarray, step: int = 0) -> StepMetrics:
         """Simulate one fine-tuning step; returns its metrics."""
-        plan = self.broker.plan_step(step_counts)
+        plan = self.broker.plan_step(step_counts)   # (workers, layers)
         shard_tokens = self.tokens_per_step / self.num_masters
         # Masters run in parallel; the slowest device gates each phase.
         master_devices = [self.topology.workers[m].device
@@ -129,7 +129,7 @@ class MultiMasterEngine:
             for layer in range(self.config.num_layers):
                 backbone = self.flops.backbone_layer_time(
                     slowest, shard_tokens, self.seq_len, backward=backward)
-                span = self._layer_span(plan.tokens[:, layer], backward)
+                span = self._layer_span(plan[:, layer], backward)
                 total += backbone + span
                 compute += backbone
                 comm += span  # conservative attribution
@@ -165,11 +165,11 @@ class MultiMasterEngine:
         return volume / link.bandwidth_bytes_per_s + \
             2.0 * (r - 1) * link.latency_s
 
-    def _traffic(self, plan) -> tuple:
+    def _traffic(self, plan: np.ndarray) -> tuple:
         """Total and cross-node bytes: 4 transfers x per-master shards."""
         shard = 1.0 / self.num_masters
         total = cross = 0.0
-        per_worker_tokens = plan.tokens.sum(axis=1)  # over layers
+        per_worker_tokens = plan.sum(axis=1)  # over layers
         for worker in range(self.topology.num_workers):
             tokens = float(per_worker_tokens[worker])
             if tokens <= 0:

@@ -181,7 +181,7 @@ class BatchedServingMetrics:
     wall_time: float
 
     def mean_latency(self) -> float:
-        """Mean per-token latency in seconds."""
+        """Mean per-request (arrival-to-finish) latency in seconds."""
         return float(np.mean([o.latency for o in self.outcomes]))
 
     def latency_percentile(self, q: float) -> float:

@@ -1,54 +1,18 @@
-"""Tests for the communication cost model (Eq. (5)-(7)) and collectives."""
+"""Tests for the communication byte accounting and collectives."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterTopology, Link, paper_cluster, v100_32gb
 from repro.comm import (CommCostModel, all_to_all_time,
-                        cross_node_bytes_all_to_all, one_to_all_time,
-                        ring_all_reduce_time, status_sync_time)
+                        cross_node_bytes_all_to_all, ring_all_reduce_time,
+                        status_sync_time)
 from repro.models import mixtral_8x7b_sim, nano_moe
 
 
 @pytest.fixture
 def cost_model():
     return CommCostModel(mixtral_8x7b_sim(), paper_cluster())
-
-
-class TestEq5BlockTime:
-    def test_block_bytes_formula(self, cost_model):
-        """D = b*H*K/8 from the paper."""
-        cfg = mixtral_8x7b_sim()
-        expected = 16 * 4096 * 1000 / 8
-        assert cost_model.block_bytes(1000) == pytest.approx(expected)
-
-    def test_round_trip_doubles(self, cost_model):
-        topo = paper_cluster()
-        one_way = cost_model.block_bytes(500) / \
-            topo.cross_link.bandwidth_bytes_per_s + topo.cross_link.latency_s
-        assert cost_model.block_round_trip_time(4, 500) == \
-            pytest.approx(2 * one_way)
-
-    def test_zero_tokens_free(self, cost_model):
-        assert cost_model.block_round_trip_time(3, 0) == 0.0
-
-    def test_cross_node_slower_than_intra(self, cost_model):
-        assert cost_model.block_round_trip_time(2, 100) > \
-            cost_model.block_round_trip_time(1, 100)
-
-
-class TestEq7StepTime:
-    def test_layer_time_is_max_over_workers(self, cost_model):
-        tokens = np.array([0, 100, 0, 0, 0, 2000])
-        expected = cost_model.block_round_trip_time(5, 2000)
-        assert cost_model.layer_comm_time(tokens) == pytest.approx(expected)
-
-    def test_step_time_sums_layers(self, cost_model):
-        tokens = np.zeros((6, 32))
-        tokens[5, :] = 100
-        per_layer = cost_model.block_round_trip_time(5, 100)
-        assert cost_model.step_comm_time(tokens, passes=2) == \
-            pytest.approx(2 * 32 * per_layer)
 
 
 class TestTrafficAccounting:
@@ -89,27 +53,6 @@ class TestTrafficAccounting:
 
 
 class TestCollectives:
-    def test_one_to_all_is_max(self):
-        topo = paper_cluster()
-        payloads = np.zeros(6)
-        payloads[5] = 1.17e9  # exactly 1 second on the cross link
-        t = one_to_all_time(payloads, topo)
-        assert t == pytest.approx(1.0 + topo.cross_link.latency_s)
-
-    def test_one_to_all_parallel_transfers(self):
-        """Independent links: two equal payloads cost the same as one."""
-        topo = paper_cluster()
-        single = np.zeros(6)
-        single[4] = 1e8
-        double = single.copy()
-        double[5] = 1e8
-        assert one_to_all_time(double, topo) == \
-            pytest.approx(one_to_all_time(single, topo))
-
-    def test_one_to_all_validates_length(self):
-        with pytest.raises(ValueError):
-            one_to_all_time(np.zeros(3), paper_cluster())
-
     def test_all_to_all_serializes_sends(self):
         topo = paper_cluster()
         matrix = np.zeros((6, 6))

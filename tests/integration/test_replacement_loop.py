@@ -59,9 +59,9 @@ def replay():
     live_bytes, shadow_bytes = [], []
     for step, counts in enumerate(trace.counts):
         monitor.observe_step(counts, step=step)
-        live_bytes.append(cost.cross_node_bytes(broker.plan_step(counts).tokens))
+        live_bytes.append(cost.cross_node_bytes(broker.plan_step(counts)))
         shadow_bytes.append(
-            cost.cross_node_bytes(shadow.plan_step(counts).tokens))
+            cost.cross_node_bytes(shadow.plan_step(counts)))
 
     return {"controller": controller, "monitor": monitor, "broker": broker,
             "topology": topology, "placement": placement,

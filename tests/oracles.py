@@ -202,26 +202,29 @@ def _worker_optimizer_time(engine) -> float:
                for w, load in zip(engine.topology.workers, loads))
 
 
-def _fork_join_span(engine, layer_bytes: np.ndarray,
-                    layer_tokens: np.ndarray,
+def _fork_join_span(engine, layer_tokens: np.ndarray,
                     backward: bool) -> Tuple[float, float, float]:
     """Fork-join span of one block's exchange+compute.
 
+    ``layer_tokens`` is one block's ``K[n]`` column of the broker's plan;
+    each token travels as ``config.token_feature_nbytes()`` bytes.
     Returns ``(span, comm_part, compute_part)`` where the span is the
     slowest worker chain (dispatch -> expert compute -> gather).
     """
+    token_bytes = engine.config.token_feature_nbytes()
     span = 0.0
     comm_part = 0.0
     compute_part = 0.0
-    for worker_id, nbytes in enumerate(layer_bytes):
-        if layer_tokens[worker_id] <= 0:
+    for worker_id, tokens in enumerate(layer_tokens):
+        if tokens <= 0:
             continue
+        nbytes = float(tokens) * token_bytes
         link = engine.topology.master_link(worker_id)
-        dispatch = link.transfer_time(float(nbytes))
-        gather = link.transfer_time(float(nbytes))
+        dispatch = link.transfer_time(nbytes)
+        gather = link.transfer_time(nbytes)
         compute = engine.flops.expert_time(
             engine.topology.workers[worker_id].device,
-            float(layer_tokens[worker_id]), backward=backward)
+            float(tokens), backward=backward)
         chain = dispatch + compute + gather
         if chain > span:
             span = chain
@@ -257,8 +260,7 @@ def master_worker_step(engine: MasterWorkerEngine, step_counts: np.ndarray,
                                                  engine.seq_len,
                                                  backward=backward)
             span, comm_part, compute_part = _fork_join_span(
-                engine, plan.layer_bytes(layer), plan.tokens[:, layer],
-                backward)
+                engine, plan[:, layer], backward)
             if telemetry is not None:
                 cursor = t0 + total
                 telemetry.record_span(
@@ -295,7 +297,7 @@ def master_worker_step(engine: MasterWorkerEngine, step_counts: np.ndarray,
     if telemetry is not None:
         engine._telemetry_now = t0 + total
 
-    total_bytes, cross = _step_bytes(engine, plan.tokens)
+    total_bytes, cross = _step_bytes(engine, plan)
     return StepMetrics(step=step, total_time=total, comm_time=comm,
                        compute_time=compute, sync_time=0.0,
                        allreduce_time=0.0, total_bytes=total_bytes,
@@ -323,8 +325,7 @@ def overlapped_step(engine: OverlappedMasterWorkerEngine,
         backbone = flops.backbone_layer_time(master, tokens, engine.seq_len,
                                              backward=False)
         span, comm_part, compute_part = _fork_join_span(
-            engine, plan.layer_bytes(layer), plan.tokens[:, layer],
-            backward=False)
+            engine, plan[:, layer], backward=False)
         if telemetry is not None:
             cursor = t0 + total
             telemetry.record_span(
@@ -356,8 +357,7 @@ def overlapped_step(engine: OverlappedMasterWorkerEngine,
         # Master reaches block `layer`, computes the combine gradient
         # and dispatches expert gradients, then continues immediately.
         span, comm_part, compute_part = _fork_join_span(
-            engine, plan.layer_bytes(layer), plan.tokens[:, layer],
-            backward=True)
+            engine, plan[:, layer], backward=True)
         outstanding_finish = max(outstanding_finish, master_clock + span)
         comm += comm_part
         compute += compute_part
@@ -393,7 +393,7 @@ def overlapped_step(engine: OverlappedMasterWorkerEngine,
     if telemetry is not None:
         engine._telemetry_now = t0 + total
 
-    total_bytes, cross = _step_bytes(engine, plan.tokens)
+    total_bytes, cross = _step_bytes(engine, plan)
     return StepMetrics(step=step, total_time=total, comm_time=comm,
                        compute_time=compute, sync_time=0.0,
                        allreduce_time=0.0, total_bytes=total_bytes,

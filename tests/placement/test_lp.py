@@ -209,10 +209,6 @@ class TestLocalityAwarePlacement:
         with pytest.raises(ValueError):
             LocalityAwarePlacement().place(problem)
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            LocalityAwarePlacement(solver="cplex")
-
     def test_respects_capacities(self, nano_config, small_topology,
                                  small_probability):
         caps = [2, 2, 2, 2]

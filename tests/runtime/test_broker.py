@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import nano_moe
 from repro.placement import Placement
 from repro.runtime import ExpertBroker
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -24,17 +27,8 @@ def step_counts():
 class TestPlanning:
     def test_tokens_per_worker(self, broker):
         plan = broker.plan_step(step_counts())
-        np.testing.assert_array_equal(plan.tokens[:, 0], [50, 20, 30])
-        np.testing.assert_array_equal(plan.tokens[:, 1], [35, 20, 25])
-
-    def test_bytes_use_token_feature_size(self, broker, nano_config):
-        plan = broker.plan_step(step_counts())
-        assert plan.bytes_to_worker(0, 0) == \
-            pytest.approx(50 * nano_config.token_feature_nbytes())
-
-    def test_layer_bytes_vector(self, broker):
-        plan = broker.plan_step(step_counts())
-        assert plan.layer_bytes(1).shape == (3,)
+        np.testing.assert_array_equal(plan[:, 0], [50, 20, 30])
+        np.testing.assert_array_equal(plan[:, 1], [35, 20, 25])
 
     def test_shape_validation(self, broker):
         with pytest.raises(ValueError):
@@ -58,27 +52,80 @@ class TestTracePlan:
     def test_matches_per_step_plans(self, broker):
         counts = self.trace_counts()
         trace_plan = broker.plan_trace(counts)
+        assert trace_plan.shape == (5, 3, 2)
         for step in range(counts.shape[0]):
-            step_plan = broker.plan_step(counts[step])
-            np.testing.assert_array_equal(trace_plan.tokens[step],
-                                          step_plan.tokens)
-            np.testing.assert_array_equal(trace_plan.bytes()[step],
-                                          step_plan.tokens
-                                          * step_plan.token_bytes)
-        assert trace_plan.token_bytes == step_plan.token_bytes
-
-    def test_step_plan_view(self, broker):
-        counts = self.trace_counts()
-        trace_plan = broker.plan_trace(counts)
-        view = trace_plan.step_plan(2)
-        np.testing.assert_array_equal(view.tokens,
-                                      broker.plan_step(counts[2]).tokens)
-        assert view.num_workers == trace_plan.num_workers == 3
-        assert view.num_layers == trace_plan.num_layers == 2
-        assert trace_plan.num_steps == 5
+            np.testing.assert_array_equal(trace_plan[step],
+                                          broker.plan_step(counts[step]))
 
     def test_shape_validation(self, broker):
         with pytest.raises(ValueError):
             broker.plan_trace(np.zeros((5, 3, 3)))
         with pytest.raises(ValueError):
             broker.plan_trace(np.zeros((2, 4)))
+
+
+@st.composite
+def plan_inputs(draw):
+    """A model, placement, worker count and int64 count tensor in which
+    whole steps, single (step, layer) rows and experts may route nothing."""
+    layers = draw(st.integers(1, 4))
+    experts = draw(st.integers(1, 8))
+    config = nano_moe(num_layers=layers, num_experts=experts, top_k=1)
+    workers = draw(st.integers(1, 6))
+    cells = layers * experts
+    assignment = draw(st.lists(st.integers(0, workers - 1),
+                               min_size=cells, max_size=cells))
+    placement = Placement(np.array(assignment).reshape(layers, experts))
+    steps = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(0, 60, size=(steps, layers, experts),
+                          dtype=np.int64)
+    for step in draw(st.sets(st.integers(0, steps - 1))):
+        counts[step] = 0
+    for step, layer in draw(st.sets(st.tuples(st.integers(0, steps - 1),
+                                              st.integers(0, layers - 1)))):
+        counts[step, layer] = 0
+    for expert in draw(st.sets(st.integers(0, experts - 1))):
+        counts[:, :, expert] = 0
+    return config, placement, workers, counts
+
+
+def _dispatch_bytes(telemetry):
+    """``broker.dispatch_bytes`` per (layer, expert, worker) edge."""
+    return {tuple(sorted(inst.labels.items())): inst.value
+            for inst in telemetry.registry.instruments("counter")
+            if inst.name == "broker.dispatch_bytes"}
+
+
+class TestPlanProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=plan_inputs())
+    def test_property_matches_tokens_per_worker(self, inputs):
+        """``plan_trace`` and step-by-step ``plan_step`` equal stacking
+        ``Placement.tokens_per_worker`` over the steps, values and dtype,
+        and attribute the same dispatch bytes."""
+        config, placement, workers, counts = inputs
+        oracle = np.stack([placement.tokens_per_worker(step, workers)
+                           for step in counts])
+
+        batched_telemetry = Telemetry()
+        batched = ExpertBroker(config, placement, workers,
+                               telemetry=batched_telemetry)
+        trace_plan = batched.plan_trace(counts)
+        assert trace_plan.dtype == oracle.dtype
+        np.testing.assert_array_equal(trace_plan, oracle)
+
+        stepped_telemetry = Telemetry()
+        stepped = ExpertBroker(config, placement, workers,
+                               telemetry=stepped_telemetry)
+        for step in range(len(counts)):
+            plan = stepped.plan_step(counts[step])
+            assert plan.dtype == oracle.dtype
+            np.testing.assert_array_equal(plan, oracle[step])
+
+        expected = float(counts.sum()) * config.token_feature_nbytes()
+        assert _dispatch_bytes(stepped_telemetry) == \
+            _dispatch_bytes(batched_telemetry)
+        assert stepped_telemetry.counter_total("broker.dispatch_bytes") == \
+            batched_telemetry.counter_total("broker.dispatch_bytes") == \
+            expected

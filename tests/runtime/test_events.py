@@ -1,67 +1,9 @@
-"""Tests for the discrete-event simulator core."""
+"""Tests for the FIFO link resource behind the event-driven engine's
+contention model."""
 
 import pytest
 
-from repro.runtime import LinkResource, Simulator
-
-
-class TestSimulator:
-    def test_events_run_in_time_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(3.0, lambda: order.append("c"))
-        sim.schedule(1.0, lambda: order.append("a"))
-        sim.schedule(2.0, lambda: order.append("b"))
-        final = sim.run()
-        assert order == ["a", "b", "c"]
-        assert final == 3.0
-
-    def test_ties_break_by_schedule_order(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, lambda: order.append(1))
-        sim.schedule(1.0, lambda: order.append(2))
-        sim.run()
-        assert order == [1, 2]
-
-    def test_callbacks_can_schedule_more(self):
-        sim = Simulator()
-        hits = []
-
-        def chain():
-            hits.append(sim.now)
-            if len(hits) < 3:
-                sim.schedule(1.0, chain)
-
-        sim.schedule(0.5, chain)
-        sim.run()
-        assert hits == [0.5, 1.5, 2.5]
-
-    def test_run_until(self):
-        sim = Simulator()
-        hits = []
-        sim.schedule(1.0, lambda: hits.append(1))
-        sim.schedule(5.0, lambda: hits.append(5))
-        sim.run(until=2.0)
-        assert hits == [1]
-        assert sim.now == 2.0
-
-    def test_at_absolute_time(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: sim.at(4.0, lambda: None))
-        assert sim.run() == 4.0
-
-    def test_cannot_schedule_in_past(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.schedule(-1.0, lambda: None)
-
-    def test_events_processed_counter(self):
-        sim = Simulator()
-        for _ in range(5):
-            sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.events_processed == 5
+from repro.runtime import LinkResource
 
 
 class TestLinkResource:
