@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..cluster.link import Link
 from ..cluster.topology import ClusterTopology
 from ..telemetry import Telemetry
 
@@ -86,9 +87,19 @@ def ring_all_reduce_time(nbytes: float, topology: ClusterTopology,
         slowest = topology.cross_link
     else:
         slowest = topology.intra_link
-    volume = 2.0 * (n - 1) / n * nbytes
-    return volume / slowest.bandwidth_bytes_per_s + \
-        2.0 * (n - 1) * slowest.latency_s
+    return ring_time(n, nbytes, slowest)
+
+
+def ring_time(ranks: int, nbytes: float, link: Link) -> float:
+    """A ring all-reduce of ``nbytes`` over ``ranks`` ranks on ``link``.
+
+    ``2 * (ranks-1)/ranks * nbytes`` at the link's bandwidth plus its
+    latency on each of the ``2*(ranks-1)`` steps.  No guards: callers
+    decide when a ring is free.
+    """
+    volume = 2.0 * (ranks - 1) / ranks * nbytes
+    return volume / link.bandwidth_bytes_per_s + \
+        2.0 * (ranks - 1) * link.latency_s
 
 
 def cross_node_bytes_all_to_all(byte_matrix: np.ndarray,

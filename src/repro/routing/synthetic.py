@@ -15,6 +15,21 @@ The paper's Fig. 5–7 experiments fine-tune 87 GB models on 6 V100s; here the
    walk plus a mild sharpening trend, consistent with Theorem 1's prediction
    (drift vanishes for confident selections; popular experts become slightly
    *more* favored during fine-tuning, as the paper observes in Fig. 3(c)).
+
+Stream contract
+---------------
+Seeded counts are pinned byte for byte (``tests/integration/
+test_golden.py``).  One step's selection consumes the generator exactly as
+``rng.gumbel(size=(layers, tokens, experts))`` does, in that C order: one
+``rng.random`` double per (layer, token, expert), an exact ``0.0`` skipped
+the way numpy's ``random_gumbel`` rejects ``1 - u == 1``.  The noise is
+numpy's own formula ``-log(-log(1 - u))``, taken with vectorized logs, which
+may differ from the scalar libm ones by a few ulps.  Counts depend only on
+the order of each token's scores, so that can move a count only where two
+of a token's scores lie within about 1e-15 of each other.  Each token gets
+exactly ``top_k`` experts, an exact tie at the ``top_k``-th score going to
+the lower expert index.  The scalar ``rng.gumbel`` → ``argpartition`` form
+is the test oracle ``tests.oracles.reference_sample_counts``.
 """
 
 from __future__ import annotations
@@ -89,6 +104,29 @@ def regime_with_alpha(alpha: float, name: Optional[str] = None) -> LocalityRegim
     return LocalityRegime(name=name or f"alpha={alpha:g}", dirichlet_alpha=alpha)
 
 
+def _top_k_counts(scores: np.ndarray, k: int) -> np.ndarray:
+    """How often each expert is among a token's ``k`` highest scores.
+
+    ``scores`` is ``(experts, tokens)``.  The threshold is each token's
+    ``k``-th largest score, found by ``k - 1`` rounds of max-and-mask over
+    the expert rows.  Without ties exactly ``k`` scores reach it; an exact
+    tie lets more in, so only then are the over-full tokens re-selected,
+    the lower expert index first.
+    """
+    rest = scores
+    for _ in range(k - 1):
+        rest = np.where(rest == rest.max(axis=0), -np.inf, rest)
+    selected = scores >= rest.max(axis=0)
+    counts = np.count_nonzero(selected, axis=1)
+    if counts.sum() != k * scores.shape[1]:
+        over = np.flatnonzero(np.count_nonzero(selected, axis=0) > k)
+        ranked = np.argsort(-scores[:, over], axis=0, kind="stable")[:k]
+        selected[:, over] = False
+        selected[ranked, over] = True
+        counts = np.count_nonzero(selected, axis=1)
+    return counts
+
+
 class SyntheticRouter:
     """Trace-level simulator of a pre-trained MoE model's gate.
 
@@ -138,9 +176,10 @@ class SyntheticRouter:
         counts = np.empty((num_steps, layers, experts), dtype=np.int64)
         drift = np.zeros((layers, experts))
         # The step loop is irreducible: the drift random walk is sequential
-        # and the per-step draw order (gumbel, then normal) is part of the
-        # seeded contract golden tests pin.  Everything inside a step is
-        # fully vectorized.
+        # and the per-step draw order is part of the seeded contract the
+        # golden tests pin.  A step first consumes the Gumbel stream of
+        # ``rng.gumbel(size=(layers, tokens, experts))`` (see the module's
+        # stream contract), then one ``(layers, experts)`` normal draw.
         for step in range(num_steps):
             sharpen = 1.0 + regime.sharpening_rate * (step / max(num_steps - 1, 1))
             logits = self._base_logits * sharpen + drift  # (L, E)
@@ -153,19 +192,33 @@ class SyntheticRouter:
 
     def _sample_counts(self, logits: np.ndarray, tokens: int,
                        rng: np.random.Generator) -> np.ndarray:
-        """Gumbel-top-k sampling of per-expert selection counts for one step."""
+        """Gumbel-top-k selection counts for one step, a layer at a time.
+
+        Returns the ``(layers, experts)`` count matrix; each layer sums to
+        ``tokens * top_k``.  Draws follow the module's stream contract.  A
+        layer at a time keeps each pass's ``(experts, tokens)`` block in
+        cache.
+        """
         layers, experts = logits.shape
         k = self.config.top_k
-        gumbel = rng.gumbel(size=(layers, tokens, experts)) * self.regime.gate_temperature
-        scores = logits[:, None, :] + gumbel
-        # top-k expert ids per (layer, token)
-        top = np.argpartition(-scores, k - 1, axis=2)[:, :, :k]
-        # One flat bincount over (layer, expert) pairs instead of a Python
-        # loop over layers.
-        flat = (np.arange(layers, dtype=np.int64)[:, None, None] * experts
-                + top).reshape(-1)
-        return np.bincount(flat, minlength=layers * experts).reshape(
-            layers, experts)
+        size = tokens * experts
+        counts = np.empty((layers, experts), dtype=np.int64)
+        scores = np.empty((experts, tokens))
+        for layer in range(layers):
+            u = rng.random(size)
+            while not u.all():
+                kept = u[u != 0.0]
+                u = np.concatenate((kept, rng.random(size - kept.size)))
+            # logits + temperature * gumbel, with numpy's gumbel
+            # 0 - log(-log(1 - u)): subtracting is that sum exactly.
+            np.subtract(1.0, u.reshape(tokens, experts).T, out=scores)
+            np.log(scores, out=scores)
+            np.negative(scores, out=scores)
+            np.log(scores, out=scores)
+            scores *= self.regime.gate_temperature
+            np.subtract(logits[layer, :, None], scores, out=scores)
+            counts[layer] = _top_k_counts(scores, k)
+        return counts
 
     # ------------------------------------------------------------------ #
     # locality profile (the pre-fine-tuning measurement pass)

@@ -58,11 +58,8 @@ class ExpertBroker:
                  num_workers: int, telemetry: Optional[Telemetry] = None,
                  monitor: Optional["RoutingHealthMonitor"] = None,
                  tracer=None, local_worker: int = 0):
-        if placement.num_layers != config.num_layers or \
-                placement.num_experts != config.num_experts:
-            raise ValueError("placement shape does not match model config")
         self.config = config
-        self.placement = placement
+        self.swap_placement(placement)
         self.num_workers = num_workers
         self.telemetry = telemetry
         self.monitor = monitor
@@ -76,11 +73,17 @@ class ExpertBroker:
     def swap_placement(self, placement: Placement) -> None:
         """Hot-swap the active placement (online re-placement hook).
 
-        Shape-validated like the constructor; the assignment is swapped
-        atomically (one attribute store), so a concurrently running
+        The constructor validates through here too: anything but a
+        :class:`~repro.placement.base.Placement` raises ``TypeError`` (a
+        ``ReplicatedPlacement`` has no binary tensor to plan against), a
+        shape other than the model's ``ValueError``.  The assignment is
+        swapped atomically (one attribute store), so a concurrently running
         ``plan_step`` uses either the old or the new placement, never a
         mix.
         """
+        if not isinstance(placement, Placement):
+            raise TypeError("the broker plans a single-owner Placement, not "
+                            f"{type(placement).__name__}")
         if placement.num_layers != self.config.num_layers or \
                 placement.num_experts != self.config.num_experts:
             raise ValueError("placement shape does not match model config")

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..cluster.topology import ClusterTopology
-from ..comm.collective import ring_all_reduce_time
+from ..comm.collective import ring_time
 from ..models.config import MoEModelConfig
 from ..placement.base import Placement
 from ..routing.trace import RoutingTrace
@@ -160,10 +160,7 @@ class MultiMasterEngine:
             link = self.topology.cross_link
         else:
             link = self.topology.intra_link
-        r = self.num_masters
-        volume = 2.0 * (r - 1) / r * nbytes
-        return volume / link.bandwidth_bytes_per_s + \
-            2.0 * (r - 1) * link.latency_s
+        return ring_time(self.num_masters, nbytes, link)
 
     def _traffic(self, plan: np.ndarray) -> tuple:
         """Total and cross-node bytes: 4 transfers x per-master shards."""

@@ -6,6 +6,8 @@ legitimate numeric churn but tight enough that a broken cost model, LP, or
 calibration constant fails loudly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ GOLDEN = {
 TOLERANCE = 0.05  # absolute, on the reduction fractions
 
 STEPS = 12
+
+# The routing counts themselves, which the tolerance above would let move by
+# a count: sha256 over the four paper cells at seed 1, in the order
+# mixtral/wikitext, mixtral/alpaca, gritlm/wikitext, gritlm/alpaca, of each
+# cell's profiled probability_matrix bytes and then its STEPS-step trace's
+# count bytes.
+COUNTS_CELLS = [("mixtral", "wikitext"), ("mixtral", "alpaca"),
+                ("gritlm", "wikitext"), ("gritlm", "alpaca")]
+COUNTS_SHA256 = \
+    "4a3d402b22d335c615249f85987315f5aa9d128629d2756a477d1f26be73f731"
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +74,14 @@ class TestGoldenNumbers:
             traffic = {k: r.avg_external_traffic_per_node()
                        for k, r in runs.items()}
             assert traffic["vela"] == min(traffic.values()), cell
+
+
+def test_routing_counts_digest():
+    """The seeded profiles and traces are byte-identical to the pinned
+    ones: a single moved count changes the digest."""
+    digest = hashlib.sha256()
+    for model, dataset in COUNTS_CELLS:
+        workload = paper_workload(model, dataset, seed=1)
+        digest.update(workload.probability_matrix.tobytes())
+        digest.update(workload.trace(STEPS).counts.tobytes())
+    assert digest.hexdigest() == COUNTS_SHA256

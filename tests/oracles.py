@@ -54,6 +54,12 @@ speedup import them from here.
   and the replication move search as loops over layers, experts and
   holders, against the one share tensor of
   :mod:`repro.placement.replication`.
+* :func:`reference_sample_counts` — one step of synthetic routing as a
+  single ``rng.gumbel`` draw over ``(layers, tokens, experts)``, an
+  ``argpartition`` top-k and a flat ``bincount``, against the per-layer
+  uniform draws and top-k threshold of
+  ``repro.routing.synthetic.SyntheticRouter._sample_counts``.  It has that
+  method's signature, so ``monkeypatch.setattr`` swaps it in.
 """
 
 from __future__ import annotations
@@ -923,3 +929,22 @@ class ReferenceReplicationStrategy(ReplicationStrategy):
             if best is None or objective < best[2]:
                 best = (key, worker, objective)
         return best
+
+
+# --------------------------------------------------------------------- #
+# synthetic routing: one Gumbel draw over the whole step
+# --------------------------------------------------------------------- #
+def reference_sample_counts(self, logits: np.ndarray, tokens: int,
+                            rng: np.random.Generator) -> np.ndarray:
+    """``SyntheticRouter._sample_counts`` as numpy's scalar Gumbel loop,
+    ``argpartition`` and one flat ``bincount`` over (layer, expert)."""
+    layers, experts = logits.shape
+    k = self.config.top_k
+    gumbel = rng.gumbel(size=(layers, tokens, experts)) * \
+        self.regime.gate_temperature
+    scores = logits[:, None, :] + gumbel
+    top = np.argpartition(-scores, k - 1, axis=2)[:, :, :k]
+    flat = (np.arange(layers, dtype=np.int64)[:, None, None] * experts
+            + top).reshape(-1)
+    return np.bincount(flat, minlength=layers * experts).reshape(
+        layers, experts)

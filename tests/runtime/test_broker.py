@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import nano_moe
-from repro.placement import Placement
+from repro.placement import Placement, ReplicatedPlacement
 from repro.runtime import ExpertBroker
 from repro.telemetry import Telemetry
 
@@ -38,6 +38,19 @@ class TestPlanning:
         with pytest.raises(ValueError):
             ExpertBroker(nano_config, Placement(np.zeros((1, 1), dtype=int)),
                          num_workers=2)
+
+    def test_replicated_placement_rejected(self, nano_config, broker):
+        """A replicated placement has no binary tensor to plan against:
+        the constructor and the hot swap refuse it up front instead of
+        ``plan_trace`` failing later."""
+        replicated = ReplicatedPlacement(broker.placement, {(0, 0): [1]},
+                                         bandwidths=[1.0, 1.0, 1.0])
+        assert replicated.num_replicas == 1
+        with pytest.raises(TypeError, match="ReplicatedPlacement"):
+            ExpertBroker(nano_config, replicated, num_workers=3)
+        with pytest.raises(TypeError, match="ReplicatedPlacement"):
+            broker.swap_placement(replicated)
+        assert isinstance(broker.placement, Placement)
 
 
 class TestTracePlan:
