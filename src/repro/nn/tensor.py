@@ -8,8 +8,8 @@ rather than assumed.
 
 The design follows the classic tape-based approach: every differentiable
 operation records its parents and a local backward closure on the result
-tensor.  Calling :meth:`Tensor.backward` topologically sorts the graph and
-accumulates gradients.
+tensor.  Calling :meth:`Tensor.backward` topologically sorts the graph,
+accumulates gradients, and frees each node's closure as it passes it.
 
 Only float64/float32 arrays are supported for differentiable tensors; integer
 tensors may participate as non-differentiable inputs (e.g. embedding indices).
@@ -235,6 +235,12 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
+        A graph backpropagates once (PyTorch's ``retain_graph=False``): as
+        the walk passes each interior node, the node drops its backward
+        closure, the arrays that closure saved, and its parents, so the
+        graph's activations are freed while the backward runs.  A second
+        ``backward`` that reaches a freed node raises ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -270,18 +276,25 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Reverse topological order, popped off the list so the walk holds
+        # no reference to a node it has passed.  Every interior node is
+        # freed once it has pushed its gradient (or received none): the
+        # sentinel closure stops a later walk from treating it as a leaf.
         grads: dict[int, np.ndarray] = {id(self): grad}
         owned: set[int] = set()
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             node_grad = grads.pop(id(node), None)
             owned.discard(id(node))
-            if node_grad is None:
+            if node._backward is None:
+                if node_grad is not None:
+                    # Leaf tensor: accumulate into .grad.
+                    node._accumulate(node_grad)
                 continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad.
-                node._accumulate(node_grad)
-            if node._backward is not None:
+            if node_grad is not None:
                 node._push_to_parents(node_grad, grads, owned)
+            node._backward = _freed_backward
+            node._parents = ()
 
     def _push_to_parents(self, grad: np.ndarray, grads: dict[int, np.ndarray],
                          owned: Optional[set] = None) -> None:
@@ -547,6 +560,13 @@ class Tensor:
         a = self
         out_data = np.squeeze(self.data, axis=axis)
         return Tensor._make(out_data, (a,), lambda g: (g.reshape(a.data.shape),))
+
+
+def _freed_backward(grad: np.ndarray):
+    """The closure of an interior node a backward pass has freed."""
+    raise RuntimeError("backward through a graph that has already been "
+                       "backpropagated: its saved arrays are freed, so run "
+                       "the forward again")
 
 
 def _segment_sum_rows(values: np.ndarray, row_ids: np.ndarray,

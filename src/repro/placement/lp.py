@@ -18,12 +18,14 @@ variable vector is ``[X.flatten(order=(n,l,e)), lambda_0..lambda_{L-1}]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .base import PlacementProblem
+
+if TYPE_CHECKING:  # scipy loads when an LP is built, not on import
+    from scipy import sparse
 
 
 @dataclass
@@ -140,6 +142,8 @@ def build_placement_lp(problem: PlacementProblem) -> PlacementLP:
     row by row (within a row, in column order, ``lambda_l`` last), so
     they convert to the same CSR arrays as a row-at-a-time assembly.
     """
+    from scipy import sparse
+
     config = problem.config
     n_workers = problem.num_workers
     layers, experts = config.num_layers, config.num_experts

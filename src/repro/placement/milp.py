@@ -8,7 +8,6 @@ can measure the LP+rounding optimality gap on small instances.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize, sparse
 
 from .base import Placement, PlacementProblem, PlacementStrategy
 from .lp import build_placement_lp
@@ -32,6 +31,8 @@ class ExactMILPPlacement(PlacementStrategy):
 
     def place(self, problem: PlacementProblem) -> Placement:
         """Compute a placement for ``problem``."""
+        from scipy import optimize
+
         lp = build_placement_lp(problem)
         n_x = lp.num_assignment_vars
 

@@ -50,6 +50,8 @@ from ..models.moe_block import routing_counts
 from ..models.transformer import MoETransformer
 from ..nn.attention import KVCache
 from ..nn.tensor import no_grad
+from ..placement.base import Placement
+from ..placement.replication import ReplicatedPlacement
 from ..telemetry import Telemetry
 from ..telemetry.events import EventLog, MonitorEvent
 from ..telemetry.flight import FlightRecorder
@@ -348,7 +350,24 @@ class ContinuousBatchingEngine:
         placement only changes where routing statistics are *scored*
         (and, in a real deployment, where expert weights live), not the
         model arithmetic.
+
+        The placement is checked here, where it is staged, so a bad one
+        never reaches the serve loop: anything but a
+        :class:`~repro.placement.base.Placement` or a
+        :class:`~repro.placement.replication.ReplicatedPlacement` raises
+        ``TypeError``, a ``(num_layers, num_experts)`` other than the
+        model's ``ValueError``, and the staged swap is left as it was.
         """
+        if not isinstance(placement, (Placement, ReplicatedPlacement)):
+            raise TypeError(f"placement must be a Placement or a "
+                            f"ReplicatedPlacement, got "
+                            f"{type(placement).__name__}")
+        config = self.model.config
+        shape = (placement.num_layers, placement.num_experts)
+        expected = (config.num_layers, config.num_experts)
+        if shape != expected:
+            raise ValueError(f"placement shape {shape} does not match the "
+                             f"model's {expected}")
         with self._swap_lock:
             self._pending_placement = placement
 

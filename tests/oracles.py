@@ -40,6 +40,11 @@ speedup import them from here.
   signature, so ``monkeypatch.setattr`` swaps it in.
 * :func:`reference_adamw_step` — ``AdamW.step`` as a loop over tensors,
   against the flat-buffer step.
+* :func:`retained_backward` — ``Tensor.backward`` keeping the whole graph
+  (every closure, saved array and parent link) until the caller drops the
+  output, against the one-pass backward that frees each interior node as
+  it passes it.  It has ``backward``'s signature, so
+  ``monkeypatch.setattr`` swaps it in.
 * :class:`ReferenceTransitionPredictor` and :class:`ReferenceFetchScheduler`
   — the transition predictor and the overlapped fetch scheduler on
   per-layer Python sets of expert ids, one layer and one key at a time,
@@ -194,6 +199,51 @@ def reference_adamw_step(self) -> None:
         if self.weight_decay:
             update = update + self.weight_decay * p.data
         p.data = p.data - self.lr * update
+
+
+def retained_backward(self: Tensor, grad=None) -> None:
+    """``Tensor.backward`` with the graph retained: the same topological
+    walk and accumulation order, with no node freed, so the graph can be
+    backpropagated again."""
+    if not self.requires_grad:
+        raise RuntimeError("backward() called on a tensor that does not "
+                           "require grad")
+    if grad is None:
+        if self.data.size != 1:
+            raise RuntimeError("grad must be provided for non-scalar "
+                               "backward()")
+        grad = np.ones_like(self.data)
+    grad = np.asarray(grad, dtype=self.data.dtype)
+    if grad.shape != self.data.shape:
+        grad = np.broadcast_to(grad, self.data.shape).copy()
+
+    topo: List[Tensor] = []
+    visited: Set[int] = set()
+    stack: List[Tuple[Tensor, bool]] = [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+
+    grads = {id(self): grad}
+    owned: Set[int] = set()
+    for node in reversed(topo):
+        node_grad = grads.pop(id(node), None)
+        owned.discard(id(node))
+        if node_grad is None:
+            continue
+        if node._backward is None:
+            node._accumulate(node_grad)
+        else:
+            node._push_to_parents(node_grad, grads, owned)
 
 
 def _master_device(engine):

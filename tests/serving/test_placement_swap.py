@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.placement import Placement, ReplacementController, ReplanConfig
+from repro.placement import (Placement, ReplacementController, ReplanConfig,
+                             ReplicatedPlacement)
 from repro.serving import ContinuousBatchingEngine, LiveDecodeEngine, Request
 from repro.telemetry import RoutingHealthMonitor
 from repro.telemetry.events import EventLog
@@ -101,6 +102,46 @@ class TestContinuousBatchingSwap:
         # admission — the labels record that quiescent state
         assert swap.labels["active_slots"] == 0
         assert swap.labels["queue_depth"] == 0
+
+
+class TestSwapValidation:
+    """A placement the model cannot use raises where the swap is staged,
+    and neither the staged swap nor serving changes."""
+
+    @pytest.mark.parametrize("bad, error", [
+        ("all-far", TypeError),
+        (ALL_FAR, TypeError),
+        (Placement(np.zeros((3, 4), dtype=np.int64)), ValueError),
+        (Placement(np.zeros((2, 3), dtype=np.int64)), ValueError),
+        (ReplicatedPlacement(Placement(np.zeros((3, 4), dtype=np.int64)),
+                             {(0, 0): [1]}, bandwidths=[1.0] * 4),
+         ValueError),
+    ], ids=["str", "array", "extra-layer", "missing-expert",
+            "replicated-extra-layer"])
+    def test_bad_swap_raises_at_the_call(self, nano_config, bad, error):
+        requests = make_requests(nano_config, n=3)
+        baseline = ids_by_request(ContinuousBatchingEngine(
+            build_model(nano_config), max_slots=2).serve(requests))
+        placement = Placement(ALL_FAR.copy())
+        monitor = RoutingHealthMonitor(placement=placement)
+        engine = ContinuousBatchingEngine(build_model(nano_config),
+                                          max_slots=2, monitor=monitor)
+        staged = Placement(np.zeros((2, 4), dtype=np.int64), name="staged")
+        engine.swap_placement(staged)
+        with pytest.raises(error):
+            engine.swap_placement(bad)
+        assert engine.active_placement is placement
+        assert ids_by_request(engine.serve(requests)) == baseline
+        assert engine.active_placement is staged
+        assert monitor.placement is staged
+
+    def test_replicated_placement_is_staged(self, nano_model):
+        engine = LiveDecodeEngine(nano_model)
+        replicated = ReplicatedPlacement(Placement(ALL_FAR), {(1, 2): [0]},
+                                         bandwidths=[1.0] * 4)
+        engine.swap_placement(replicated)
+        engine.decode(np.array([[1, 2]]), 2)
+        assert engine.active_placement is replicated
 
 
 class TestLiveDecodeSwap:
