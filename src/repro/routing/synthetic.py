@@ -19,14 +19,26 @@ The paper's Fig. 5–7 experiments fine-tune 87 GB models on 6 V100s; here the
 Stream contract
 ---------------
 Seeded counts are pinned byte for byte (``tests/integration/
-test_golden.py``).  One step's selection consumes the generator exactly as
+test_golden.py``, ``tests/routing/test_synthetic.py``).  One step's
+selection consumes the generator exactly as
 ``rng.gumbel(size=(layers, tokens, experts))`` does, in that C order: one
 ``rng.random`` double per (layer, token, expert), an exact ``0.0`` skipped
-the way numpy's ``random_gumbel`` rejects ``1 - u == 1``.  The noise is
-numpy's own formula ``-log(-log(1 - u))``, taken with vectorized logs, which
-may differ from the scalar libm ones by a few ulps.  Counts depend only on
-the order of each token's scores, so that can move a count only where two
-of a token's scores lie within about 1e-15 of each other.  Each token gets
+the way numpy's ``random_gumbel`` rejects ``1 - u == 1``.  A token takes
+the ``top_k`` experts of highest Gumbel score ``s = l - T log(-log(1 -
+u))`` (numpy's formula, ``l`` the expert's logit, ``T`` the gate
+temperature).  Counts depend only on the order of each token's scores, so
+what is ranked is ``r = log(1 - u) * exp(min((m - l) / T, 700))``, with
+``m`` the layer's ``top_k``-th largest logit: ``r`` is ``-exp(-s / T)``
+times the positive factor ``exp(m / T)``, so it orders a token's experts
+as ``s`` does, at one ``log`` and one multiply per score.  The clamp never
+reaches a token's top ``top_k``: at least ``top_k`` experts have a weight
+of at most 1, so ``|r| < 37`` for them, while a clamped weight makes
+``|r|`` exceed ``1e287``.  A weight or product that underflows belongs to
+one of the at most ``top_k - 1`` experts more than ``600 T`` above ``m``,
+which always make the top ``top_k``.  The logs are vectorized and may
+differ from the scalar libm ones by a few ulps, and ``r`` rounds
+differently from ``s``; either can move a count only where two of a
+token's scores lie within about 1e-15 of each other.  Each token gets
 exactly ``top_k`` experts, an exact tie at the ``top_k``-th score going to
 the lower expert index.  The scalar ``rng.gumbel`` → ``argpartition`` form
 is the test oracle ``tests.oracles.reference_sample_counts``.
@@ -34,6 +46,7 @@ is the test oracle ``tests.oracles.reference_sample_counts``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,19 +117,38 @@ def regime_with_alpha(alpha: float, name: Optional[str] = None) -> LocalityRegim
     return LocalityRegime(name=name or f"alpha={alpha:g}", dirichlet_alpha=alpha)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _top_k_counts(scores: np.ndarray, k: int) -> np.ndarray:
     """How often each expert is among a token's ``k`` highest scores.
 
     ``scores`` is ``(experts, tokens)``.  The threshold is each token's
-    ``k``-th largest score, found by ``k - 1`` rounds of max-and-mask over
-    the expert rows.  Without ties exactly ``k`` scores reach it; an exact
-    tie lets more in, so only then are the over-full tokens re-selected,
-    the lower expert index first.
+    ``k``-th largest score counting ties: a running k-best
+    ``best[0] >= ... >= best[k - 1]`` over the expert rows, each row
+    inserted by one ``np.minimum`` and two ``np.maximum`` passes
+    (``best[j]`` becomes ``max(best[j], min(best[j - 1], row))``).  Exactly
+    ``k`` scores reach it unless the ``(k + 1)``-th ties it; only then are
+    the over-full tokens re-selected, the lower expert index first.
     """
-    rest = scores
-    for _ in range(k - 1):
-        rest = np.where(rest == rest.max(axis=0), -np.inf, rest)
-    selected = scores >= rest.max(axis=0)
+    if k == 1:
+        threshold = scores.max(axis=0)
+    else:
+        best = np.empty((k, scores.shape[1]))
+        best[0] = scores[0]
+        best[1:] = -np.inf
+        top, head, tail = best[0], best[:-1], best[1:]
+        spill = np.empty_like(tail)
+        for row in scores[1:]:
+            np.minimum(head, row, out=spill)
+            np.maximum(tail, spill, out=tail)
+            np.maximum(top, row, out=top)
+        threshold = best[-1]
+    selected = scores >= threshold
     counts = np.count_nonzero(selected, axis=1)
     if counts.sum() != k * scores.shape[1]:
         over = np.flatnonzero(np.count_nonzero(selected, axis=0) > k)
@@ -167,8 +199,8 @@ class SyntheticRouter:
         Placement-independent: the same trace is replayed under every
         placement strategy, exactly as one fine-tuning run would be.
         """
-        if num_steps < 1 or tokens_per_step < 1:
-            raise ValueError("num_steps and tokens_per_step must be positive")
+        _check_count("num_steps", num_steps)
+        _check_count("tokens_per_step", tokens_per_step)
         cfg, regime = self.config, self.regime
         rng = np.random.default_rng(self.seed + 1 if seed is None else seed)
         layers, experts, k = cfg.num_layers, cfg.num_experts, cfg.top_k
@@ -195,13 +227,19 @@ class SyntheticRouter:
         """Gumbel-top-k selection counts for one step, a layer at a time.
 
         Returns the ``(layers, experts)`` count matrix; each layer sums to
-        ``tokens * top_k``.  Draws follow the module's stream contract.  A
-        layer at a time keeps each pass's ``(experts, tokens)`` block in
-        cache.
+        ``tokens * top_k``.  Draws and ranking follow the module's stream
+        contract.  A layer at a time keeps each pass's ``(experts,
+        tokens)`` block in cache.
         """
         layers, experts = logits.shape
         k = self.config.top_k
         size = tokens * experts
+        # log(1 - u) * weights orders a token's experts as their Gumbel
+        # scores do; the k-th largest logit keeps the clamp out of every
+        # top k (module docstring).
+        kth = np.sort(logits, axis=1)[:, experts - k, None]
+        weights = np.exp(np.minimum(
+            (kth - logits) / self.regime.gate_temperature, 700.0))
         counts = np.empty((layers, experts), dtype=np.int64)
         scores = np.empty((experts, tokens))
         for layer in range(layers):
@@ -209,14 +247,9 @@ class SyntheticRouter:
             while not u.all():
                 kept = u[u != 0.0]
                 u = np.concatenate((kept, rng.random(size - kept.size)))
-            # logits + temperature * gumbel, with numpy's gumbel
-            # 0 - log(-log(1 - u)): subtracting is that sum exactly.
             np.subtract(1.0, u.reshape(tokens, experts).T, out=scores)
             np.log(scores, out=scores)
-            np.negative(scores, out=scores)
-            np.log(scores, out=scores)
-            scores *= self.regime.gate_temperature
-            np.subtract(logits[layer, :, None], scores, out=scores)
+            scores *= weights[layer, :, None]
             counts[layer] = _top_k_counts(scores, k)
         return counts
 
@@ -230,6 +263,7 @@ class SyntheticRouter:
         The estimate is sampled at step-0 statistics (drift-free), mirroring
         "prior to fine-tuning, we pass the dataset through the model".
         """
+        _check_count("profile_tokens", profile_tokens)
         rng = np.random.default_rng(self.seed + 2 if seed is None else seed)
         counts = self._sample_counts(self._base_logits, profile_tokens, rng)
         return counts / profile_tokens
@@ -240,6 +274,7 @@ class SyntheticRouter:
 
         Useful for tests that compare profiled vs. true probabilities.
         """
+        _check_count("samples", samples)
         return self.probability_matrix(profile_tokens=samples, seed=seed)
 
 

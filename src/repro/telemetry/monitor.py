@@ -46,6 +46,8 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..models.moe_block import routing_counts
+from ..placement.base import Placement
+from ..placement.replication import ReplicatedPlacement
 from ..routing.stability import (StabilityMonitor, StabilityReport,
                                  softmax_sensitivity_bound)
 from .events import EventLog, MonitorEvent, RunManifest, current_git_rev
@@ -195,8 +197,25 @@ class RoutingHealthMonitor:
         ``locality_collapse`` stays latched until a post-swap step
         actually clears the threshold — recovery is measured, not
         assumed.
+
+        The placement is checked at the call, since the re-placement
+        controller swaps the monitor directly: anything but a
+        :class:`~repro.placement.base.Placement` or a
+        :class:`~repro.placement.replication.ReplicatedPlacement` raises
+        ``TypeError``, an assignment shape other than the held placement's
+        ``ValueError``, and the held placement is left as it was.
         """
+        if not isinstance(placement, (Placement, ReplicatedPlacement)):
+            raise TypeError(f"placement must be a Placement or a "
+                            f"ReplicatedPlacement, got "
+                            f"{type(placement).__name__}")
         with self._lock:
+            if self.placement is not None:
+                shape = np.shape(placement.assignment)
+                held = np.shape(self.placement.assignment)
+                if shape != held:
+                    raise ValueError(f"placement shape {shape} does not "
+                                     f"match the held placement's {held}")
             self.placement = placement
 
     def add_listener(self, listener) -> None:

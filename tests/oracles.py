@@ -65,6 +65,11 @@ speedup import them from here.
   uniform draws and top-k threshold of
   ``repro.routing.synthetic.SyntheticRouter._sample_counts``.  It has that
   method's signature, so ``monkeypatch.setattr`` swaps it in.
+* :func:`reference_top_k_counts` — each token's top-k threshold by
+  ``k - 1`` rounds of max-and-mask over the expert rows (the ``k``-th
+  largest distinct score), against the running k-best of
+  ``repro.routing.synthetic._top_k_counts`` (the ``k``-th largest score
+  counting ties).
 """
 
 from __future__ import annotations
@@ -998,3 +1003,21 @@ def reference_sample_counts(self, logits: np.ndarray, tokens: int,
             + top).reshape(-1)
     return np.bincount(flat, minlength=layers * experts).reshape(
         layers, experts)
+
+
+def reference_top_k_counts(scores: np.ndarray, k: int) -> np.ndarray:
+    """How often each expert of an ``(experts, tokens)`` block is among a
+    token's ``k`` highest scores, thresholding at the ``k``-th largest
+    distinct score, then re-selecting over-full tokens by a stable sort."""
+    rest = scores
+    for _ in range(k - 1):
+        rest = np.where(rest == rest.max(axis=0), -np.inf, rest)
+    selected = scores >= rest.max(axis=0)
+    counts = np.count_nonzero(selected, axis=1)
+    if counts.sum() != k * scores.shape[1]:
+        over = np.flatnonzero(np.count_nonzero(selected, axis=0) > k)
+        ranked = np.argsort(-scores[:, over], axis=0, kind="stable")[:k]
+        selected[:, over] = False
+        selected[ranked, over] = True
+        counts = np.count_nonzero(selected, axis=1)
+    return counts

@@ -1,6 +1,7 @@
 """Tests for the synthetic router's statistical properties and its
 seeded stream contract."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.models import mixtral_8x7b_sim, nano_moe
+from repro.models import (deepseek_moe_sim, gritlm_8x7b_sim,
+                          mixtral_8x7b_sim, nano_moe, switch_xxl_sim,
+                          tiny_mistral)
 from repro.routing import (ALPACA_REGIME, UNIFORM_REGIME, WIKITEXT_REGIME,
                            LocalityRegime, SyntheticRouter, regime_with_alpha)
-from tests.oracles import reference_sample_counts
+from repro.routing.synthetic import _top_k_counts
+from tests.oracles import reference_sample_counts, reference_top_k_counts
 
 
 def normalized_entropy(p):
@@ -65,6 +69,24 @@ class TestTraceGeneration:
     def test_validates_args(self):
         with pytest.raises(ValueError):
             self.router.generate_trace(0, 10)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True, "8", None])
+    def test_counts_must_be_positive_integers(self, count):
+        """A count that is not a positive integer raises at the call;
+        an empty profile would otherwise be an all-NaN matrix."""
+        router = self.router
+        for call in (lambda: router.probability_matrix(count),
+                     lambda: router.expected_selection_probability(count),
+                     lambda: router.generate_trace(2, count),
+                     lambda: router.generate_trace(count, 2)):
+            with pytest.raises(ValueError, match="positive integer"):
+                call()
+
+    def test_numpy_integer_counts_accepted(self):
+        count = np.int64(16)
+        np.testing.assert_array_equal(self.router.probability_matrix(count),
+                                      self.router.probability_matrix(16))
+        assert self.router.generate_trace(count, count).num_steps == 16
 
 
 class TestLocalityProperties:
@@ -244,3 +266,61 @@ class TestStreamContract:
                                        StreamGenerator(uniforms.ravel()))
         np.testing.assert_array_equal(counts, [[2, 4, 4, 1, 1]])
         assert counts.sum() == len(uniforms) * 3
+
+
+# Few distinct values, so exact ties land at, above and below the k-th
+# place; -0.0 and 0.0 tie too.
+TIE_VALUES = (-2.0, -1.0, -0.5, -0.0, 0.0, 1.0)
+
+
+class TestTopKThreshold:
+    """``_top_k_counts`` thresholds at each token's ``k``-th largest score
+    counting ties; the max-and-mask oracle at the ``k``-th largest distinct
+    one.  They differ exactly when ties sit above the ``k``-th place, which
+    the end-to-end property almost never draws."""
+
+    @given(experts=st.integers(1, 16), tokens=st.integers(1, 300),
+           values=st.lists(st.sampled_from(TIE_VALUES), min_size=1,
+                           max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(experts=16, tokens=300, values=[-0.0, 0.0], seed=0)
+    @example(experts=8, tokens=50, values=[-1.0, 0.0, 1.0], seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_max_and_mask_oracle(self, experts, tokens, values,
+                                         seed):
+        scores = np.random.default_rng(seed).choice(
+            np.array(values), size=(experts, tokens))
+        ranked = np.argsort(-scores, axis=0, kind="stable")
+        for k in range(1, experts + 1):
+            counts = _top_k_counts(scores, k)
+            np.testing.assert_array_equal(
+                counts, reference_top_k_counts(scores, k))
+            # each token's k highest, an exact tie to the lower index
+            np.testing.assert_array_equal(
+                counts, np.bincount(ranked[:k].ravel(), minlength=experts))
+            assert counts.sum() == k * tokens
+
+
+PRESETS = (tiny_mistral, nano_moe, mixtral_8x7b_sim, gritlm_8x7b_sim,
+           switch_xxl_sim, deepseek_moe_sim)
+# The paper's regimes, plus a skewed prior at a temperature that clamps
+# most ranking weights' exponents (1e-3) and at one that clamps none (1e3).
+DIGEST_REGIMES = (
+    WIKITEXT_REGIME, ALPACA_REGIME, UNIFORM_REGIME,
+    LocalityRegime(name="cold", dirichlet_alpha=0.3, gate_temperature=1e-3),
+    LocalityRegime(name="hot", dirichlet_alpha=0.3, gate_temperature=1e3))
+PRESETS_SHA256 = \
+    "629fd67f5963e336442e1b0ca848662f1481d157e4398c58d036636b4bfb6230"
+
+
+def test_every_preset_counts_digest():
+    """Every preset's profile and a short trace under five regimes are
+    byte-identical to the pinned ones: switch-xxl's top-1, deepseek's 64
+    experts with top-6, and temperatures far outside the paper's."""
+    digest = hashlib.sha256()
+    for i, preset in enumerate(PRESETS):
+        for j, regime in enumerate(DIGEST_REGIMES):
+            router = SyntheticRouter(preset(), regime, seed=10 * i + j)
+            digest.update(router.probability_matrix(2048).tobytes())
+            digest.update(router.generate_trace(3, 512).counts.tobytes())
+    assert digest.hexdigest() == PRESETS_SHA256

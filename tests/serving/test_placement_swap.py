@@ -104,20 +104,23 @@ class TestContinuousBatchingSwap:
         assert swap.labels["queue_depth"] == 0
 
 
+BAD_SWAPS = pytest.mark.parametrize("bad, error", [
+    ("all-far", TypeError),
+    (ALL_FAR, TypeError),
+    (Placement(np.zeros((3, 4), dtype=np.int64)), ValueError),
+    (Placement(np.zeros((2, 3), dtype=np.int64)), ValueError),
+    (ReplicatedPlacement(Placement(np.zeros((3, 4), dtype=np.int64)),
+                         {(0, 0): [1]}, bandwidths=[1.0] * 4),
+     ValueError),
+], ids=["str", "array", "extra-layer", "missing-expert",
+        "replicated-extra-layer"])
+
+
 class TestSwapValidation:
     """A placement the model cannot use raises where the swap is staged,
     and neither the staged swap nor serving changes."""
 
-    @pytest.mark.parametrize("bad, error", [
-        ("all-far", TypeError),
-        (ALL_FAR, TypeError),
-        (Placement(np.zeros((3, 4), dtype=np.int64)), ValueError),
-        (Placement(np.zeros((2, 3), dtype=np.int64)), ValueError),
-        (ReplicatedPlacement(Placement(np.zeros((3, 4), dtype=np.int64)),
-                             {(0, 0): [1]}, bandwidths=[1.0] * 4),
-         ValueError),
-    ], ids=["str", "array", "extra-layer", "missing-expert",
-            "replicated-extra-layer"])
+    @BAD_SWAPS
     def test_bad_swap_raises_at_the_call(self, nano_config, bad, error):
         requests = make_requests(nano_config, n=3)
         baseline = ids_by_request(ContinuousBatchingEngine(
@@ -142,6 +145,42 @@ class TestSwapValidation:
         engine.swap_placement(replicated)
         engine.decode(np.array([[1, 2]]), 2)
         assert engine.active_placement is replicated
+
+
+class TestMonitorSwapValidation:
+    """The monitor checks a swap at the call too, since the re-placement
+    controller swaps it directly, past the engine's check.  A bad swap
+    leaves the held placement, so the next serve still scores locality
+    (a wrong shape would raise in the serve loop after its first
+    forward)."""
+
+    @BAD_SWAPS
+    def test_bad_swap_raises_at_the_call(self, nano_config, bad, error):
+        placement = Placement(ALL_FAR.copy())
+        monitor = RoutingHealthMonitor(placement=placement)
+        with pytest.raises(error):
+            monitor.swap_placement(bad)
+        assert monitor.placement is placement
+        engine = ContinuousBatchingEngine(build_model(nano_config),
+                                          max_slots=2, monitor=monitor)
+        engine.serve(make_requests(nano_config, n=3))
+        assert monitor.steps_observed > 0
+        assert monitor.placement is placement
+
+    def test_replicated_placement_is_held(self):
+        monitor = RoutingHealthMonitor(placement=Placement(ALL_FAR.copy()))
+        replicated = ReplicatedPlacement(Placement(ALL_FAR), {(1, 2): [0]},
+                                         bandwidths=[1.0] * 4)
+        monitor.swap_placement(replicated)
+        assert monitor.placement is replicated
+
+    def test_first_placement_sets_the_shape(self):
+        monitor = RoutingHealthMonitor()
+        first = Placement(np.zeros((3, 4), dtype=np.int64))
+        monitor.swap_placement(first)
+        with pytest.raises(ValueError, match="held placement"):
+            monitor.swap_placement(Placement(ALL_FAR))
+        assert monitor.placement is first
 
 
 class TestLiveDecodeSwap:
