@@ -23,7 +23,8 @@ Acceptance gates (hard, also enforced by ``--strict`` and CI):
 * request tracing (``tracing=``/``flight=``) is accounting-only: ids
   bit-identical with the full observability stack attached on both live
   engines, per-request ledgers tile the ``serve.prefetch_*`` counters,
-  and the hooks-disabled serve loop costs <2% over plain construction.
+  and a serve loop with no sidecar attached makes no Python call into
+  ``repro.telemetry`` or ``repro.serving.prefetch``.
 
 Run standalone for the JSON artifact::
 
@@ -44,6 +45,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.bench.calls import calls_into
 from repro.bench.host import host_record
 from repro.bench.report import format_table
 from repro.models import build_model, generate, tiny_mistral
@@ -71,8 +73,8 @@ MAX_SEQ_LEN = 64
 # Request-tracing gates (the `tracing` payload section, CI kind `tracing`):
 # generated ids must be bit-identical with tracing on vs off on both live
 # engines, per-request attributed bytes must tile the aggregate counters,
-# and the tracing-disabled serve loop may cost at most 2% over baseline.
-TRACING_MAX_OVERHEAD = 0.02
+# and the sidecar-free serve loop may make no call into these packages.
+SIDECAR_PACKAGES = ("repro.telemetry", "repro.serving.prefetch")
 TRACING_TILE_REL_TOL = 1e-9
 # field attributed by RequestTracer -> aggregate counter the engines feed
 TRACING_COUNTERS = {
@@ -211,8 +213,9 @@ def measure_rate_sweep(rates=SWEEP_RATES, slots=HEADLINE_SLOTS) -> list:
     return rows
 
 
-def measure_tracing(iters: int = 2) -> dict:
-    """Request-tracing acceptance: bit-identity, byte tiling, overhead.
+def measure_tracing() -> dict:
+    """Request-tracing acceptance: bit-identity, byte tiling, no sidecar
+    calls when detached.
 
     Tracing is accounting-only, so every gate here is correctness rather
     than throughput: ``LiveDecodeEngine.decode`` and the slot-pool
@@ -221,11 +224,11 @@ def measure_tracing(iters: int = 2) -> dict:
     ``serve.prefetch_*`` counters (the tracer's in-order mirror equals the
     counters bitwise; the cross-ledger sum may differ from the mirror only
     by float summation order, bounded at ``TRACING_TILE_REL_TOL``
-    relative), and the disabled path — tracing hooks present but ``None``,
-    the shipping default — must cost at most ``TRACING_MAX_OVERHEAD``
-    over the plain construction.  The overhead run interleaves the two
-    arms A B B A per iteration and takes min-of-samples, so thermal drift
-    lands on both arms instead of masquerading as a regression.
+    relative), and the disabled path — every sidecar ``None``, the
+    shipping default — must make no Python call into
+    ``SIDECAR_PACKAGES`` while it builds the engine and serves the
+    headline burst.  A count, unlike a timing of two runs of the same
+    code, reads zero on working code and moves with any hook that runs.
     """
     from repro.serving.prefetch import PrefetchConfig
     from repro.telemetry import (FlightRecorder, RequestTracer, SLOConfig,
@@ -286,26 +289,13 @@ def measure_tracing(iters: int = 2) -> dict:
         and tracer.slo.requests_observed == len(requests)
         and telemetry.gauge("serve.slo_good_fraction").updates > 0)
 
-    # Disabled overhead: the hooks-off serve loop (explicit Nones — the
-    # same branch every untraced caller takes) vs plain construction,
-    # interleaved A B B A with min-of-samples, on the larger headline
-    # burst so the 2% gate sits well above timer jitter.
-    overhead_requests = _burst_requests()
-    plain_s, disabled_s = [], []
-    for index in range(4 * iters):
-        if index % 4 in (0, 3):
-            engine = ContinuousBatchingEngine(_model(),
-                                              max_slots=HEADLINE_SLOTS)
-            samples = plain_s
-        else:
-            engine = ContinuousBatchingEngine(_model(),
-                                              max_slots=HEADLINE_SLOTS,
-                                              tracing=None, flight=None)
-            samples = disabled_s
-        start = time.perf_counter()
-        engine.serve(overhead_requests)
-        samples.append(time.perf_counter() - start)
-    disabled_overhead = min(disabled_s) / min(plain_s) - 1.0
+    # Disabled sidecars: the default construction serving the headline
+    # burst must not reach any sidecar code.
+    model, burst = _model(), _burst_requests()
+    disabled_sidecar_calls = calls_into(
+        SIDECAR_PACKAGES,
+        lambda: ContinuousBatchingEngine(
+            model, max_slots=HEADLINE_SLOTS).serve(burst))
 
     return {
         "num_requests": len(requests),
@@ -316,8 +306,7 @@ def measure_tracing(iters: int = 2) -> dict:
         "tiling": tiling,
         "slo_tracked": slo_tracked,
         "slo_burn_rate": tracer.slo.burn_rate("any"),
-        "disabled_overhead": disabled_overhead,
-        "max_overhead": TRACING_MAX_OVERHEAD,
+        "disabled_sidecar_calls": disabled_sidecar_calls,
         "tile_rel_tolerance": TRACING_TILE_REL_TOL,
     }
 
@@ -328,7 +317,7 @@ def tracing_ok(tracing: dict) -> bool:
                 and tracing["ids_identical_batch"]
                 and tracing["ledger_bytes_tile"]
                 and tracing["slo_tracked"]
-                and tracing["disabled_overhead"] <= tracing["max_overhead"])
+                and tracing["disabled_sidecar_calls"] == 0)
 
 
 # --------------------------------------------------------------------- #
@@ -367,18 +356,18 @@ def test_more_slots_do_not_hurt_throughput():
 
 
 def test_tracing_gates():
-    """Acceptance: tracing bit-identity, byte tiling, bounded overhead."""
-    result = measure_tracing(iters=1)
+    """Acceptance: tracing bit-identity, byte tiling, no sidecar calls
+    when detached."""
+    result = measure_tracing()
     print(f"\ntracing: ids live/batch "
           f"{result['ids_identical_live']}/{result['ids_identical_batch']}, "
-          f"tiling {result['ledger_bytes_tile']}, disabled overhead "
-          f"{result['disabled_overhead']:+.2%} "
-          f"(limit {result['max_overhead']:.0%})")
+          f"tiling {result['ledger_bytes_tile']}, detached sidecar calls "
+          f"{result['disabled_sidecar_calls']}")
     assert result["ids_identical_live"], result
     assert result["ids_identical_batch"], result
     assert result["ledger_bytes_tile"], result["tiling"]
     assert result["slo_tracked"], result
-    assert result["disabled_overhead"] <= result["max_overhead"], result
+    assert result["disabled_sidecar_calls"] == 0, result
 
 
 # --------------------------------------------------------------------- #
@@ -397,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     headline = measure_headline(iters=1 if args.smoke else 2)
-    tracing = measure_tracing(iters=1 if args.smoke else 2)
+    tracing = measure_tracing()
     slots_sweep = [] if args.smoke else measure_slots_sweep()
     rate_sweep = [] if args.smoke else measure_rate_sweep()
 
@@ -436,9 +425,8 @@ def main(argv=None) -> int:
     print(f"\ntracing: ids live/batch "
           f"{tracing['ids_identical_live']}/{tracing['ids_identical_batch']},"
           f" ledger tiling {tracing['ledger_bytes_tile']}, slo "
-          f"{tracing['slo_tracked']}, disabled overhead "
-          f"{tracing['disabled_overhead']:+.2%} "
-          f"(limit {tracing['max_overhead']:.0%})")
+          f"{tracing['slo_tracked']}, detached sidecar calls "
+          f"{tracing['disabled_sidecar_calls']} (required 0)")
 
     ok = (headline["throughput_ratio"] >= MIN_THROUGHPUT_RATIO
           and headline["single_request_identical"]

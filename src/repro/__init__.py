@@ -6,7 +6,7 @@ Public API tour:
 * ``repro.nn`` — numpy autograd substrate (tensors, layers, optimizers).
 * ``repro.models`` — MoE transformers (live tiny models + Mixtral-scale specs).
 * ``repro.lora`` — LoRA parameter-efficient fine-tuning.
-* ``repro.data`` — synthetic Tiny-Shakespeare / WikiText / Alpaca corpora.
+* ``repro.data`` — the synthetic Tiny-Shakespeare corpus and its tokenizer.
 * ``repro.routing`` — traces, locality profiling, synthetic routers,
   Theorem-1 stability analysis.
 * ``repro.cluster`` / ``repro.comm`` — hardware topology, byte accounting

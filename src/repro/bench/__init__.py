@@ -3,6 +3,7 @@
 from .experiments import (ComparisonExperiment, HeatmapExperiment,
                           LocalityExperiment, run_comparison_experiment,
                           run_heatmap_experiment, run_locality_experiment)
+from .calls import calls_into
 from .export import report_to_markdown, write_markdown
 from .harness import PAPER_CELLS, EvaluationReport, run_full_evaluation
 from .host import host_record
@@ -17,7 +18,7 @@ __all__ = [
     "run_heatmap_experiment", "LocalityExperiment", "ComparisonExperiment",
     "HeatmapExperiment",
     "run_full_evaluation", "EvaluationReport", "PAPER_CELLS",
-    "host_record",
+    "host_record", "calls_into",
     "report_to_markdown", "write_markdown",
     "format_table", "heatmap", "histogram", "sparkline", "series_panel",
     "percent",

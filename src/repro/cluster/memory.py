@@ -81,10 +81,3 @@ class ExpertMemoryModel:
                                             topology.master_worker_id))
                 for w in topology.workers]
 
-
-def validate_capacities(capacities: List[int], total_experts: int) -> None:
-    """Fail fast when the cluster cannot host the model at all."""
-    if sum(capacities) < total_experts:
-        raise ValueError(
-            f"cluster capacity {sum(capacities)} cannot host {total_experts} "
-            "experts; add devices or lower the memory model's reserves")

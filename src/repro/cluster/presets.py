@@ -7,8 +7,8 @@ cross-node Ethernet.
 
 from __future__ import annotations
 
-from .device import DeviceSpec, a100_80gb, v100_32gb
-from .link import GB, Link, cross_node_link, intra_node_link
+from .device import v100_32gb
+from .link import Link, cross_node_link, intra_node_link
 from .topology import ClusterTopology
 
 
@@ -17,25 +17,6 @@ def paper_cluster() -> ClusterTopology:
     return ClusterTopology(num_nodes=3, gpus_per_node=2, device=v100_32gb(),
                            intra_link=intra_node_link(),
                            cross_link=cross_node_link())
-
-
-def single_node(gpus: int = 4) -> ClusterTopology:
-    """One machine: every link is the fast intra-node link."""
-    return ClusterTopology(num_nodes=1, gpus_per_node=gpus, device=v100_32gb(),
-                           intra_link=intra_node_link(),
-                           cross_link=cross_node_link())
-
-
-def flat_cluster(num_nodes: int = 6, bandwidth_gbps: float = 10.0) -> ClusterTopology:
-    """One GPU per node, homogeneous bandwidth everywhere.
-
-    With equal bandwidth the LP's placement choice becomes load balancing
-    only — the degenerate regime the bandwidth-sweep ablation explores.
-    """
-    link = Link(bandwidth_bytes_per_s=bandwidth_gbps * GB / 8, latency_s=100e-6,
-                name=f"flat-{bandwidth_gbps:g}gbps")
-    return ClusterTopology(num_nodes=num_nodes, gpus_per_node=1,
-                           device=v100_32gb(), intra_link=link, cross_link=link)
 
 
 def bandwidth_ratio_cluster(ratio: float, num_nodes: int = 3,
@@ -53,24 +34,3 @@ def bandwidth_ratio_cluster(ratio: float, num_nodes: int = 3,
     return ClusterTopology(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
                            device=v100_32gb(), intra_link=intra, cross_link=cross)
 
-
-def large_cluster(num_nodes: int = 8, gpus_per_node: int = 4) -> ClusterTopology:
-    """A bigger deployment for scalability studies."""
-    return ClusterTopology(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
-                           device=a100_80gb(), intra_link=intra_node_link(),
-                           cross_link=cross_node_link())
-
-
-def heterogeneous_cluster() -> ClusterTopology:
-    """A mixed fleet: one A100 node plus two V100 nodes.
-
-    Worker capacities and compute speeds now differ per worker, exercising
-    the LP's capacity constraint (11) with genuinely unequal ``C_n`` — the
-    big-memory node can absorb disproportionally many (hot) experts.
-    """
-    devices = [a100_80gb(), a100_80gb(),
-               v100_32gb(), v100_32gb(),
-               v100_32gb(), v100_32gb()]
-    return ClusterTopology(num_nodes=3, gpus_per_node=2, devices=devices,
-                           intra_link=intra_node_link(),
-                           cross_link=cross_node_link())

@@ -8,10 +8,9 @@ of quantization error injected into forward features and backward gradients.
 
 This module provides:
 
-* real absmax quantize/dequantize kernels (numpy) with measurable error,
+* real absmax quantize/dequantize kernels (numpy) with measurable error;
 * :class:`CompressionScheme` descriptors the engines consume through
-  ``MoEModelConfig.bits_per_feature``, and
-* an error model validated by tests (uniform-quantization SNR).
+  ``MoEModelConfig.bits_per_feature``.
 """
 
 from __future__ import annotations
@@ -93,18 +92,6 @@ def quantization_error(x: np.ndarray, scheme: CompressionScheme) -> float:
     if norm == 0:
         return 0.0
     return float(np.linalg.norm(x - roundtrip(x, scheme)) / norm)
-
-
-def expected_relative_error(bits: int) -> float:
-    """First-order expected relative error of uniform absmax quantization.
-
-    For a roughly Gaussian activation tensor, rounding noise is uniform in
-    ``[-s/2, s/2]`` with ``s = absmax / (2^(b-1)-1)``; relative L2 error is
-    about ``s / (sqrt(12) * sigma)``.  With absmax ~ 4 sigma this gives
-    ``4 / (sqrt(12) * (2^(b-1)-1))`` — used as a sanity envelope in tests.
-    """
-    qmax = 2 ** (bits - 1) - 1
-    return 4.0 / (np.sqrt(12.0) * qmax)
 
 
 def apply_scheme(config, scheme: CompressionScheme):

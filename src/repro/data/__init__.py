@@ -1,14 +1,7 @@
-"""Synthetic datasets and tokenization (see DESIGN.md for substitutions)."""
+"""Synthetic corpus and tokenization (see DESIGN.md for substitutions)."""
 
-from .bpe import BPETokenizer
-from .alpaca import AlpacaRecord, generate_alpaca, generate_alpaca_records
 from .loader import LMDataLoader
 from .shakespeare import generate_tiny_shakespeare
-from .tokenizer import CharTokenizer, WordTokenizer
-from .wikitext import generate_wikitext
+from .tokenizer import CharTokenizer
 
-__all__ = [
-    "CharTokenizer", "WordTokenizer", "BPETokenizer", "LMDataLoader",
-    "generate_tiny_shakespeare", "generate_wikitext",
-    "generate_alpaca", "generate_alpaca_records", "AlpacaRecord",
-]
+__all__ = ["CharTokenizer", "LMDataLoader", "generate_tiny_shakespeare"]

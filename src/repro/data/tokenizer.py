@@ -1,15 +1,12 @@
-"""Tokenizers for the synthetic corpora.
+"""Tokenizer for the synthetic corpus.
 
 ``CharTokenizer`` serves the Tiny-Shakespeare-style experiments (character-
-level LM, as in the paper's Section III measurement study).  ``WordTokenizer``
-is a whitespace tokenizer with a bounded vocabulary for the WikiText- and
-Alpaca-style workloads.
+level LM, as in the paper's Section III measurement study).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -45,44 +42,3 @@ class CharTokenizer:
         """Integer token ids back to text."""
         return "".join(self._itos[int(i)] for i in ids)
 
-
-class WordTokenizer:
-    """Whitespace tokenizer with ``<pad>``/``<unk>`` and a max vocabulary size.
-
-    The vocabulary keeps the most frequent words of the fitting corpus; rarer
-    words map to ``<unk>``.
-    """
-
-    PAD, UNK = "<pad>", "<unk>"
-
-    def __init__(self, corpus: str, max_vocab: int = 2000):
-        if max_vocab < 3:
-            raise ValueError("max_vocab must be at least 3")
-        counts = Counter(corpus.split())
-        most_common = [w for w, _ in counts.most_common(max_vocab - 2)]
-        self._itos: List[str] = [self.PAD, self.UNK] + most_common
-        self._stoi: Dict[str, int] = {w: i for i, w in enumerate(self._itos)}
-
-    @property
-    def vocab_size(self) -> int:
-        """Vocabulary size."""
-        return len(self._itos)
-
-    @property
-    def pad_id(self) -> int:
-        """Padding token id."""
-        return 0
-
-    @property
-    def unk_id(self) -> int:
-        """Unknown-token id."""
-        return 1
-
-    def encode(self, text: str) -> np.ndarray:
-        """Text to integer token ids."""
-        return np.array([self._stoi.get(w, self.unk_id) for w in text.split()],
-                        dtype=np.int64)
-
-    def decode(self, ids: Iterable[int]) -> str:
-        """Integer token ids back to text."""
-        return " ".join(self._itos[int(i)] for i in ids)

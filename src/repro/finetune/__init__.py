@@ -1,15 +1,9 @@
 """Fine-tuning loop for live MoE models (LoRA + AdamW, paper recipe)."""
 
-from .checkpoint import (load_optimizer_state, load_training_state,
-                         optimizer_state_dict, save_training_state)
-from .callbacks import (Callback, GateMonitor, LambdaCallback, LossHistory,
-                        RoutingRecorder)
+from .callbacks import Callback, GateMonitor, LossHistory, RoutingRecorder
 from .trainer import FineTuneConfig, FineTuneResult, Trainer, pretrain_router
 
 __all__ = [
     "FineTuneConfig", "FineTuneResult", "Trainer", "pretrain_router",
     "Callback", "LossHistory", "RoutingRecorder", "GateMonitor",
-    "LambdaCallback",
-    "save_training_state", "load_training_state",
-    "optimizer_state_dict", "load_optimizer_state",
 ]

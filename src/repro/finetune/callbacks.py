@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -69,13 +69,3 @@ class GateMonitor(Callback):
         """Per-step mean gate probabilities, stacked."""
         return np.stack(self.mean_probs)
 
-
-class LambdaCallback(Callback):
-    """Wrap a plain function as a callback."""
-
-    def __init__(self, on_step: Callable[[int, float, List], None]):
-        self._fn = on_step
-
-    def on_step(self, step: int, loss: float, records: List) -> None:
-        """Handle one training step's observations."""
-        self._fn(step, loss, records)

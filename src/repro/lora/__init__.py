@@ -2,7 +2,6 @@
 
 from .adapter import LoRALinear
 from .config import LoRAConfig
-from .inject import LoRAReport, inject_lora, lora_parameters, merge_lora
+from .inject import LoRAReport, inject_lora
 
-__all__ = ["LoRAConfig", "LoRALinear", "LoRAReport", "inject_lora",
-           "merge_lora", "lora_parameters"]
+__all__ = ["LoRAConfig", "LoRALinear", "LoRAReport", "inject_lora"]

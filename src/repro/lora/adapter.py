@@ -72,20 +72,3 @@ class LoRALinear(Module):
                            *self.factors(x.shape, x.dtype),
                            bias=self.base.bias)
 
-    def merged_weight(self) -> np.ndarray:
-        """Return ``W + (alpha/r) B A`` as a dense matrix."""
-        return self.base.weight.data + \
-            self.config.scaling * (self.lora_b.data @ self.lora_a.data)
-
-    def merge(self) -> Linear:
-        """Fold the adapter into a fresh plain :class:`Linear` layer."""
-        merged = Linear(self.in_features, self.out_features,
-                        bias=self.base.bias is not None)
-        merged.weight.data = self.merged_weight().copy()
-        if self.base.bias is not None:
-            merged.bias.data = self.base.bias.data.copy()
-        return merged
-
-    def num_lora_params(self) -> int:
-        """Trainable adapter parameter count."""
-        return int(self.lora_a.size + self.lora_b.size)

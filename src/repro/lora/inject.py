@@ -88,47 +88,3 @@ def inject_lora(model: Module, config: Optional[LoRAConfig] = None) -> LoRARepor
     report.frozen_params = model.num_parameters() - report.trainable_params
     return report
 
-
-def merge_lora(model: Module) -> int:
-    """Fold every adapter back into a plain Linear; return the merge count."""
-    merged = 0
-
-    def _merge(module: Module) -> None:
-        nonlocal merged
-        for attr, value in list(vars(module).items()):
-            if isinstance(value, LoRALinear):
-                setattr(module, attr, value.merge())
-                merged += 1
-            elif isinstance(value, Module):
-                _merge(value)
-            elif isinstance(value, (list, tuple)):
-                new_items = list(value)
-                changed = False
-                for i, item in enumerate(new_items):
-                    if isinstance(item, LoRALinear):
-                        new_items[i] = item.merge()
-                        merged += 1
-                        changed = True
-                    elif isinstance(item, Module):
-                        _merge(item)
-                if changed:
-                    setattr(module, attr, new_items)
-            elif isinstance(value, dict):
-                for key, item in value.items():
-                    if isinstance(item, LoRALinear):
-                        value[key] = item.merge()
-                        merged += 1
-                    elif isinstance(item, Module):
-                        _merge(item)
-
-    _merge(model)
-    return merged
-
-
-def lora_parameters(model: Module):
-    """Return only the adapter parameters of an injected model."""
-    params = []
-    for name, p in model.named_parameters():
-        if ("lora_a" in name or "lora_b" in name) and p.requires_grad:
-            params.append(p)
-    return params

@@ -1,7 +1,7 @@
 """MoE model zoo: configs, gate, experts, blocks and the full transformer."""
 
 from .config import MoEModelConfig
-from .expert import DenseFFN, ExpertFFN
+from .expert import ExpertFFN
 from .generate import decode_routing_counts, generate
 from .gating import GateOutput, TopKGate
 from .moe_block import BlockRoutingRecord, MoEBlock, routing_counts
@@ -11,7 +11,7 @@ from .presets import (build_model, deepseek_moe_sim, gritlm_8x7b_sim,
 from .transformer import MoETransformer, TransformerBlock
 
 __all__ = [
-    "MoEModelConfig", "TopKGate", "GateOutput", "ExpertFFN", "DenseFFN",
+    "MoEModelConfig", "TopKGate", "GateOutput", "ExpertFFN",
     "MoEBlock", "BlockRoutingRecord", "routing_counts", "TransformerBlock",
     "MoETransformer",
     "tiny_mistral", "nano_moe", "mixtral_8x7b_sim", "gritlm_8x7b_sim",

@@ -85,17 +85,3 @@ class ExpertFFN(Module):
         """Footprint at a given precision (2 bytes = fp16, as in the paper)."""
         return self.num_params() * bytes_per_param
 
-
-class DenseFFN(Module):
-    """A plain (non-MoE) SwiGLU FFN, used for dense-baseline comparisons."""
-
-    def __init__(self, hidden_size: int, ffn_hidden_size: int,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        self._expert = ExpertFFN(hidden_size, ffn_hidden_size, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Run the forward computation."""
-        batch, seq, hidden = x.shape
-        flat = x.reshape(batch * seq, hidden)
-        return self._expert(flat).reshape(batch, seq, hidden)

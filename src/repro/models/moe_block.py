@@ -68,10 +68,6 @@ class BlockRoutingRecord:
         return np.bincount(self.expert_indices.reshape(-1),
                            minlength=num_experts).astype(np.int64)
 
-    def tokens_per_expert(self, num_experts: int) -> np.ndarray:
-        """Alias for :meth:`access_counts` (the ``K_{n,l}`` inputs of Eq. (6))."""
-        return self.access_counts(num_experts)
-
 
 def routing_counts(records: Sequence[BlockRoutingRecord],
                    num_experts: int) -> np.ndarray:
@@ -178,7 +174,9 @@ def fused_dispatch(experts: List[ExpertFFN], tokens: Tensor,
     worker); every ordering feeds each expert the identical contiguous
     batch and sums per-token contributions in the identical slot order, so
     outputs are bit-identical across orderings — the property the paper's
-    convergence-equivalence claim (Section V-A) rests on.
+    convergence-equivalence claim (Section V-A) rests on.  So are the
+    parameter gradients; the input gradient adds a token's ``top_k``
+    gather gradients in execution order, bit-identical for ``top_k <= 2``.
     """
     top_k = gate_out.top_k
     order, segments = dispatch_plan(gate_out.expert_indices, len(experts),

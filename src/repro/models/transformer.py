@@ -131,17 +131,6 @@ class MoETransformer(Module):
                        config.hidden_size // config.num_heads,
                        dtype=self.token_embedding.weight.dtype)
 
-    def forward_incremental(self, token_ids: np.ndarray,
-                            cache: KVCache) -> Tensor:
-        """Next-token logits for the new ``token_ids`` of every cache row.
-
-        :meth:`forward_slots` over rows ``0 .. len(token_ids) - 1``: the
-        whole prompt on the prefill pass, one token per decode step, each
-        row at its own cursor.
-        """
-        return self.forward_slots(token_ids, cache,
-                                  np.arange(np.shape(token_ids)[0]))
-
     def forward_slots(self, token_ids: np.ndarray, cache: KVCache,
                       slots) -> Tensor:
         """Next-token logits for a subset of KV-cache slots (ragged decode).
@@ -241,11 +230,8 @@ class MoETransformer(Module):
         return records
 
     def _moe_blocks(self) -> List[MoEBlock]:
-        """The underlying MoE blocks, unwrapping runtime wrappers."""
-        # A BrokeredMoEBlock (repro.runtime.functional_exec) wraps the real
-        # block under a ``.block`` attribute; reach through it so mode
-        # switches apply to the module that owns the state.
-        return [getattr(block.moe, "block", block.moe) for block in self.blocks]
+        """The MoE block of every transformer block."""
+        return [block.moe for block in self.blocks]
 
     def set_record_routing(self, enabled: bool) -> None:
         """Enable or disable routing-record capture."""

@@ -564,17 +564,3 @@ def swiglu_infer(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
     h = s * u
     return h @ w_down.T
 
-
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU activation."""
-    x = _as_tensor(x)
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + t)
-
-    def backward(g: np.ndarray):
-        dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x.data ** 2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x.data * dt),)
-
-    return Tensor._make(out_data, (x,), backward)

@@ -25,13 +25,6 @@ def kaiming_uniform(rng: np.random.Generator, shape: Tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Glorot/Xavier uniform init."""
-    fan_in, fan_out = shape[-1], shape[0]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def normal(rng: np.random.Generator, shape: Tuple[int, ...],
            std: float = 0.02, mean: float = 0.0) -> np.ndarray:
     """Gaussian init (GPT-style embeddings use std=0.02)."""

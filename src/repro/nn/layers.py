@@ -7,7 +7,7 @@ surface needed by the LoRA injector and the optimizers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class Module:
     """Base class for all layers.
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
-    attributes; these are discovered automatically for iteration, freezing and
-    serialization.
+    attributes; these are discovered automatically for iteration and
+    freezing.
     """
 
     def __init__(self) -> None:
@@ -105,11 +105,6 @@ class Module:
         for p in self.parameters():
             p.requires_grad = False
 
-    def unfreeze(self) -> None:
-        """Mark every parameter trainable."""
-        for p in self.parameters():
-            p.requires_grad = True
-
     def train(self, mode: bool = True) -> "Module":
         """Set training mode recursively."""
         for _, module in self.named_modules():
@@ -124,25 +119,6 @@ class Module:
         """Total (or trainable-only) parameter count."""
         params = self.trainable_parameters() if trainable_only else self.parameters()
         return int(sum(p.size for p in params))
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copy of every parameter keyed by dotted name."""
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameters saved by :meth:`state_dict`."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
-            raise KeyError(f"state dict mismatch: missing={sorted(missing)}, "
-                           f"unexpected={sorted(unexpected)}")
-        for name, value in state.items():
-            if name in own:
-                if own[name].data.shape != value.shape:
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"{own[name].data.shape} vs {value.shape}")
-                own[name].data = np.array(value, dtype=own[name].data.dtype)
 
     # ------------------------------------------------------------------ #
     # call protocol
@@ -215,25 +191,6 @@ class Embedding(Module):
     def infer(self, indices) -> np.ndarray:
         """The row gather on plain arrays."""
         return self.weight.data[np.asarray(indices, dtype=np.int64)]
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.weight = Parameter(np.ones(dim))
-        self.bias = Parameter(np.zeros(dim))
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Run the forward computation."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.weight + self.bias
 
 
 class RMSNorm(Module):

@@ -69,8 +69,7 @@ class AdamW(Optimizer):
 
     The moments of all parameters of one dtype live in one preallocated
     flat buffer each; ``_m[i]`` and ``_v[i]`` are views of parameter
-    ``i``'s segment, so writing them in place (as checkpoint loading does)
-    writes the optimizer's state.  :meth:`step` gathers every gradient and
+    ``i``'s segment.  :meth:`step` gathers every gradient and
     parameter into preallocated flat scratch buffers and updates each
     dtype with a handful of whole-buffer ops: no allocation scales with
     the parameter count, and the arithmetic is the per-tensor update's,

@@ -1,6 +1,6 @@
 """Learning-rate schedules.
 
-Standard fine-tuning infrastructure: warmup, cosine decay, and step decay,
+Standard fine-tuning infrastructure: linear warmup then cosine decay,
 wrapping any :class:`~repro.nn.optim.Optimizer` whose ``lr`` attribute the
 scheduler rewrites before each step.
 """
@@ -27,25 +27,12 @@ class LRScheduler:
         """Learning rate for a step index."""
         raise NotImplementedError
 
-    @property
-    def current_lr(self) -> float:
-        """The optimizer's current learning rate."""
-        return self.optimizer.lr
-
     def step(self) -> float:
         """Advance one step; sets and returns the new learning rate."""
         lr = self.lr_at(self._step)
         self.optimizer.lr = lr
         self._step += 1
         return lr
-
-
-class ConstantLR(LRScheduler):
-    """No schedule — the paper's fine-tuning setup."""
-
-    def lr_at(self, step: int) -> float:
-        """Learning rate for a step index."""
-        return self.base_lr
 
 
 class WarmupCosineLR(LRScheduler):
@@ -75,20 +62,3 @@ class WarmupCosineLR(LRScheduler):
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.base_lr - self.min_lr) * cosine
 
-
-class StepDecayLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int,
-                 gamma: float = 0.1, base_lr: Optional[float] = None):
-        super().__init__(optimizer, base_lr)
-        if step_size < 1:
-            raise ValueError("step_size must be positive")
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, step: int) -> float:
-        """Learning rate for a step index."""
-        return self.base_lr * self.gamma ** (step // self.step_size)

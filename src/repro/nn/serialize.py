@@ -1,15 +1,9 @@
-"""Parameter (de)serialization for checkpoints.
+"""Serialization of int8-quantized expert weights.
 
-Checkpoints are ``.npz`` archives mapping dotted parameter names to arrays.
-This is what `repro.models.presets` uses to cache the "pre-trained" tiny
-models so the locality experiments start from a converged router.
-
-Expert weights can additionally be stored in the int8 format of
-:mod:`repro.nn.quant`: :func:`save_quantized_state` /
-:func:`load_quantized_state` write and read ``{name: QuantizedTensor}``
-maps as flat ``.npz`` archives (``<name>.codes`` int8 + ``<name>.scales``
-float per entry), roughly 4x smaller than a float32 checkpoint of the same
-matrices.
+:func:`save_quantized_state` / :func:`load_quantized_state` write and read
+``{name: QuantizedTensor}`` maps (see :mod:`repro.nn.quant`) as flat
+``.npz`` archives (``<name>.codes`` int8 + ``<name>.scales`` float per
+entry), roughly 4x smaller than the same matrices stored as float32.
 """
 
 from __future__ import annotations
@@ -19,33 +13,9 @@ from typing import Dict
 
 import numpy as np
 
-from .layers import Module
 from .quant import QuantizedTensor
 
 _QUANT_SUFFIXES = (".codes", ".scales")
-
-
-def save_checkpoint(module: Module, path: str) -> None:
-    """Save every parameter of ``module`` to an ``.npz`` file at ``path``."""
-    state = module.state_dict()
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    # npz keys cannot contain '/', and dots are fine.
-    np.savez(path, **state)
-
-
-def load_checkpoint(module: Module, path: str, strict: bool = True) -> None:
-    """Load parameters saved by :func:`save_checkpoint` into ``module``."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with np.load(path) as archive:
-        state: Dict[str, np.ndarray] = {k: archive[k] for k in archive.files}
-    module.load_state_dict(state, strict=strict)
-
-
-def checkpoint_nbytes(module: Module) -> int:
-    """Total parameter bytes of a module (used by the memory model tests)."""
-    return int(sum(p.data.nbytes for p in module.parameters()))
 
 
 def save_quantized_state(quantized: Dict[str, QuantizedTensor],
@@ -53,9 +23,7 @@ def save_quantized_state(quantized: Dict[str, QuantizedTensor],
     """Save a ``{name: QuantizedTensor}`` map as one ``.npz`` archive.
 
     Each entry becomes two arrays, ``<name>.codes`` (int8) and
-    ``<name>.scales`` (float) — the same dotted-name convention as
-    :func:`save_checkpoint`, so quantized and dense checkpoints live side by
-    side.
+    ``<name>.scales`` (float), keyed by the entry's dotted name.
     """
     flat: Dict[str, np.ndarray] = {}
     for name, qt in quantized.items():

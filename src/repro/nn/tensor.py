@@ -462,22 +462,11 @@ class Tensor:
         out_data = np.sqrt(self.data)
         return Tensor._make(out_data, (self,), lambda g: (g * 0.5 / out_data,))
 
-    def tanh(self) -> "Tensor":
-        """Elementwise hyperbolic tangent."""
-        out_data = np.tanh(self.data)
-        return Tensor._make(out_data, (self,), lambda g: (g * (1.0 - out_data * out_data),))
-
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid."""
         out_data = 1.0 / (1.0 + np.exp(-self.data))
         return Tensor._make(out_data, (self,),
                             lambda g: (g * out_data * (1.0 - out_data),))
-
-    def relu(self) -> "Tensor":
-        """Elementwise rectified linear unit."""
-        a = self
-        out_data = np.maximum(self.data, 0.0)
-        return Tensor._make(out_data, (a,), lambda g: (g * (a.data > 0),))
 
     def silu(self) -> "Tensor":
         """SiLU / swish activation ``x * sigmoid(x)`` used by Mistral-family FFNs."""

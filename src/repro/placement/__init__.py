@@ -19,7 +19,7 @@ from .replan import (BreakEvenReport, ExpertMove, MigrationPlan,
 from .replication import (FrozenPlacementStrategy, ReplicatedPlacement,
                           ReplicationReport, ReplicationStrategy,
                           expected_step_comm_time_replicated)
-from .rounding import round_relaxed_assignment, rounding_gap
+from .rounding import round_relaxed_assignment
 from .sequential import SequentialPlacement
 from .vela import LocalityAwarePlacement, PlacementSolution
 
@@ -31,7 +31,7 @@ __all__ = [
     "LocalSearchRefiner", "RefinementReport",
     "PlacementSolution", "PlacementLP", "build_placement_lp",
     "comm_coefficients", "solve_lp_scipy",
-    "round_relaxed_assignment", "rounding_gap",
+    "round_relaxed_assignment",
     "expected_step_comm_time", "expected_worker_times",
     "expected_cross_node_bytes", "relaxed_objective",
     "save_placement", "load_placement",

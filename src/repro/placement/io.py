@@ -52,6 +52,10 @@ def load_placement(path: str, expect_model: Optional[str] = None) -> Placement:
         raise ValueError(
             f"placement was computed for model {payload.get('model_name')!r}, "
             f"not {expect_model!r}")
+    for row in payload["assignment"]:
+        for worker in row if isinstance(row, list) else [row]:
+            if type(worker) is not int:  # bool is an int subclass
+                raise ValueError(f"worker id {worker!r} is not an integer")
     assignment = np.asarray(payload["assignment"], dtype=np.int64)
     expected = (payload["num_layers"], payload["num_experts"])
     if assignment.shape != expected:

@@ -60,22 +60,10 @@ class PlacementLP:
         """Total LP variables (assignments + per-layer maxima)."""
         return self.num_assignment_vars + self.num_layers
 
-    def var_index(self, worker: int, layer: int, expert: int) -> int:
-        """Flat index of ``X[worker, layer, expert]``."""
-        return (worker * self.num_layers + layer) * self.num_experts + expert
-
-    def lambda_index(self, layer: int) -> int:
-        """Flat index of a layer's auxiliary maximum variable."""
-        return self.num_assignment_vars + layer
-
     def extract_assignment(self, solution: np.ndarray) -> np.ndarray:
         """Reshape a solution vector into the relaxed ``X[n, l, e]`` tensor."""
         x = solution[:self.num_assignment_vars]
         return x.reshape(self.num_workers, self.num_layers, self.num_experts)
-
-    def objective_value(self, solution: np.ndarray) -> float:
-        """True objective in seconds (undoes the internal normalization)."""
-        return float(self.c @ solution) * self.cost_scale
 
 
 def problem_from_window(config, topology, window, *,

@@ -80,9 +80,3 @@ def round_relaxed_assignment(relaxed: np.ndarray,
 
     return Placement(assignment, capacities=caps.tolist(), name=name)
 
-
-def rounding_gap(relaxed_objective: float, rounded_objective: float) -> float:
-    """Relative degradation of the rounded solution vs the LP bound."""
-    if relaxed_objective <= 0:
-        return 0.0
-    return (rounded_objective - relaxed_objective) / relaxed_objective

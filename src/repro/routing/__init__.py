@@ -1,12 +1,10 @@
 """Expert routing: traces, locality profiling, synthetic gates, stability."""
 
 from .analysis import (CusumDriftDetector, DriftDetection, calibrate_slack,
-                       hot_set, hot_set_jaccard, predicted_cross_node_bytes,
-                       profile_drift, windowed_hot_set_stability)
-from .confidence import (BudgetPoint, profile_budget_study, standard_error,
-                         tokens_for_precision)
+                       profile_drift)
+from .confidence import BudgetPoint, profile_budget_study, standard_error
 from .fitting import (RegimeFit, fit_dirichlet_alpha, fit_gate_temperature,
-                      fit_regime, fit_regime_from_trace, selection_entropy)
+                      fit_regime, selection_entropy)
 from .profiler import LocalityProfile, LocalityProfiler
 from .stability import (StabilityMonitor, StabilityReport, effective_lipschitz,
                         softmax_sensitivity_bound, theorem1_bound,
@@ -26,10 +24,7 @@ __all__ = [
     "StabilityMonitor", "StabilityReport",
     "CusumDriftDetector", "DriftDetection", "calibrate_slack",
     "profile_drift",
-    "hot_set", "hot_set_jaccard", "windowed_hot_set_stability",
-    "predicted_cross_node_bytes",
-    "standard_error", "tokens_for_precision", "profile_budget_study",
-    "BudgetPoint",
-    "fit_regime", "fit_regime_from_trace", "fit_dirichlet_alpha",
+    "standard_error", "profile_budget_study", "BudgetPoint",
+    "fit_regime", "fit_dirichlet_alpha",
     "fit_gate_temperature", "selection_entropy", "RegimeFit",
 ]

@@ -37,15 +37,6 @@ def standard_error(probability_matrix: np.ndarray,
     return np.sqrt(p * (1.0 - p) / profile_tokens)
 
 
-def tokens_for_precision(probability: float, target_se: float) -> int:
-    """Tokens needed to estimate one access probability to ``target_se``."""
-    if not 0 <= probability <= 1:
-        raise ValueError("probability must be in [0, 1]")
-    if target_se <= 0:
-        raise ValueError("target_se must be positive")
-    return int(np.ceil(probability * (1 - probability) / target_se ** 2))
-
-
 @dataclass
 class BudgetPoint:
     """Placement quality achieved at one profiling budget."""

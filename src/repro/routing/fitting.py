@@ -2,7 +2,7 @@
 
 The Mixtral-scale experiments rely on :class:`SyntheticRouter` with
 hand-calibrated regimes.  This module closes the loop for users with real
-measurements: given a locality profile (or trace) from *their* model and
+measurements: given a locality profile from *their* model and
 dataset, estimate the Dirichlet concentration and gate temperature that
 reproduce its statistics, so what-if studies (other clusters, capacities,
 step counts) can run on a router matched to their workload.
@@ -26,7 +26,6 @@ import numpy as np
 
 from ..models.config import MoEModelConfig
 from .synthetic import LocalityRegime, SyntheticRouter
-from .trace import RoutingTrace
 
 
 def _normalized(profile: np.ndarray) -> np.ndarray:
@@ -130,8 +129,3 @@ def fit_regime(config: MoEModelConfig, profile: np.ndarray,
     return RegimeFit(regime=regime, target_entropy=selection_entropy(p),
                      achieved_entropy=achieved)
 
-
-def fit_regime_from_trace(config: MoEModelConfig, trace: RoutingTrace,
-                          **kwargs) -> RegimeFit:
-    """Convenience: fit from a trace's aggregate probability matrix."""
-    return fit_regime(config, trace.probability_matrix(), **kwargs)

@@ -6,8 +6,6 @@ from .des_engine import (DESStepResult, EventDrivenMasterWorker,
 from .engine import (ExpertParallelEngine, MasterWorkerEngine,
                      lora_backbone_param_count, lora_expert_param_count)
 from .flops import BACKWARD_MULTIPLIER, FlopModel
-from .functional_exec import (BrokeredMoEBlock, detach_experts,
-                              reattach_experts)
 from .multimaster import (MultiMasterEngine, effective_bandwidths,
                           master_worker_link)
 from .overlap import OverlappedMasterWorkerEngine, overlap_speedup
@@ -20,7 +18,6 @@ __all__ = [
     "EventDrivenMasterWorker", "DESStepResult", "contention_penalty",
     "OverlappedMasterWorkerEngine", "overlap_speedup",
     "MultiMasterEngine", "effective_bandwidths", "master_worker_link",
-    "BrokeredMoEBlock", "detach_experts", "reattach_experts",
     "lora_backbone_param_count", "lora_expert_param_count",
     "StepMetrics", "RunMetrics",
 ]

@@ -1,10 +1,14 @@
 """Tests for the full-evaluation harness plumbing."""
 
+import threading
+
 import pytest
 
-from repro.bench import (EvaluationReport, run_comparison_experiment,
-                         run_heatmap_experiment, run_full_evaluation)
+from repro.bench import (EvaluationReport, calls_into,
+                         run_comparison_experiment, run_heatmap_experiment,
+                         run_full_evaluation)
 from repro.bench.cache import ResultCache, content_key
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +116,17 @@ class TestCLIEvaluate:
         assert "Fig. 5" in out
         with open(md_path) as handle:
             assert "## Fig. 5" in handle.read()
+
+
+class TestCallsInto:
+    def test_counts_calls_into_named_packages_on_any_thread(self):
+        def on_thread():
+            worker = threading.Thread(target=Telemetry)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+
+        assert calls_into(["repro.telemetry"], Telemetry) > 0
+        assert calls_into(["repro.telemetry"], on_thread) > 0
+        assert calls_into(["repro.tele"], Telemetry) == 0
+        assert calls_into(["repro.telemetry"], lambda: sum(range(9))) == 0

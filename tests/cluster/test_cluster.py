@@ -5,8 +5,7 @@ import pytest
 
 from repro.cluster import (ClusterTopology, DeviceSpec, ExpertMemoryModel,
                            Link, bandwidth_ratio_cluster, cross_node_link,
-                           flat_cluster, intra_node_link, paper_cluster,
-                           single_node, v100_32gb, validate_capacities)
+                           intra_node_link, paper_cluster, v100_32gb)
 from repro.models import mixtral_8x7b_sim, nano_moe
 
 
@@ -101,14 +100,6 @@ class TestTopology:
 
 
 class TestPresets:
-    def test_single_node_all_intra(self):
-        topo = single_node(4)
-        assert all(not topo.is_cross_node_from_master(w) for w in range(4))
-
-    def test_flat_cluster_homogeneous(self):
-        topo = flat_cluster(num_nodes=4, bandwidth_gbps=8)
-        assert topo.intra_link is topo.cross_link
-
     def test_bandwidth_ratio(self):
         topo = bandwidth_ratio_cluster(ratio=10)
         ratio = topo.intra_link.bandwidth_bytes_per_s / \
@@ -149,8 +140,3 @@ class TestMemoryModel:
         cfg = nano_moe()
         model = ExpertMemoryModel(adapter_overhead=0.0, activation_tokens=0)
         assert model.expert_bytes(cfg) == cfg.expert_num_params() * 2
-
-    def test_validate_capacities(self):
-        validate_capacities([4, 4], 8)
-        with pytest.raises(ValueError):
-            validate_capacities([3, 4], 8)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import (FP16, INT4, INT8, SCHEMES, CompressionScheme,
-                        apply_scheme, dequantize_absmax,
-                        expected_relative_error, quantization_error,
+                        apply_scheme, dequantize_absmax, quantization_error,
                         quantize_absmax, roundtrip)
 from repro.models import nano_moe
 
@@ -74,15 +73,6 @@ class TestQuantizationKernels:
         e8 = quantization_error(x, INT8)
         e4 = quantization_error(x, INT4)
         assert e16 < e8 < e4
-
-    def test_error_within_analytic_envelope(self, rng):
-        """Measured error stays within ~3x of the uniform-noise model."""
-        x = rng.normal(size=(64, 128))
-        for scheme in (INT8, INT4):
-            measured = quantization_error(x, scheme)
-            predicted = expected_relative_error(scheme.bits)
-            assert measured < predicted * 3
-            assert measured > predicted / 10
 
     @given(st.integers(2, 8), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import VelaConfig, VelaSystem
-from repro.cluster import heterogeneous_cluster, paper_cluster
+from repro.cluster import ClusterTopology, a100_80gb, paper_cluster, v100_32gb
 from repro.core import FailureRecoveryPlanner
 from repro.models import nano_moe
 from repro.routing import SyntheticRouter, WIKITEXT_REGIME
@@ -83,9 +83,15 @@ class TestRecoveryPlanning:
             FailureRecoveryPlanner(config).plan(placement, 99, profile)
 
 
+def mixed_fleet():
+    """One A100 node (hosting the master) plus two V100 nodes."""
+    devices = [a100_80gb(), a100_80gb()] + [v100_32gb()] * 4
+    return ClusterTopology(3, 2, devices=devices)
+
+
 class TestHeterogeneousCluster:
     def test_preset_shape(self):
-        topo = heterogeneous_cluster()
+        topo = mixed_fleet()
         assert topo.num_workers == 6
         assert topo.workers[0].device.name == "A100-80GB"
         assert topo.workers[5].device.name == "V100-32GB"
@@ -93,13 +99,12 @@ class TestHeterogeneousCluster:
     def test_capacities_follow_memory(self):
         from repro.cluster import ExpertMemoryModel
         from repro.models import mixtral_8x7b_sim
-        caps = ExpertMemoryModel().capacities(heterogeneous_cluster(),
+        caps = ExpertMemoryModel().capacities(mixed_fleet(),
                                               mixtral_8x7b_sim())
         # non-master A100 can hold more experts than any V100
         assert caps[1] > max(caps[2:])
 
     def test_devices_length_validated(self):
-        from repro.cluster import ClusterTopology, v100_32gb
         with pytest.raises(ValueError, match="one entry per worker"):
             ClusterTopology(2, 2, devices=[v100_32gb()])
 
@@ -108,7 +113,7 @@ class TestHeterogeneousCluster:
         from repro.cluster import ExpertMemoryModel
         from repro.models import mixtral_8x7b_sim
         from repro.placement import LocalityAwarePlacement, PlacementProblem
-        topo = heterogeneous_cluster()
+        topo = mixed_fleet()
         model = mixtral_8x7b_sim()
         caps = ExpertMemoryModel().capacities(topo, model)
         router = SyntheticRouter(model, WIKITEXT_REGIME, seed=1)

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (AlpacaRecord, CharTokenizer, LMDataLoader,
-                        WordTokenizer, generate_alpaca,
-                        generate_alpaca_records, generate_tiny_shakespeare,
-                        generate_wikitext)
+from repro.data import CharTokenizer, LMDataLoader, generate_tiny_shakespeare
 
 
 class TestCharTokenizer:
@@ -28,27 +25,6 @@ class TestCharTokenizer:
         assert 0 <= tok.pad_id < tok.vocab_size
 
 
-class TestWordTokenizer:
-    def test_roundtrip_known_words(self):
-        tok = WordTokenizer("the cat sat on the mat")
-        assert tok.decode(tok.encode("the cat")) == "the cat"
-
-    def test_unknown_maps_to_unk(self):
-        tok = WordTokenizer("a b c")
-        ids = tok.encode("zebra")
-        assert ids.tolist() == [tok.unk_id]
-
-    def test_max_vocab_keeps_most_frequent(self):
-        tok = WordTokenizer("x x x y y z", max_vocab=3)  # pad, unk, x
-        assert tok.vocab_size == 3
-        assert tok.encode("x")[0] != tok.unk_id
-        assert tok.encode("z")[0] == tok.unk_id
-
-    def test_max_vocab_validation(self):
-        with pytest.raises(ValueError):
-            WordTokenizer("a", max_vocab=2)
-
-
 class TestCorpora:
     def test_shakespeare_deterministic(self):
         assert generate_tiny_shakespeare(50, seed=3) == \
@@ -67,36 +43,6 @@ class TestCorpora:
     def test_shakespeare_validates(self):
         with pytest.raises(ValueError):
             generate_tiny_shakespeare(0)
-
-    def test_wikitext_has_articles(self):
-        text = generate_wikitext(num_articles=5, seed=0)
-        assert text.count("= Article") == 5
-
-    def test_wikitext_deterministic(self):
-        assert generate_wikitext(10, seed=4) == generate_wikitext(10, seed=4)
-
-    def test_wikitext_domain_vocabulary_separation(self):
-        """Domain structure is what drives concentrated expert access."""
-        text = generate_wikitext(num_articles=30, seed=0)
-        articles = text.split("\n\n")
-        history = [a for a in articles if "( history )" in a]
-        science = [a for a in articles if "( science )" in a]
-        assert history and science
-        assert "dynasty" not in " ".join(science)
-        assert "isotope" not in " ".join(history)
-
-    def test_alpaca_records(self):
-        records = generate_alpaca_records(20, seed=0)
-        assert len(records) == 20
-        assert all(isinstance(r, AlpacaRecord) for r in records)
-
-    def test_alpaca_format(self):
-        text = generate_alpaca(5, seed=0)
-        assert text.count("### Instruction:") == 5
-        assert text.count("### Response:") == 5
-
-    def test_alpaca_deterministic(self):
-        assert generate_alpaca(10, seed=9) == generate_alpaca(10, seed=9)
 
 
 class TestLMDataLoader:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import LMDataLoader
-from repro.finetune import (FineTuneConfig, LambdaCallback, Trainer,
+from repro.finetune import (Callback, FineTuneConfig, Trainer,
                             pretrain_router)
 from repro.lora import LoRAConfig
 from repro.models import build_model, nano_moe
@@ -68,11 +68,17 @@ class TestTrainer:
         assert result.gate_mean_probs.shape == (3, nano_config.num_experts)
 
     def test_custom_callback_invoked(self, nano_model, loader):
-        hits = []
+        class StepLog(Callback):
+            def __init__(self):
+                self.steps = []
+
+            def on_step(self, step, loss, records):
+                self.steps.append(step)
+
+        log = StepLog()
         trainer = Trainer(nano_model, loader, FineTuneConfig(steps=2))
-        trainer.train(callbacks=[LambdaCallback(
-            lambda step, loss, recs: hits.append(step))])
-        assert hits == [0, 1]
+        trainer.train(callbacks=[log])
+        assert log.steps == [0, 1]
 
     def test_steps_override(self, nano_model, loader):
         trainer = Trainer(nano_model, loader, FineTuneConfig(steps=10))

@@ -4,14 +4,16 @@ and the record_probs fast paths."""
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterTopology
 from repro.data import LMDataLoader
-from repro.finetune import FineTuneConfig, Trainer
+from repro.finetune import Callback, FineTuneConfig, Trainer
 from repro.finetune.trainer import _merge_records
 from repro.lora import LoRAConfig, LoRALinear
 from repro.models import build_model, moe_block
 from repro.models import expert as expert_module
 from repro.models.expert import ExpertFFN
-from repro.models.moe_block import BlockRoutingRecord
+from repro.models.moe_block import BlockRoutingRecord, fused_dispatch
+from repro.placement import PlacementProblem, RandomPlacement
 from tests.oracles import reference_dispatch, reference_lora_forward
 
 
@@ -38,6 +40,43 @@ class TestDispatchConfig:
         fused = losses()
         monkeypatch.setattr(moe_block, "fused_dispatch", reference_dispatch)
         np.testing.assert_allclose(fused, losses(), rtol=1e-9)
+
+
+class TestWorkerOrderEquivalence:
+    def test_lora_trajectory_identical(self, nano_config, monkeypatch):
+        """The paper's convergence claim (Section V-A) end to end: LoRA
+        fine-tuning with each block's experts run grouped by hosting
+        worker, the master-worker runtime's order, gives the default
+        order's losses bit for bit."""
+        problem = PlacementProblem(config=nano_config,
+                                   topology=ClusterTopology(2, 2))
+        assignment = RandomPlacement(seed=5).place(problem).assignment
+        tokens = np.random.default_rng(0).integers(
+            0, nano_config.vocab_size, size=500)
+        worker_orders = {}
+
+        def losses():
+            model = build_model(nano_config)
+            worker_orders.update(
+                (id(block.moe.experts),
+                 np.argsort(assignment[layer], kind="stable"))
+                for layer, block in enumerate(model.blocks))
+            loader = LMDataLoader(tokens, batch_size=2, seq_len=16, seed=0)
+            return Trainer(model, loader,
+                           FineTuneConfig(steps=4, lr=1e-3)).train().losses
+
+        default = losses()
+        calls = []
+
+        def brokered(experts, tokens, gate_out):
+            calls.append(worker_orders[id(experts)])
+            return fused_dispatch(experts, tokens, gate_out,
+                                  expert_order=calls[-1])
+
+        monkeypatch.setattr(moe_block, "fused_dispatch", brokered)
+        np.testing.assert_array_equal(losses(), default)
+        assert any((order != np.arange(nano_config.num_experts)).any()
+                   for order in calls)
 
 
 class TestLoRAKernels:
@@ -86,12 +125,13 @@ class TestRecordProbsInTrainLoop:
         monitored = 1
         captured = []
 
-        from repro.finetune.callbacks import LambdaCallback
+        class ProbsFlags(Callback):
+            def on_step(self, step, loss, records):
+                captured.append([r.probs is not None for r in records])
+
         trainer = Trainer(model, loader,
                           FineTuneConfig(steps=2, monitored_layer=monitored))
-        trainer.train(callbacks=[LambdaCallback(
-            lambda step, loss, records: captured.append(
-                [r.probs is not None for r in records]))])
+        trainer.train(callbacks=[ProbsFlags()])
 
         for flags in captured:
             for layer, has_probs in enumerate(flags):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lora import (LoRAConfig, LoRALinear, inject_lora, lora_parameters,
-                        merge_lora)
+from repro.lora import LoRAConfig, LoRALinear, inject_lora
 from repro.models import build_model, nano_moe
 from repro.models.expert import ExpertFFN
 from repro.nn import Linear, Tensor
@@ -53,19 +52,6 @@ class TestLoRALinear:
         after = adapted(Tensor(x)).data
         assert np.abs(after - before).max() > 0
 
-    def test_merge_equivalence(self, rng):
-        adapted = LoRALinear(Linear(6, 4, rng=rng), LoRAConfig(rank=4))
-        adapted.lora_a.data = rng.normal(size=adapted.lora_a.shape)
-        adapted.lora_b.data = rng.normal(size=adapted.lora_b.shape)
-        x = rng.normal(size=(5, 6))
-        merged = adapted.merge()
-        np.testing.assert_allclose(merged(Tensor(x)).data,
-                                   adapted(Tensor(x)).data, atol=1e-10)
-
-    def test_num_lora_params(self, rng):
-        adapted = LoRALinear(Linear(6, 4, rng=rng), LoRAConfig(rank=3))
-        assert adapted.num_lora_params() == 3 * 6 + 4 * 3
-
     def test_scaling_applied(self, rng):
         cfg = LoRAConfig(rank=2, alpha=8.0)  # scaling 4
         adapted = LoRALinear(Linear(4, 4, rng=rng), cfg)
@@ -108,26 +94,6 @@ class TestInjection:
         with pytest.raises(ValueError):
             inject_lora(nano_model,
                         LoRAConfig(target_substrings=("nonexistent_layer",)))
-
-    def test_lora_parameters_helper(self, nano_model):
-        report = inject_lora(nano_model)
-        params = lora_parameters(nano_model)
-        assert len(params) == 2 * report.num_adapted
-
-
-class TestMerge:
-    def test_merge_restores_plain_linears(self, nano_model, nano_config, rng):
-        inject_lora(nano_model)
-        # Perturb adapters so merge is non-trivial.
-        for p in lora_parameters(nano_model):
-            p.data += rng.normal(size=p.shape) * 0.01
-        ids = rng.integers(0, nano_config.vocab_size, size=(1, 6))
-        before = nano_model.forward(ids).data.copy()
-        count = merge_lora(nano_model)
-        assert count > 0
-        after = nano_model.forward(ids).data
-        np.testing.assert_allclose(after, before, atol=1e-10)
-        assert len(lora_parameters(nano_model)) == 0
 
 
 def _adapters(model):

@@ -9,6 +9,8 @@ the inference path must equal the fused dispatch bit for bit, and so must
 every expert ordering.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -125,7 +127,9 @@ class TestDispatchLayoutProperty:
     @example(routing=(4, 4, 20, [2, 0, 3, 1], 3))
     def test_layout_matches_oracles(self, routing):
         """(a) ``array_dispatch`` equals ``fused_dispatch`` bitwise in
-        float32 and float64; (b) so does every ``expert_order``; (c) in
+        float32 and float64; (b) so does every ``expert_order``, and in
+        float64 so do its parameter gradients and, for ``top_k <= 2``, its
+        input gradient (the paper's Section V-A convergence claim); (c) in
         float64 the fused dispatch is within 1e-11 of the reference oracle
         on the output, the input gradient and every parameter gradient,
         and experts no token reaches get no gradient."""
@@ -148,6 +152,17 @@ class TestDispatchLayoutProperty:
 
         block, out, gx = _dispatch_with_grads(fused_dispatch, num_experts,
                                               top_k, x)
+        reordered, out_r, gx_r = _dispatch_with_grads(
+            partial(fused_dispatch, expert_order=order), num_experts, top_k,
+            x)
+        np.testing.assert_array_equal(out_r, out)
+        assert_same_gradients(reordered, block, atol=0)
+        # A token's input gradient adds its top_k gather gradients in
+        # execution order: two terms commute exactly, three need not.
+        if top_k <= 2:
+            np.testing.assert_array_equal(gx_r, gx)
+        else:
+            np.testing.assert_allclose(gx_r, gx, rtol=0, atol=1e-11)
         oracle, out_ref, gx_ref = _dispatch_with_grads(
             reference_dispatch, num_experts, top_k, x)
         np.testing.assert_allclose(out, out_ref, rtol=0, atol=1e-11)

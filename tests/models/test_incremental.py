@@ -1,7 +1,7 @@
 """Incremental (KV-cached) transformer forward: equivalence and contracts.
 
-The serving path — ``MoETransformer.forward_slots`` and its all-rows form
-``forward_incremental`` — computes on plain arrays and must agree with the
+The serving path — ``MoETransformer.forward_slots``, here mostly over every
+row of the cache — computes on plain arrays and must agree with the
 Tensor ``forward``: bit-identical on a prefill, to ~1e-12 in float64 when
 decoding token by token, with identical routing; and the array MoE
 dispatch must agree with the Tensor fused dispatch at every token count.
@@ -23,7 +23,7 @@ class TestForwardIncremental:
         with no_grad():
             full = nano_model.forward(ids).data
             cache = nano_model.new_kv_cache(2, max_len=10)
-            inc = nano_model.forward_incremental(ids, cache).data
+            inc = nano_model.forward_slots(ids, cache, np.arange(2)).data
         np.testing.assert_array_equal(inc, full)
         np.testing.assert_array_equal(cache.positions, [10, 10])
 
@@ -32,9 +32,10 @@ class TestForwardIncremental:
         with no_grad():
             full = nano_model.forward(ids).data
             cache = nano_model.new_kv_cache(1, max_len=8)
-            prefill = nano_model.forward_incremental(ids[:, :3], cache).data
-            steps = [nano_model.forward_incremental(ids[:, t:t + 1],
-                                                    cache).data
+            prefill = nano_model.forward_slots(ids[:, :3], cache,
+                                               np.arange(1)).data
+            steps = [nano_model.forward_slots(ids[:, t:t + 1], cache,
+                                              np.arange(1)).data
                      for t in range(3, 8)]
         got = np.concatenate([prefill] + steps, axis=1)
         np.testing.assert_allclose(got, full, atol=1e-12)
@@ -42,7 +43,7 @@ class TestForwardIncremental:
     def test_requires_no_grad(self, nano_model):
         cache = nano_model.new_kv_cache(1)
         with pytest.raises(RuntimeError):
-            nano_model.forward_incremental(np.array([[1]]), cache)
+            nano_model.forward_slots(np.array([[1]]), cache, np.arange(1))
 
     @pytest.mark.parametrize("shape", [(1, 1, 8, 2, 8), (2, 1, 8, 4, 4),
                                        (2, 1, 8, 2, 4), (2, 1, 999, 2, 8)],
@@ -55,7 +56,7 @@ class TestForwardIncremental:
                 config.hidden_size // config.num_heads) == (2, 2, 8)
         cache = KVCache(*shape)
         with no_grad(), pytest.raises(ValueError, match="new_kv_cache"):
-            nano_model.forward_incremental(np.array([[1, 2]]), cache)
+            nano_model.forward_slots(np.array([[1, 2]]), cache, np.arange(1))
         np.testing.assert_array_equal(cache.positions, [0])
         assert not cache.keys.any()
 
@@ -64,8 +65,9 @@ class TestForwardIncremental:
         with no_grad():
             cache = nano_model.new_kv_cache(1)
             with pytest.raises(ValueError):
-                nano_model.forward_incremental(
-                    np.zeros((1, max_len + 1), dtype=np.int64), cache)
+                nano_model.forward_slots(
+                    np.zeros((1, max_len + 1), dtype=np.int64), cache,
+                    np.arange(1))
         with pytest.raises(ValueError):
             nano_model.new_kv_cache(1, max_len=max_len + 1)
 
@@ -77,7 +79,8 @@ class TestForwardIncremental:
         cache = model.new_kv_cache(1, max_len=4)    # default dtype: float64
         assert cache.keys.dtype == cache.values.dtype == np.float32
         with no_grad():
-            logits = model.forward_incremental(np.array([[1, 2]]), cache)
+            logits = model.forward_slots(np.array([[1, 2]]), cache,
+                                         np.arange(1))
         assert logits.data.dtype == np.float32
 
     def test_new_kv_cache_shape(self, nano_model):
@@ -178,9 +181,9 @@ class TestForwardSlots:
             refs = []
             for prompt, row in ((a, 0), (b, 1)):
                 cache = nano_model.new_kv_cache(1, max_len=16)
-                nano_model.forward_incremental(prompt, cache)
-                refs.append(nano_model.forward_incremental(
-                    step[row:row + 1], cache).data)
+                nano_model.forward_slots(prompt, cache, np.arange(1))
+                refs.append(nano_model.forward_slots(
+                    step[row:row + 1], cache, np.arange(1)).data)
             pool = nano_model.new_kv_cache(2, max_len=16)
             nano_model.forward_slots(a, pool, np.array([0]))
             nano_model.forward_slots(b, pool, np.array([1]))
@@ -277,7 +280,8 @@ class TestIncrementalDeterminism:
         for _ in range(2):
             with no_grad():
                 cache = model.new_kv_cache(1, max_len=6)
-                outs.append(model.forward_incremental(ids, cache).data)
+                outs.append(model.forward_slots(ids, cache,
+                                                np.arange(1)).data)
         np.testing.assert_array_equal(outs[0], outs[1])
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.nn import Tensor
 from repro.nn.functional import (cross_entropy, dropout, embedding_lookup,
-                                 gelu, log_softmax, one_hot, scatter_rows,
-                                 softmax, top_k)
+                                 log_softmax, one_hot, scatter_rows, softmax,
+                                 top_k)
 from tests.conftest import numeric_gradient
 from tests.nn.test_tensor import grad_check
 
@@ -176,13 +176,6 @@ class TestHelpers:
     def test_dropout_invalid_p(self, rng):
         with pytest.raises(ValueError):
             dropout(Tensor([1.0]), 1.0, rng)
-
-    def test_gelu_known_values(self):
-        out = gelu(Tensor([0.0])).data
-        np.testing.assert_allclose(out, [0.0], atol=1e-12)
-
-    def test_gelu_gradient(self):
-        grad_check(lambda a: gelu(a), (3, 3))
 
 
 class TestScatterRows:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Dropout, Embedding, LayerNorm, Linear, Module,
-                      Parameter, RMSNorm, Sequential, Tensor)
+from repro.nn import (Dropout, Embedding, Linear, Module, Parameter, RMSNorm,
+                      Sequential, Tensor)
 
 
 class TwoLayer(Module):
@@ -38,12 +38,11 @@ class TestModuleDiscovery:
         names = {n for n, _ in TwoLayer().named_modules()}
         assert "fc1" in names and "blocks.0" in names and "lookup.a" in names
 
-    def test_freeze_unfreeze(self):
+    def test_freeze(self):
         m = TwoLayer()
         m.freeze()
         assert m.num_parameters(trainable_only=True) == 0
-        m.unfreeze()
-        assert m.num_parameters(trainable_only=True) == m.num_parameters()
+        assert m.num_parameters() > 0
 
     def test_zero_grad_clears(self):
         m = TwoLayer()
@@ -59,33 +58,6 @@ class TestModuleDiscovery:
         assert not m.blocks[0].training
         m.train()
         assert m.lookup["a"].training
-
-
-class TestStateDict:
-    def test_roundtrip(self):
-        m1, m2 = TwoLayer(), TwoLayer()
-        m2.fc1.weight.data += 1.0
-        m2.load_state_dict(m1.state_dict())
-        np.testing.assert_array_equal(m1.fc1.weight.data, m2.fc1.weight.data)
-
-    def test_strict_missing_raises(self):
-        m = TwoLayer()
-        state = m.state_dict()
-        state.pop("fc1.weight")
-        with pytest.raises(KeyError):
-            m.load_state_dict(state)
-
-    def test_shape_mismatch_raises(self):
-        m = TwoLayer()
-        state = m.state_dict()
-        state["fc1.weight"] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            m.load_state_dict(state)
-
-    def test_non_strict_allows_partial(self):
-        m = TwoLayer()
-        m.load_state_dict({"fc1.weight": np.zeros((8, 4))}, strict=False)
-        np.testing.assert_array_equal(m.fc1.weight.data, np.zeros((8, 4)))
 
 
 class TestLinear:
@@ -117,18 +89,6 @@ class TestLinear:
 
 
 class TestNorms:
-    def test_layernorm_zero_mean_unit_var(self, rng):
-        ln = LayerNorm(16)
-        out = ln(Tensor(rng.normal(size=(4, 16)) * 3 + 5)).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0, atol=1e-9)
-        np.testing.assert_allclose(out.var(axis=-1), 1, atol=1e-3)
-
-    def test_layernorm_gradient_flows(self, rng):
-        ln = LayerNorm(8)
-        x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
-        ln(x).sum().backward()
-        assert x.grad is not None and ln.weight.grad is not None
-
     def test_rmsnorm_unit_rms(self, rng):
         norm = RMSNorm(16)
         out = norm(Tensor(rng.normal(size=(4, 16)) * 7)).data
@@ -173,5 +133,5 @@ class TestDropoutSequential:
         assert isinstance(seq[0], Linear)
 
     def test_sequential_parameters_discovered(self, rng):
-        seq = Sequential(Linear(4, 4, rng=rng), LayerNorm(4))
-        assert seq.num_parameters() == (4 * 4 + 4) + (4 + 4)
+        seq = Sequential(Linear(4, 4, rng=rng), RMSNorm(4))
+        assert seq.num_parameters() == (4 * 4 + 4) + 4

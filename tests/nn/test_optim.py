@@ -7,9 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.finetune.checkpoint import load_training_state, save_training_state
-from repro.lora import inject_lora
-from repro.models import build_model
 from repro.nn import SGD, AdamW, GradClipper
 from repro.nn.layers import Parameter
 from tests.oracles import reference_adamw_step
@@ -177,37 +174,6 @@ class TestFlatAdamW:
         _set_grads(rng, (params, twins), [True] * len(params))
         flat.step()
         reference_adamw_step(ref)
-        _assert_same_state(flat, ref)
-
-    def test_load_training_state_mid_run(self, nano_config, rng, tmp_path):
-        """Steps 1-4 flat, checkpoint, restore into a fresh model and
-        optimizer, steps 5-8 flat: equal to eight reference steps."""
-        def pair():
-            model = build_model(nano_config)
-            inject_lora(model)
-            return model, AdamW(model.trainable_parameters(), lr=1e-2,
-                                weight_decay=0.1)
-
-        (model, flat), (twin, ref) = pair(), pair()
-        batches = [rng.integers(0, nano_config.vocab_size, size=(2, 2, 8))
-                   for _ in range(8)]
-
-        def step(model, opt, ids, update):
-            opt.zero_grad()
-            model.loss(ids[0], ids[1]).backward()
-            update(opt)
-
-        for ids in batches[:4]:
-            step(model, flat, ids, AdamW.step)
-            step(twin, ref, ids, reference_adamw_step)
-        path = str(tmp_path / "state.npz")
-        save_training_state(model, flat, path, step=4)
-        model, flat = pair()
-        assert load_training_state(model, flat, path) == 4
-        for ids in batches[4:]:
-            step(model, flat, ids, AdamW.step)
-            step(twin, ref, ids, reference_adamw_step)
-        assert any(p.grad is None for p in flat.params)
         _assert_same_state(flat, ref)
 
     def test_step_allocates_no_flat_sized_array(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, ConstantLR, StepDecayLR, WarmupCosineLR
+from repro.nn import SGD, WarmupCosineLR
 from repro.nn.layers import Parameter
 
 
@@ -11,13 +11,6 @@ def make_optimizer(lr=0.1):
     p = Parameter(np.array([1.0]))
     p.grad = np.array([0.0])
     return SGD([p], lr=lr)
-
-
-class TestConstant:
-    def test_never_changes(self):
-        sched = ConstantLR(make_optimizer(0.05))
-        for _ in range(5):
-            assert sched.step() == 0.05
 
 
 class TestWarmupCosine:
@@ -50,20 +43,6 @@ class TestWarmupCosine:
             WarmupCosineLR(make_optimizer(), total_steps=5, warmup_steps=5)
         with pytest.raises(ValueError):
             WarmupCosineLR(make_optimizer(0.1), total_steps=5, min_lr=0.5)
-
-
-class TestStepDecay:
-    def test_decays_at_boundaries(self):
-        opt = make_optimizer(1.0)
-        sched = StepDecayLR(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(6)]
-        np.testing.assert_allclose(lrs, [1.0, 1.0, 0.5, 0.5, 0.25, 0.25])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepDecayLR(make_optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            StepDecayLR(make_optimizer(), step_size=2, gamma=0.0)
 
 
 class TestIntegration:

@@ -58,6 +58,21 @@ class TestPlacementIO:
         with pytest.raises(ValueError, match="does not match"):
             load_placement(path)
 
+    @pytest.mark.parametrize("worker", [1.7, True, "1"],
+                             ids=["float", "bool", "string"])
+    def test_non_integer_worker_rejected(self, placement, tmp_path, worker):
+        """A hand-edited worker id that is not a JSON integer is refused,
+        not cast to the nearest worker."""
+        path = str(tmp_path / "p.json")
+        save_placement(placement, path)
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["assignment"][1][1] = worker
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(ValueError, match="not an integer"):
+            load_placement(path)
+
     def test_creates_directories(self, placement, tmp_path):
         path = str(tmp_path / "a" / "b" / "p.json")
         save_placement(placement, path)

@@ -1,15 +1,15 @@
-"""Tests for trace analytics: drift detection, hot sets, traffic prediction."""
+"""Tests for trace analytics (drift detection) and the closed-form traffic
+prediction."""
 
 import numpy as np
 import pytest
 
 from repro.models import nano_moe
-from repro.placement import PlacementProblem, SequentialPlacement
+from repro.placement import (Placement, PlacementProblem,
+                             SequentialPlacement, expected_cross_node_bytes)
 from repro.routing import (CusumDriftDetector, SyntheticRouter,
                            UNIFORM_REGIME, WIKITEXT_REGIME, calibrate_slack,
-                           hot_set, hot_set_jaccard, phase_switch_trace,
-                           predicted_cross_node_bytes, profile_drift,
-                           windowed_hot_set_stability)
+                           phase_switch_trace, profile_drift)
 from repro.runtime import MasterWorkerEngine
 
 
@@ -76,40 +76,6 @@ class TestCusum:
             CusumDriftDetector(slack=-1)
 
 
-class TestHotSets:
-    def test_hot_set_shape(self, small_probability):
-        sets = hot_set(small_probability, top=2)
-        assert len(sets) == small_probability.shape[0]
-        assert all(len(s) == 2 for s in sets)
-
-    def test_jaccard_identity(self, small_probability):
-        assert hot_set_jaccard(small_probability, small_probability) == 1.0
-
-    def test_jaccard_disjoint(self):
-        a = np.array([[1.0, 1.0, 0.0, 0.0]])
-        b = np.array([[0.0, 0.0, 1.0, 1.0]])
-        assert hot_set_jaccard(a, b, top=2) == 0.0
-
-    def test_windowed_stability_near_one_for_stationary(self, router):
-        trace = router.generate_trace(40, 512)
-        scores = windowed_hot_set_stability(trace, window=10, top=2)
-        assert scores[0] == 1.0
-        assert scores.mean() > 0.7
-
-    def test_windowed_stability_drops_after_switch(self, nano_config):
-        trace = phase_switch_trace(nano_config,
-                                   [WIKITEXT_REGIME, UNIFORM_REGIME],
-                                   tokens_per_step=512, steps_per_phase=20,
-                                   seed=4)
-        scores = windowed_hot_set_stability(trace, window=10, top=2)
-        assert scores[-1] < scores[0]
-
-    def test_window_validation(self, router):
-        trace = router.generate_trace(5, 64)
-        with pytest.raises(ValueError):
-            windowed_hot_set_stability(trace, window=6)
-
-
 class TestTrafficPrediction:
     def test_prediction_matches_simulation(self, nano_config, small_topology,
                                            router):
@@ -119,9 +85,7 @@ class TestTrafficPrediction:
                                    probability_matrix=profile,
                                    tokens_per_step=512)
         placement = SequentialPlacement().place(problem)
-        predicted = predicted_cross_node_bytes(placement, profile,
-                                               nano_config, small_topology,
-                                               tokens_per_step=512)
+        predicted = expected_cross_node_bytes(placement, problem)
         trace = router.generate_trace(30, 512)
         engine = MasterWorkerEngine(nano_config, small_topology, placement,
                                     512, seq_len=32)
@@ -130,8 +94,8 @@ class TestTrafficPrediction:
 
     def test_all_local_predicts_zero(self, nano_config, small_topology,
                                      small_probability):
-        from repro.placement import Placement
+        problem = PlacementProblem(config=nano_config, topology=small_topology,
+                                   probability_matrix=small_probability,
+                                   tokens_per_step=512)
         placement = Placement(np.zeros((2, 4), dtype=int))
-        assert predicted_cross_node_bytes(placement, small_probability,
-                                          nano_config, small_topology,
-                                          512) == 0.0
+        assert expected_cross_node_bytes(placement, problem) == 0.0

@@ -7,8 +7,7 @@ from repro.cluster import paper_cluster
 from repro.models import nano_moe
 from repro.placement import PlacementProblem
 from repro.routing import (SyntheticRouter, WIKITEXT_REGIME, BudgetPoint,
-                           profile_budget_study, standard_error,
-                           tokens_for_precision)
+                           profile_budget_study, standard_error)
 
 
 class TestStandardError:
@@ -27,22 +26,6 @@ class TestStandardError:
     def test_validation(self):
         with pytest.raises(ValueError):
             standard_error(np.array([[0.5]]), 0)
-
-
-class TestTokensForPrecision:
-    def test_known_value(self):
-        # p=0.5, se=0.01 -> 0.25 / 1e-4 = 2500
-        assert tokens_for_precision(0.5, 0.01) == 2500
-
-    def test_easier_for_confident_experts(self):
-        assert tokens_for_precision(0.95, 0.01) < \
-            tokens_for_precision(0.5, 0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tokens_for_precision(1.5, 0.01)
-        with pytest.raises(ValueError):
-            tokens_for_precision(0.5, 0.0)
 
 
 class TestBudgetStudy:

@@ -6,8 +6,7 @@ import pytest
 from repro.models import nano_moe, tiny_mistral
 from repro.routing import SyntheticRouter, WIKITEXT_REGIME, UNIFORM_REGIME
 from repro.routing.fitting import (fit_dirichlet_alpha, fit_gate_temperature,
-                                   fit_regime, fit_regime_from_trace,
-                                   selection_entropy)
+                                   fit_regime, selection_entropy)
 from repro.routing.synthetic import LocalityRegime
 
 
@@ -93,13 +92,6 @@ class TestFitRegime:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             fit_regime(nano_moe(), np.ones((1, 1)))
-
-    def test_fit_from_trace(self):
-        config = nano_moe()
-        trace = SyntheticRouter(config, WIKITEXT_REGIME,
-                                seed=2).generate_trace(10, 512)
-        fit = fit_regime_from_trace(config, trace, samples=2048)
-        assert fit.regime.dirichlet_alpha > 0
 
     def test_fit_on_live_model_profile(self):
         """End-to-end: profile a live tiny model, fit a synthetic twin."""

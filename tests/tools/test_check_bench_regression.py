@@ -162,6 +162,20 @@ class TestCompare:
                                tolerance=0.5)
         assert all(f.ok for f in findings)
 
+    def test_tracing_sidecar_calls_are_exact(self):
+        def tracing(calls):
+            return {"tracing": {"ids_identical_live": True,
+                                "ids_identical_batch": True,
+                                "ledger_bytes_tile": True,
+                                "slo_tracked": True,
+                                "disabled_sidecar_calls": calls}}
+
+        assert all(f.ok for f in cbr.compare("tracing", tracing(0),
+                                              tracing(0)))
+        failed = [f.path for f in cbr.compare("tracing", tracing(1),
+                                              tracing(0)) if not f.ok]
+        assert failed == ["tracing.disabled_sidecar_calls"]
+
     def test_prefetch_headline_figures_are_exact(self):
         # The modeled speedup keeps its band ...
         findings = cbr.compare("prefetch", prefetch_payload(speedup=0.5),
