@@ -233,11 +233,6 @@ class MoETransformer(Module):
         """The MoE block of every transformer block."""
         return [block.moe for block in self.blocks]
 
-    def set_record_routing(self, enabled: bool) -> None:
-        """Enable or disable routing-record capture."""
-        for moe in self._moe_blocks():
-            moe.record_routing = enabled
-
     def set_record_probs(self, enabled: bool) -> None:
         """Control whether records copy the full probability matrix."""
         for moe in self._moe_blocks():

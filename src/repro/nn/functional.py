@@ -237,8 +237,8 @@ def _project(x: np.ndarray, w: np.ndarray, adapter=None, bias=None):
 
     Works on the input's own shape, in the layered ``Linear`` +
     ``LoRALinear`` op order, so the result matches that chain bit for bit.
-    Returns ``(y, saved)``; ``saved`` holds the branch's ``(x·mask, r)``
-    for :func:`_project_backward`.
+    Returns ``(y, r)``; ``r`` (``None`` without an adapter) is all
+    :func:`_project_backward` needs besides ``x``.
     """
     y = x @ w.T
     if bias is not None:
@@ -246,25 +246,27 @@ def _project(x: np.ndarray, w: np.ndarray, adapter=None, bias=None):
     if adapter is None:
         return y, None
     a, b, s, mask = adapter
-    xm = x if mask is None else x * mask
-    r = xm @ a.T
-    return y + (r @ b.T) * s, (xm, r)
+    r = (x if mask is None else x * mask) @ a.T
+    return y + (r @ b.T) * s, r
 
 
 def _project_backward(g: np.ndarray, x: np.ndarray, w: np.ndarray, adapter,
-                      saved, need_x: bool, need_w: bool, need_a: bool = False,
+                      r, need_x: bool, need_w: bool, need_a: bool = False,
                       need_b: bool = False):
     """Gradients ``(gx, gW, gA, gB)`` of :func:`_project`; ``None`` for
-    any not needed, so a frozen ``W`` costs no GEMM."""
+    any not needed, so a frozen ``W`` costs no GEMM.  The branch input
+    ``x·mask`` is rebuilt from ``x`` by the forward's op, so it is never
+    saved."""
     gx = g @ w if need_x else None
     gw = _flat(g).T @ _flat(x) if need_w else None
     if adapter is None:
         return gx, gw, None, None
     a, b, s, mask = adapter
-    xm, r = saved
     gs = g * s
     gr = gs @ b
-    ga = _flat(gr).T @ _flat(xm) if need_a else None
+    ga = None
+    if need_a:
+        ga = _flat(gr).T @ _flat(x if mask is None else x * mask)
     gb = _flat(gs).T @ _flat(r) if need_b else None
     if need_x:
         gxm = gr @ a
@@ -285,13 +287,13 @@ def lora_linear(x: Tensor, weight: Tensor, lora_a: Tensor, lora_b: Tensor,
     inverted-dropout mask of the branch input, or ``None``.
     """
     adapter = (lora_a.data, lora_b.data, scaling, mask)
-    y, saved = _project(x.data, weight.data, adapter,
-                        None if bias is None else bias.data)
+    y, r = _project(x.data, weight.data, adapter,
+                    None if bias is None else bias.data)
     parents = (x, weight, lora_a, lora_b) + ((bias,) if bias is not None
                                              else ())
 
     def backward(g: np.ndarray):
-        grads = _project_backward(g, x.data, weight.data, adapter, saved,
+        grads = _project_backward(g, x.data, weight.data, adapter, r,
                                   x.requires_grad, weight.requires_grad,
                                   lora_a.requires_grad, lora_b.requires_grad)
         if bias is None or not bias.requires_grad:
@@ -316,13 +318,16 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
 
     The forward is :func:`rms_normalize` times ``w``, the layered chain's
     bit for bit; the backward is ``(g·w - x̂ · mean(g·w·x̂)) / rms`` with
-    ``x̂ = x / rms``.
+    ``x̂ = x / rms``.  Only ``rms`` is saved: the backward rebuilds ``x̂``
+    from ``x``, whose data the graph holds anyway, by the forward's own
+    division, so it has the forward's bits.
     """
     w = weight.data
     n = x.shape[-1]
     normed, rms = rms_normalize(x.data, eps)
 
     def backward(g: np.ndarray):
+        normed = x.data / rms
         gw = _flat(g * normed).sum(axis=0) if weight.requires_grad else None
         if not x.requires_grad:
             return None, gw
@@ -414,15 +419,15 @@ def attention(x: Tensor, projections, num_heads: int,
     scaled_softmax(probs, scale,
                    causal_mask(seq, probs.dtype) if causal else None)
     merged = merge_heads(probs @ v)
-    out, saved_o = project(merged, 3)
-    saved = [s for _, s in projected] + [saved_o]
+    out, r_o = project(merged, 3)
+    rs = [r for _, r in projected] + [r_o]
 
     def project_backward(grad, inp, i, need_x):
         """Projection ``i``'s input gradient and its parameters'."""
         w, b, adapter = arrays[i]
         needs = [t.requires_grad for t in owners[i]]
         need_ab = needs[-2:] if adapter is not None else ()
-        gi, gw, ga, gb = _project_backward(grad, inp, w, adapter, saved[i],
+        gi, gw, ga, gb = _project_backward(grad, inp, w, adapter, rs[i],
                                            need_x, needs[0], *need_ab)
         grads = [gw]
         if b is not None:
@@ -453,6 +458,18 @@ def attention(x: Tensor, projections, num_heads: int,
                         backward)
 
 
+def _swiglu_hidden(g: np.ndarray, u: np.ndarray):
+    """``(sig, s, h)``: ``sig = sigmoid(g)``, ``s = silu(g) = g·sig`` and
+    the SwiGLU hidden state ``h = s·u``, in :func:`swiglu_infer`'s op
+    order.  The forward keeps only ``h``, and only until the down
+    projection has run; the backward rebuilds all three from the saved
+    ``g`` and ``u`` through this same call, so they have the forward's
+    bits."""
+    sig = 1.0 / (1.0 + np.exp(-g))
+    s = g * sig
+    return sig, s, s * u
+
+
 def swiglu_forward(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
                    w_down: np.ndarray, lora=None):
     """The SwiGLU FFN ``(silu(x Wg^T) * (x Wu^T)) Wd^T`` on plain arrays.
@@ -461,16 +478,15 @@ def swiglu_forward(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
     projection (gate, up, down), each adding its low-rank branch as
     :func:`_project` does.  Without adapters the op order is
     :func:`swiglu_infer`'s.  Returns ``(y, saved)`` for
-    :func:`swiglu_backward`.
+    :func:`swiglu_backward`; ``saved`` holds the two ``(rows, ffn)``
+    projections ``g`` and ``u`` and each adapter's ``r``, and nothing the
+    backward can rebuild from them (see :func:`_swiglu_hidden`).
     """
     ad_gate, ad_up, ad_down = lora if lora is not None else (None,) * 3
-    g, saved_gate = _project(x, w_gate, ad_gate)
-    u, saved_up = _project(x, w_up, ad_up)
-    sig = 1.0 / (1.0 + np.exp(-g))
-    s = g * sig
-    h = s * u
-    y, saved_down = _project(h, w_down, ad_down)
-    return y, (g, u, sig, s, h, saved_gate, saved_up, saved_down)
+    g, r_gate = _project(x, w_gate, ad_gate)
+    u, r_up = _project(x, w_up, ad_up)
+    y, r_down = _project(_swiglu_hidden(g, u)[2], w_down, ad_down)
+    return y, (g, u, r_gate, r_up, r_down)
 
 
 def swiglu_backward(gy: np.ndarray, x: np.ndarray, w_gate: np.ndarray,
@@ -481,27 +497,34 @@ def swiglu_backward(gy: np.ndarray, x: np.ndarray, w_gate: np.ndarray,
     ``needs`` flags which gradients to compute, in parent order: ``x``,
     ``w_gate``, ``w_up``, ``w_down``, then (with ``lora``) ``A``, ``B`` of
     gate, up and down.  Returns one gradient per flag, ``None`` where the
-    flag is off.
+    flag is off.  ``sig``, ``s`` and ``h`` are rebuilt from the saved
+    ``g`` and ``u`` and each is dropped after its last use.
     """
-    g, u, sig, s, h, saved_gate, saved_up, saved_down = saved
+    g, u, r_gate, r_up, r_down = saved
     ad_gate, ad_up, ad_down = lora if lora is not None else (None,) * 3
     need_x, need_gate, need_up, need_down = needs[:4]
     need_ab = needs[4:]
+    sig, s, h = _swiglu_hidden(g, u)
     gh, gw_down, ga_down, gb_down = _project_backward(
-        gy, h, w_down, ad_down, saved_down, True, need_down, *need_ab[4:])
+        gy, h, w_down, ad_down, r_down, True, need_down, *need_ab[4:])
+    del h
     gu = gh * s
+    del s
     # d silu(g)/dg = sig + g * sig * (1 - sig), same form as Tensor.silu,
     # built up in place to avoid three (n, ffn) temporaries.
     dsilu = 1.0 - sig
     dsilu *= sig
     dsilu *= g
     dsilu += sig
+    del sig
     gg = gh * u
+    del gh
     gg *= dsilu
+    del dsilu
     gx, gw_gate, ga_gate, gb_gate = _project_backward(
-        gg, x, w_gate, ad_gate, saved_gate, need_x, need_gate, *need_ab[:2])
+        gg, x, w_gate, ad_gate, r_gate, need_x, need_gate, *need_ab[:2])
     gx_up, gw_up, ga_up, gb_up = _project_backward(
-        gu, x, w_up, ad_up, saved_up, need_x, need_up, *need_ab[2:4])
+        gu, x, w_up, ad_up, r_up, need_x, need_up, *need_ab[2:4])
     if need_x:
         gx += gx_up
     grads = (gx, gw_gate, gw_up, gw_down)

@@ -48,7 +48,6 @@ class PlacementLP:
     num_workers: int
     num_layers: int
     num_experts: int
-    cost_scale: float = 1.0
 
     @property
     def num_assignment_vars(self) -> int:
@@ -186,7 +185,7 @@ def build_placement_lp(problem: PlacementProblem) -> PlacementLP:
     return PlacementLP(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq,
                        b_eq=b_eq, lower=lower, upper=upper,
                        num_workers=n_workers, num_layers=layers,
-                       num_experts=experts, cost_scale=cost_scale)
+                       num_experts=experts)
 
 
 def solve_lp_scipy(lp: PlacementLP) -> np.ndarray:

@@ -374,22 +374,25 @@ class ContinuousBatchingEngine:
     def apply_pending_placement(self):
         """Apply a staged swap, if any; returns the applied placement.
 
-        Called by the serve loop at iteration boundaries.  Updates
-        ``active_placement`` and the attached monitor (so locality
-        gauges immediately score against the new assignment).
+        Called by the serve loop at iteration boundaries.  Hands the
+        placement to the attached monitor (so locality gauges immediately
+        score against the new assignment), then to the prefetcher, and
+        only then sets ``active_placement``: a monitor that rejects the
+        swap raises here and leaves the engine and both sidecars on the
+        old placement (the staged swap is dropped).
         """
         with self._swap_lock:
             placement = self._pending_placement
             self._pending_placement = None
         if placement is None:
             return None
-        self.active_placement = placement
         if self.monitor is not None:
             self.monitor.swap_placement(placement)
         if self.prefetcher is not None:
             # Re-price fetches against the new holders (idempotent when
             # the prefetcher's own replication pass staged this swap).
             self.prefetcher.scheduler.set_placement(placement)
+        self.active_placement = placement
         return placement
 
     # ------------------------------------------------------------------ #

@@ -81,7 +81,8 @@ class TestRoutingRecords:
             assert rec.num_tokens == 12
 
     def test_set_record_routing_off(self, nano_model, nano_config, rng):
-        nano_model.set_record_routing(False)
+        for block in nano_model.blocks:
+            block.moe.record_routing = False
         ids = rng.integers(0, nano_config.vocab_size, size=(1, 4))
         nano_model.forward(ids)
         with pytest.raises(RuntimeError):

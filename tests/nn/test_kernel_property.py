@@ -9,6 +9,13 @@ oracle side: the forward bitwise, every parent's gradient within a
 tolerance fixed by the dtype (rtol 1e-10 in float64; the atol is scaled by
 the largest gradient, since both sides round sums in different orders), and
 every adapter's dropout generator in the same end state.
+
+The SwiGLU and RMSNorm kernels save only what their backward cannot
+rebuild; :func:`tests.oracles.reference_swiglu_forward` /
+:func:`tests.oracles.reference_swiglu_backward` and
+:func:`tests.oracles.reference_rms_norm` save every intermediate.  Both
+sides run the same ops on the same inputs, so outputs and gradients are
+compared bit for bit.
 """
 
 from unittest import mock
@@ -19,8 +26,13 @@ from hypothesis import strategies as st
 
 from repro.lora import LoRAConfig, LoRALinear
 from repro.nn import Linear, MultiHeadAttention, RMSNorm, Tensor, default_dtype
+from repro.nn.functional import (dropout_mask, rms_norm, swiglu_backward,
+                                 swiglu_forward)
 from tests.oracles import (reference_attention_forward,
-                           reference_lora_forward, reference_rms_norm_forward)
+                           reference_lora_forward, reference_rms_norm,
+                           reference_rms_norm_forward,
+                           reference_swiglu_backward,
+                           reference_swiglu_forward)
 
 TOLERANCE = {np.dtype(np.float64): (1e-10, 1e-12),
              np.dtype(np.float32): (1e-4, 1e-6)}
@@ -186,3 +198,104 @@ class TestRMSNormKernelMatchesOracle:
         norm.weight.data = rng.normal(size=12)
         x = rng.normal(size=(3, 5, 12))
         np.testing.assert_array_equal(norm.infer(x), norm(Tensor(x)).data)
+
+
+@st.composite
+def swiglu_cases(draw):
+    lora = draw(st.sampled_from(["off", "on", "dropout"]))
+    return dict(
+        rows=draw(st.integers(1, 40)), hidden=draw(st.integers(1, 16)),
+        ffn=draw(st.integers(1, 24)), rank=draw(st.integers(1, 8)),
+        lora=lora, alpha=draw(st.floats(0.25, 32.0)),
+        # x, w_gate, w_up, w_down, then A and B of gate, up and down.
+        needs=draw(st.lists(st.booleans(), min_size=10, max_size=10)),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        seed=draw(st.integers(0, 2 ** 16)))
+
+
+class TestLeanKernelsMatchSaveEverything:
+    """The kernels that rebuild ``sig``, ``s``, ``h``, the adapter inputs
+    and ``x / rms`` in their backward give the save-everything kernels'
+    outputs and gradients bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=swiglu_cases())
+    @example(case=dict(rows=40, hidden=16, ffn=24, rank=8, lora="dropout",
+                       alpha=16.0, needs=[True] * 10, dtype=np.float32,
+                       seed=3))
+    @example(case=dict(rows=1, hidden=1, ffn=1, rank=1, lora="off",
+                       alpha=1.0, needs=[False] * 10, dtype=np.float64,
+                       seed=0))
+    def test_swiglu(self, case):
+        rng = np.random.default_rng(case["seed"])
+        dtype, rows = case["dtype"], case["rows"]
+        hidden, ffn, rank = case["hidden"], case["ffn"], case["rank"]
+
+        def normal(*shape):
+            """Variance ``1 / shape[-1]``, as a layer's init."""
+            return (rng.normal(size=shape) / np.sqrt(shape[-1])).astype(dtype)
+
+        x, gy = normal(rows, hidden), normal(rows, hidden)
+        weights = (normal(ffn, hidden), normal(ffn, hidden),
+                   normal(hidden, ffn))
+        lora, needs = None, case["needs"][:4]
+        if case["lora"] != "off":
+            needs = case["needs"]
+            lora = []
+            for n_in, n_out in ((hidden, ffn), (hidden, ffn), (ffn, hidden)):
+                mask = None
+                if case["lora"] == "dropout":
+                    mask = dropout_mask(rng, (rows, n_in), 0.3, dtype)
+                lora.append((normal(rank, n_in), normal(n_out, rank),
+                             case["alpha"] / rank, mask))
+        y, saved = swiglu_forward(x, *weights, lora)
+        y_ref, saved_ref = reference_swiglu_forward(x, *weights, lora)
+        assert y.dtype == y_ref.dtype == dtype
+        np.testing.assert_array_equal(y, y_ref)
+        grads = swiglu_backward(gy, x, *weights, lora, saved, needs)
+        grads_ref = reference_swiglu_backward(gy, x, *weights, lora,
+                                              saved_ref, needs)
+        assert len(grads) == len(grads_ref) == len(needs)
+        for i, (need, grad, want) in enumerate(zip(needs, grads,
+                                                   grads_ref)):
+            if not need:
+                assert grad is None and want is None, i
+                continue
+            assert grad.dtype == want.dtype == dtype, i
+            np.testing.assert_array_equal(grad, want, err_msg=str(i))
+
+    def test_swiglu_saves_only_the_projections_and_adapter_ranks(self, rng):
+        x = rng.normal(size=(5, 3))
+        weights = (rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
+                   rng.normal(size=(3, 4)))
+        lora = [(rng.normal(size=(2, n_in)), rng.normal(size=(n_out, 2)),
+                 0.5, np.full((5, n_in), 2.0))
+                for n_in, n_out in ((3, 4), (3, 4), (4, 3))]
+        _, saved = swiglu_forward(x, *weights, lora)
+        assert [a.shape for a in saved] == [(5, 4), (5, 4), (5, 2), (5, 2),
+                                            (5, 2)]
+        _, saved = swiglu_forward(x, *weights)
+        assert [np.shape(a) for a in saved[:2]] == [(5, 4), (5, 4)]
+        assert saved[2:] == (None, None, None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=norm_cases())
+    def test_rms_norm(self, case):
+        rng = np.random.default_rng(case["seed"])
+        shape = tuple(case["lead"]) + (case["dim"],)
+        x = rng.normal(size=shape).astype(case["dtype"])
+        gy = rng.normal(size=shape).astype(case["dtype"])
+        weight = rng.normal(size=case["dim"]).astype(case["dtype"])
+        input_grad = case["input_grad"] or not case["weight_grad"]
+        results = []
+        for kernel in (rms_norm, reference_rms_norm):
+            xt = Tensor(x.copy(), requires_grad=input_grad)
+            wt = Tensor(weight.copy(), requires_grad=case["weight_grad"])
+            out = kernel(xt, wt, case["eps"])
+            out.backward(gy)
+            results.append((out.data, xt.grad, wt.grad))
+        for got, want in zip(*results):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype == case["dtype"]
+                np.testing.assert_array_equal(got, want)

@@ -38,6 +38,15 @@ speedup import them from here.
   :func:`repro.nn.functional.attention` and
   :func:`repro.nn.functional.rms_norm`.  Each has its ``forward``'s
   signature, so ``monkeypatch.setattr`` swaps it in.
+* :func:`reference_swiglu_forward` / :func:`reference_swiglu_backward` and
+  :func:`reference_rms_norm` — the SwiGLU and RMSNorm training kernels
+  that save every intermediate their backward reads (``sig``, ``s``,
+  ``h`` and each adapter's input; ``x / rms``), against
+  :func:`repro.nn.functional.swiglu_forward` /
+  :func:`~repro.nn.functional.swiglu_backward` and
+  :func:`repro.nn.functional.rms_norm`, which save only ``g``, ``u`` and
+  each adapter's ``r`` (only ``rms``) and rebuild the rest.  Same
+  signatures, and the same bits.
 * :func:`reference_adamw_step` — ``AdamW.step`` as a loop over tensors,
   against the flat-buffer step.
 * :func:`retained_backward` — ``Tensor.backward`` keeping the whole graph
@@ -83,7 +92,7 @@ from repro.comm import (CommCostModel, all_to_all_time,
                         cross_node_bytes_all_to_all, ring_all_reduce_time,
                         status_sync_time)
 from repro.nn import causal_mask
-from repro.nn.functional import dropout, softmax
+from repro.nn.functional import _flat, dropout, rms_normalize, softmax
 from repro.nn.tensor import Tensor
 from repro.placement.base import Placement, PlacementProblem
 from repro.placement.local_search import RefinementReport
@@ -182,6 +191,101 @@ def reference_rms_norm_forward(self, x: Tensor) -> Tensor:
     """``RMSNorm.forward`` op by op."""
     ms = (x * x).mean(axis=-1, keepdims=True)
     return x / (ms + self.eps).sqrt() * self.weight
+
+
+def _saving_project(x: np.ndarray, w: np.ndarray, adapter=None):
+    """``x Wᵀ`` plus the low-rank branch ``((x·mask) Aᵀ) Bᵀ · s``;
+    returns ``(y, (x·mask, r))``, keeping the branch input."""
+    y = x @ w.T
+    if adapter is None:
+        return y, None
+    a, b, s, mask = adapter
+    xm = x if mask is None else x * mask
+    r = xm @ a.T
+    return y + (r @ b.T) * s, (xm, r)
+
+
+def _saving_project_backward(g, x, w, adapter, saved, need_x, need_w,
+                             need_a=False, need_b=False):
+    """Gradients ``(gx, gW, gA, gB)`` of :func:`_saving_project` from its
+    saved ``(x·mask, r)``."""
+    gx = g @ w if need_x else None
+    gw = _flat(g).T @ _flat(x) if need_w else None
+    if adapter is None:
+        return gx, gw, None, None
+    a, b, s, mask = adapter
+    xm, r = saved
+    gs = g * s
+    gr = gs @ b
+    ga = _flat(gr).T @ _flat(xm) if need_a else None
+    gb = _flat(gs).T @ _flat(r) if need_b else None
+    if need_x:
+        gxm = gr @ a
+        if mask is not None:
+            gxm *= mask
+        gx += gxm
+    return gx, gw, ga, gb
+
+
+def reference_swiglu_forward(x, w_gate, w_up, w_down, lora=None):
+    """``swiglu_forward`` saving ``sig``, ``s``, ``h`` and every adapter's
+    input along with ``g``, ``u`` and the adapters' ``r``."""
+    ad_gate, ad_up, ad_down = lora if lora is not None else (None,) * 3
+    g, saved_gate = _saving_project(x, w_gate, ad_gate)
+    u, saved_up = _saving_project(x, w_up, ad_up)
+    sig = 1.0 / (1.0 + np.exp(-g))
+    s = g * sig
+    h = s * u
+    y, saved_down = _saving_project(h, w_down, ad_down)
+    return y, (g, u, sig, s, h, saved_gate, saved_up, saved_down)
+
+
+def reference_swiglu_backward(gy, x, w_gate, w_up, w_down, lora, saved,
+                              needs) -> tuple:
+    """``swiglu_backward`` reading every array from
+    :func:`reference_swiglu_forward`'s ``saved``."""
+    g, u, sig, s, h, saved_gate, saved_up, saved_down = saved
+    ad_gate, ad_up, ad_down = lora if lora is not None else (None,) * 3
+    need_x, need_gate, need_up, need_down = needs[:4]
+    need_ab = needs[4:]
+    gh, gw_down, ga_down, gb_down = _saving_project_backward(
+        gy, h, w_down, ad_down, saved_down, True, need_down, *need_ab[4:])
+    gu = gh * s
+    dsilu = 1.0 - sig
+    dsilu *= sig
+    dsilu *= g
+    dsilu += sig
+    gg = gh * u
+    gg *= dsilu
+    gx, gw_gate, ga_gate, gb_gate = _saving_project_backward(
+        gg, x, w_gate, ad_gate, saved_gate, need_x, need_gate, *need_ab[:2])
+    gx_up, gw_up, ga_up, gb_up = _saving_project_backward(
+        gu, x, w_up, ad_up, saved_up, need_x, need_up, *need_ab[2:4])
+    if need_x:
+        gx += gx_up
+    grads = (gx, gw_gate, gw_up, gw_down)
+    if lora is None:
+        return grads
+    return grads + (ga_gate, gb_gate, ga_up, gb_up, ga_down, gb_down)
+
+
+def reference_rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
+    """``rms_norm`` saving ``x / rms`` for its backward."""
+    w = weight.data
+    n = x.shape[-1]
+    normed, rms = rms_normalize(x.data, eps)
+
+    def backward(g: np.ndarray):
+        gw = _flat(g * normed).sum(axis=0) if weight.requires_grad else None
+        if not x.requires_grad:
+            return None, gw
+        gn = g * w
+        dot = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
+        gn -= normed * dot
+        gn /= rms
+        return gn, gw
+
+    return Tensor._make(normed * w, (x, weight), backward)
 
 
 def reference_adamw_step(self) -> None:
@@ -768,7 +872,7 @@ def reference_build_placement_lp(problem: PlacementProblem) -> PlacementLP:
     return PlacementLP(c=c, a_ub=a_ub, b_ub=np.array(b_ub), a_eq=a_eq,
                        b_eq=b_eq, lower=lower, upper=upper,
                        num_workers=n_workers, num_layers=layers,
-                       num_experts=experts, cost_scale=cost_scale)
+                       num_experts=experts)
 
 
 # --------------------------------------------------------------------- #

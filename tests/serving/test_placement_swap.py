@@ -17,7 +17,8 @@ import pytest
 from repro.models import build_model
 from repro.placement import (Placement, ReplacementController, ReplanConfig,
                              ReplicatedPlacement)
-from repro.serving import ContinuousBatchingEngine, LiveDecodeEngine, Request
+from repro.serving import (ContinuousBatchingEngine, LiveDecodeEngine,
+                           PrefetchConfig, Request)
 from repro.telemetry import RoutingHealthMonitor
 from repro.telemetry.events import EventLog
 
@@ -137,6 +138,25 @@ class TestSwapValidation:
         assert ids_by_request(engine.serve(requests)) == baseline
         assert engine.active_placement is staged
         assert monitor.placement is staged
+
+    def test_rejected_swap_leaves_engine_and_sidecars_on_the_old_one(
+            self, nano_config, monkeypatch):
+        placement = Placement(ALL_FAR.copy())
+        monitor = RoutingHealthMonitor(placement=placement)
+        engine = ContinuousBatchingEngine(build_model(nano_config),
+                                          max_slots=2, monitor=monitor,
+                                          prefetch=PrefetchConfig())
+
+        def reject(new_placement):
+            raise ValueError("monitor rejects the swap")
+
+        monkeypatch.setattr(monitor, "swap_placement", reject)
+        engine.swap_placement(Placement(np.zeros((2, 4), dtype=np.int64)))
+        with pytest.raises(ValueError, match="monitor rejects"):
+            engine.apply_pending_placement()
+        assert engine.active_placement is placement
+        assert monitor.placement is placement
+        assert engine.prefetcher.placement is placement
 
     def test_replicated_placement_is_staged(self, nano_model):
         engine = LiveDecodeEngine(nano_model)
